@@ -409,7 +409,6 @@ def premises_for(
             _fail("com: antecedent partition out of range")
         g1, g2 = s1.left[:k1], s1.left[k1:]
         t1, t2 = s2.left[:k2], s2.left[k2:]
-        rest = comps[:c] + comps[c + 2 :]
         p1 = comps[:c] + (Sequent(g1 + t1, s1.right),) + comps[c + 2 :]
         p2 = comps[:c] + (Sequent(g2 + t2, s2.right),) + comps[c + 2 :]
         return [Hypersequent(p1), Hypersequent(p2)]
@@ -1368,10 +1367,6 @@ def rule_local_soundness(
 # Bounded backward search
 
 
-def _axiom_leaf(calc: CalculusDef, h: Hypersequent) -> Optional[ProofTree]:
-    return _leaf_for(calc, h)
-
-
 def _backward_instances(calc: CalculusDef, h: Hypersequent):
     """Rule instances worth trying backward on h, roughly best-first."""
     comps = h.components
@@ -1469,7 +1464,7 @@ def prove_bounded(
     failed: Dict[Hypersequent, int] = {}
 
     def search(h, budget, streak, path):
-        leaf = _axiom_leaf(calc, h)
+        leaf = _leaf_for(calc, h)
         if leaf is not None:
             return leaf
         if budget <= 0:
@@ -1480,6 +1475,7 @@ def prove_bounded(
         candidates = [(inst, False) for inst in logical]
         if streak < 2:
             candidates += [(inst, True) for inst in structural]
+        below = path | {h}
         for inst, is_structural in candidates:
             try:
                 premises = premises_for(calc, inst, h)
@@ -1490,7 +1486,7 @@ def prove_bounded(
             subtrees = []
             next_streak = streak + 1 if is_structural else 0
             for p in premises:
-                sub = search(p, budget - 1, next_streak, path | {h})
+                sub = search(p, budget - 1, next_streak, below)
                 if sub is None:
                     break
                 subtrees.append(sub)
@@ -1649,7 +1645,10 @@ def _tree_to_json(t: ProofTree) -> dict:
 
 
 def _tree_from_json(d: dict) -> ProofTree:
-    inst = RuleInstance(Rule(d["rule"]["id"]), dict(d["rule"].get("params", {})))
+    params = dict(d["rule"].get("params", {}))
+    if not all(type(v) is int for v in params.values()):
+        raise ValidationError(f"rule parameters must be integers: {params!r}")
+    inst = RuleInstance(Rule(d["rule"]["id"]), params)
     return ProofTree(
         _hyper_from_json(d["conclusion"]),
         inst,
@@ -1666,17 +1665,19 @@ def proof_to_json(calc_name: str, tree: ProofTree) -> dict:
 
 
 def proof_from_json(doc: dict):
-    if doc.get("version") != PROOF_SCHEMA_VERSION:
+    """(calculus name, tree) of a "dlc-proof/1" document.
+
+    Every malformed document raises ValidationError.
+    """
+    if not isinstance(doc, dict) or doc.get("version") != PROOF_SCHEMA_VERSION:
         raise ValidationError(f"expected document version {PROOF_SCHEMA_VERSION}")
-    name = doc["calculus"]
-    if name not in CALCULI:
+    name = doc.get("calculus")
+    if not isinstance(name, str) or name not in CALCULI:
         raise ValidationError(f"unknown calculus {name!r}")
-    return name, _tree_from_json(doc["tree"])
-
-
-def save_proof(path, calc_name: str, tree: ProofTree) -> None:
-    with open(path, "w") as fh:
-        json.dump(proof_to_json(calc_name, tree), fh, indent=2)
+    try:
+        return name, _tree_from_json(doc["tree"])
+    except (AttributeError, KeyError, TypeError, ValueError) as exc:
+        raise ValidationError(f"malformed proof document: {exc!r}") from exc
 
 
 def load_proof(path):

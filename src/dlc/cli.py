@@ -79,6 +79,13 @@ def _logic_from_args(args) -> LogicId:
     }[name]
 
 
+def _positive_int(text: str) -> int:
+    n = int(text)
+    if n < 1:
+        raise argparse.ArgumentTypeError(f"expected a positive integer, got {n}")
+    return n
+
+
 def _add_logic_flags(p, required=True):
     p.add_argument("--logic", choices=LOGIC_NAMES, required=required)
     p.add_argument("--r", type=float, default=None)
@@ -87,7 +94,7 @@ def _add_logic_flags(p, required=True):
 
 def _add_common_flags(p):
     p.add_argument("--carrier", choices=sorted(CARRIERS), default="f64")
-    p.add_argument("--samples", type=int, default=1000)
+    p.add_argument("--samples", type=_positive_int, default=1000)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--tol", type=float, default=1e-9)
     p.add_argument("--out", default=None)
@@ -308,7 +315,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(fn=_cmd_laws)
 
     p = sub.add_parser("shadow", help="shadow-lifting check for one logic")
-    p.add_argument("--n", type=int, default=3)
+    p.add_argument("--n", type=_positive_int, default=3)
     _add_logic_flags(p)
     _add_common_flags(p)
     p.set_defaults(fn=_cmd_shadow)

@@ -114,6 +114,38 @@ class CmpOp(Enum):
 class Expr:
     tag: TypeTag
 
+    # Structural hash, filled in by the first ``__hash__`` call (_hash_once).
+    _hash = None
+
+    def __getstate__(self):
+        # str and Enum hashes differ between processes, so a cached hash
+        # must not travel with a pickled or copied node
+        state = dict(self.__dict__)
+        state.pop("_hash", None)
+        return state
+
+
+def _hash_once(cls):
+    """Make cls cache its dataclass-generated hash on first use.
+
+    ``@dataclass(frozen=True)`` writes a ``__hash__`` into each decorated
+    class that walks the whole subtree on every call, so each node class
+    replaces its own.  The cached value is the generated one, so set and
+    dict layouts are unchanged; it is no field, so ``__eq__``, ``repr`` and
+    serialization never see it.  Nothing is hashed at construction.
+    """
+    field_hash = cls.__hash__
+
+    def __hash__(self):
+        h = self._hash
+        if h is None:
+            h = field_hash(self)
+            object.__setattr__(self, "_hash", h)
+        return h
+
+    cls.__hash__ = __hash__
+    return cls
+
 
 def _bool_flags(e: Expr, what: str) -> ConnectiveFlags:
     if not isinstance(e.tag, BoolT):
@@ -131,6 +163,7 @@ def _shared_flags(children: Sequence[Expr], what: str) -> ConnectiveFlags:
     return flags
 
 
+@_hash_once
 @dataclass(frozen=True)
 class BoolConst(Expr):
     value: bool
@@ -140,6 +173,7 @@ class BoolConst(Expr):
         object.__setattr__(self, "tag", BoolT(flags))
 
 
+@_hash_once
 @dataclass(frozen=True)
 class RealConst(Expr):
     value: float
@@ -149,6 +183,7 @@ class RealConst(Expr):
         object.__setattr__(self, "tag", REAL)
 
 
+@_hash_once
 @dataclass(frozen=True)
 class IndexConst(Expr):
     i: int
@@ -162,6 +197,7 @@ class IndexConst(Expr):
         object.__setattr__(self, "tag", IndexT(n))
 
 
+@_hash_once
 @dataclass(frozen=True)
 class VecConst(Expr):
     values: tuple
@@ -189,6 +225,7 @@ class _Nary(Expr):
         object.__setattr__(self, "tag", BoolT(flags))
 
 
+@_hash_once
 @dataclass(frozen=True)
 class And(_Nary):
     children: tuple
@@ -197,6 +234,7 @@ class And(_Nary):
     __init__ = _Nary.__init__
 
 
+@_hash_once
 @dataclass(frozen=True)
 class Or(_Nary):
     children: tuple
@@ -205,6 +243,7 @@ class Or(_Nary):
     __init__ = _Nary.__init__
 
 
+@_hash_once
 @dataclass(frozen=True)
 class MAnd(_Nary):
     children: tuple
@@ -213,6 +252,7 @@ class MAnd(_Nary):
     __init__ = _Nary.__init__
 
 
+@_hash_once
 @dataclass(frozen=True)
 class MOr(_Nary):
     children: tuple
@@ -221,6 +261,7 @@ class MOr(_Nary):
     __init__ = _Nary.__init__
 
 
+@_hash_once
 @dataclass(frozen=True)
 class Not(Expr):
     child: Expr
@@ -233,6 +274,7 @@ class Not(Expr):
         object.__setattr__(self, "tag", BoolT(flags))
 
 
+@_hash_once
 @dataclass(frozen=True)
 class Impl(Expr):
     left: Expr
@@ -247,6 +289,7 @@ class Impl(Expr):
         object.__setattr__(self, "tag", BoolT(flags))
 
 
+@_hash_once
 @dataclass(frozen=True)
 class Cmp(Expr):
     op: CmpOp
@@ -263,6 +306,7 @@ class Cmp(Expr):
         object.__setattr__(self, "tag", BoolT(flags))
 
 
+@_hash_once
 @dataclass(frozen=True)
 class FunRef(Expr):
     name: str
@@ -276,6 +320,7 @@ class FunRef(Expr):
         object.__setattr__(self, "tag", FunT(m, n))
 
 
+@_hash_once
 @dataclass(frozen=True)
 class Fun2Ref(Expr):
     name: str
@@ -297,6 +342,7 @@ def _vec_arity(e: Expr, what: str) -> int:
     return e.tag.n
 
 
+@_hash_once
 @dataclass(frozen=True)
 class App(Expr):
     fun: Expr
@@ -314,6 +360,7 @@ class App(Expr):
         object.__setattr__(self, "tag", VectorT(fun.tag.n))
 
 
+@_hash_once
 @dataclass(frozen=True)
 class App2(Expr):
     fun: Expr
@@ -333,6 +380,7 @@ class App2(Expr):
         object.__setattr__(self, "tag", VectorT(fun.tag.n))
 
 
+@_hash_once
 @dataclass(frozen=True)
 class Lookup(Expr):
     vec: Expr
@@ -465,10 +513,6 @@ def build_node(kind: str, children: Sequence, extra=None) -> Expr:
         v, i = children
         return Lookup(v, i)
     raise ValidationError(f"unknown node kind {kind!r}")
-
-
-def type_of(e: Expr) -> TypeTag:
-    return e.tag
 
 
 def children_of(e: Expr) -> tuple:

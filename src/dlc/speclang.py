@@ -31,6 +31,7 @@ gradients flow through them with the dual-number carrier.
 from __future__ import annotations
 
 import json
+import math
 import re
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple
@@ -658,11 +659,14 @@ def load_network(path) -> NetworkDef:
 
 def _as_vector(name: str, value) -> Tuple[float, ...]:
     if isinstance(value, (int, float)):
-        return (float(value),)
+        value = (value,)
     try:
-        return tuple(float(v) for v in value)
+        vals = tuple(float(v) for v in value)
     except (TypeError, ValueError) as exc:
         raise ValidationError(f"binding {name!r} is not numeric") from exc
+    if not all(math.isfinite(v) for v in vals):
+        raise ValidationError(f"binding {name!r} is not finite: {vals}")
+    return vals
 
 
 def bindings_from_json(doc: dict) -> Dict[str, Tuple[float, ...]]:

@@ -34,6 +34,7 @@ from dlc.errors import (
     PremiseArityMismatch,
     RuleNotInCalculus,
     SchemaMismatch,
+    ValidationError,
 )
 
 GOEDEL = CALCULI["goedel"]
@@ -200,6 +201,38 @@ def test_weak_completeness_goal_list():
     assert directions == ["le"]  # stated as an inequality only
 
 
+# Proof depth per weak-completeness goal, in weak_completeness_goals order
+# (R1-le, R1-ge, ..., R7-le, R8-le, R8-ge, R9-le, R9-ge); None marks a goal
+# the search fails within the budget.  The depths depend on the order in
+# which the search tries rule instances, so a change to that order shows here.
+# The Goedel and STL-inf calculi find the same proofs.
+_GOEDEL_DEPTHS = {
+    6: (5, 5, 7, 7, 3, 3, 5, 5, 2, 3, 3, 2, None, 7, 7, 2, 2),
+    8: (5, 5, 9, 8, 3, 3, 5, 5, 2, 3, 3, 2, 9, 9, 8, 2, 2),
+    12: (5, 5, 10, 10, 3, 3, 5, 5, 2, 3, 3, 2, 11, 10, 10, 2, 2),
+}
+WEAK_COMPLETENESS_DEPTHS = {
+    "goedel": _GOEDEL_DEPTHS,
+    "stl-inf": _GOEDEL_DEPTHS,
+    "dl2": {
+        6: (5, 5, 7, 7, 3, 3, 5, 5, 2, 3, 3, 2, None, 5, 5, 3, 2),
+        8: (5, 5, 9, 8, 3, 3, 5, 5, 2, 3, 3, 2, 9, 5, 5, 3, 2),
+        12: (5, 5, 10, 10, 3, 3, 5, 5, 2, 3, 3, 2, 11, 5, 5, 3, 2),
+    },
+    "lukasiewicz": dict.fromkeys((6, 8, 12), (None,) * 17),
+    "product": dict.fromkeys((6, 8, 12), (None,) * 13 + (7, 7, 4, None)),
+}
+
+
+@pytest.mark.parametrize("name", sorted(WEAK_COMPLETENESS_DEPTHS))
+def test_weak_completeness_pinned_depths(name):
+    for budget, depths in WEAK_COMPLETENESS_DEPTHS[name].items():
+        rep = weak_completeness_suite(CALCULI[name], depth_budget=budget)
+        got = [(g["status"], g["depth"]) for g in rep["goals"]]
+        want = [("failed", None) if d is None else ("found", d) for d in depths]
+        assert got == want, (name, budget)
+
+
 class TestExtendedRuleFixture:
     def test_rechecks_under_lukasiewicz(self):
         tree = limpl_ext_fixture()
@@ -238,3 +271,22 @@ class TestSerialization:
     def test_version_gate(self):
         with pytest.raises(Exception):
             proof_from_json({"version": "other/9", "calculus": "dl2", "tree": {}})
+
+    @pytest.mark.parametrize("mangle", ["top_level_list", "unknown_rule",
+                                        "non_integer_param", "non_numeric_real",
+                                        "premises_not_objects"])
+    def test_malformed_document_is_validation_error(self, mangle):
+        doc = proof_to_json("lukasiewicz", random_derivation(LUKA, "bad", 3))
+        tree = doc["tree"]
+        if mangle == "top_level_list":
+            doc = [1]
+        elif mangle == "unknown_rule":
+            tree["rule"]["id"] = "nope"
+        elif mangle == "non_integer_param":
+            tree["rule"]["params"]["c"] = "0"
+        elif mangle == "non_numeric_real":
+            tree["conclusion"][0]["left"] = [{"kind": "real", "value": "x"}]
+        else:
+            tree["premises"] = [1]
+        with pytest.raises(ValidationError):
+            proof_from_json(doc)

@@ -47,6 +47,14 @@ class TestEval:
         assert run(["eval", "nope.spec", "--inputs", INPUTS,
                     "--logic", "dl2"]) == 2
 
+    def test_nan_binding_is_input_error(self, tmp_path):
+        inputs = tmp_path / "in.json"
+        inputs.write_text('{"v": [0.0, 0.0], "x": [NaN, 0.0], "eps": 0.2, '
+                          '"delta": 0.05}')
+        code = run(["eval", SPEC, "--inputs", str(inputs), "--net", f"N={NET}",
+                    "--logic", "dl2"])
+        assert code == 2
+
 
 def test_compile(tmp_path):
     out = tmp_path / "c.json"
@@ -72,6 +80,11 @@ class TestShadow:
         out = tmp_path / "s.json"
         assert run(["shadow", "--logic", "goedel", "--out", str(out)]) == 1
         assert read_json(out)["witness"] is not None
+
+    def test_zero_arity_is_usage_error(self, tmp_path):
+        out = tmp_path / "s.json"
+        assert run(["shadow", "--logic", "dl2", "--n", "0", "--out", str(out)]) == 2
+        assert not out.exists()
 
 
 class TestConverge:
@@ -104,6 +117,17 @@ class TestProof:
         )
         assert code == 0
         assert read_json(out)["passed"]
+
+    @pytest.mark.parametrize("mangle", ["top_level_list", "unknown_rule"])
+    def test_check_malformed_document_is_input_error(self, tmp_path, mangle):
+        doc = read_json(FIX / "init_goedel.json")
+        if mangle == "top_level_list":
+            doc = [1]
+        else:
+            doc["tree"]["rule"]["id"] = "nope"
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(doc))
+        assert run(["proof", "check", str(path)]) == 2
 
     def test_check_wrong_calculus_fails(self, tmp_path):
         code = run(
@@ -140,6 +164,14 @@ def test_fuzz_soundness(tmp_path):
          "--out", str(out)]
     )
     assert code == 0
+
+
+def test_fuzz_soundness_negative_samples_is_usage_error(tmp_path):
+    out = tmp_path / "f.json"
+    code = run(["fuzz-soundness", "--calculus", "product", "--samples", "-5",
+                "--out", str(out)])
+    assert code == 2
+    assert not out.exists()
 
 
 def test_train_demo(tmp_path):

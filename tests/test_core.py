@@ -1,5 +1,8 @@
 """Expression construction, flag profiles, validation, serialization."""
 
+import dataclasses
+import pickle
+
 import pytest
 from hypothesis import given, strategies as st
 
@@ -13,10 +16,13 @@ from dlc.core import (
     STL_INFTY,
     And,
     BoolConst,
+    App,
     Cmp,
     CmpOp,
+    FunRef,
     Impl,
     IndexConst,
+    Lookup,
     MAnd,
     MOr,
     Not,
@@ -169,3 +175,29 @@ def test_build_node_matches_constructors():
 def test_all_fuzzy_enumeration():
     kinds = [lg.kind.value for lg in ALL_FUZZY]
     assert kinds == ["goedel", "lukasiewicz", "yager", "product"]
+
+
+def _formula_over_all_node_kinds(profile, depth, seed):
+    x = VecConst((1.0, 2.0))
+    read = Lookup(App(FunRef("f", 2, 2), x), IndexConst(1, 2))
+    return And((random_formula(profile, depth, seed),
+                Cmp(CmpOp.LE, read, RealConst(0.5), profile)))
+
+
+@given(
+    profile=st.sampled_from(PROFILES),
+    depth=st.integers(0, 4),
+    seed=st.integers(0, 10_000),
+)
+def test_hash_contract(profile, depth, seed):
+    a = _formula_over_all_node_kinds(profile, depth, seed)
+    b = _formula_over_all_node_kinds(profile, depth, seed)
+    text, shown = expr_to_text(a), repr(a)
+    assert a == b and hash(a) == hash(b)
+    assert hash(a) == hash(a)
+    for node in walk(a):
+        # the generated dataclass hash: the tuple of the node's fields
+        fields = tuple(getattr(node, f.name) for f in dataclasses.fields(node))
+        assert hash(node) == hash(fields)
+    assert expr_to_text(a) == text and repr(a) == shown
+    assert "_hash" not in vars(pickle.loads(pickle.dumps(a)))

@@ -29,6 +29,7 @@ from dlc.speclang import (
     VName,
     base_env,
     bindings_from_csv,
+    bindings_from_json,
     elaborate,
     eval_loss,
     extend_env,
@@ -285,3 +286,13 @@ def test_csv_bindings():
     out = bindings_from_csv(text)
     assert out["x"] == (0.1, 0.0)
     assert out["eps"] == (0.2,)
+
+
+@pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+def test_non_finite_bindings_rejected(value):
+    with pytest.raises(ValidationError):
+        bindings_from_csv(f"x,0.1,{value}\n")
+    with pytest.raises(ValidationError):
+        bindings_from_json({"x": [0.1, float(value)]})
+    with pytest.raises(ValidationError):
+        bindings_from_json({"eps": float(value)})
