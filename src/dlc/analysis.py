@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import csv
 import io
-import json
 import math
 from dataclasses import dataclass, field
 from typing import Callable, List, Optional, Sequence, Tuple
@@ -261,11 +260,3 @@ def convergence_yager_godel(
         report.entries.append({"parameter": r, "gap": worst})
     report.passed = bool(report.entries) and report.entries[-1]["gap"] < tol
     return report
-
-
-def write_report(report, path, as_csv: bool = False) -> None:
-    with open(path, "w") as fh:
-        if as_csv:
-            fh.write(report.to_csv())
-        else:
-            json.dump(report.to_json(), fh, indent=2)

@@ -1,4 +1,4 @@
-"""Hypersequent calculi: data model, rule schemas, checking, and search.
+"""Hypersequent calculi: data model, rule table, checking, and search.
 
 Five calculi share one engine.  Every rule is encoded backward: given a
 conclusion and an explicit rule instance (component indices, formula
@@ -7,6 +7,18 @@ hypersequents the schema demands; checking a step is then structural
 equality.  A semantic oracle (``sequent_holds``) evaluates sequents under
 the matching logic so derivations can be fuzzed against soundness, and a
 bounded backward search discharges the residuated-lattice goals.
+
+Each rule variant is declared once, as a ``RuleSpec`` in the rule table,
+and each calculus lists the variants it uses (``CALCULI``).  A spec holds
+the rule's backward schema, the instances backward search tries, the
+forward extensions soundness fuzzing grows derivations by, and the random
+instances rule-local soundness trials check.  The nine logical rules share
+one principal-formula path (``_Logical``); each axiom states its
+component test once (``_Axiom.match``), for its schema and for closing
+leaves.  Where calculi differ in a rule's form, the table has one variant
+per form: falsum with a single succedent (Łukasiewicz); left implication
+(Gödel/STL∞, Łukasiewicz, product, DL2); ⊙-right with context splitting
+(DL2) or without (product); single- or multi-conclusion right implication.
 """
 
 from __future__ import annotations
@@ -14,8 +26,10 @@ from __future__ import annotations
 import json
 import math
 import random
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 from enum import Enum
+from functools import cached_property
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from .carriers import F64Carrier, XRealCarrier
@@ -41,6 +55,7 @@ from .core import (
     RealConst,
     random_formula,
     validate_for_logic,
+    _Nary,
     _node_from_json,
     _node_to_json,
 )
@@ -86,47 +101,33 @@ class Hypersequent:
 
 
 class Rule(Enum):
+    # Declaration order is the order in which forward generation tries the
+    # rules, which fixes the order of its rng draws; the axioms come first,
+    # in the order in which _leaf_for tries them on each component.
     INIT = "init"
     EMP = "emp"
-    BOT_L = "botl"
     TOP_R = "topr"
+    BOT_L = "botl"
     EW = "ew"
-    EC = "ec"
     EEX = "eex"
-    COM = "com"
-    SPLIT = "split"
-    MIX = "mix"
+    EC = "ec"
     WEAK_L = "weakl"
     CONTR_L = "contrl"
     LEX = "lex"
     REX = "rex"
-    LAND = "land"
+    COM = "com"
+    SPLIT = "split"
+    MIX = "mix"
+    RIMPL = "rimpl"
+    LIMPL = "limpl"
     RAND = "rand"
     LOR = "lor"
     ROR = "ror"
-    LIMPL = "limpl"
-    RIMPL = "rimpl"
-    LIMPL_EXT = "limplext"
+    LAND = "land"
     LNEG = "lneg"
     LODOT = "lodot"
     RODOT = "rodot"
-
-
-AXIOM_RULES = frozenset({Rule.INIT, Rule.EMP, Rule.BOT_L, Rule.TOP_R})
-STRUCTURAL_RULES = frozenset(
-    {
-        Rule.EW,
-        Rule.EC,
-        Rule.EEX,
-        Rule.COM,
-        Rule.SPLIT,
-        Rule.MIX,
-        Rule.WEAK_L,
-        Rule.CONTR_L,
-        Rule.LEX,
-        Rule.REX,
-    }
-)
+    LIMPL_EXT = "limplext"
 
 
 @dataclass
@@ -145,149 +146,8 @@ class ProofTree:
         self.premises = tuple(self.premises)
 
 
-@dataclass(frozen=True)
-class CalculusDef:
-    name: str
-    logic: LogicId
-    rules: frozenset
-    # single-conclusion style restricts right-hand logical rules to a
-    # singleton succedent, as in the minimal-fragment figures
-    single_conclusion: bool
-
-    @property
-    def profile(self) -> ConnectiveFlags:
-        return self.logic.flag_profile
-
-
-def _calc(name, logic, single, rules):
-    return CalculusDef(name, logic, frozenset(rules), single)
-
-
-CALCULI: Dict[str, CalculusDef] = {
-    c.name: c
-    for c in (
-        _calc(
-            "goedel",
-            GODEL,
-            True,
-            {
-                Rule.INIT,
-                Rule.BOT_L,
-                Rule.TOP_R,
-                Rule.EW,
-                Rule.EC,
-                Rule.EEX,
-                Rule.COM,
-                Rule.WEAK_L,
-                Rule.CONTR_L,
-                Rule.LEX,
-                Rule.REX,
-                Rule.LAND,
-                Rule.RAND,
-                Rule.LOR,
-                Rule.ROR,
-                Rule.LIMPL,
-                Rule.RIMPL,
-            },
-        ),
-        _calc(
-            "lukasiewicz",
-            LUKASIEWICZ,
-            False,
-            {
-                Rule.INIT,
-                Rule.EMP,
-                Rule.BOT_L,
-                Rule.EW,
-                Rule.EC,
-                Rule.EEX,
-                Rule.WEAK_L,
-                Rule.LEX,
-                Rule.REX,
-                Rule.SPLIT,
-                Rule.MIX,
-                Rule.LIMPL,
-                Rule.RIMPL,
-            },
-        ),
-        _calc(
-            "product",
-            PRODUCT,
-            False,
-            {
-                Rule.INIT,
-                Rule.EMP,
-                Rule.BOT_L,
-                Rule.EW,
-                Rule.EC,
-                Rule.EEX,
-                Rule.WEAK_L,
-                Rule.LEX,
-                Rule.REX,
-                Rule.SPLIT,
-                Rule.MIX,
-                Rule.LNEG,
-                Rule.LODOT,
-                Rule.RODOT,
-                Rule.LIMPL,
-                Rule.RIMPL,
-            },
-        ),
-        _calc(
-            "dl2",
-            DL2,
-            False,
-            {
-                Rule.INIT,
-                Rule.EMP,
-                Rule.TOP_R,
-                Rule.EW,
-                Rule.EC,
-                Rule.EEX,
-                Rule.WEAK_L,
-                Rule.COM,
-                Rule.LEX,
-                Rule.REX,
-                Rule.LODOT,
-                Rule.RODOT,
-                Rule.LAND,
-                Rule.RAND,
-                Rule.LOR,
-                Rule.ROR,
-                Rule.LIMPL,
-                Rule.RIMPL,
-            },
-        ),
-        _calc(
-            "stl-inf",
-            STL_INFTY,
-            True,
-            {
-                Rule.INIT,
-                Rule.BOT_L,
-                Rule.TOP_R,
-                Rule.EW,
-                Rule.EC,
-                Rule.EEX,
-                Rule.COM,
-                Rule.WEAK_L,
-                Rule.CONTR_L,
-                Rule.LEX,
-                Rule.REX,
-                Rule.LAND,
-                Rule.RAND,
-                Rule.LOR,
-                Rule.ROR,
-                Rule.LIMPL,
-                Rule.RIMPL,
-            },
-        ),
-    )
-}
-
-
 # ---------------------------------------------------------------------------
-# Rule schemas (backward: conclusion -> required premises)
+# Schema and sampling helpers
 
 
 def _fail(msg):
@@ -315,25 +175,6 @@ def _is_top(f: Expr) -> bool:
     return isinstance(f, BoolConst) and f.value is True
 
 
-def _binary_children(f: Expr, kinds, what: str):
-    if not isinstance(f, kinds):
-        _fail(f"{what}: principal formula has the wrong connective")
-    kids = f.children
-    if len(kids) != 2:
-        _fail(f"{what}: principal connective must be binary")
-    return kids
-
-
-def _lattice_and_kinds(calc: CalculusDef):
-    # For the min/max logics the monoidal conjunction coincides with the
-    # lattice one, so their calculi treat both node kinds alike.
-    return (And, MAnd) if calc.single_conclusion else (And,)
-
-
-def _lattice_or_kinds(calc: CalculusDef):
-    return (Or, MOr) if calc.single_conclusion else (Or,)
-
-
 def _at(seq: Tuple[Expr, ...], pos: int, what: str) -> Expr:
     if not 0 <= pos < len(seq):
         _fail(f"{what}: formula position {pos} out of range")
@@ -344,62 +185,288 @@ def _swap(seq: Tuple, i: int) -> Tuple:
     return seq[:i] + (seq[i + 1], seq[i]) + seq[i + 2 :]
 
 
-def premises_for(
-    calc: CalculusDef, inst: RuleInstance, conclusion: Hypersequent
-) -> List[Hypersequent]:
-    """Premises the rule schema demands for the given conclusion."""
-    rule = inst.rule
-    if rule not in calc.rules:
-        raise RuleNotInCalculus(f"{rule.value} is not a rule of {calc.name}")
-    comps = conclusion.components
-    if not comps:
-        _fail("a conclusion hypersequent needs at least one component")
+def _put(seq: Tuple, pos: int, *new) -> Tuple:
+    """seq with the formula at pos replaced by the formulas new."""
+    return seq[:pos] + new + seq[pos + 1 :]
 
-    if rule is Rule.INIT:
-        s = _component(conclusion, _param(inst, "c"))
-        if len(s.left) != 1 or len(s.right) != 1 or s.left[0] != s.right[0]:
-            _fail("init: component must be phi |- phi")
+
+def _insert(seq: Tuple, pos: int, f: Expr) -> Tuple:
+    return seq[:pos] + (f,) + seq[pos:]
+
+
+def _merge(comps: Tuple, c: int, s: Sequent) -> Hypersequent:
+    """comps with components c and c + 1 replaced by s."""
+    return Hypersequent(comps[:c] + (s,) + comps[c + 2 :])
+
+
+def _side(s: Sequent, left: bool) -> Tuple[Expr, ...]:
+    return s.left if left else s.right
+
+
+def _with_side(s: Sequent, left: bool, seq) -> Sequent:
+    """s with its antecedent (left) or its succedent replaced by seq."""
+    return Sequent(seq, s.right) if left else Sequent(s.left, seq)
+
+
+def _rand_formula(calc: "CalculusDef", rng: random.Random, depth=1) -> Expr:
+    return random_formula(calc.profile, rng.randint(0, depth), rng.getrandbits(48))
+
+
+def _rand_formulas(calc, rng, lo=0, hi=2):
+    return tuple(_rand_formula(calc, rng) for _ in range(rng.randint(lo, hi)))
+
+
+def _rand_sequent(calc: "CalculusDef", rng: random.Random) -> Sequent:
+    return Sequent(_rand_formulas(calc, rng), _rand_formulas(calc, rng))
+
+
+def _two_or_more(calc, rng, comps: list) -> None:
+    if len(comps) < 2:
+        comps.append(_rand_sequent(calc, rng))
+
+
+# ---------------------------------------------------------------------------
+# The rule table
+
+
+class RuleSpec:
+    """One rule variant: everything the engine knows about the rule.
+
+    ``schema`` is the backward reading that ``premises_for`` dispatches to;
+    the other methods generate instances of it.  Forward candidates are
+    always re-checked against ``premises_for`` before use.
+    """
+
+    rule: Rule
+
+    def schema(self, calc, inst: RuleInstance, h: Hypersequent) -> List[Hypersequent]:
+        """Premises the rule demands for conclusion h."""
+        raise NotImplementedError
+
+    def search(self, calc, h: Hypersequent) -> List[RuleInstance]:
+        """Structural instances worth trying backward on h."""
         return []
 
-    if rule is Rule.EMP:
-        s = _component(conclusion, _param(inst, "c"))
-        if s.left or s.right:
-            _fail("emp: component must be the empty sequent")
+    def extend(self, calc, rng: random.Random, tree: ProofTree):
+        """Forward candidates (params, conclusion, premise trees), most with
+        tree as a premise; any other premise is closed by an axiom leaf."""
+        return ()
+
+    def instance(self, calc, rng: random.Random):
+        """A random (instance, conclusion) whose shape the rule applies to."""
+        comps = [_rand_sequent(calc, rng) for _ in range(rng.randint(1, 3))]
+        params = self.place(calc, rng, comps, rng.randrange(len(comps)))
+        return RuleInstance(self.rule, params), Hypersequent(comps)
+
+    def place(self, calc, rng, comps: list, c: int) -> Dict[str, int]:
+        """Fit the random components comps to the rule, around component c."""
+        raise NotImplementedError
+
+
+def _pick(rng, h: Hypersequent, wanted):
+    """(c, component) of a random component satisfying wanted, or (None, None)."""
+    cands = [c for c, s in enumerate(h.components) if wanted(s)]
+    if not cands:
+        return None, None
+    c = rng.choice(cands)
+    return c, h.components[c]
+
+
+def _closed(calc, params, conclusion, tree, premise):
+    """The forward candidate with premises tree and an axiom leaf for premise,
+    if some component of premise is an axiom instance."""
+    leaf = _leaf_for(calc, premise)
+    if leaf is not None:
+        yield params, conclusion, (tree, leaf)
+
+
+# --- axioms -----------------------------------------------------------------
+
+
+class _Axiom(RuleSpec):
+    """A zero-premise rule: some component is an instance of the axiom.
+
+    Subclasses define the axiom's one test of a component s,
+    ``match(s, pos=None)``: the params besides "c" under which s is an
+    instance, with the principal formula at pos or, when pos is None,
+    wherever it first occurs; None when s is no instance.  They also define
+    ``component(calc, rng)``, a random instance and its params.
+    """
+
+    shape: str  # the axiom's component, for error messages
+    positional = False  # whether the principal formula is named by "pos"
+
+    def schema(self, calc, inst, h):
+        s = _component(h, _param(inst, "c"))
+        pos = _param(inst, "pos") if self.positional else None
+        if self.match(s, pos) is None:
+            _fail(f"{self.rule.value}: component must be {self.shape}")
         return []
 
-    if rule is Rule.BOT_L:
-        s = _component(conclusion, _param(inst, "c"))
-        if not _is_bot(_at(s.left, _param(inst, "pos"), "bot")):
-            _fail("bot: named left formula is not falsum")
-        if calc.name == "lukasiewicz" and len(s.right) != 1:
-            _fail("bot: this calculus requires a single succedent formula")
-        return []
+    def instance(self, calc, rng):
+        comp, extra = self.component(calc, rng)
+        side = [_rand_sequent(calc, rng) for _ in range(rng.randint(0, 2))]
+        c = rng.randint(0, len(side))
+        side.insert(c, comp)
+        return RuleInstance(self.rule, {"c": c, **extra}), Hypersequent(side)
 
-    if rule is Rule.TOP_R:
-        s = _component(conclusion, _param(inst, "c"))
-        if len(s.right) != 1 or not _is_top(s.right[0]):
-            _fail("top: succedent must be exactly verum")
-        return []
 
-    if rule is Rule.EW:
+class _Init(_Axiom):
+    rule, shape = Rule.INIT, "phi |- phi"
+
+    def match(self, s, pos=None):
+        ok = len(s.left) == 1 and len(s.right) == 1 and s.left[0] == s.right[0]
+        return {} if ok else None
+
+    def component(self, calc, rng):
+        f = _rand_formula(calc, rng)
+        return Sequent((f,), (f,)), {}
+
+
+class _Emp(_Axiom):
+    rule, shape = Rule.EMP, "the empty sequent"
+
+    def match(self, s, pos=None):
+        return {} if not s.left and not s.right else None
+
+    def component(self, calc, rng):
+        return Sequent((), ()), {}
+
+
+class _TopR(_Axiom):
+    rule, shape = Rule.TOP_R, "Gamma |- T"
+
+    def match(self, s, pos=None):
+        return {} if len(s.right) == 1 and _is_top(s.right[0]) else None
+
+    def component(self, calc, rng):
+        return Sequent(_rand_formulas(calc, rng), (BoolConst(True, calc.profile),)), {}
+
+
+class _BotL(_Axiom):
+    """Gamma, F |- Delta; the Łukasiewicz form wants a single succedent."""
+
+    rule, positional = Rule.BOT_L, True
+
+    def __init__(self, single_succedent: bool = False):
+        self.single_succedent = single_succedent
+        self.shape = "Gamma, F |- phi" if single_succedent else "Gamma, F |- Delta"
+
+    def match(self, s, pos=None):
+        if self.single_succedent and len(s.right) != 1:
+            return None
+        for p in range(len(s.left)) if pos is None else (pos,):
+            if 0 <= p < len(s.left) and _is_bot(s.left[p]):
+                return {"pos": p}
+        return None
+
+    def component(self, calc, rng):
+        left = list(_rand_formulas(calc, rng))
+        pos = rng.randint(0, len(left))
+        left.insert(pos, BoolConst(False, calc.profile))
+        if self.single_succedent:
+            right = (_rand_formula(calc, rng),)
+        else:
+            right = _rand_formulas(calc, rng)
+        return Sequent(tuple(left), right), {"pos": pos}
+
+
+# --- external structural rules ----------------------------------------------
+
+
+class _EW(RuleSpec):
+    """H  /  H | G1 | ... | Gk"""
+
+    rule = Rule.EW
+
+    def schema(self, calc, inst, h):
+        comps = h.components
         k = _param(inst, "k")
         if not 1 <= k <= len(comps) - 1:
             _fail("ew: must add between 1 and n-1 trailing components")
         return [Hypersequent(comps[:-k])]
 
-    if rule is Rule.EC:
+    def search(self, calc, h):
+        return [RuleInstance(Rule.EW, {"k": 1})] if len(h.components) >= 2 else []
+
+    def extend(self, calc, rng, tree):
+        comps = tree.conclusion.components
+        extra = []
+        for _ in range(rng.randint(1, 2)):
+            if rng.random() < 0.5:
+                src = rng.choice(comps)
+                if rng.random() < 0.5 and src.left:
+                    left = list(src.left)
+                    left[rng.randrange(len(left))] = _rand_formula(calc, rng)
+                    extra.append(Sequent(tuple(left), src.right))
+                else:
+                    extra.append(Sequent(src.left, (_rand_formula(calc, rng),)))
+            else:
+                extra.append(_rand_sequent(calc, rng))
+        yield {"k": len(extra)}, Hypersequent(comps + tuple(extra)), (tree,)
+
+    def place(self, calc, rng, comps, c):
+        _two_or_more(calc, rng, comps)
+        return {"k": rng.randint(1, len(comps) - 1)}
+
+
+class _EC(RuleSpec):
+    """H | B | B  /  H | B, for a block B of b components"""
+
+    rule = Rule.EC
+
+    def schema(self, calc, inst, h):
+        comps = h.components
         b = _param(inst, "b")
         if not 1 <= b <= len(comps):
             _fail("ec: duplicated block size out of range")
         return [Hypersequent(comps + comps[-b:])]
 
-    if rule is Rule.EEX:
+    def extend(self, calc, rng, tree):
+        # forward reading: the conclusion must end in a duplicate block
+        comps = tree.conclusion.components
+        for b in range(1, len(comps) // 2 + 1):
+            if comps[-b:] == comps[-2 * b : -b]:
+                yield {"b": b}, Hypersequent(comps[:-b]), (tree,)
+                return
+
+    def place(self, calc, rng, comps, c):
+        return {"b": rng.randint(1, len(comps))}
+
+
+class _EEX(RuleSpec):
+    """H | G | D | H'  /  H | D | G | H'"""
+
+    rule = Rule.EEX
+
+    def schema(self, calc, inst, h):
+        comps = h.components
         i = _param(inst, "i")
         if not 0 <= i <= len(comps) - 2:
             _fail("eex: adjacent component index out of range")
         return [Hypersequent(_swap(comps, i))]
 
-    if rule is Rule.COM:
+    def search(self, calc, h):
+        return [RuleInstance(Rule.EEX, {"i": i}) for i in range(len(h.components) - 1)]
+
+    def extend(self, calc, rng, tree):
+        comps = tree.conclusion.components
+        if len(comps) >= 2:
+            i = rng.randrange(len(comps) - 1)
+            yield {"i": i}, Hypersequent(_swap(comps, i)), (tree,)
+
+    def place(self, calc, rng, comps, c):
+        _two_or_more(calc, rng, comps)
+        return {"i": rng.randrange(len(comps) - 1)}
+
+
+class _COM(RuleSpec):
+    """H | G1, T1 |- D1   H | G2, T2 |- D2  /  H | G1, G2 |- D1 | T1, T2 |- D2"""
+
+    rule = Rule.COM
+
+    def schema(self, calc, inst, h):
+        comps = h.components
         c = _param(inst, "c")
         if not 0 <= c <= len(comps) - 2:
             _fail("com: needs two adjacent components")
@@ -407,214 +474,686 @@ def premises_for(
         k1, k2 = _param(inst, "k1"), _param(inst, "k2")
         if not (0 <= k1 <= len(s1.left) and 0 <= k2 <= len(s2.left)):
             _fail("com: antecedent partition out of range")
-        g1, g2 = s1.left[:k1], s1.left[k1:]
-        t1, t2 = s2.left[:k2], s2.left[k2:]
-        p1 = comps[:c] + (Sequent(g1 + t1, s1.right),) + comps[c + 2 :]
-        p2 = comps[:c] + (Sequent(g2 + t2, s2.right),) + comps[c + 2 :]
-        return [Hypersequent(p1), Hypersequent(p2)]
+        return [
+            _merge(comps, c, Sequent(s1.left[:k1] + s2.left[:k2], s1.right)),
+            _merge(comps, c, Sequent(s1.left[k1:] + s2.left[k2:], s2.right)),
+        ]
 
-    if rule is Rule.SPLIT:
+    def search(self, calc, h):
+        comps = h.components
+        return [
+            RuleInstance(Rule.COM, {"c": c, "k1": k1, "k2": k2})
+            for c in range(len(comps) - 1)
+            for k1 in range(len(comps[c].left) + 1)
+            for k2 in range(len(comps[c + 1].left) + 1)
+        ]
+
+    def extend(self, calc, rng, tree):
+        h = tree.conclusion
+        c = rng.randrange(len(h.components))
+        s = h.components[c]
+        j = rng.randint(0, len(s.left))
+        psi = _rand_formula(calc, rng)
+        conclusion = h.replace(
+            c, [Sequent(s.left[:j] + (psi,), s.right), Sequent(s.left[j:], (psi,))]
+        )
+        params = {"c": c, "k1": j, "k2": len(s.left) - j}
+        premise = h.replace(c, [Sequent((psi,), (psi,))])
+        yield from _closed(calc, params, conclusion, tree, premise)
+
+    def place(self, calc, rng, comps, c):
+        _two_or_more(calc, rng, comps)
+        c = rng.randrange(len(comps) - 1)
+        k1 = rng.randint(0, len(comps[c].left))
+        k2 = rng.randint(0, len(comps[c + 1].left))
+        return {"c": c, "k1": k1, "k2": k2}
+
+
+class _SPLIT(RuleSpec):
+    """H | G1, G2 |- D1, D2  /  H | G1 |- D1 | G2 |- D2"""
+
+    rule = Rule.SPLIT
+
+    def schema(self, calc, inst, h):
+        comps = h.components
         c = _param(inst, "c")
         if not 0 <= c <= len(comps) - 2:
             _fail("split: needs two adjacent components")
         s1, s2 = comps[c], comps[c + 1]
-        merged = Sequent(s1.left + s2.left, s1.right + s2.right)
-        return [Hypersequent(comps[:c] + (merged,) + comps[c + 2 :])]
+        return [_merge(comps, c, Sequent(s1.left + s2.left, s1.right + s2.right))]
 
-    if rule is Rule.MIX:
+    def search(self, calc, h):
+        n = len(h.components)
+        return [RuleInstance(Rule.SPLIT, {"c": c}) for c in range(n - 1)]
+
+    def extend(self, calc, rng, tree):
+        h = tree.conclusion
+        c, s = _pick(rng, h, lambda s: s.left or s.right)
+        if c is not None:
+            j = rng.randint(0, len(s.left))
+            k = rng.randint(0, len(s.right))
+            conclusion = h.replace(
+                c,
+                [Sequent(s.left[:j], s.right[:k]), Sequent(s.left[j:], s.right[k:])],
+            )
+            yield {"c": c}, conclusion, (tree,)
+
+    def place(self, calc, rng, comps, c):
+        _two_or_more(calc, rng, comps)
+        return {"c": rng.randrange(len(comps) - 1)}
+
+
+class _MIX(RuleSpec):
+    """H | G1 |- D1   H | G2 |- D2  /  H | G1, G2 |- D1, D2"""
+
+    rule = Rule.MIX
+
+    def schema(self, calc, inst, h):
         c = _param(inst, "c")
-        s = _component(conclusion, c)
+        s = _component(h, c)
         k1, k2 = _param(inst, "k1"), _param(inst, "k2")
         if not (0 <= k1 <= len(s.left) and 0 <= k2 <= len(s.right)):
             _fail("mix: partition out of range")
-        p1 = conclusion.replace(c, [Sequent(s.left[:k1], s.right[:k2])])
-        p2 = conclusion.replace(c, [Sequent(s.left[k1:], s.right[k2:])])
+        p1 = h.replace(c, [Sequent(s.left[:k1], s.right[:k2])])
+        p2 = h.replace(c, [Sequent(s.left[k1:], s.right[k2:])])
         return [p1, p2]
 
-    if rule is Rule.WEAK_L:
+    def search(self, calc, h):
+        return [
+            RuleInstance(Rule.MIX, {"c": c, "k1": k1, "k2": k2})
+            for c, s in enumerate(h.components)
+            for k1 in range(len(s.left) + 1)
+            for k2 in range(len(s.right) + 1)
+        ]
+
+    def extend(self, calc, rng, tree):
+        h = tree.conclusion
+        c = rng.randrange(len(h.components))
+        s = h.components[c]
+        psi = _rand_formula(calc, rng)
+        conclusion = h.replace(c, [Sequent(s.left + (psi,), s.right + (psi,))])
+        params = {"c": c, "k1": len(s.left), "k2": len(s.right)}
+        premise = h.replace(c, [Sequent((psi,), (psi,))])
+        yield from _closed(calc, params, conclusion, tree, premise)
+
+    def place(self, calc, rng, comps, c):
+        k1 = rng.randint(0, len(comps[c].left))
+        return {"c": c, "k1": k1, "k2": rng.randint(0, len(comps[c].right))}
+
+
+# --- internal structural rules ----------------------------------------------
+
+
+class _WeakL(RuleSpec):
+    """H | G |- D  /  H | G, S |- D, for a block S of k formulas"""
+
+    rule = Rule.WEAK_L
+    longest = 3  # longest antecedent a random trial gives an empty one
+
+    def schema(self, calc, inst, h):
         c = _param(inst, "c")
-        s = _component(conclusion, c)
+        s = _component(h, c)
         k = _param(inst, "k")
         if not 1 <= k <= len(s.left):
-            _fail("weakening: must drop between 1 and all antecedent formulas")
-        return [conclusion.replace(c, [Sequent(s.left[:-k], s.right)])]
+            _fail(f"{self.rule.value}: block size out of range")
+        return [h.replace(c, [self.premise(s, k)])]
 
-    if rule is Rule.CONTR_L:
-        c = _param(inst, "c")
-        s = _component(conclusion, c)
-        k = _param(inst, "k")
-        if not 1 <= k <= len(s.left):
-            _fail("contraction: block size out of range")
-        block = s.left[-k:]
-        return [conclusion.replace(c, [Sequent(s.left + block, s.right)])]
+    def premise(self, s: Sequent, k: int) -> Sequent:
+        return Sequent(s.left[:-k], s.right)
 
-    if rule is Rule.LEX:
+    def search(self, calc, h):
+        return [
+            RuleInstance(Rule.WEAK_L, {"c": c, "k": 1})
+            for c, s in enumerate(h.components)
+            if s.left
+        ]
+
+    def extend(self, calc, rng, tree):
+        h = tree.conclusion
+        c = rng.randrange(len(h.components))
+        added = _rand_formulas(calc, rng, 1, 2)
+        s = h.components[c]
+        conclusion = h.replace(c, [Sequent(s.left + added, s.right)])
+        yield {"c": c, "k": len(added)}, conclusion, (tree,)
+
+    def place(self, calc, rng, comps, c):
+        s = comps[c]
+        if not s.left:
+            comps[c] = Sequent(_rand_formulas(calc, rng, 1, self.longest), s.right)
+        return {"c": c, "k": rng.randint(1, len(comps[c].left))}
+
+
+class _ContrL(_WeakL):
+    """H | G, S, S |- D  /  H | G, S |- D, for a block S of k formulas"""
+
+    rule, longest = Rule.CONTR_L, 2
+
+    def premise(self, s, k):
+        return Sequent(s.left + s.left[-k:], s.right)
+
+    def extend(self, calc, rng, tree):
+        h = tree.conclusion
+        for c, s in enumerate(h.components):
+            for k in range(1, len(s.left) // 2 + 1):
+                if s.left[-k:] == s.left[-2 * k : -k]:
+                    conclusion = h.replace(c, [Sequent(s.left[:-k], s.right)])
+                    yield {"c": c, "k": k}, conclusion, (tree,)
+                    break
+
+
+class _Exchange(RuleSpec):
+    """Swap the formulas at pos and pos + 1 of one side of a component."""
+
+    def __init__(self, rule: Rule):
+        self.rule = rule
+        self.left = rule is Rule.LEX
+
+    def _swapped(self, s: Sequent, pos: int) -> Sequent:
+        return _with_side(s, self.left, _swap(_side(s, self.left), pos))
+
+    def schema(self, calc, inst, h):
         c = _param(inst, "c")
-        s = _component(conclusion, c)
+        s = _component(h, c)
         pos = _param(inst, "pos")
-        if not 0 <= pos <= len(s.left) - 2:
-            _fail("lex: adjacent formula position out of range")
-        return [conclusion.replace(c, [Sequent(_swap(s.left, pos), s.right)])]
+        if not 0 <= pos <= len(_side(s, self.left)) - 2:
+            _fail(f"{self.rule.value}: adjacent formula position out of range")
+        return [h.replace(c, [self._swapped(s, pos)])]
 
-    if rule is Rule.REX:
-        c = _param(inst, "c")
-        s = _component(conclusion, c)
-        pos = _param(inst, "pos")
-        if not 0 <= pos <= len(s.right) - 2:
-            _fail("rex: adjacent formula position out of range")
-        return [conclusion.replace(c, [Sequent(s.left, _swap(s.right, pos))])]
+    def search(self, calc, h):
+        return [
+            RuleInstance(self.rule, {"c": c, "pos": pos})
+            for c, s in enumerate(h.components)
+            for pos in range(len(_side(s, self.left)) - 1)
+        ]
 
-    if rule is Rule.LAND:
-        c = _param(inst, "c")
-        s = _component(conclusion, c)
-        pos = _param(inst, "pos")
-        f = _at(s.left, pos, "land")
-        a, b = _binary_children(f, _lattice_and_kinds(calc), "land")
-        s0 = Sequent(s.left[:pos] + (a,) + s.left[pos + 1 :], s.right)
-        s1 = Sequent(s.left[:pos] + (b,) + s.left[pos + 1 :], s.right)
-        return [conclusion.replace(c, [s0, s1])]
+    def extend(self, calc, rng, tree):
+        h = tree.conclusion
+        c, s = _pick(rng, h, lambda s: len(_side(s, self.left)) >= 2)
+        if c is not None:
+            pos = rng.randrange(len(_side(s, self.left)) - 1)
+            yield {"c": c, "pos": pos}, h.replace(c, [self._swapped(s, pos)]), (tree,)
 
-    if rule is Rule.RAND:
+    def place(self, calc, rng, comps, c):
+        new = _rand_formulas(calc, rng, 2, 3)
+        comps[c] = _with_side(comps[c], self.left, new)
+        return {"c": c, "pos": rng.randrange(len(new) - 1)}
+
+
+# --- logical rules ------------------------------------------------------------
+
+# In the min/max logics the monoidal connectives coincide with the lattice
+# ones: each lattice node class and its monoidal twin.
+_MIN_MAX = {And: MAnd, Or: MOr}
+
+
+def _make(kind, phi0: Expr, phi1: Expr) -> Expr:
+    if kind is Not:
+        return Not(phi0)
+    if kind is Impl:
+        return Impl(phi0, phi1)
+    return kind((phi0, phi1))
+
+
+class _Logical(RuleSpec):
+    """A rule for the connective of the formula at (c, pos) on one side.
+
+    In single-conclusion calculi a right rule needs the succedent to be that
+    one formula; its instances name no "pos" and it sits at position 0.
+    Subclasses define ``premises(calc, inst, h, c, s, pos, f)``, the
+    premises for the matched principal formula f of component s.
+    """
+
+    kinds: tuple  # node classes of the principal connective, main one first
+    left: bool  # whether the principal formula is in the antecedent
+
+    def matches(self, f: Expr) -> bool:
+        return isinstance(f, self.kinds) and (
+            not isinstance(f, _Nary) or len(f.children) == 2
+        )
+
+    def sole(self, calc) -> bool:
+        """Whether the principal formula must be the sole succedent."""
+        return calc.single_conclusion and not self.left
+
+    def params(self, calc, c: int, pos: int) -> Dict[str, int]:
+        return {"c": c} if self.sole(calc) else {"c": c, "pos": pos}
+
+    def drawn_kind(self, rng):
+        """The principal node class for a forward step."""
+        return rng.choice(self.kinds) if len(self.kinds) > 1 else self.kinds[0]
+
+    def schema(self, calc, inst, h):
+        name = self.rule.value
         c = _param(inst, "c")
-        s = _component(conclusion, c)
-        if calc.single_conclusion:
+        s = _component(h, c)
+        if self.sole(calc):
             if len(s.right) != 1:
-                _fail("rand: succedent must be a single formula")
+                _fail(f"{name}: succedent must be a single formula")
             pos = 0
         else:
             pos = _param(inst, "pos")
-        f = _at(s.right, pos, "rand")
-        a, b = _binary_children(f, _lattice_and_kinds(calc), "rand")
-        p1 = conclusion.replace(
-            c, [Sequent(s.left, s.right[:pos] + (a,) + s.right[pos + 1 :])]
-        )
-        p2 = conclusion.replace(
-            c, [Sequent(s.left, s.right[:pos] + (b,) + s.right[pos + 1 :])]
-        )
-        return [p1, p2]
+        f = _at(_side(s, self.left), pos, name)
+        if not self.matches(f):
+            _fail(f"{name}: principal formula has the wrong connective or arity")
+        return self.premises(calc, inst, h, c, s, pos, f)
 
-    if rule is Rule.LOR:
-        c = _param(inst, "c")
-        s = _component(conclusion, c)
-        pos = _param(inst, "pos")
-        f = _at(s.left, pos, "lor")
-        a, b = _binary_children(f, _lattice_or_kinds(calc), "lor")
-        p1 = conclusion.replace(
-            c, [Sequent(s.left[:pos] + (a,) + s.left[pos + 1 :], s.right)]
-        )
-        p2 = conclusion.replace(
-            c, [Sequent(s.left[:pos] + (b,) + s.left[pos + 1 :], s.right)]
-        )
-        return [p1, p2]
+    def search_at(self, calc, s: Sequent, c: int, pos: int) -> List[RuleInstance]:
+        """Backward instances with the principal formula at (c, pos)."""
+        return [RuleInstance(self.rule, self.params(calc, c, pos))]
 
-    if rule is Rule.ROR:
-        c = _param(inst, "c")
-        s = _component(conclusion, c)
+    def place(self, calc, rng, comps, c):
+        s = comps[c]
+        phi0, phi1 = _rand_formula(calc, rng), _rand_formula(calc, rng)
+        kind = self.kinds[0]
         if calc.single_conclusion:
-            if len(s.right) != 1:
-                _fail("ror: succedent must be a single formula")
-            pos = 0
+            # every rule draws both lattice kinds, used or not
+            drawn = {k: rng.choice([k, alias]) for k, alias in _MIN_MAX.items()}
+            kind = drawn.get(kind, kind)
+        f = _make(kind, phi0, phi1)
+        x = _side(s, self.left)
+        if self.sole(calc):
+            pos, x = 0, (f,)
         else:
-            pos = _param(inst, "pos")
-        f = _at(s.right, pos, "ror")
-        a, b = _binary_children(f, _lattice_or_kinds(calc), "ror")
-        s0 = Sequent(s.left, s.right[:pos] + (a,) + s.right[pos + 1 :])
-        s1 = Sequent(s.left, s.right[:pos] + (b,) + s.right[pos + 1 :])
-        return [conclusion.replace(c, [s0, s1])]
+            pos = rng.randint(0, len(x))
+            x = _insert(x, pos, f)
+        comps[c] = _with_side(s, self.left, x)
+        return self.params(calc, c, pos)
 
-    if rule is Rule.LNEG:
-        c = _param(inst, "c")
-        s = _component(conclusion, c)
-        pos = _param(inst, "pos")
-        f = _at(s.left, pos, "lneg")
-        if not isinstance(f, Not):
-            _fail("lneg: principal formula is not a negation")
-        p = conclusion.replace(
-            c, [Sequent(s.left[:pos] + s.left[pos + 1 :], (f.child,))]
+
+class _Lattice(_Logical):
+    """The lattice rules.
+
+        LAND  H | G, A |- D | G, B |- D      /  H | G, A & B |- D
+        ROR   H | G |- A, D | G |- B, D      /  H | G |- A v B, D
+        LOR   H | G, A |- D   H | G, B |- D  /  H | G, A v B |- D
+        RAND  H | G |- A, D   H | G |- B, D  /  H | G |- A & B, D
+
+    LAND and ROR split the component; LOR and RAND branch.  The min/max
+    calculi (Gödel, STL∞) let them match the monoidal node too.
+    """
+
+    def __init__(self, rule: Rule, kinds: tuple, left: bool):
+        self.rule, self.kinds, self.left = rule, kinds, left
+        self.branching = (kinds[0] is Or) == left
+
+    def premises(self, calc, inst, h, c, s, pos, f):
+        x = _side(s, self.left)
+        parts = [_with_side(s, self.left, _put(x, pos, g)) for g in f.children]
+        if self.branching:
+            return [h.replace(c, [p]) for p in parts]
+        return [h.replace(c, parts)]
+
+    def extend(self, calc, rng, tree):
+        if self.branching:
+            return self._extend_by_unit(calc, rng, tree)
+        return self._extend_by_merge(calc, rng, tree)
+
+    def _extend_by_unit(self, calc, rng, tree):
+        # A & T on the right, A v F on the left: an axiom closes the premise
+        # with the unit
+        if self.left and not calc.profile.neg:  # falsum needs negation
+            return
+        h = tree.conclusion
+        sole = self.sole(calc)
+        c, s = _pick(
+            rng, h, lambda s: len(s.right) == 1 if sole else _side(s, self.left)
         )
-        return [p]
+        if c is not None:
+            x = _side(s, self.left)
+            pos = 0 if sole else rng.randrange(len(x))
+            unit = BoolConst(not self.left, calc.profile)
+            f = self.drawn_kind(rng)((x[pos], unit))
+            conclusion = h.replace(c, [_with_side(s, self.left, _put(x, pos, f))])
+            premise = h.replace(c, [_with_side(s, self.left, _put(x, pos, unit))])
+            params = self.params(calc, c, pos)
+            yield from _closed(calc, params, conclusion, tree, premise)
 
-    if rule is Rule.LODOT:
-        c = _param(inst, "c")
-        s = _component(conclusion, c)
-        pos = _param(inst, "pos")
-        f = _at(s.left, pos, "lodot")
-        a, b = _binary_children(f, (MAnd,), "lodot")
-        p = conclusion.replace(
-            c, [Sequent(s.left[:pos] + (a, b) + s.left[pos + 1 :], s.right)]
-        )
-        return [p]
+    def _extend_by_merge(self, calc, rng, tree):
+        # two adjacent components that differ in at most one principal-side
+        # formula merge into one
+        comps = tree.conclusion.components
+        for c in range(len(comps) - 1):
+            s0, s1 = comps[c], comps[c + 1]
+            x0, x1 = _side(s0, self.left), _side(s1, self.left)
+            if _side(s0, not self.left) != _side(s1, not self.left):
+                continue
+            if len(x0) != len(x1) or not x0:
+                continue
+            diffs = [i for i in range(len(x0)) if x0[i] != x1[i]]
+            if len(diffs) > 1:
+                continue
+            if self.sole(calc) and len(x0) != 1:
+                continue
+            pos = diffs[0] if diffs else 0
+            f = self.drawn_kind(rng)((x0[pos], x1[pos]))
+            merged = _with_side(s0, self.left, _put(x0, pos, f))
+            yield self.params(calc, c, pos), _merge(comps, c, merged), (tree,)
+            return
 
-    if rule is Rule.RODOT:
-        c = _param(inst, "c")
-        s = _component(conclusion, c)
-        pos = _param(inst, "pos")
-        f = _at(s.right, pos, "rodot")
-        a, b = _binary_children(f, (MAnd,), "rodot")
-        if calc.name == "product":
-            p = conclusion.replace(
-                c, [Sequent(s.left, s.right[:pos] + (a, b) + s.right[pos + 1 :])]
-            )
-            return [p]
-        # context-splitting form: both the antecedent and the remaining
-        # succedent are partitioned between the premises
+
+class _LNeg(_Logical):
+    """H | G |- A  /  H | G, ~A |- D"""
+
+    rule, kinds, left = Rule.LNEG, (Not,), True
+
+    def premises(self, calc, inst, h, c, s, pos, f):
+        return [h.replace(c, [Sequent(_put(s.left, pos), (f.child,))])]
+
+    def extend(self, calc, rng, tree):
+        h = tree.conclusion
+        c, s = _pick(rng, h, lambda s: len(s.right) == 1)
+        if c is not None:
+            delta = _rand_formulas(calc, rng)
+            conclusion = h.replace(c, [Sequent(s.left + (Not(s.right[0]),), delta)])
+            yield {"c": c, "pos": len(s.left)}, conclusion, (tree,)
+
+
+class _Odot(_Logical):
+    """The ⊙ rules that keep the context whole.
+
+        LODOT  H | G, A, B |- D  /  H | G, A (*) B |- D
+        RODOT  H | G |- A, B, D  /  H | G |- A (*) B, D   (product)
+    """
+
+    kinds = (MAnd,)
+
+    def __init__(self, left: bool):
+        self.rule, self.left = (Rule.LODOT if left else Rule.RODOT), left
+
+    def premises(self, calc, inst, h, c, s, pos, f):
+        x = _put(_side(s, self.left), pos, *f.children)
+        return [h.replace(c, [_with_side(s, self.left, x)])]
+
+    def extend(self, calc, rng, tree):
+        h = tree.conclusion
+        c, s = _pick(rng, h, lambda s: len(_side(s, self.left)) >= 2)
+        if c is not None:
+            x = _side(s, self.left)
+            pos = rng.randrange(len(x) - 1)
+            x = x[:pos] + (MAnd((x[pos], x[pos + 1])),) + x[pos + 2 :]
+            conclusion = h.replace(c, [_with_side(s, self.left, x)])
+            yield {"c": c, "pos": pos}, conclusion, (tree,)
+
+
+class _ROdotSplit(_Odot):
+    """DL2:  H | G1 |- A, D1   H | G2 |- B, D2  /  H | G1, G2 |- A (*) B, D1, D2
+
+    Both the antecedent and the rest of the succedent are partitioned
+    between the premises, at k1 and k2.
+    """
+
+    def premises(self, calc, inst, h, c, s, pos, f):
+        a, b = f.children
         k1, k2 = _param(inst, "k1"), _param(inst, "k2")
-        rest = s.right[:pos] + s.right[pos + 1 :]
+        rest = _put(s.right, pos)
         if not (0 <= k1 <= len(s.left) and 0 <= k2 <= len(rest)):
             _fail("rodot: context partition out of range")
-        p1 = conclusion.replace(c, [Sequent(s.left[:k1], (a,) + rest[:k2])])
-        p2 = conclusion.replace(c, [Sequent(s.left[k1:], (b,) + rest[k2:])])
+        p1 = h.replace(c, [Sequent(s.left[:k1], (a,) + rest[:k2])])
+        p2 = h.replace(c, [Sequent(s.left[k1:], (b,) + rest[k2:])])
         return [p1, p2]
 
-    if rule is Rule.LIMPL:
-        c = _param(inst, "c")
-        s = _component(conclusion, c)
-        pos = _param(inst, "pos")
-        f = _at(s.left, pos, "limpl")
-        if not isinstance(f, Impl):
-            _fail("limpl: principal formula is not an implication")
-        gamma = s.left[:pos] + s.left[pos + 1 :]
-        with_right = s.left[:pos] + (f.right,) + s.left[pos + 1 :]
-        if calc.name in ("goedel", "stl-inf"):
-            p1 = conclusion.replace(c, [Sequent(gamma, (f.left,))])
-            p2 = conclusion.replace(c, [Sequent(with_right, s.right)])
-            return [p1, p2]
-        if calc.name == "lukasiewicz":
-            p = conclusion.replace(c, [Sequent(with_right, (f.left,) + s.right)])
-            return [p]
-        if calc.name == "product":
-            p1 = conclusion.replace(
-                c, [Sequent(s.left[:pos] + (Not(f.left),) + s.left[pos + 1 :], s.right)]
-            )
-            p2 = conclusion.replace(c, [Sequent(with_right, (f.left,) + s.right)])
-            return [p1, p2]
-        # dl2
-        p1 = conclusion.replace(c, [Sequent(gamma, s.right)])
-        p2 = conclusion.replace(c, [Sequent(with_right, (f.left,) + s.right)])
-        return [p1, p2]
+    def search_at(self, calc, s, c, pos):
+        return [
+            RuleInstance(Rule.RODOT, {"c": c, "pos": pos, "k1": k1, "k2": k2})
+            for k1 in range(len(s.left) + 1)
+            for k2 in range(len(s.right))
+        ]
 
-    if rule is Rule.RIMPL:
-        c = _param(inst, "c")
-        s = _component(conclusion, c)
-        if calc.single_conclusion:
-            if len(s.right) != 1:
-                _fail("rimpl: succedent must be a single formula")
-            f = s.right[0]
-            if not isinstance(f, Impl):
-                _fail("rimpl: principal formula is not an implication")
-            p = conclusion.replace(c, [Sequent(s.left + (f.left,), (f.right,))])
-            return [p]
-        pos = _param(inst, "pos")
-        f = _at(s.right, pos, "rimpl")
-        if not isinstance(f, Impl):
-            _fail("rimpl: principal formula is not an implication")
-        without = s.right[:pos] + s.right[pos + 1 :]
-        with_right = s.right[:pos] + (f.right,) + s.right[pos + 1 :]
-        p1 = conclusion.replace(c, [Sequent(s.left, without)])
-        p2 = conclusion.replace(c, [Sequent(s.left + (f.left,), with_right)])
-        return [p1, p2]
+    def extend(self, calc, rng, tree):
+        # the second premise is closed by verum
+        h = tree.conclusion
+        c, s = _pick(rng, h, lambda s: len(s.right) >= 1)
+        if c is not None:
+            phi1 = BoolConst(True, calc.profile)
+            f = MAnd((s.right[0], phi1))
+            conclusion = h.replace(c, [Sequent(s.left, (f,) + s.right[1:])])
+            params = {"c": c, "pos": 0, "k1": len(s.left), "k2": len(s.right) - 1}
+            premise = h.replace(c, [Sequent((), (phi1,))])
+            yield from _closed(calc, params, conclusion, tree, premise)
 
-    raise RuleNotInCalculus(f"{rule.value} has no schema in any calculus")
+    def place(self, calc, rng, comps, c):
+        params = super().place(calc, rng, comps, c)
+        s = comps[c]
+        params["k1"] = rng.randint(0, len(s.left))
+        params["k2"] = rng.randint(0, len(s.right) - 1)
+        return params
+
+
+class _LImpl(_Logical):
+    """Gödel/STL∞:  H | G |- A   H | G, B |- D  /  H | G, A -> B |- D"""
+
+    rule, kinds, left = Rule.LIMPL, (Impl,), True
+
+    def premises(self, calc, inst, h, c, s, pos, f):
+        return [
+            h.replace(c, [Sequent(_put(s.left, pos), (f.left,))]),
+            h.replace(c, [Sequent(_put(s.left, pos, f.right), s.right)]),
+        ]
+
+    def extend(self, calc, rng, tree):
+        h = tree.conclusion
+        c, s = _pick(rng, h, lambda s: len(s.right) == 1)
+        if c is not None:
+            phi1 = BoolConst(False, calc.profile)
+            delta = _rand_formulas(calc, rng)
+            f = Impl(s.right[0], phi1)
+            conclusion = h.replace(c, [Sequent(s.left + (f,), delta)])
+            premise = h.replace(c, [Sequent(s.left + (phi1,), delta)])
+            params = {"c": c, "pos": len(s.left)}
+            yield from _closed(calc, params, conclusion, tree, premise)
+
+
+class _LImplLuka(_LImpl):
+    """Łukasiewicz:  H | G, B |- A, D  /  H | G, A -> B |- D"""
+
+    def premises(self, calc, inst, h, c, s, pos, f):
+        left = _put(s.left, pos, f.right)
+        return [h.replace(c, [Sequent(left, (f.left,) + s.right)])]
+
+    def extend(self, calc, rng, tree):
+        h = tree.conclusion
+        c, s = _pick(rng, h, lambda s: s.left and s.right)
+        if c is not None:
+            pos = rng.randrange(len(s.left))
+            f = Impl(s.right[0], s.left[pos])
+            conclusion = h.replace(c, [Sequent(_put(s.left, pos, f), s.right[1:])])
+            yield {"c": c, "pos": pos}, conclusion, (tree,)
+
+
+class _LImplProduct(_LImpl):
+    """Product:  H | G, ~A |- D   H | G, B |- A, D  /  H | G, A -> B |- D"""
+
+    def premises(self, calc, inst, h, c, s, pos, f):
+        return [
+            h.replace(c, [Sequent(_put(s.left, pos, Not(f.left)), s.right)]),
+            h.replace(c, [Sequent(_put(s.left, pos, f.right), (f.left,) + s.right)]),
+        ]
+
+    def extend(self, calc, rng, tree):
+        # Both premises must close by axiom leaves: the first by luck of the
+        # other components, the second through falsum as the consequent.
+        h = tree.conclusion
+        c, s = _pick(rng, h, lambda s: len(s.right) == 1)
+        if c is not None:
+            phi0, phi1 = s.right[0], BoolConst(False, calc.profile)
+            conclusion = h.replace(c, [Sequent(s.left + (Impl(phi0, phi1),), s.right)])
+            p1 = h.replace(c, [Sequent(s.left + (Not(phi0),), s.right)])
+            p2 = h.replace(c, [Sequent(s.left + (phi1,), (phi0,) + s.right)])
+            l1, l2 = _leaf_for(calc, p1), _leaf_for(calc, p2)
+            if l1 is not None and l2 is not None:
+                yield {"c": c, "pos": len(s.left)}, conclusion, (l1, l2)
+
+
+class _LImplDL2(_LImpl):
+    """DL2:  H | G |- D   H | G, B |- A, D  /  H | G, A -> B |- D"""
+
+    def premises(self, calc, inst, h, c, s, pos, f):
+        return [
+            h.replace(c, [Sequent(_put(s.left, pos), s.right)]),
+            h.replace(c, [Sequent(_put(s.left, pos, f.right), (f.left,) + s.right)]),
+        ]
+
+    def extend(self, calc, rng, tree):
+        h = tree.conclusion
+        c = rng.randrange(len(h.components))
+        s = h.components[c]
+        phi0, phi1 = _rand_formula(calc, rng), _rand_formula(calc, rng)
+        conclusion = h.replace(c, [Sequent(s.left + (Impl(phi0, phi1),), s.right)])
+        premise = h.replace(c, [Sequent(s.left + (phi1,), (phi0,) + s.right)])
+        params = {"c": c, "pos": len(s.left)}
+        yield from _closed(calc, params, conclusion, tree, premise)
+
+
+class _RImpl(_Logical):
+    """Single conclusion:  H | G, A |- B  /  H | G |- A -> B"""
+
+    rule, kinds, left = Rule.RIMPL, (Impl,), False
+
+    def premises(self, calc, inst, h, c, s, pos, f):
+        return [h.replace(c, [Sequent(s.left + (f.left,), (f.right,))])]
+
+    def extend(self, calc, rng, tree):
+        h = tree.conclusion
+        c, s = _pick(rng, h, lambda s: len(s.right) == 1 and s.left)
+        if c is not None:
+            f = Impl(s.left[-1], s.right[0])
+            yield {"c": c}, h.replace(c, [Sequent(s.left[:-1], (f,))]), (tree,)
+
+
+class _RImplMulti(_RImpl):
+    """Multiple conclusions:  H | G |- D   H | G, A |- B, D  /  H | G |- A -> B, D
+
+    Forward steps close the second premise by an axiom leaf; the DL2 form
+    draws verum as the consequent, which its verum axiom can close.
+    """
+
+    def __init__(self, verum_consequent: bool = False):
+        self.verum_consequent = verum_consequent
+
+    def premises(self, calc, inst, h, c, s, pos, f):
+        return [
+            h.replace(c, [Sequent(s.left, _put(s.right, pos))]),
+            h.replace(c, [Sequent(s.left + (f.left,), _put(s.right, pos, f.right))]),
+        ]
+
+    def extend(self, calc, rng, tree):
+        h = tree.conclusion
+        c = rng.randrange(len(h.components))
+        s = h.components[c]
+        phi0 = _rand_formula(calc, rng)
+        if self.verum_consequent:
+            phi1 = BoolConst(True, calc.profile)
+        else:
+            phi1 = _rand_formula(calc, rng)
+        pos = rng.randint(0, len(s.right))
+        f = Impl(phi0, phi1)
+        conclusion = h.replace(c, [Sequent(s.left, _insert(s.right, pos, f))])
+        premise = h.replace(c, [Sequent(s.left + (phi0,), _insert(s.right, pos, phi1))])
+        yield from _closed(calc, {"c": c, "pos": pos}, conclusion, tree, premise)
+
+
+# The order in which backward search tries structural rules, after the
+# logical ones.
+_SEARCH_ORDER = (
+    Rule.COM, Rule.SPLIT, Rule.MIX, Rule.LEX, Rule.REX, Rule.EEX, Rule.WEAK_L, Rule.EW,
+)  # fmt: skip
+
+
+@dataclass(frozen=True)
+class CalculusDef:
+    name: str
+    logic: LogicId
+    # single-conclusion style restricts right-hand logical rules to a
+    # singleton succedent, as in the minimal-fragment figures
+    single_conclusion: bool
+    # rule -> the variant of it the calculus uses, in Rule order
+    table: Dict[Rule, RuleSpec] = field(compare=False, repr=False)
+    rules: frozenset = field(init=False)
+
+    def __post_init__(self):
+        object.__setattr__(self, "rules", frozenset(self.table))
+
+    @property
+    def profile(self) -> ConnectiveFlags:
+        return self.logic.flag_profile
+
+    @cached_property
+    def axioms(self) -> Tuple[_Axiom, ...]:
+        return tuple(s for s in self.table.values() if isinstance(s, _Axiom))
+
+    @cached_property
+    def logical(self) -> Dict[bool, Tuple[_Logical, ...]]:
+        """The logical rules by side (True: antecedent)."""
+        specs = [s for s in self.table.values() if isinstance(s, _Logical)]
+        left = tuple(s for s in specs if s.left)
+        return {True: left, False: tuple(s for s in specs if not s.left)}
+
+
+def _calc(name, logic, single, specs):
+    by_rule = {s.rule: s for s in specs}
+    table = {rule: by_rule[rule] for rule in Rule if rule in by_rule}
+    return CalculusDef(name, logic, single, table)
+
+
+# Every calculus has these.
+_COMMON = (
+    _Init(), _EW(), _EC(), _EEX(), _WeakL(), _Exchange(Rule.LEX), _Exchange(Rule.REX),
+)  # fmt: skip
+
+
+def _lattice(and_kinds: tuple, or_kinds: tuple) -> tuple:
+    """The four lattice rules, matching the given node classes."""
+    return (
+        _Lattice(Rule.LAND, and_kinds, True), _Lattice(Rule.RAND, and_kinds, False),
+        _Lattice(Rule.LOR, or_kinds, True), _Lattice(Rule.ROR, or_kinds, False),
+    )  # fmt: skip
+
+
+# Gödel and STL∞ read every connective as min/max and share one rule list.
+_MIN_MAX_RULES = _COMMON + _lattice((And, MAnd), (Or, MOr)) + (
+    _BotL(), _TopR(), _COM(), _ContrL(), _LImpl(), _RImpl(),
+)  # fmt: skip
+
+CALCULI: Dict[str, CalculusDef] = {
+    c.name: c
+    for c in (
+        _calc("goedel", GODEL, True, _MIN_MAX_RULES),
+        _calc("lukasiewicz", LUKASIEWICZ, False, _COMMON + (
+            _Emp(), _BotL(single_succedent=True), _SPLIT(), _MIX(),
+            _LImplLuka(), _RImplMulti(),
+        )),
+        _calc("product", PRODUCT, False, _COMMON + (
+            _Emp(), _BotL(), _SPLIT(), _MIX(), _LNeg(), _Odot(left=True),
+            _Odot(left=False), _LImplProduct(), _RImplMulti(),
+        )),
+        _calc("dl2", DL2, False, _COMMON + _lattice((And,), (Or,)) + (
+            _Emp(), _TopR(), _COM(), _Odot(left=True), _ROdotSplit(left=False),
+            _LImplDL2(), _RImplMulti(verum_consequent=True),
+        )),
+        _calc("stl-inf", STL_INFTY, True, _MIN_MAX_RULES),
+    )
+}  # fmt: skip
+
+
+# ---------------------------------------------------------------------------
+# Checking
+
+
+def _spec(calc: CalculusDef, rule: Rule) -> RuleSpec:
+    spec = calc.table.get(rule)
+    if spec is None:
+        raise RuleNotInCalculus(f"{rule.value} is not a rule of {calc.name}")
+    return spec
+
+
+def premises_for(
+    calc: CalculusDef, inst: RuleInstance, conclusion: Hypersequent
+) -> List[Hypersequent]:
+    """Premises the rule schema demands for the given conclusion."""
+    spec = _spec(calc, inst.rule)
+    if not conclusion.components:
+        _fail("a conclusion hypersequent needs at least one component")
+    return spec.schema(calc, inst, conclusion)
 
 
 def check_step(
@@ -638,11 +1177,15 @@ def check_step(
             )
 
 
-def check_proof(calc: CalculusDef, tree: ProofTree) -> None:
-    """Raise a StepError (annotated with a node path) for the first bad node."""
-    for s in tree.conclusion.components:
+def _validate(calc: CalculusDef, h: Hypersequent) -> None:
+    for s in h.components:
         for f in s.left + s.right:
             validate_for_logic(f, calc.logic)
+
+
+def check_proof(calc: CalculusDef, tree: ProofTree) -> None:
+    """Raise a StepError (annotated with a node path) for the first bad node."""
+    _validate(calc, tree.conclusion)
     _check_node(calc, tree, ())
 
 
@@ -717,441 +1260,34 @@ def hypersequent_holds(
 # Forward generation (for soundness fuzzing)
 
 
-def _rand_formula(calc: CalculusDef, rng: random.Random, depth=1) -> Expr:
-    return random_formula(calc.profile, rng.randint(0, depth), rng.getrandbits(48))
-
-
-def _rand_formulas(calc, rng, lo=0, hi=2):
-    return tuple(_rand_formula(calc, rng) for _ in range(rng.randint(lo, hi)))
-
-
-def _rand_sequent(calc: CalculusDef, rng: random.Random) -> Sequent:
-    return Sequent(_rand_formulas(calc, rng), _rand_formulas(calc, rng))
-
-
-def _axiom_component(calc: CalculusDef, rule: Rule, rng: random.Random):
-    """A sequent matching the given axiom schema, plus instance params."""
-    if rule is Rule.INIT:
-        f = _rand_formula(calc, rng)
-        return Sequent((f,), (f,)), {}
-    if rule is Rule.EMP:
-        return Sequent((), ()), {}
-    if rule is Rule.TOP_R:
-        return Sequent(_rand_formulas(calc, rng), (BoolConst(True, calc.profile),)), {}
-    if rule is Rule.BOT_L:
-        left = list(_rand_formulas(calc, rng))
-        pos = rng.randint(0, len(left))
-        left.insert(pos, BoolConst(False, calc.profile))
-        if calc.name == "lukasiewicz":
-            right = (_rand_formula(calc, rng),)
-        else:
-            right = _rand_formulas(calc, rng)
-        return Sequent(tuple(left), right), {"pos": pos}
-    raise ValidationError(f"{rule.value} is not an axiom")
-
-
 def _random_axiom_tree(calc: CalculusDef, rng: random.Random) -> ProofTree:
-    rules = sorted(calc.rules & AXIOM_RULES, key=lambda r: r.value)
-    rule = rng.choice(rules)
-    comp, extra = _axiom_component(calc, rule, rng)
-    side = [_rand_sequent(calc, rng) for _ in range(rng.randint(0, 2))]
-    c = rng.randint(0, len(side))
-    side.insert(c, comp)
-    inst = RuleInstance(rule, {"c": c, **extra})
-    return ProofTree(Hypersequent(side), inst, ())
+    spec = rng.choice(sorted(calc.axioms, key=lambda s: s.rule.value))
+    inst, h = spec.instance(calc, rng)
+    return ProofTree(h, inst, ())
 
 
 def _leaf_for(calc: CalculusDef, h: Hypersequent) -> Optional[ProofTree]:
     """A zero-premise proof of h, if some component is an axiom instance."""
     for c, s in enumerate(h.components):
-        if (
-            Rule.INIT in calc.rules
-            and len(s.left) == 1
-            and len(s.right) == 1
-            and s.left[0] == s.right[0]
-        ):
-            return ProofTree(h, RuleInstance(Rule.INIT, {"c": c}), ())
-        if Rule.EMP in calc.rules and not s.left and not s.right:
-            return ProofTree(h, RuleInstance(Rule.EMP, {"c": c}), ())
-        if (
-            Rule.TOP_R in calc.rules
-            and len(s.right) == 1
-            and _is_top(s.right[0])
-        ):
-            return ProofTree(h, RuleInstance(Rule.TOP_R, {"c": c}), ())
-        if Rule.BOT_L in calc.rules and (
-            calc.name != "lukasiewicz" or len(s.right) == 1
-        ):
-            for pos, f in enumerate(s.left):
-                if _is_bot(f):
-                    return ProofTree(
-                        h, RuleInstance(Rule.BOT_L, {"c": c, "pos": pos}), ()
-                    )
+        for spec in calc.axioms:
+            params = spec.match(s)
+            if params is not None:
+                return ProofTree(h, RuleInstance(spec.rule, {"c": c, **params}), ())
     return None
 
 
 def _extend_candidates(calc: CalculusDef, rng: random.Random, tree: ProofTree):
-    """Forward extension choices: (instance, conclusion, premise trees).
-
-    Each candidate uses the current tree as one premise; any further
-    premises are closed immediately by an axiom leaf.  Every candidate is
-    re-checked against the backward schema before being offered.
-    """
-    h = tree.conclusion
-    comps = h.components
-    single = calc.single_conclusion
-    raw = []  # (rule, params, conclusion, premise_trees)
-
-    def offer(rule, params, conclusion, *premise_trees):
-        raw.append((RuleInstance(rule, params), conclusion, premise_trees))
-
-    # --- structural rules -------------------------------------------------
-    if Rule.EW in calc.rules:
-        extra = []
-        for _ in range(rng.randint(1, 2)):
-            if rng.random() < 0.5:
-                src = rng.choice(comps)
-                if rng.random() < 0.5 and src.left:
-                    left = list(src.left)
-                    left[rng.randrange(len(left))] = _rand_formula(calc, rng)
-                    extra.append(Sequent(tuple(left), src.right))
-                else:
-                    extra.append(Sequent(src.left, (_rand_formula(calc, rng),)))
-            else:
-                extra.append(_rand_sequent(calc, rng))
-        offer(Rule.EW, {"k": len(extra)}, Hypersequent(comps + tuple(extra)), tree)
-
-    if Rule.EEX in calc.rules and len(comps) >= 2:
-        i = rng.randrange(len(comps) - 1)
-        offer(Rule.EEX, {"i": i}, Hypersequent(_swap(comps, i)), tree)
-
-    if Rule.EC in calc.rules:
-        # forward reading: current conclusion must end in a duplicate block
-        for b in range(1, len(comps) // 2 + 1):
-            if comps[-b:] == comps[-2 * b : -b]:
-                offer(Rule.EC, {"b": b}, Hypersequent(comps[:-b]), tree)
-                break
-
-    if Rule.WEAK_L in calc.rules:
-        c = rng.randrange(len(comps))
-        added = _rand_formulas(calc, rng, 1, 2)
-        s = comps[c]
-        offer(
-            Rule.WEAK_L,
-            {"c": c, "k": len(added)},
-            h.replace(c, [Sequent(s.left + added, s.right)]),
-            tree,
-        )
-
-    if Rule.CONTR_L in calc.rules:
-        for c, s in enumerate(comps):
-            for k in range(1, len(s.left) // 2 + 1):
-                if s.left[-k:] == s.left[-2 * k : -k]:
-                    offer(
-                        Rule.CONTR_L,
-                        {"c": c, "k": k},
-                        h.replace(c, [Sequent(s.left[:-k], s.right)]),
-                        tree,
-                    )
-                    break
-
-    if Rule.LEX in calc.rules:
-        cands = [c for c, s in enumerate(comps) if len(s.left) >= 2]
-        if cands:
-            c = rng.choice(cands)
-            s = comps[c]
-            pos = rng.randrange(len(s.left) - 1)
-            offer(
-                Rule.LEX,
-                {"c": c, "pos": pos},
-                h.replace(c, [Sequent(_swap(s.left, pos), s.right)]),
-                tree,
-            )
-
-    if Rule.REX in calc.rules:
-        cands = [c for c, s in enumerate(comps) if len(s.right) >= 2]
-        if cands:
-            c = rng.choice(cands)
-            s = comps[c]
-            pos = rng.randrange(len(s.right) - 1)
-            offer(
-                Rule.REX,
-                {"c": c, "pos": pos},
-                h.replace(c, [Sequent(s.left, _swap(s.right, pos))]),
-                tree,
-            )
-
-    if Rule.COM in calc.rules:
-        c = rng.randrange(len(comps))
-        s = comps[c]
-        j = rng.randint(0, len(s.left))
-        psi = _rand_formula(calc, rng)
-        conclusion = h.replace(
-            c, [Sequent(s.left[:j] + (psi,), s.right), Sequent(s.left[j:], (psi,))]
-        )
-        p2 = h.replace(c, [Sequent((psi,), (psi,))])
-        leaf = _leaf_for(calc, p2)
-        if leaf is not None:
-            offer(Rule.COM, {"c": c, "k1": j, "k2": len(s.left) - j},
-                  conclusion, tree, leaf)
-
-    if Rule.SPLIT in calc.rules:
-        cands = [c for c, s in enumerate(comps) if s.left or s.right]
-        if cands:
-            c = rng.choice(cands)
-            s = comps[c]
-            j = rng.randint(0, len(s.left))
-            k = rng.randint(0, len(s.right))
-            conclusion = h.replace(
-                c,
-                [Sequent(s.left[:j], s.right[:k]), Sequent(s.left[j:], s.right[k:])],
-            )
-            offer(Rule.SPLIT, {"c": c}, conclusion, tree)
-
-    if Rule.MIX in calc.rules:
-        c = rng.randrange(len(comps))
-        s = comps[c]
-        psi = _rand_formula(calc, rng)
-        conclusion = h.replace(c, [Sequent(s.left + (psi,), s.right + (psi,))])
-        p2 = h.replace(c, [Sequent((psi,), (psi,))])
-        leaf = _leaf_for(calc, p2)
-        if leaf is not None:
-            offer(Rule.MIX, {"c": c, "k1": len(s.left), "k2": len(s.right)},
-                  conclusion, tree, leaf)
-
-    # --- logical rules ----------------------------------------------------
-    if Rule.RIMPL in calc.rules:
-        if single:
-            cands = [c for c, s in enumerate(comps)
-                     if len(s.right) == 1 and len(s.left) >= 1]
-            if cands:
-                c = rng.choice(cands)
-                s = comps[c]
-                f = Impl(s.left[-1], s.right[0])
-                offer(Rule.RIMPL, {"c": c},
-                      h.replace(c, [Sequent(s.left[:-1], (f,))]), tree)
-        else:
-            c = rng.randrange(len(comps))
-            s = comps[c]
-            phi0 = _rand_formula(calc, rng)
-            if calc.name == "dl2":
-                phi1 = BoolConst(True, calc.profile)
-            else:
-                phi1 = _rand_formula(calc, rng)
-            pos = rng.randint(0, len(s.right))
-            conclusion = h.replace(
-                c, [Sequent(s.left, s.right[:pos] + (Impl(phi0, phi1),) + s.right[pos:])]
-            )
-            p2 = h.replace(
-                c, [Sequent(s.left + (phi0,), s.right[:pos] + (phi1,) + s.right[pos:])]
-            )
-            leaf = _leaf_for(calc, p2)
-            if leaf is not None:
-                offer(Rule.RIMPL, {"c": c, "pos": pos}, conclusion, tree, leaf)
-
-    if Rule.LIMPL in calc.rules:
-        if calc.name == "lukasiewicz":
-            cands = [c for c, s in enumerate(comps)
-                     if len(s.left) >= 1 and len(s.right) >= 1]
-            if cands:
-                c = rng.choice(cands)
-                s = comps[c]
-                pos = rng.randrange(len(s.left))
-                f = Impl(s.right[0], s.left[pos])
-                conclusion = h.replace(
-                    c,
-                    [Sequent(s.left[:pos] + (f,) + s.left[pos + 1 :], s.right[1:])],
-                )
-                offer(Rule.LIMPL, {"c": c, "pos": pos}, conclusion, tree)
-        elif single:
-            cands = [c for c, s in enumerate(comps) if len(s.right) == 1]
-            if cands:
-                c = rng.choice(cands)
-                s = comps[c]
-                phi0 = s.right[0]
-                phi1 = BoolConst(False, calc.profile)
-                delta = _rand_formulas(calc, rng)
-                pos = len(s.left)
-                conclusion = h.replace(
-                    c, [Sequent(s.left + (Impl(phi0, phi1),), delta)]
-                )
-                p2 = h.replace(c, [Sequent(s.left + (phi1,), delta)])
-                leaf = _leaf_for(calc, p2)
-                if leaf is not None:
-                    offer(Rule.LIMPL, {"c": c, "pos": pos}, conclusion, tree, leaf)
-        elif calc.name == "product":
-            cands = [c for c, s in enumerate(comps) if len(s.right) == 1]
-            if cands:
-                c = rng.choice(cands)
-                s = comps[c]
-                phi0 = s.right[0]
-                phi1 = BoolConst(False, calc.profile)
-                pos = len(s.left)
-                delta = s.right  # keep the succedent; the first premise is
-                # H | Gamma, ~phi0 |- Delta, closed by weakening-free luck
-                # only rarely, so route premise 2 through falsum instead
-                conclusion = h.replace(
-                    c, [Sequent(s.left + (Impl(phi0, phi1),), delta)]
-                )
-                p1 = h.replace(c, [Sequent(s.left + (Not(phi0),), delta)])
-                p2 = h.replace(c, [Sequent(s.left + (phi1,), (phi0,) + delta)])
-                l1 = _leaf_for(calc, p1)
-                l2 = _leaf_for(calc, p2)
-                if l1 is not None and l2 is not None:
-                    offer(Rule.LIMPL, {"c": c, "pos": pos}, conclusion, l1, l2)
-        else:  # dl2
-            c = rng.randrange(len(comps))
-            s = comps[c]
-            phi0 = _rand_formula(calc, rng)
-            phi1 = _rand_formula(calc, rng)
-            pos = len(s.left)
-            conclusion = h.replace(
-                c, [Sequent(s.left + (Impl(phi0, phi1),), s.right)]
-            )
-            p2 = h.replace(c, [Sequent(s.left + (phi1,), (phi0,) + s.right)])
-            leaf = _leaf_for(calc, p2)
-            if leaf is not None:
-                offer(Rule.LIMPL, {"c": c, "pos": pos}, conclusion, tree, leaf)
-
-    if Rule.RAND in calc.rules:
-        if single:
-            cands = [c for c, s in enumerate(comps) if len(s.right) == 1]
-        else:
-            cands = [c for c, s in enumerate(comps) if len(s.right) >= 1]
-        if cands:
-            c = rng.choice(cands)
-            s = comps[c]
-            pos = 0 if single else rng.randrange(len(s.right))
-            phi1 = BoolConst(True, calc.profile)
-            kind = rng.choice([And, MAnd]) if single else And
-            f = kind((s.right[pos], phi1))
-            conclusion = h.replace(
-                c, [Sequent(s.left, s.right[:pos] + (f,) + s.right[pos + 1 :])]
-            )
-            p2 = h.replace(
-                c, [Sequent(s.left, s.right[:pos] + (phi1,) + s.right[pos + 1 :])]
-            )
-            leaf = _leaf_for(calc, p2)
-            if leaf is not None:
-                params = {"c": c} if single else {"c": c, "pos": pos}
-                offer(Rule.RAND, params, conclusion, tree, leaf)
-
-    if Rule.LOR in calc.rules:
-        cands = [c for c, s in enumerate(comps) if len(s.left) >= 1]
-        if cands and calc.profile.neg:  # falsum closes the second premise
-            c = rng.choice(cands)
-            s = comps[c]
-            pos = rng.randrange(len(s.left))
-            phi1 = BoolConst(False, calc.profile)
-            kind = rng.choice([Or, MOr]) if single else Or
-            f = kind((s.left[pos], phi1))
-            conclusion = h.replace(
-                c, [Sequent(s.left[:pos] + (f,) + s.left[pos + 1 :], s.right)]
-            )
-            p2 = h.replace(
-                c, [Sequent(s.left[:pos] + (phi1,) + s.left[pos + 1 :], s.right)]
-            )
-            leaf = _leaf_for(calc, p2)
-            if leaf is not None:
-                offer(Rule.LOR, {"c": c, "pos": pos}, conclusion, tree, leaf)
-
-    if Rule.ROR in calc.rules:
-        for c in range(len(comps) - 1):
-            s0, s1 = comps[c], comps[c + 1]
-            if s0.left != s1.left:
-                continue
-            if len(s0.right) != len(s1.right) or not s0.right:
-                continue
-            diffs = [i for i in range(len(s0.right)) if s0.right[i] != s1.right[i]]
-            if len(diffs) > 1:
-                continue
-            pos = diffs[0] if diffs else 0
-            if single and len(s0.right) != 1:
-                continue
-            kind = rng.choice([Or, MOr]) if single else Or
-            f = kind((s0.right[pos], s1.right[pos]))
-            merged = Sequent(s0.left, s0.right[:pos] + (f,) + s0.right[pos + 1 :])
-            conclusion = Hypersequent(comps[:c] + (merged,) + comps[c + 2 :])
-            params = {"c": c} if single else {"c": c, "pos": pos}
-            offer(Rule.ROR, params, conclusion, tree)
-            break
-
-    if Rule.LAND in calc.rules:
-        for c in range(len(comps) - 1):
-            s0, s1 = comps[c], comps[c + 1]
-            if s0.right != s1.right or len(s0.left) != len(s1.left) or not s0.left:
-                continue
-            diffs = [i for i in range(len(s0.left)) if s0.left[i] != s1.left[i]]
-            if len(diffs) > 1:
-                continue
-            pos = diffs[0] if diffs else 0
-            kind = rng.choice([And, MAnd]) if single else And
-            f = kind((s0.left[pos], s1.left[pos]))
-            merged = Sequent(s0.left[:pos] + (f,) + s0.left[pos + 1 :], s0.right)
-            conclusion = Hypersequent(comps[:c] + (merged,) + comps[c + 2 :])
-            offer(Rule.LAND, {"c": c, "pos": pos}, conclusion, tree)
-            break
-
-    if Rule.LNEG in calc.rules:
-        cands = [c for c, s in enumerate(comps) if len(s.right) == 1]
-        if cands:
-            c = rng.choice(cands)
-            s = comps[c]
-            pos = len(s.left)
-            delta = _rand_formulas(calc, rng)
-            conclusion = h.replace(c, [Sequent(s.left + (Not(s.right[0]),), delta)])
-            offer(Rule.LNEG, {"c": c, "pos": pos}, conclusion, tree)
-
-    if Rule.LODOT in calc.rules:
-        cands = [c for c, s in enumerate(comps) if len(s.left) >= 2]
-        if cands:
-            c = rng.choice(cands)
-            s = comps[c]
-            pos = rng.randrange(len(s.left) - 1)
-            f = MAnd((s.left[pos], s.left[pos + 1]))
-            conclusion = h.replace(
-                c, [Sequent(s.left[:pos] + (f,) + s.left[pos + 2 :], s.right)]
-            )
-            offer(Rule.LODOT, {"c": c, "pos": pos}, conclusion, tree)
-
-    if Rule.RODOT in calc.rules:
-        if calc.name == "product":
-            cands = [c for c, s in enumerate(comps) if len(s.right) >= 2]
-            if cands:
-                c = rng.choice(cands)
-                s = comps[c]
-                pos = rng.randrange(len(s.right) - 1)
-                f = MAnd((s.right[pos], s.right[pos + 1]))
-                conclusion = h.replace(
-                    c, [Sequent(s.left, s.right[:pos] + (f,) + s.right[pos + 2 :])]
-                )
-                offer(Rule.RODOT, {"c": c, "pos": pos}, conclusion, tree)
-        else:  # dl2: context-splitting form, second premise closed by verum
-            cands = [c for c, s in enumerate(comps) if len(s.right) >= 1]
-            if cands:
-                c = rng.choice(cands)
-                s = comps[c]
-                phi1 = BoolConst(True, calc.profile)
-                f = MAnd((s.right[0], phi1))
-                conclusion = h.replace(c, [Sequent(s.left, (f,) + s.right[1:])])
-                p2 = h.replace(c, [Sequent((), (phi1,))])
-                leaf = _leaf_for(calc, p2)
-                if leaf is not None:
-                    offer(
-                        Rule.RODOT,
-                        {"c": c, "pos": 0, "k1": len(s.left),
-                         "k2": len(s.right) - 1},
-                        conclusion, tree, leaf,
-                    )
-
+    """Forward extensions of tree, each re-checked against the backward schema."""
     results = []
-    for inst, conclusion, premise_trees in raw:
-        try:
-            wanted = premises_for(calc, inst, conclusion)
-        except (SchemaMismatch, RuleNotInCalculus):
-            continue
-        if wanted == [t.conclusion for t in premise_trees]:
-            results.append(ProofTree(conclusion, inst, tuple(premise_trees)))
+    for spec in calc.table.values():
+        for params, conclusion, premise_trees in spec.extend(calc, rng, tree):
+            inst = RuleInstance(spec.rule, params)
+            try:
+                wanted = premises_for(calc, inst, conclusion)
+            except (SchemaMismatch, RuleNotInCalculus):
+                continue
+            if wanted == [t.conclusion for t in premise_trees]:
+                results.append(ProofTree(conclusion, inst, premise_trees))
     return results
 
 
@@ -1198,141 +1334,7 @@ def soundness_fuzz(
 
 def _random_instance(calc: CalculusDef, rule: Rule, rng: random.Random):
     """A random (instance, conclusion) in whose shape the rule applies."""
-    if rule in AXIOM_RULES:
-        comp, extra = _axiom_component(calc, rule, rng)
-        side = [_rand_sequent(calc, rng) for _ in range(rng.randint(0, 2))]
-        c = rng.randint(0, len(side))
-        side.insert(c, comp)
-        return RuleInstance(rule, {"c": c, **extra}), Hypersequent(side)
-
-    ncomp = rng.randint(1, 3)
-    comps = [_rand_sequent(calc, rng) for _ in range(ncomp)]
-
-    def put(c, seq):
-        comps[c] = seq
-
-    single = calc.single_conclusion
-    c = rng.randrange(ncomp)
-    s = comps[c]
-
-    if rule is Rule.EW:
-        if ncomp < 2:
-            comps.append(_rand_sequent(calc, rng))
-            ncomp += 1
-        return RuleInstance(rule, {"k": rng.randint(1, ncomp - 1)}), Hypersequent(comps)
-    if rule is Rule.EC:
-        return RuleInstance(rule, {"b": rng.randint(1, ncomp)}), Hypersequent(comps)
-    if rule is Rule.EEX:
-        if ncomp < 2:
-            comps.append(_rand_sequent(calc, rng))
-            ncomp += 1
-        return (
-            RuleInstance(rule, {"i": rng.randrange(ncomp - 1)}),
-            Hypersequent(comps),
-        )
-    if rule in (Rule.COM, Rule.SPLIT):
-        if ncomp < 2:
-            comps.append(_rand_sequent(calc, rng))
-            ncomp += 1
-        c = rng.randrange(ncomp - 1)
-        if rule is Rule.SPLIT:
-            return RuleInstance(rule, {"c": c}), Hypersequent(comps)
-        k1 = rng.randint(0, len(comps[c].left))
-        k2 = rng.randint(0, len(comps[c + 1].left))
-        return RuleInstance(rule, {"c": c, "k1": k1, "k2": k2}), Hypersequent(comps)
-    if rule is Rule.MIX:
-        k1 = rng.randint(0, len(s.left))
-        k2 = rng.randint(0, len(s.right))
-        return RuleInstance(rule, {"c": c, "k1": k1, "k2": k2}), Hypersequent(comps)
-    if rule is Rule.WEAK_L:
-        if not s.left:
-            put(c, Sequent(_rand_formulas(calc, rng, 1, 3), s.right))
-            s = comps[c]
-        return (
-            RuleInstance(rule, {"c": c, "k": rng.randint(1, len(s.left))}),
-            Hypersequent(comps),
-        )
-    if rule is Rule.CONTR_L:
-        if not s.left:
-            put(c, Sequent(_rand_formulas(calc, rng, 1, 2), s.right))
-            s = comps[c]
-        return (
-            RuleInstance(rule, {"c": c, "k": rng.randint(1, len(s.left))}),
-            Hypersequent(comps),
-        )
-    if rule is Rule.LEX:
-        left = _rand_formulas(calc, rng, 2, 3)
-        put(c, Sequent(left, s.right))
-        return (
-            RuleInstance(rule, {"c": c, "pos": rng.randrange(len(left) - 1)}),
-            Hypersequent(comps),
-        )
-    if rule is Rule.REX:
-        right = _rand_formulas(calc, rng, 2, 3)
-        put(c, Sequent(s.left, right))
-        return (
-            RuleInstance(rule, {"c": c, "pos": rng.randrange(len(right) - 1)}),
-            Hypersequent(comps),
-        )
-
-    # logical rules: build a principal formula and place it
-    phi0 = _rand_formula(calc, rng)
-    phi1 = _rand_formula(calc, rng)
-    and_kind = rng.choice([And, MAnd]) if single else And
-    or_kind = rng.choice([Or, MOr]) if single else Or
-
-    def place_left(f):
-        pos = rng.randint(0, len(s.left))
-        put(c, Sequent(s.left[:pos] + (f,) + s.left[pos:], s.right))
-        return pos
-
-    def place_right(f):
-        if single:
-            put(c, Sequent(s.left, (f,)))
-            return 0
-        pos = rng.randint(0, len(s.right))
-        put(c, Sequent(s.left, s.right[:pos] + (f,) + s.right[pos:]))
-        return pos
-
-    if rule is Rule.LAND:
-        pos = place_left(and_kind((phi0, phi1)))
-        return RuleInstance(rule, {"c": c, "pos": pos}), Hypersequent(comps)
-    if rule is Rule.LOR:
-        pos = place_left(or_kind((phi0, phi1)))
-        return RuleInstance(rule, {"c": c, "pos": pos}), Hypersequent(comps)
-    if rule is Rule.LIMPL:
-        pos = place_left(Impl(phi0, phi1))
-        return RuleInstance(rule, {"c": c, "pos": pos}), Hypersequent(comps)
-    if rule is Rule.LNEG:
-        pos = place_left(Not(phi0))
-        return RuleInstance(rule, {"c": c, "pos": pos}), Hypersequent(comps)
-    if rule is Rule.LODOT:
-        pos = place_left(MAnd((phi0, phi1)))
-        return RuleInstance(rule, {"c": c, "pos": pos}), Hypersequent(comps)
-    if rule is Rule.RAND:
-        pos = place_right(and_kind((phi0, phi1)))
-        params = {"c": c} if single else {"c": c, "pos": pos}
-        return RuleInstance(rule, params), Hypersequent(comps)
-    if rule is Rule.ROR:
-        pos = place_right(or_kind((phi0, phi1)))
-        params = {"c": c} if single else {"c": c, "pos": pos}
-        return RuleInstance(rule, params), Hypersequent(comps)
-    if rule is Rule.RIMPL:
-        pos = place_right(Impl(phi0, phi1))
-        params = {"c": c} if single else {"c": c, "pos": pos}
-        return RuleInstance(rule, params), Hypersequent(comps)
-    if rule is Rule.RODOT:
-        pos = place_right(MAnd((phi0, phi1)))
-        if calc.name == "product":
-            return RuleInstance(rule, {"c": c, "pos": pos}), Hypersequent(comps)
-        s2 = comps[c]
-        k1 = rng.randint(0, len(s2.left))
-        k2 = rng.randint(0, len(s2.right) - 1)
-        return (
-            RuleInstance(rule, {"c": c, "pos": pos, "k1": k1, "k2": k2}),
-            Hypersequent(comps),
-        )
-    raise ValidationError(f"no random instance builder for {rule.value}")
+    return _spec(calc, rule).instance(calc, rng)
 
 
 def rule_local_soundness(
@@ -1368,89 +1370,24 @@ def rule_local_soundness(
 
 
 def _backward_instances(calc: CalculusDef, h: Hypersequent):
-    """Rule instances worth trying backward on h, roughly best-first."""
-    comps = h.components
-    logical = []
-    structural = []
-    for c, s in enumerate(comps):
-        for pos, f in enumerate(s.left):
-            if isinstance(f, _lattice_and_kinds(calc)) and len(f.children) == 2:
-                if Rule.LAND in calc.rules and (
-                    not isinstance(f, MAnd) or calc.single_conclusion
-                ):
-                    logical.append(RuleInstance(Rule.LAND, {"c": c, "pos": pos}))
-            if isinstance(f, MAnd) and len(f.children) == 2:
-                if Rule.LODOT in calc.rules:
-                    logical.append(RuleInstance(Rule.LODOT, {"c": c, "pos": pos}))
-            if isinstance(f, _lattice_or_kinds(calc)) and len(f.children) == 2:
-                if Rule.LOR in calc.rules:
-                    logical.append(RuleInstance(Rule.LOR, {"c": c, "pos": pos}))
-            if isinstance(f, Impl) and Rule.LIMPL in calc.rules:
-                logical.append(RuleInstance(Rule.LIMPL, {"c": c, "pos": pos}))
-            if isinstance(f, Not) and Rule.LNEG in calc.rules:
-                logical.append(RuleInstance(Rule.LNEG, {"c": c, "pos": pos}))
-        for pos, f in enumerate(s.right):
-            if calc.single_conclusion and len(s.right) != 1:
-                break
-            base = {"c": c} if calc.single_conclusion else {"c": c, "pos": pos}
-            if isinstance(f, _lattice_and_kinds(calc)) and len(f.children) == 2:
-                if Rule.RAND in calc.rules and (
-                    not isinstance(f, MAnd) or calc.single_conclusion
-                ):
-                    logical.append(RuleInstance(Rule.RAND, dict(base)))
-            if isinstance(f, MAnd) and len(f.children) == 2 and Rule.RODOT in calc.rules:
-                if calc.name == "product":
-                    logical.append(RuleInstance(Rule.RODOT, {"c": c, "pos": pos}))
-                else:
-                    rest = len(s.right) - 1
-                    for k1 in range(len(s.left) + 1):
-                        for k2 in range(rest + 1):
-                            logical.append(
-                                RuleInstance(
-                                    Rule.RODOT,
-                                    {"c": c, "pos": pos, "k1": k1, "k2": k2},
-                                )
-                            )
-            if isinstance(f, _lattice_or_kinds(calc)) and len(f.children) == 2:
-                if Rule.ROR in calc.rules:
-                    logical.append(RuleInstance(Rule.ROR, dict(base)))
-            if isinstance(f, Impl) and Rule.RIMPL in calc.rules:
-                logical.append(RuleInstance(Rule.RIMPL, dict(base)))
+    """Rule instances worth trying backward on h, roughly best-first.
 
-    if Rule.COM in calc.rules:
-        for c in range(len(comps) - 1):
-            for k1 in range(len(comps[c].left) + 1):
-                for k2 in range(len(comps[c + 1].left) + 1):
-                    structural.append(
-                        RuleInstance(Rule.COM, {"c": c, "k1": k1, "k2": k2})
-                    )
-    if Rule.SPLIT in calc.rules:
-        for c in range(len(comps) - 1):
-            structural.append(RuleInstance(Rule.SPLIT, {"c": c}))
-    if Rule.MIX in calc.rules:
-        for c, s in enumerate(comps):
-            for k1 in range(len(s.left) + 1):
-                for k2 in range(len(s.right) + 1):
-                    structural.append(
-                        RuleInstance(Rule.MIX, {"c": c, "k1": k1, "k2": k2})
-                    )
-    if Rule.LEX in calc.rules:
-        for c, s in enumerate(comps):
-            for pos in range(len(s.left) - 1):
-                structural.append(RuleInstance(Rule.LEX, {"c": c, "pos": pos}))
-    if Rule.REX in calc.rules:
-        for c, s in enumerate(comps):
-            for pos in range(len(s.right) - 1):
-                structural.append(RuleInstance(Rule.REX, {"c": c, "pos": pos}))
-    if Rule.EEX in calc.rules:
-        for i in range(len(comps) - 1):
-            structural.append(RuleInstance(Rule.EEX, {"i": i}))
-    if Rule.WEAK_L in calc.rules:
-        for c, s in enumerate(comps):
-            if s.left:
-                structural.append(RuleInstance(Rule.WEAK_L, {"c": c, "k": 1}))
-    if Rule.EW in calc.rules and len(comps) >= 2:
-        structural.append(RuleInstance(Rule.EW, {"k": 1}))
+    Logical instances come position by position, antecedent first; at most
+    one logical rule of a calculus matches a formula on a given side.
+    """
+    logical = []
+    for c, s in enumerate(h.components):
+        for left, specs in calc.logical.items():
+            if not left and calc.single_conclusion and len(s.right) != 1:
+                break
+            for pos, f in enumerate(_side(s, left)):
+                for spec in specs:
+                    if spec.matches(f):
+                        logical += spec.search_at(calc, s, c, pos)
+    structural = []
+    for rule in _SEARCH_ORDER:
+        if rule in calc.table:
+            structural += calc.table[rule].search(calc, h)
     return logical, structural
 
 
@@ -1458,9 +1395,7 @@ def prove_bounded(
     calc: CalculusDef, goal: Hypersequent, depth_budget: int
 ) -> Optional[ProofTree]:
     """Backward proof search; None means the budget was exhausted."""
-    for s in goal.components:
-        for f in s.left + s.right:
-            validate_for_logic(f, calc.logic)
+    _validate(calc, goal)
     failed: Dict[Hypersequent, int] = {}
 
     def search(h, budget, streak, path):
@@ -1532,26 +1467,15 @@ def weak_completeness_goals(calc: CalculusDef):
     return goals
 
 
-def weak_completeness_suite(
-    calc: CalculusDef, depth_budget: int = 12, fixtures: Optional[dict] = None
-) -> dict:
-    """Discharge every applicable R1-R9 goal by fixture or bounded search."""
-    if fixtures is None:
-        fixtures = load_bundled_fixtures(calc.name)
+def weak_completeness_suite(calc: CalculusDef, depth_budget: int = 12) -> dict:
+    """Discharge every R1-R9 goal by bounded search."""
     results = []
     for axiom, direction, goal in weak_completeness_goals(calc):
-        key = f"{axiom}-{direction}"
         status = "failed"
-        tree = None
-        bundled = fixtures.get(key)
-        if bundled is not None and bundled.conclusion == goal:
-            check_proof(calc, bundled)
-            status, tree = "fixture", bundled
-        else:
-            tree = prove_bounded(calc, goal, depth_budget)
-            if tree is not None:
-                check_proof(calc, tree)
-                status = "found"
+        tree = prove_bounded(calc, goal, depth_budget)
+        if tree is not None:
+            check_proof(calc, tree)
+            status = "found"
         results.append(
             {"axiom": axiom, "direction": direction, "status": status,
              "depth": _tree_depth(tree) if tree else None}
@@ -1561,7 +1485,7 @@ def weak_completeness_suite(
         "kind": "weak-completeness",
         "calculus": calc.name,
         "goals": results,
-        "passed": all(r["status"] in ("fixture", "found") for r in results),
+        "passed": all(r["status"] == "found" for r in results),
     }
 
 
@@ -1614,6 +1538,15 @@ def limpl_ext_fixture() -> ProofTree:
 # Serialization ("dlc-proof/1") and bundled fixtures
 
 
+@contextmanager
+def _decoding(what: str):
+    """Map every error a malformed document raises to ValidationError."""
+    try:
+        yield
+    except (AttributeError, KeyError, TypeError, ValueError) as exc:
+        raise ValidationError(f"malformed {what}: {exc!r}") from exc
+
+
 def _seq_to_json(s: Sequent) -> dict:
     return {
         "left": [_node_to_json(f) for f in s.left],
@@ -1621,10 +1554,16 @@ def _seq_to_json(s: Sequent) -> dict:
     }
 
 
+def _json_list(items) -> list:
+    if not isinstance(items, list):
+        raise TypeError(f"expected a list, got {type(items).__name__}")
+    return items
+
+
 def _seq_from_json(d: dict) -> Sequent:
     return Sequent(
-        [_node_from_json(f) for f in d["left"]],
-        [_node_from_json(f) for f in d["right"]],
+        [_node_from_json(f) for f in _json_list(d["left"])],
+        [_node_from_json(f) for f in _json_list(d["right"])],
     )
 
 
@@ -1633,7 +1572,7 @@ def _hyper_to_json(h: Hypersequent) -> list:
 
 
 def _hyper_from_json(items) -> Hypersequent:
-    return Hypersequent([_seq_from_json(d) for d in items])
+    return Hypersequent([_seq_from_json(d) for d in _json_list(items)])
 
 
 def _tree_to_json(t: ProofTree) -> dict:
@@ -1652,7 +1591,7 @@ def _tree_from_json(d: dict) -> ProofTree:
     return ProofTree(
         _hyper_from_json(d["conclusion"]),
         inst,
-        tuple(_tree_from_json(p) for p in d.get("premises", [])),
+        tuple(_tree_from_json(p) for p in _json_list(d.get("premises", []))),
     )
 
 
@@ -1674,10 +1613,20 @@ def proof_from_json(doc: dict):
     name = doc.get("calculus")
     if not isinstance(name, str) or name not in CALCULI:
         raise ValidationError(f"unknown calculus {name!r}")
-    try:
+    with _decoding("proof document"):
         return name, _tree_from_json(doc["tree"])
-    except (AttributeError, KeyError, TypeError, ValueError) as exc:
-        raise ValidationError(f"malformed proof document: {exc!r}") from exc
+
+
+def goal_from_json(doc) -> Hypersequent:
+    """The hypersequent of a {"components": [...]} goal document.
+
+    Every malformed document raises ValidationError.
+    """
+    with _decoding("goal document"):
+        goal = _hyper_from_json(doc["components"])
+    if not goal.components:
+        raise ValidationError("a goal needs at least one component")
+    return goal
 
 
 def load_proof(path):
@@ -1689,19 +1638,3 @@ def fixtures_dir():
     from importlib.resources import files
 
     return files("dlc") / "fixtures"
-
-
-def load_bundled_fixtures(calc_name: str) -> dict:
-    """Weak-completeness fixture proofs shipped with the package."""
-    out = {}
-    root = fixtures_dir()
-    if not root.is_dir():
-        return out
-    prefix = f"weakcomp_{calc_name.replace('-', '_')}_"
-    for entry in root.iterdir():
-        if entry.name.startswith(prefix) and entry.name.endswith(".json"):
-            name, tree = proof_from_json(json.loads(entry.read_text()))
-            if name == calc_name:
-                key = entry.name[len(prefix) : -len(".json")].replace("_", "-")
-                out[key] = tree
-    return out

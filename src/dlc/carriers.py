@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Tuple
 
 from .errors import CarrierError, DomainError
 
@@ -330,23 +329,3 @@ class DualCarrier:
     @classmethod
     def minus_inf(cls):
         raise CarrierError(f"carrier {cls.name} lacks -inf")
-
-
-CARRIERS = {c.name: c for c in (F64Carrier, XRealCarrier, DualCarrier)}
-
-
-def rpow(x, a: float):
-    """Real power with the 0^a = 0 (a > 0), 0^0 = 1 convention."""
-    if isinstance(x, Dual):
-        return DualCarrier.rpow(x, a)
-    if isinstance(x, XReal):
-        return XRealCarrier.rpow(x, a)
-    return _float_rpow(float(x), a)
-
-
-def dual_eval(
-    f: Callable[[Dual], Dual], a: float, direction: float = 1.0
-) -> Tuple[float, float]:
-    """Evaluate f and its directional derivative at a via dual numbers."""
-    out = f(Dual(float(a), float(direction)))
-    return out.primal, out.tangent

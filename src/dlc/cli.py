@@ -17,12 +17,12 @@ from . import analysis, laws
 from .calculus import (
     CALCULI,
     check_proof,
+    goal_from_json,
     load_proof,
     proof_to_json,
     prove_bounded,
     soundness_fuzz,
     weak_completeness_suite,
-    _hyper_from_json,
     _tree_depth,
 )
 from .carriers import F64Carrier, XRealCarrier
@@ -232,7 +232,7 @@ def _cmd_proof_check(args) -> int:
 def _cmd_proof_search(args) -> int:
     calc = CALCULI[args.calculus]
     with open(args.goal) as fh:
-        goal = _hyper_from_json(json.load(fh)["components"])
+        goal = goal_from_json(json.load(fh))
     tree = prove_bounded(calc, goal, args.depth)
     report = {
         "version": "dlc-report/1",

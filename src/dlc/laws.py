@@ -15,26 +15,8 @@ from enum import Enum
 from typing import Dict, List, Optional, Tuple
 
 from .carriers import INF, F64Carrier, XReal, XRealCarrier
-from .core import (
-    And,
-    BoolConst,
-    Expr,
-    Impl,
-    LogicId,
-    LogicKind,
-    MAnd,
-    MOr,
-    Not,
-    Or,
-    random_formula,
-)
-from .errors import (
-    CarrierError,
-    FlagViolation,
-    UndefinedConnective,
-    ValidationError,
-)
-from .semantics import _binary_ops, interpret, stl_nary_c
+from .core import LogicId, LogicKind
+from .semantics import _binary_ops, stl_nary_c
 
 
 class AxiomId(Enum):
@@ -160,10 +142,6 @@ class ValueDomain:
         return va <= vb + tol if (va == va) else False
 
 
-def sample_value(domain: ValueDomain, rng: random.Random):
-    return domain.sample(rng)
-
-
 # ---------------------------------------------------------------------------
 # Axiom templates (value level)
 
@@ -261,7 +239,7 @@ def check_axiom_values(
             if arity >= 2:
                 streams.append(tuple([w, v] + [w] * (arity - 2)))
     for _ in range(n_samples):
-        streams.append(tuple(sample_value(domain, rng) for _ in range(arity)))
+        streams.append(tuple(domain.sample(rng) for _ in range(arity)))
     for xs in streams:
         run += 1
         a = lhs(domain.ops, domain.consts, xs)
@@ -291,7 +269,7 @@ def check_residuation(
     attempts = 0
     while run < n_samples and attempts < 50 * n_samples:
         attempts += 1
-        x, y, z = (sample_value(domain, rng) for _ in range(3))
+        x, y, z = (domain.sample(rng) for _ in range(3))
         prod = ops["mand"](x, y)
         resid = ops["impl"](x, z)
         vp, vz = domain.value(prod), domain.value(z)
@@ -319,83 +297,6 @@ def _near(a: float, b: float, tol: float) -> bool:
     if not (abs(a) < INF and abs(b) < INF):
         return False
     return abs(a - b) <= tol
-
-
-# ---------------------------------------------------------------------------
-# Formula-level checks
-
-
-def _formula_template(axiom: AxiomId, profile):
-    A = AxiomId
-    bot = lambda: BoolConst(False, profile)
-
-    t = {
-        A.R1: (2, lambda x: And([x[0], x[1]]), lambda x: And([x[1], x[0]])),
-        A.R2: (3, lambda x: And([And([x[0], x[1]]), x[2]]),
-               lambda x: And([x[0], And([x[1], x[2]])])),
-        A.R3: (2, lambda x: Or([x[0], x[1]]), lambda x: Or([x[1], x[0]])),
-        A.R4: (3, lambda x: Or([Or([x[0], x[1]]), x[2]]),
-               lambda x: Or([x[0], Or([x[1], x[2]])])),
-        A.R5: (2, lambda x: And([x[0], Or([x[0], x[1]])]), lambda x: x[0]),
-        A.R6: (2, lambda x: Or([x[0], And([x[0], x[1]])]), lambda x: x[0]),
-        A.R8: (3, lambda x: MAnd([MAnd([x[0], x[1]]), x[2]]),
-               lambda x: MAnd([x[0], MAnd([x[1], x[2]])])),
-        A.N1: (1, lambda x: Not(x[0]), lambda x: Impl(x[0], bot())),
-        A.N2: (1, lambda x: Not(Not(x[0])), lambda x: x[0]),
-        A.N3: (2, lambda x: Not(And([x[0], x[1]])),
-               lambda x: Or([Not(x[0]), Not(x[1])])),
-        A.N4: (2, lambda x: Not(Or([x[0], x[1]])),
-               lambda x: And([Not(x[0]), Not(x[1])])),
-        A.M1: (3, lambda x: MOr([MOr([x[0], x[1]]), x[2]]),
-               lambda x: MOr([x[0], MOr([x[1], x[2]])])),
-        A.M2: (2, lambda x: Not(MAnd([x[0], x[1]])),
-               lambda x: MOr([Not(x[0]), Not(x[1])])),
-        A.M3: (2, lambda x: Not(MOr([x[0], x[1]])),
-               lambda x: MAnd([Not(x[0]), Not(x[1])])),
-        A.IDEM_MONOID: (1, lambda x: MAnd([x[0], x[0]]), lambda x: x[0]),
-    }
-    return t.get(axiom)
-
-
-def check_axiom_formulas(
-    logic: LogicId,
-    axiom: AxiomId,
-    depth: int = 2,
-    n_samples: int = 100,
-    seed: int = 0,
-    tol: float = 1e-9,
-) -> LawReport:
-    """Instantiate axiom metavariables with random closed formulas."""
-    if axiom is AxiomId.R10:
-        return check_residuation(logic, n_samples, tol, seed)
-    name = logic.kind.value
-    profile = logic.flag_profile
-    tmpl = _formula_template(axiom, profile)
-    if tmpl is None:
-        return LawReport(name, axiom.value, 0, "not-applicable", tol)
-    arity, mk_lhs, mk_rhs = tmpl
-    domain = ValueDomain(logic)
-    carrier = domain.carrier
-    rng = random.Random(seed)
-    run = 0
-    for _ in range(n_samples):
-        xs = [random_formula(profile, depth, rng.getrandbits(48)) for _ in range(arity)]
-        try:
-            le = mk_lhs(xs)
-            re = mk_rhs(xs)
-            a = interpret(logic, le, carrier=carrier)
-            b = interpret(logic, re, carrier=carrier)
-        except (FlagViolation, UndefinedConnective, CarrierError):
-            return LawReport(name, axiom.value, run, "not-applicable", tol)
-        run += 1
-        if not domain.eq(a, b, tol):
-            witness = {
-                "lhs": domain.value(a),
-                "rhs": domain.value(b),
-                "formulas": "random instantiation",
-            }
-            return LawReport(name, axiom.value, run, "counterexample", tol, witness)
-    return LawReport(name, axiom.value, run, "pass", tol)
 
 
 # ---------------------------------------------------------------------------

@@ -54,14 +54,6 @@ class Env:
 EMPTY_ENV = Env()
 
 
-def min_dev(i: int, values: Sequence[float]) -> float:
-    """Normalized deviation (values[i] - min) / min; min must be nonzero."""
-    m = min(values)
-    if m == 0:
-        raise ZeroDivisionError("min_dev undefined when the minimum is 0")
-    return (values[i] - m) / m
-
-
 def _stl_conj_c(carrier, nu: float, values):
     """Soft n-ary conjunction over any carrier (three-case formula)."""
     p = carrier.primal

@@ -149,6 +149,19 @@ class TestProof:
         assert code == 0
         assert read_json(out)["found"]
 
+    @pytest.mark.parametrize(
+        "doc",
+        [[1], {"components": 5}, {"components": [1]},
+         {"components": [{"left": [{"kind": "real", "value": "x"}], "right": []}]},
+         {"components": [{"left": {}, "right": {}}]}, {"components": []}],
+        ids=["top_level_list", "components_not_a_list", "component_not_an_object",
+             "non_numeric_real", "formulas_not_a_list", "no_components"],
+    )
+    def test_search_malformed_goal_is_input_error(self, tmp_path, doc):
+        goal = tmp_path / "goal.json"
+        goal.write_text(json.dumps(doc))
+        assert run(["proof", "search", "--calculus", "dl2", "--goal", str(goal)]) == 2
+
 
 def test_weakcomp(tmp_path):
     out = tmp_path / "w.json"
