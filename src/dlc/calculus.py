@@ -1184,21 +1184,25 @@ def _validate(calc: CalculusDef, h: Hypersequent) -> None:
 
 
 def check_proof(calc: CalculusDef, tree: ProofTree) -> None:
-    """Raise a StepError (annotated with a node path) for the first bad node."""
+    """Raise a StepError (annotated with a node path) for the first bad node.
+
+    Nodes are checked in pre-order from an explicit stack, so proofs of
+    any depth are checked without recursion.
+    """
     _validate(calc, tree.conclusion)
-    _check_node(calc, tree, ())
-
-
-def _check_node(calc: CalculusDef, node: ProofTree, path) -> None:
-    try:
-        check_step(
-            calc, node.rule, node.conclusion, [p.conclusion for p in node.premises]
-        )
-    except SchemaMismatch as exc:
-        exc.path = path + exc.path
-        raise
-    for i, child in enumerate(node.premises):
-        _check_node(calc, child, path + (i,))
+    stack = [(tree, ())]
+    while stack:
+        node, path = stack.pop()
+        try:
+            check_step(
+                calc, node.rule, node.conclusion, [p.conclusion for p in node.premises]
+            )
+        except SchemaMismatch as exc:
+            exc.path = path + exc.path
+            raise
+        # pushed last to first, so the first premise is checked next
+        for i in reversed(range(len(node.premises))):
+            stack.append((node.premises[i], path + (i,)))
 
 
 # ---------------------------------------------------------------------------
@@ -1576,11 +1580,17 @@ def _hyper_from_json(items) -> Hypersequent:
 
 
 def _tree_to_json(t: ProofTree) -> dict:
-    return {
-        "conclusion": _hyper_to_json(t.conclusion),
-        "rule": {"id": t.rule.rule.value, "params": dict(t.rule.params)},
-        "premises": [_tree_to_json(p) for p in t.premises],
-    }
+    """The tree as nested dicts, built from an explicit stack."""
+    root: dict = {}
+    stack = [(t, root)]
+    while stack:
+        node, out = stack.pop()
+        premises = [{} for _ in node.premises]
+        out["conclusion"] = _hyper_to_json(node.conclusion)
+        out["rule"] = {"id": node.rule.rule.value, "params": dict(node.rule.params)}
+        out["premises"] = premises
+        stack.extend(zip(node.premises, premises))
+    return root
 
 
 def _tree_from_json(d: dict) -> ProofTree:

@@ -4,12 +4,22 @@ Three carriers: plain floats, extended reals with ±∞ (for the min/max
 limit logic), and dual numbers for forward-mode differentiation.  Each
 carrier exposes the same operation suite so the interpreter stays
 generic.
+
+A dual number's tangent is a float or a ``Tangents`` vector holding one
+partial per seeded coordinate, so a whole gradient takes one pass.  The
+dual operations are written once for both: every tangent expression has
+the form ``scalar * tangent``, ``tangent ± tangent`` or ``tangent /
+scalar``, and every branch looks at primals only.  So each coordinate of
+a vector tangent goes through the float operations, in the order, that a
+scalar tangent seeded at that coordinate would.  A lifted constant keeps
+the scalar tangent ``0.0``, which ``Tangents`` broadcasts.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from operator import add, mul, sub, truediv
 
 from .errors import CarrierError, DomainError
 
@@ -51,9 +61,73 @@ def _xr(v: float) -> XReal:
     return XReal(v)
 
 
+class Tangents:
+    """A tangent vector: one partial derivative per seeded coordinate.
+
+    ``+``, ``-``, ``*`` and ``/`` act elementwise on two vectors of the
+    same length and broadcast a float operand on either side; each entry
+    is computed as the same float expression a scalar tangent would be.
+    """
+
+    __slots__ = ("v",)
+
+    def __init__(self, v):
+        self.v = tuple(v)
+
+    @staticmethod
+    def unit(j: int, n: int) -> "Tangents":
+        """The j-th of the n unit vectors: a seed for coordinate j."""
+        return Tangents(1.0 if k == j else 0.0 for k in range(n))
+
+    def __repr__(self):
+        return f"Tangents({self.v})"
+
+    def __eq__(self, other):
+        return isinstance(other, Tangents) and self.v == other.v
+
+    def __hash__(self):
+        return hash(self.v)
+
+    def __add__(self, o):
+        if isinstance(o, Tangents):
+            return Tangents(map(add, self.v, o.v))
+        return Tangents([t + o for t in self.v])
+
+    def __radd__(self, o):
+        return Tangents([o + t for t in self.v])
+
+    def __sub__(self, o):
+        if isinstance(o, Tangents):
+            return Tangents(map(sub, self.v, o.v))
+        return Tangents([t - o for t in self.v])
+
+    def __rsub__(self, o):
+        return Tangents([o - t for t in self.v])
+
+    def __mul__(self, o):
+        if isinstance(o, Tangents):
+            return Tangents(map(mul, self.v, o.v))
+        return Tangents([t * o for t in self.v])
+
+    def __rmul__(self, o):
+        return Tangents([o * t for t in self.v])
+
+    def __truediv__(self, o):
+        if isinstance(o, Tangents):
+            return Tangents(map(truediv, self.v, o.v))
+        return Tangents([t / o for t in self.v])
+
+    def __rtruediv__(self, o):
+        return Tangents([o / t for t in self.v])
+
+    def __neg__(self):
+        return Tangents([-t for t in self.v])
+
+
 @dataclass(frozen=True)
 class Dual:
-    """First-order dual number ⟨primal, tangent⟩."""
+    """First-order dual number ⟨primal, tangent⟩; the tangent is a float
+    or a ``Tangents`` vector."""
 
     primal: float
     tangent: float

@@ -38,7 +38,6 @@ from .core import (
     yager,
 )
 from .errors import DlcError, StepError
-from .semantics import interpret
 from .speclang import (
     base_env,
     elaborate,

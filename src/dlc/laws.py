@@ -8,11 +8,10 @@ concrete counterexample witness.
 
 from __future__ import annotations
 
-import json
 import random
 from dataclasses import dataclass
 from enum import Enum
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Optional
 
 from .carriers import INF, F64Carrier, XReal, XRealCarrier
 from .core import LogicId, LogicKind

@@ -16,7 +16,6 @@ from .core import (
     App,
     App2,
     BoolConst,
-    BoolT,
     Cmp,
     CmpOp,
     Expr,
@@ -36,7 +35,6 @@ from .core import (
     validate_for_logic,
 )
 from .errors import (
-    CarrierError,
     UndefinedConnective,
     UnresolvedFunction,
     ValidationError,

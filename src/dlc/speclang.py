@@ -33,10 +33,10 @@ from __future__ import annotations
 import json
 import math
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from .carriers import Dual, DualCarrier, F64Carrier
+from .carriers import Dual, DualCarrier, F64Carrier, Tangents
 from .core import (
     App,
     App2,
@@ -711,19 +711,22 @@ def _check_bindings(doc: SpecDoc, inputs: Dict[str, Sequence[float]]) -> None:
 
 
 def _bound_env(env: Env, inputs: Dict[str, Sequence[float]],
-               duals: Optional[Tuple[str, int]] = None) -> Env:
+               grad_wrt: Optional[str] = None) -> Env:
+    """Bind each input slot; over duals, ``grad_wrt``'s coordinate j is
+    seeded with the j-th unit tangent vector."""
     slots = {}
     for name, values in inputs.items():
         vals = tuple(float(v) for v in values)
-        seed_at = duals[1] if duals is not None and duals[0] == name else None
+        seeded = None
+        if name == grad_wrt:
+            seeded = tuple(
+                Dual(v, Tangents.unit(j, len(vals))) for j, v in enumerate(vals)
+            )
 
         @carrier_aware
-        def run(_arg, c, _vals=vals, _seed=seed_at):
-            if _seed is not None and c is DualCarrier:
-                return tuple(
-                    Dual(v, 1.0 if j == _seed else 0.0)
-                    for j, v in enumerate(_vals)
-                )
+        def run(_arg, c, _vals=vals, _seeded=seeded):
+            if _seeded is not None and c is DualCarrier:
+                return _seeded
             return tuple(c.lift(v) for v in _vals)
 
         slots[f"in:{name}"] = run
@@ -742,7 +745,11 @@ def eval_loss(
     carrier=F64Carrier,
     grad_wrt: Optional[str] = None,
 ):
-    """Loss value and, optionally, its gradient for one named vector."""
+    """Loss value and, optionally, its gradient for one named vector.
+
+    The gradient takes one dual-number pass whose tangents carry one
+    partial per coordinate of ``grad_wrt``.
+    """
     env = env if env is not None else base_env()
     _check_bindings(doc, inputs)
     expr = elaborate(doc, logic, env)
@@ -751,13 +758,12 @@ def eval_loss(
     if grad_wrt is not None:
         if grad_wrt not in inputs:
             raise ValidationError(f"gradient target {grad_wrt!r} is unbound")
-        gradient = []
-        for i in range(len(inputs[grad_wrt])):
-            out = interpret(
-                logic, expr, _bound_env(env, inputs, (grad_wrt, i)), DualCarrier
-            )
-            gradient.append(out.tangent if isinstance(out, Dual) else 0.0)
-        gradient = tuple(gradient)
+        out = interpret(logic, expr, _bound_env(env, inputs, grad_wrt), DualCarrier)
+        tangent = out.tangent if isinstance(out, Dual) else 0.0
+        if isinstance(tangent, Tangents):
+            gradient = tangent.v
+        else:  # the goal does not depend on grad_wrt
+            gradient = (tangent,) * len(inputs[grad_wrt])
     return value, gradient
 
 

@@ -31,7 +31,7 @@ from dlc.calculus import (
     weak_completeness_goals,
     weak_completeness_suite,
 )
-from dlc.calculus import _atom, _random_instance
+from dlc.calculus import _atom, _hyper_to_json, _random_instance
 from dlc.core import DL2, GODEL, LUKASIEWICZ, STL_INFTY, And, BoolConst, Impl
 from dlc.errors import (
     PremiseArityMismatch,
@@ -343,6 +343,83 @@ class TestExtendedRuleFixture:
     def test_extended_rule_is_not_a_calculus_member(self):
         for calc in CALCULI.values():
             assert Rule.LIMPL_EXT not in calc.rules
+
+
+def _lex_tower(tree: ProofTree, steps: int) -> ProofTree:
+    """tree under `steps` left exchanges at c=0, pos=0."""
+    for _ in range(steps):
+        s = tree.conclusion.components[0]
+        tree = ProofTree(
+            Hypersequent([Sequent(s.left[::-1], s.right)]),
+            RuleInstance(Rule.LEX, {"c": 0, "pos": 0}),
+            (tree,),
+        )
+    return tree
+
+
+def _goedel_projection(i: int) -> ProofTree:
+    """A Gödel proof of x, y ⊢ x (i = 0) or x, y ⊢ y (i = 1)."""
+    x, y = goedel_atom(1), goedel_atom(2)
+    tree = prove_bounded(GOEDEL, Hypersequent([Sequent((x, y), ((x, y)[i],))]), 4)
+    assert tree is not None
+    return tree
+
+
+def _nth_premise(tree: ProofTree, path) -> ProofTree:
+    for i in path:
+        tree = tree.premises[i]
+    return tree
+
+
+class TestDeepProofs:
+    """Checking and serialization do not recurse on the proof's depth."""
+
+    def test_3000_step_proof_checks_and_serializes(self):
+        base = _goedel_projection(0)
+        tree = _lex_tower(base, 3000)
+        check_proof(GOEDEL, tree)
+        doc = proof_to_json("goedel", tree)
+        node = doc["tree"]
+        for _ in range(3000):
+            assert node["rule"] == {"id": "lex", "params": {"c": 0, "pos": 0}}
+            (node,) = node["premises"]
+        assert node == proof_to_json("goedel", base)["tree"]
+
+    def test_serialization_matches_the_recursive_form(self):
+        def recursive(t):
+            return {
+                "conclusion": _hyper_to_json(t.conclusion),
+                "rule": {"id": t.rule.rule.value, "params": dict(t.rule.params)},
+                "premises": [recursive(p) for p in t.premises],
+            }
+
+        for seed in range(10):
+            tree = random_derivation(GOEDEL, f"json/{seed}", 5)
+            got = proof_to_json("goedel", tree)["tree"]
+            assert json.dumps(got) == json.dumps(recursive(tree))
+
+    def test_first_bad_node_in_pre_order_reports_its_path(self):
+        x, y = goedel_atom(1), goedel_atom(2)
+        tree = ProofTree(
+            Hypersequent([Sequent((x, y), (And((x, y)),))]),
+            RuleInstance(Rule.RAND, {"c": 0, "pos": 0}),
+            (_lex_tower(_goedel_projection(0), 2000),
+             _lex_tower(_goedel_projection(1), 2000)),
+        )
+        check_proof(GOEDEL, tree)
+        # a deep bad node under premise 0 comes before a shallow one under
+        # premise 1 in pre-order
+        deep = (0,) + (0,) * 1500
+        shallow = (1,) + (0,) * 10
+        for path in (deep, shallow):
+            _nth_premise(tree, path).rule.params["pos"] = 1
+        with pytest.raises(SchemaMismatch) as info:
+            check_proof(GOEDEL, tree)
+        assert info.value.path == deep
+        _nth_premise(tree, deep).rule.params["pos"] = 0
+        with pytest.raises(SchemaMismatch) as info:
+            check_proof(GOEDEL, tree)
+        assert info.value.path == shallow
 
 
 class TestSerialization:

@@ -9,6 +9,7 @@ from dlc.carriers import (
     Dual,
     DualCarrier,
     F64Carrier,
+    Tangents,
     XReal,
     XRealCarrier,
 )
@@ -105,3 +106,98 @@ class TestDual:
             return
         out = DualCarrier.abs(Dual(a, 1.0))
         assert out.tangent == (1.0 if a > 0 else -1.0)
+
+
+# ---------------------------------------------------------------------------
+# Vector tangents: each coordinate is computed as a scalar tangent would be
+
+vectors = st.lists(small, min_size=3, max_size=3).map(Tangents)
+# divisors whose square stays a normal float
+divisors = small.filter(lambda b: abs(b) > 1e-3)
+
+
+def _scalar_tangent(t, j: int) -> float:
+    return t.v[j] if isinstance(t, Tangents) else t
+
+
+def _assert_coordinatewise(op, *args):
+    """op over vector-tangent duals equals op over their j-th scalar duals,
+    bit for bit (float.hex tells 0.0 from -0.0)."""
+    out = op(*args)
+    for j in range(3):
+        ref = op(*(Dual(a.primal, _scalar_tangent(a.tangent, j)) for a in args))
+        assert out.primal.hex() == ref.primal.hex()
+        assert _scalar_tangent(out.tangent, j).hex() == ref.tangent.hex()
+
+
+C = DualCarrier
+BINARY = {
+    "add": C.add, "sub": C.sub, "mul": C.mul, "div": C.div,
+    "min2": C.min2, "max2": C.max2,
+    "dual+": lambda x, y: x + y, "dual-": lambda x, y: x - y,
+    "dual*": lambda x, y: x * y, "dual/": lambda x, y: x / y,
+}
+UNARY = {
+    "neg": C.neg, "abs": C.abs, "exp": C.exp, "dual-neg": lambda x: -x,
+    "dual-abs": abs,
+}
+
+
+class TestTangents:
+    @pytest.mark.parametrize("name", sorted(BINARY))
+    @given(a=divisors, b=divisors, ta=vectors, tb=vectors)
+    def test_binary_ops_coordinatewise(self, name, a, b, ta, tb):
+        op = BINARY[name]
+        _assert_coordinatewise(op, Dual(a, ta), Dual(b, tb))
+        # a lifted constant's scalar 0.0 tangent, on the right and the left
+        _assert_coordinatewise(op, Dual(a, ta), C.lift(b))
+        _assert_coordinatewise(op, C.lift(b), Dual(a, ta))
+
+    @pytest.mark.parametrize("name", sorted(UNARY))
+    @given(a=small, ta=vectors)
+    def test_unary_ops_coordinatewise(self, name, a, ta):
+        _assert_coordinatewise(UNARY[name], Dual(a, ta))
+
+    @given(a=st.just(0.0) | st.floats(1e-3, 5), e=st.floats(-2, 2), ta=vectors)
+    def test_rpow_coordinatewise(self, a, e, ta):
+        _assert_coordinatewise(lambda x: C.rpow(x, e), Dual(a, ta))
+
+    @given(a=divisors, b=divisors, ta=vectors)
+    def test_dual_float_operands_coordinatewise(self, a, b, ta):
+        for op in (lambda x: x + b, lambda x: b + x, lambda x: x - b,
+                   lambda x: b - x, lambda x: x * b, lambda x: b * x,
+                   lambda x: x / b, lambda x: b / x):
+            _assert_coordinatewise(op, Dual(a, ta))
+
+    @pytest.mark.parametrize("e", [1.0, 2.0, 0.5, 0.0])
+    def test_rpow_at_zero(self, e):
+        t = Tangents((1.0, -2.0, 0.0))
+        out = C.rpow(Dual(0.0, t), e)
+        _assert_coordinatewise(lambda x: C.rpow(x, e), Dual(0.0, t))
+        # slope 1 passes the tangent through; any other exponent gives 0
+        assert out.tangent == (t if e == 1.0 else 0.0)
+
+    @given(c=small, t=vectors, u=vectors)
+    def test_broadcast_on_either_side(self, c, t, u):
+        cases = [
+            (t + c, [x + c for x in t.v]), (c + t, [c + x for x in t.v]),
+            (t - c, [x - c for x in t.v]), (c - t, [c - x for x in t.v]),
+            (t * c, [x * c for x in t.v]), (c * t, [c * x for x in t.v]),
+            (-t, [-x for x in t.v]),
+            (t + u, [x + y for x, y in zip(t.v, u.v)]),
+            (t - u, [x - y for x, y in zip(t.v, u.v)]),
+            (t * u, [x * y for x, y in zip(t.v, u.v)]),
+        ]
+        if c != 0.0:
+            cases.append((t / c, [x / c for x in t.v]))
+        if 0.0 not in t.v:
+            cases.append((c / t, [c / x for x in t.v]))
+        if 0.0 not in u.v:
+            cases.append((t / u, [x / y for x, y in zip(t.v, u.v)]))
+        for got, want in cases:
+            assert isinstance(got, Tangents)
+            assert [x.hex() for x in got.v] == [x.hex() for x in want]
+
+    def test_unit_seeds(self):
+        assert Tangents.unit(1, 3) == Tangents((0.0, 1.0, 0.0))
+        assert Tangents.unit(0, 1).v == (1.0,)
