@@ -1403,12 +1403,14 @@ def prove_bounded(
     failed: Dict[Hypersequent, int] = {}
 
     def search(h, budget, streak, path):
+        # a memoized failure has no leaf, so the memo is consulted first;
+        # a node out of budget needs only the leaf scan
+        if budget > 0 and failed.get(h, -1) >= budget:
+            return None
         leaf = _leaf_for(calc, h)
         if leaf is not None:
             return leaf
         if budget <= 0:
-            return None
-        if failed.get(h, -1) >= budget:
             return None
         logical, structural = _backward_instances(calc, h)
         candidates = [(inst, False) for inst in logical]
@@ -1494,9 +1496,14 @@ def weak_completeness_suite(calc: CalculusDef, depth_budget: int = 12) -> dict:
 
 
 def _tree_depth(tree: ProofTree) -> int:
-    if not tree.premises:
-        return 1
-    return 1 + max(_tree_depth(p) for p in tree.premises)
+    """Nodes on the longest root-to-leaf path, from an explicit stack."""
+    deepest = 0
+    stack = [(tree, 1)]
+    while stack:
+        node, depth = stack.pop()
+        deepest = max(deepest, depth)
+        stack.extend((p, depth + 1) for p in node.premises)
+    return deepest
 
 
 # ---------------------------------------------------------------------------
@@ -1547,7 +1554,8 @@ def _decoding(what: str):
     """Map every error a malformed document raises to ValidationError."""
     try:
         yield
-    except (AttributeError, KeyError, TypeError, ValueError) as exc:
+    except (AttributeError, KeyError, TypeError, ValueError,
+            RecursionError) as exc:
         raise ValidationError(f"malformed {what}: {exc!r}") from exc
 
 
@@ -1594,15 +1602,28 @@ def _tree_to_json(t: ProofTree) -> dict:
 
 
 def _tree_from_json(d: dict) -> ProofTree:
-    params = dict(d["rule"].get("params", {}))
-    if not all(type(v) is int for v in params.values()):
-        raise ValidationError(f"rule parameters must be integers: {params!r}")
-    inst = RuleInstance(Rule(d["rule"]["id"]), params)
-    return ProofTree(
-        _hyper_from_json(d["conclusion"]),
-        inst,
-        tuple(_tree_from_json(p) for p in _json_list(d.get("premises", []))),
-    )
+    """The tree of nested dicts d, from an explicit stack.
+
+    Nodes are decoded in pre-order, so the first malformed one is the one
+    reported, and assembled bottom-up.
+    """
+    decoded = []  # (conclusion, rule instance, premise count) in pre-order
+    stack = [d]
+    while stack:
+        node = stack.pop()
+        params = dict(node["rule"].get("params", {}))
+        if not all(type(v) is int for v in params.values()):
+            raise ValidationError(f"rule parameters must be integers: {params!r}")
+        inst = RuleInstance(Rule(node["rule"]["id"]), params)
+        conclusion = _hyper_from_json(node["conclusion"])
+        premises = _json_list(node.get("premises", []))
+        decoded.append((conclusion, inst, len(premises)))
+        stack.extend(reversed(premises))
+    built: List[ProofTree] = []  # subtrees not yet attached, first premise on top
+    for conclusion, inst, n in reversed(decoded):
+        premises = tuple(built.pop() for _ in range(n))
+        built.append(ProofTree(conclusion, inst, premises))
+    return built.pop()
 
 
 def proof_to_json(calc_name: str, tree: ProofTree) -> dict:
@@ -1639,9 +1660,22 @@ def goal_from_json(doc) -> Hypersequent:
     return goal
 
 
-def load_proof(path):
+def _load_json(path, what: str):
+    """The JSON document at path; one nested too deeply for the stdlib
+    decoder raises ValidationError."""
     with open(path) as fh:
-        return proof_from_json(json.load(fh))
+        try:
+            return json.load(fh)
+        except RecursionError as exc:
+            raise ValidationError(f"malformed {what}: nested too deeply") from exc
+
+
+def load_proof(path):
+    return proof_from_json(_load_json(path, "proof document"))
+
+
+def load_goal(path) -> Hypersequent:
+    return goal_from_json(_load_json(path, "goal document"))
 
 
 def fixtures_dir():

@@ -12,7 +12,14 @@ the form ``scalar * tangent``, ``tangent ± tangent`` or ``tangent /
 scalar``, and every branch looks at primals only.  So each coordinate of
 a vector tangent goes through the float operations, in the order, that a
 scalar tangent seeded at that coordinate would.  A lifted constant keeps
-the scalar tangent ``0.0``, which ``Tangents`` broadcasts.
+the scalar tangent ``0.0``, which ``Tangents`` broadcasts.  Each dual
+primal is computed by the float expression ``F64Carrier`` uses, so a dual
+pass also yields the float value bit for bit.
+
+``affine(bias, row, xs)`` is one neuron's pre-activation: the left fold
+``acc = add(acc, mul(lift(w), x))`` from ``acc = lift(bias)``.  The dual
+carrier fuses that fold into one list per multiply-add, with the same
+float operations per coordinate.
 """
 
 from __future__ import annotations
@@ -237,6 +244,13 @@ class F64Carrier:
     def max2(a, b):
         return a if a >= b else b
 
+    @staticmethod
+    def affine(bias, row, xs):
+        acc = float(bias)
+        for w, x in zip(row, xs):
+            acc = acc + float(w) * x
+        return acc
+
     @classmethod
     def plus_inf(cls):
         raise CarrierError(f"carrier {cls.name} lacks +inf")
@@ -318,6 +332,14 @@ class XRealCarrier:
     def max2(a: XReal, b: XReal) -> XReal:
         return a if a.value >= b.value else b
 
+    @classmethod
+    def affine(cls, bias, row, xs) -> XReal:
+        # through add and mul, so that 0 * inf still raises
+        acc = cls.lift(bias)
+        for w, x in zip(row, xs):
+            acc = cls.add(acc, cls.mul(cls.lift(w), x))
+        return acc
+
     @staticmethod
     def plus_inf() -> XReal:
         return XR_PLUS_INF
@@ -395,6 +417,31 @@ class DualCarrier:
     @staticmethod
     def max2(a: Dual, b: Dual) -> Dual:
         return a if a.primal >= b.primal else b
+
+    @staticmethod
+    def affine(bias, row, xs) -> Dual:
+        # mul(lift(w), x) has tangent w * t + 0.0 * x.primal, and add sums
+        # it into the accumulator's; a scalar tangent is broadcast on
+        # either side, as Tangents does
+        p = float(bias)
+        t = 0.0  # the accumulator's tangent: a float or a list
+        for w, x in zip(row, xs):
+            w = float(w)
+            xp = x.primal
+            xt = x.tangent
+            z = 0.0 * xp
+            p = p + w * xp
+            if isinstance(xt, Tangents):
+                if type(t) is list:
+                    t = [a + (w * b + z) for a, b in zip(t, xt.v)]
+                else:
+                    t = [t + (w * b + z) for b in xt.v]
+            elif type(t) is list:
+                d = w * xt + z
+                t = [a + d for a in t]
+            else:
+                t = t + (w * xt + z)
+        return Dual(p, Tangents(t) if type(t) is list else t)
 
     @classmethod
     def plus_inf(cls):

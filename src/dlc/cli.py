@@ -17,7 +17,7 @@ from . import analysis, laws
 from .calculus import (
     CALCULI,
     check_proof,
-    goal_from_json,
+    load_goal,
     load_proof,
     proof_to_json,
     prove_bounded,
@@ -230,8 +230,7 @@ def _cmd_proof_check(args) -> int:
 
 def _cmd_proof_search(args) -> int:
     calc = CALCULI[args.calculus]
-    with open(args.goal) as fh:
-        goal = goal_from_json(json.load(fh))
+    goal = load_goal(args.goal)
     tree = prove_bounded(calc, goal, args.depth)
     report = {
         "version": "dlc-report/1",

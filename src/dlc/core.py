@@ -538,20 +538,32 @@ def walk(e: Expr) -> Iterator[Expr]:
 
 
 def validate_for_logic(e: Expr, logic: LogicId) -> None:
-    """Check every Bool node in e carries exactly the logic's flag profile."""
+    """Check every Bool node in e carries exactly the logic's flag profile.
+
+    The walk is in pre-order, so the first offending node is reported.
+    """
     profile = logic.flag_profile
-    for path, node in _walk_paths(e, ()):
-        if isinstance(node.tag, BoolT) and node.tag.flags != profile:
+    stack = [e]
+    while stack:
+        node = stack.pop()
+        tag = node.tag
+        if isinstance(tag, BoolT) and tag.flags != profile:
             raise FlagViolation(
-                f"node at path {path} carries flags {node.tag.flags}, "
+                f"node at path {_path_to(e, node)} carries flags {tag.flags}, "
                 f"expected {profile} for {logic.kind.value}"
             )
+        stack.extend(reversed(children_of(node)))
 
 
-def _walk_paths(e: Expr, path):
-    yield path, e
-    for i, c in enumerate(children_of(e)):
-        yield from _walk_paths(c, path + (i,))
+def _path_to(root: Expr, target: Expr) -> tuple:
+    """Child-index path of target's first occurrence in root, in pre-order."""
+    stack = [((), root)]
+    while stack:
+        path, node = stack.pop()
+        if node is target:
+            return path
+        kids = children_of(node)
+        stack.extend((path + (i,), kids[i]) for i in reversed(range(len(kids))))
 
 
 # ---------------------------------------------------------------------------

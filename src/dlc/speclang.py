@@ -592,14 +592,15 @@ class NetworkDef:
         return len(self.layers[-1].bias)
 
     def forward(self, xs, c=F64Carrier):
+        """The outputs over carrier c: ``c.affine`` per neuron, then ReLU
+        as ``c.max2(acc, c.zero)`` where the layer has it."""
         vals = list(xs)
         for layer in self.layers:
+            relu = layer.activation == "relu"
             nxt = []
             for row, b in zip(layer.weights, layer.bias):
-                acc = c.lift(b)
-                for w, x in zip(row, vals):
-                    acc = c.add(acc, c.mul(c.lift(w), x))
-                if layer.activation == "relu":
+                acc = c.affine(b, row, vals)
+                if relu:
                     acc = c.max2(acc, c.zero)
                 nxt.append(acc)
             vals = nxt
@@ -748,22 +749,33 @@ def eval_loss(
     """Loss value and, optionally, its gradient for one named vector.
 
     The gradient takes one dual-number pass whose tangents carry one
-    partial per coordinate of ``grad_wrt``.
+    partial per coordinate of ``grad_wrt``.  Over ``F64Carrier`` that
+    pass also gives the value: each dual primal is computed by the float
+    expression ``F64Carrier`` computes, so it is the float value bit for
+    bit.  Other carriers compute the value in a pass of their own.
     """
     env = env if env is not None else base_env()
     _check_bindings(doc, inputs)
     expr = elaborate(doc, logic, env)
-    value = interpret(logic, expr, _bound_env(env, inputs), carrier)
-    gradient = None
-    if grad_wrt is not None:
-        if grad_wrt not in inputs:
-            raise ValidationError(f"gradient target {grad_wrt!r} is unbound")
-        out = interpret(logic, expr, _bound_env(env, inputs, grad_wrt), DualCarrier)
-        tangent = out.tangent if isinstance(out, Dual) else 0.0
-        if isinstance(tangent, Tangents):
-            gradient = tangent.v
-        else:  # the goal does not depend on grad_wrt
-            gradient = (tangent,) * len(inputs[grad_wrt])
+    return _loss(logic, expr, inputs, env, carrier, grad_wrt)
+
+
+def _loss(logic, expr, inputs, env, carrier=F64Carrier, grad_wrt=None):
+    """``eval_loss`` of an elaborated goal under checked bindings."""
+    if grad_wrt is None:
+        return interpret(logic, expr, _bound_env(env, inputs), carrier), None
+    value = None
+    if carrier is not F64Carrier:
+        value = interpret(logic, expr, _bound_env(env, inputs), carrier)
+    if grad_wrt not in inputs:
+        raise ValidationError(f"gradient target {grad_wrt!r} is unbound")
+    out = interpret(logic, expr, _bound_env(env, inputs, grad_wrt), DualCarrier)
+    if value is None:
+        value = out.primal
+    if isinstance(out.tangent, Tangents):
+        gradient = out.tangent.v
+    else:  # the goal does not depend on grad_wrt
+        gradient = (out.tangent,) * len(inputs[grad_wrt])
     return value, gradient
 
 
@@ -798,9 +810,11 @@ def train_demo(
             raise ValidationError(f"training demo needs a binding for {need!r}")
     center = bound[center_name]
     radius = bound[radius_name][0]
+    _check_bindings(doc, bound)
+    expr = elaborate(doc, logic, env)
     trace = []
     for step in range(steps + 1):
-        loss, grad = eval_loss(logic, doc, bound, env, grad_wrt=x_name)
+        loss, grad = _loss(logic, expr, bound, env, grad_wrt=x_name)
         trace.append({"step": step, "loss": float(loss), "x": list(bound[x_name])})
         if step == steps:
             break
@@ -812,6 +826,7 @@ def train_demo(
             for xi, ci in zip(moved, center)
         )
         bound[x_name] = projected
+        _check_bindings(doc, bound)  # a shorter center shortens x
     return trace
 
 

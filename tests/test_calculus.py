@@ -17,6 +17,7 @@ from dlc.calculus import (
     check_proof,
     check_step,
     fixtures_dir,
+    goal_from_json,
     hypersequent_holds,
     limpl_ext_fixture,
     load_proof,
@@ -31,7 +32,8 @@ from dlc.calculus import (
     weak_completeness_goals,
     weak_completeness_suite,
 )
-from dlc.calculus import _atom, _hyper_to_json, _random_instance
+from dlc.calculus import _atom, _hyper_to_json, _random_instance, _tree_depth
+from dlc.cli import run
 from dlc.core import DL2, GODEL, LUKASIEWICZ, STL_INFTY, And, BoolConst, Impl
 from dlc.errors import (
     PremiseArityMismatch,
@@ -384,6 +386,44 @@ class TestDeepProofs:
             assert node["rule"] == {"id": "lex", "params": {"c": 0, "pos": 0}}
             (node,) = node["premises"]
         assert node == proof_to_json("goedel", base)["tree"]
+
+    def test_3000_step_proof_round_trips(self):
+        tree = _lex_tower(_goedel_projection(0), 3000)
+        assert _tree_depth(tree) == 3002  # 3,000 lex nodes over weakl, init
+        name, back = proof_from_json(proof_to_json("goedel", tree))
+        assert name == "goedel" and _tree_depth(back) == 3002
+        # node by node: == on the trees themselves recurses
+        pairs = [(tree, back)]
+        while pairs:
+            a, b = pairs.pop()
+            assert (a.conclusion, a.rule) == (b.conclusion, b.rule)
+            assert len(a.premises) == len(b.premises)
+            pairs.extend(zip(a.premises, b.premises))
+        check_proof(GOEDEL, back)
+
+    @pytest.mark.parametrize("command", ["check", "search"])
+    def test_document_too_deep_for_json_is_input_error(self, tmp_path, capsys,
+                                                       command):
+        depth = 100_000
+        path = tmp_path / "deep.json"
+        if command == "check":
+            path.write_text('{"version": "dlc-proof/1", "calculus": "goedel", '
+                            '"tree": ' + '{"premises": [' * depth
+                            + "]}" * depth + "}")
+            argv = ["proof", "check", str(path)]
+        else:
+            path.write_text('{"components": ' + "[" * depth + "]" * depth + "}")
+            argv = ["proof", "search", "--calculus", "goedel", "--goal",
+                    str(path)]
+        assert run(argv) == 2
+        assert "nested too deeply" in capsys.readouterr().err
+
+    def test_formula_too_deep_to_decode_is_validation_error(self):
+        formula = {"kind": "real", "value": 1.0}
+        for _ in range(5000):
+            formula = {"kind": "not", "child": formula}
+        with pytest.raises(ValidationError):
+            goal_from_json({"components": [{"left": [formula], "right": []}]})
 
     def test_serialization_matches_the_recursive_form(self):
         def recursive(t):

@@ -201,3 +201,87 @@ class TestTangents:
     def test_unit_seeds(self):
         assert Tangents.unit(1, 3) == Tangents((0.0, 1.0, 0.0))
         assert Tangents.unit(0, 1).v == (1.0,)
+
+
+# ---------------------------------------------------------------------------
+# affine: one neuron's pre-activation, equal to the explicit fold
+
+
+def _fold(c, bias, row, xs):
+    """The left fold of add and mul that affine stands for."""
+    acc = c.lift(bias)
+    for w, x in zip(row, xs):
+        acc = c.add(acc, c.mul(c.lift(w), x))
+    return acc
+
+
+def _hexes(t):
+    return [x.hex() for x in t.v] if isinstance(t, Tangents) else t.hex()
+
+
+signed_zeros = st.sampled_from([0.0, -0.0])
+entries = small | signed_zeros
+tangents = (st.lists(entries, min_size=3, max_size=3).map(Tangents)
+            | entries)
+duals = st.builds(Dual, small | signed_zeros, tangents)
+
+
+class TestAffine:
+    def _assert_dual_fold(self, bias, row, xs):
+        got = C.affine(bias, row, xs)
+        want = _fold(C, bias, row, xs)
+        assert got.primal.hex() == want.primal.hex()
+        assert type(got.tangent) is type(want.tangent)
+        assert _hexes(got.tangent) == _hexes(want.tangent)
+
+    @given(bias=entries, row=st.lists(entries, min_size=1, max_size=6),
+           xs=st.lists(duals, min_size=6, max_size=6))
+    def test_dual_equals_fold(self, bias, row, xs):
+        self._assert_dual_fold(bias, row, xs)
+
+    def test_dual_cases(self):
+        t = Tangents((1.0, -0.0, 0.5))
+        u = Tangents((-0.0, 0.0, -2.0))
+        relu_zero = C.max2(Dual(-0.5, t), C.zero)  # scalar 0.0 tangent
+        cases = [
+            (0.1, [2.0, -1.5], [Dual(1.5, t), Dual(-0.25, u)]),  # vectors
+            (0.0, [2.0, -3.0], [Dual(1.0, 0.0), Dual(-2.0, -0.0)]),  # scalars
+            (-0.1, [0.5, -0.7, 1.25], [relu_zero, Dual(2.0, u), relu_zero]),
+            (0.0, [-1.0, 2.0], [Dual(3.0, t), relu_zero]),
+            # 0.0 * primal is -0.0 at a negative primal, and the bias's 0.0
+            # tangent turns a -0.0 sum into 0.0
+            (0.0, [2.0], [Dual(-1.0, u)]),
+            (0.0, [-2.0], [Dual(0.0, u)]),
+            (0.0, [-2.0], [Dual(-0.0, -0.0)]),
+            # an overflowed primal makes 0.0 * primal NaN
+            (0.0, [1.0, 2.0], [Dual(1.0, t), Dual(math.inf, u)]),
+            (0.0, [1.0, 2.0], [Dual(1.0, t), Dual(-math.inf, 1.0)]),
+        ]
+        for bias, row, xs in cases:
+            self._assert_dual_fold(bias, row, xs)
+
+    @given(bias=entries, row=st.lists(entries, min_size=1, max_size=6),
+           xs=st.lists(finite | signed_zeros, min_size=6, max_size=6))
+    def test_f64_equals_fold(self, bias, row, xs):
+        got = F64Carrier.affine(bias, row, xs)
+        assert got.hex() == _fold(F64Carrier, bias, row, xs).hex()
+
+    @given(bias=entries, row=st.lists(entries, min_size=1, max_size=4),
+           xs=st.lists(finite | st.sampled_from([math.inf, -math.inf]),
+                       min_size=4, max_size=4))
+    def test_xreal_equals_fold(self, bias, row, xs):
+        xs = [XReal(x) for x in xs]
+        try:
+            want = _fold(XRealCarrier, bias, row, xs)
+        except CarrierError:
+            with pytest.raises(CarrierError):
+                XRealCarrier.affine(bias, row, xs)
+            return
+        assert XRealCarrier.affine(bias, row, xs).value.hex() == want.value.hex()
+
+    def test_xreal_zero_times_infinity_raises(self):
+        with pytest.raises(CarrierError):
+            XRealCarrier.affine(1.0, [2.0, 0.0], [XReal(1.0), XReal(math.inf)])
+        with pytest.raises(CarrierError):  # inf - inf
+            XRealCarrier.affine(0.0, [1.0, 1.0],
+                                [XReal(math.inf), XReal(-math.inf)])

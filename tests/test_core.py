@@ -16,6 +16,7 @@ from dlc.core import (
     STL_INFTY,
     And,
     BoolConst,
+    BoolT,
     App,
     Cmp,
     CmpOp,
@@ -116,6 +117,27 @@ class TestValidation:
         validate_for_logic(atom(DL2_FLAGS), DL2)
         validate_for_logic(atom(STL_FLAGS), stl(1.0))
         validate_for_logic(atom(FUZZY_FLAGS), STL_INFTY)
+
+    def test_violation_reports_the_first_offending_path(self):
+        fuzzy = ("ConnectiveFlags(neg=True, impl=True, monoid=True, "
+                 "lattice=True)")
+        dl2 = ("ConnectiveFlags(neg=False, impl=True, monoid=True, "
+               "lattice=True)")
+        with pytest.raises(FlagViolation) as info:
+            validate_for_logic(And((atom(), atom())), DL2)
+        assert str(info.value) == (
+            f"node at path () carries flags {fuzzy}, expected {dl2} for dl2")
+        # constructors give every Bool node its root's profile, so a wrong
+        # one below the root is planted by hand; a node shared by two
+        # subtrees is reported where pre-order meets it first
+        bad = atom(a=4.0)
+        tree = And((Or((atom(a=3.0), bad)), Not(bad)))
+        object.__setattr__(bad, "tag", BoolT(DL2_FLAGS))
+        with pytest.raises(FlagViolation) as info:
+            validate_for_logic(tree, GODEL)
+        assert str(info.value) == (
+            f"node at path (0, 1) carries flags {dl2}, expected {fuzzy} "
+            "for goedel")
 
     def test_yager_requires_positive_r(self):
         with pytest.raises(ValidationError):

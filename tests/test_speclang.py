@@ -6,7 +6,8 @@ import random
 import pytest
 from hypothesis import given, strategies as st
 
-from dlc.carriers import Dual, DualCarrier, F64Carrier, XRealCarrier
+from dlc import speclang
+from dlc.carriers import Dual, DualCarrier, F64Carrier, XReal, XRealCarrier
 from dlc.core import DL2, GODEL, PRODUCT, STL_INFTY, Impl, LogicKind, stl
 from dlc.errors import (
     ArityMismatch,
@@ -244,6 +245,14 @@ class TestEval:
         assert xr.value == pytest.approx(-0.05)
         assert value == pytest.approx(-0.05)
 
+    def test_xreal_gradient_keeps_the_xreal_value(self, doc, env):
+        xr, grad = eval_loss(STL_INFTY, doc, INPUTS, env, carrier=XRealCarrier,
+                             grad_wrt="x")
+        assert xr == eval_loss(STL_INFTY, doc, INPUTS, env,
+                               carrier=XRealCarrier)[0]
+        assert xr == XReal(-0.05)
+        assert grad == (-1.0, 0.0)
+
     def test_unbound_vector_rejected(self, doc, env):
         partial = dict(INPUTS)
         del partial["x"]
@@ -281,6 +290,18 @@ class TestTrainDemo:
         trace = train_demo(DL2, doc, INPUTS, env, steps=20, learning_rate=1.0)
         for t in trace:
             assert all(abs(xi) <= 0.2 + 1e-12 for xi in t["x"])
+
+    def test_elaborates_once_per_run(self, doc, env, monkeypatch):
+        calls = []
+
+        def counted(*args, **kwargs):
+            calls.append(args)
+            return elaborate(*args, **kwargs)
+
+        monkeypatch.setattr(speclang, "elaborate", counted)
+        trace = train_demo(DL2, doc, INPUTS, env, steps=10)
+        assert len(trace) == 11
+        assert len(calls) == 1
 
 
 def test_csv_bindings():
@@ -338,9 +359,9 @@ def _reference(logic, doc, inputs, env, wrt="x"):
 def _assert_matches_reference(logic, doc, inputs, env):
     value, grad = eval_loss(logic, doc, inputs, env, grad_wrt="x")
     ref_value, ref_grad = _reference(logic, doc, inputs, env)
-    assert value == ref_value
-    assert len(grad) == len(inputs["x"])
     # float.hex tells 0.0 from -0.0
+    assert value.hex() == ref_value.hex()
+    assert len(grad) == len(inputs["x"])
     assert [g.hex() for g in grad] == [g.hex() for g in ref_grad]
     return grad
 
