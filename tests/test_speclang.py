@@ -440,3 +440,15 @@ class TestGradientEquivalence:
         grad = _assert_matches_reference(stl(1.0), parse_spec(NEG_ROBUSTNESS),
                                          inputs, env)
         assert grad == (0.0, 0.0)
+
+    def test_dl2_tied_implication_keeps_the_left_tangents(self, env):
+        # x sits on the eps-box boundary and the conclusion holds, so the
+        # premise's comparison and the implication's max(a - b, 0) are both
+        # exact ties.  Ties keep the left tangent, so the gradient in x[0]
+        # is 1 although the loss is 0 on both sides of x[0] = 0.2.  A
+        # recorded finding, kept as is: the one dual pass must agree with
+        # the per-coordinate passes here too.
+        inputs = dict(INPUTS, x=(0.2, 0.0), delta=(0.3,))
+        grad = _assert_matches_reference(DL2, parse_spec(ROBUSTNESS), inputs, env)
+        assert grad == (1.0, 0.0)
+        assert eval_loss(DL2, parse_spec(ROBUSTNESS), inputs, env)[0] == 0.0
