@@ -37,7 +37,7 @@ from .core import (
     stl,
     yager,
 )
-from .errors import DlcError, StepError
+from .errors import DlcError, StepError, ValidationError
 from .speclang import (
     base_env,
     elaborate,
@@ -100,7 +100,16 @@ def _add_common_flags(p):
 
 
 def _emit(report: dict, out_path) -> None:
-    text = json.dumps(report, indent=2, default=str)
+    """Write the report as JSON; nothing is written if it cannot be."""
+    try:
+        text = json.dumps(report, indent=2, default=str, allow_nan=False)
+    except ValueError as exc:
+        raise ValidationError(
+            f"report holds NaN or an infinite number, which JSON cannot "
+            f"represent ({exc})"
+        ) from None
+    except RecursionError:
+        raise ValidationError("report is nested too deeply to write") from None
     if out_path:
         with open(out_path, "w") as fh:
             fh.write(text + "\n")

@@ -116,12 +116,17 @@ class Expr:
 
     # Structural hash, filled in by the first ``__hash__`` call (_hash_once).
     _hash = None
+    # Flag profile of the last passing ``validate_for_logic`` walk from
+    # this node as root; like _hash it is no field.
+    _validated = None
 
     def __getstate__(self):
         # str and Enum hashes differ between processes, so a cached hash
-        # must not travel with a pickled or copied node
+        # must not travel with a pickled or copied node; the validation
+        # memo stays behind too
         state = dict(self.__dict__)
         state.pop("_hash", None)
+        state.pop("_validated", None)
         return state
 
 
@@ -541,8 +546,13 @@ def validate_for_logic(e: Expr, logic: LogicId) -> None:
     """Check every Bool node in e carries exactly the logic's flag profile.
 
     The walk is in pre-order, so the first offending node is reported.
+    A walk that passes records the profile on e, and a later call with the
+    same root and profile returns at once; any other profile walks again.
+    The memo is sound because nodes are not mutated after construction.
     """
     profile = logic.flag_profile
+    if e._validated == profile:
+        return
     stack = [e]
     while stack:
         node = stack.pop()
@@ -553,6 +563,7 @@ def validate_for_logic(e: Expr, logic: LogicId) -> None:
                 f"expected {profile} for {logic.kind.value}"
             )
         stack.extend(reversed(children_of(node)))
+    object.__setattr__(e, "_validated", profile)
 
 
 def _path_to(root: Expr, target: Expr) -> tuple:

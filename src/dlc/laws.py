@@ -8,6 +8,7 @@ concrete counterexample witness.
 
 from __future__ import annotations
 
+import math
 import random
 from dataclasses import dataclass
 from enum import Enum
@@ -55,8 +56,18 @@ class LawReport:
             "samples_run": self.samples_run,
             "verdict": self.verdict,
             "tol": self.tol,
-            "witness": self.witness,
+            "witness": None if self.witness is None else {
+                k: [_json_number(x) for x in v] if isinstance(v, list)
+                else _json_number(v)
+                for k, v in self.witness.items()
+            },
         }
+
+
+def _json_number(v: float):
+    """An extended-real witness value as a report holds it: JSON has no
+    infinities, so they are written as the strings "inf" and "-inf"."""
+    return v if math.isfinite(v) else str(v)
 
 
 # ---------------------------------------------------------------------------

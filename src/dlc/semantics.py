@@ -194,7 +194,10 @@ def fold_nary(logic: LogicId, connective: str, values, carrier=F64Carrier):
     """Left fold of the binary clause over a value sequence."""
     if logic.kind is LogicKind.STL and connective in ("and", "or"):
         raise UndefinedConnective("soft logic folds use the dedicated n-ary forms")
-    ops = _binary_ops(logic, carrier)
+    return _fold(_binary_ops(logic, carrier), logic, connective, values)
+
+
+def _fold(ops: dict, logic: LogicId, connective: str, values):
     if connective not in ops:
         raise UndefinedConnective(f"{connective} undefined for {logic.kind.value}")
     op = ops[connective]
@@ -237,78 +240,166 @@ def _bool_const_value(logic: LogicId, value: bool, c):
 
 
 def interpret(logic: LogicId, e: Expr, env: Env = EMPTY_ENV, carrier=F64Carrier):
-    """Evaluate a validated expression under one logic and carrier."""
+    """Evaluate a validated expression under one logic and carrier.
+
+    ``validate_for_logic`` walks the whole tree only the first time a root
+    meets a profile; it relies on nodes not being mutated after
+    construction.  Evaluation dispatches on each node's type, and the
+    logic's op table is built at most once per call, by the first
+    negation, implication or n-ary node that needs it.
+    """
     validate_for_logic(e, logic)
-    return _eval(logic, e, env, carrier)
+    return _eval(e, _Run(logic, env, carrier))
 
 
-def _eval(logic: LogicId, e: Expr, env: Env, c):
-    if isinstance(e, RealConst):
-        return c.lift(e.value)
-    if isinstance(e, VecConst):
-        return tuple(c.lift(v) for v in e.values)
-    if isinstance(e, IndexConst):
-        return e.i
-    if isinstance(e, BoolConst):
-        return _bool_const_value(logic, e.value, c)
-    if isinstance(e, Lookup):
-        vec = _eval(logic, e.vec, env, c)
-        idx = _eval(logic, e.index, env, c)
-        return vec[idx]
-    if isinstance(e, FunRef):
-        try:
-            return env.functions[e.name]
-        except KeyError:
-            raise UnresolvedFunction(e.name) from None
-    if isinstance(e, Fun2Ref):
-        try:
-            return env.binary_functions[e.name]
-        except KeyError:
-            raise UnresolvedFunction(e.name) from None
-    if isinstance(e, App):
-        f = _eval(logic, e.fun, env, c)
-        arg = _eval(logic, e.arg, env, c)
-        out = tuple(f(arg, c) if _wants_carrier(f) else f(arg))
-        if len(out) != e.fun.tag.n:
-            raise ValidationError(
-                f"function returned arity {len(out)}, declared {e.fun.tag.n}"
-            )
-        return out
-    if isinstance(e, App2):
-        f = _eval(logic, e.fun, env, c)
-        a1 = _eval(logic, e.arg1, env, c)
-        a2 = _eval(logic, e.arg2, env, c)
-        out = tuple(f(a1, a2, c) if _wants_carrier(f) else f(a1, a2))
-        if len(out) != e.fun.tag.n:
-            raise ValidationError(
-                f"function returned arity {len(out)}, declared {e.fun.tag.n}"
-            )
-        return out
-    if isinstance(e, Cmp):
-        r1 = _eval(logic, e.left, env, c)
-        r2 = _eval(logic, e.right, env, c)
-        return _cmp_value(logic, e.op, r1, r2, c)
-    if isinstance(e, Not):
-        x = _eval(logic, e.child, env, c)
-        ops = _binary_ops(logic, c)
-        if "not" not in ops:
-            raise UndefinedConnective(f"negation undefined for {logic.kind.value}")
-        return ops["not"](x)
-    if isinstance(e, Impl):
-        x = _eval(logic, e.left, env, c)
-        y = _eval(logic, e.right, env, c)
-        ops = _binary_ops(logic, c)
-        if "impl" not in ops:
-            raise UndefinedConnective(f"implication undefined for {logic.kind.value}")
-        return ops["impl"](x, y)
-    if isinstance(e, (And, Or, MAnd, MOr)):
-        vals = [_eval(logic, ch, env, c) for ch in e.children]
-        conn = {And: "and", Or: "or", MAnd: "mand", MOr: "mor"}[type(e)]
-        if logic.kind is LogicKind.STL:
-            kind = "conj" if conn == "and" else "disj"
-            return stl_nary_c(c, kind, logic.nu, vals)
-        return fold_nary(logic, conn, vals, carrier=c)
+class _Run:
+    """The state of one ``interpret`` call."""
+
+    __slots__ = ("logic", "env", "c", "_ops")
+
+    def __init__(self, logic: LogicId, env: Env, c):
+        self.logic = logic
+        self.env = env
+        self.c = c
+        self._ops = None
+
+    def ops(self) -> dict:
+        if self._ops is None:
+            self._ops = _binary_ops(self.logic, self.c)
+        return self._ops
+
+
+class _Dispatch(dict):
+    """Node type -> evaluator; a subclass uses its base's evaluator."""
+
+    def __missing__(self, cls):
+        for base in cls.__mro__[1:]:
+            if base in self:
+                return self[base]
+        return _uninterpretable
+
+
+def _eval(e: Expr, run: _Run):
+    return _EVAL[type(e)](e, run)
+
+
+def _uninterpretable(e, run):
     raise ValidationError(f"uninterpretable node {e!r}")
+
+
+def _eval_real(e, run):
+    return run.c.lift(e.value)
+
+
+def _eval_vec(e, run):
+    lift = run.c.lift
+    return tuple(lift(v) for v in e.values)
+
+
+def _eval_index(e, run):
+    return e.i
+
+
+def _eval_bool(e, run):
+    return _bool_const_value(run.logic, e.value, run.c)
+
+
+def _eval_lookup(e, run):
+    vec = _EVAL[type(e.vec)](e.vec, run)
+    idx = _EVAL[type(e.index)](e.index, run)
+    return vec[idx]
+
+
+def _eval_fun(e, run):
+    try:
+        return run.env.functions[e.name]
+    except KeyError:
+        raise UnresolvedFunction(e.name) from None
+
+
+def _eval_fun2(e, run):
+    try:
+        return run.env.binary_functions[e.name]
+    except KeyError:
+        raise UnresolvedFunction(e.name) from None
+
+
+def _eval_app(e, run):
+    f = _EVAL[type(e.fun)](e.fun, run)
+    arg = _EVAL[type(e.arg)](e.arg, run)
+    out = tuple(f(arg, run.c) if _wants_carrier(f) else f(arg))
+    if len(out) != e.fun.tag.n:
+        raise ValidationError(
+            f"function returned arity {len(out)}, declared {e.fun.tag.n}"
+        )
+    return out
+
+
+def _eval_app2(e, run):
+    f = _EVAL[type(e.fun)](e.fun, run)
+    a1 = _EVAL[type(e.arg1)](e.arg1, run)
+    a2 = _EVAL[type(e.arg2)](e.arg2, run)
+    out = tuple(f(a1, a2, run.c) if _wants_carrier(f) else f(a1, a2))
+    if len(out) != e.fun.tag.n:
+        raise ValidationError(
+            f"function returned arity {len(out)}, declared {e.fun.tag.n}"
+        )
+    return out
+
+
+def _eval_cmp(e, run):
+    r1 = _EVAL[type(e.left)](e.left, run)
+    r2 = _EVAL[type(e.right)](e.right, run)
+    return _cmp_value(run.logic, e.op, r1, r2, run.c)
+
+
+def _eval_not(e, run):
+    x = _EVAL[type(e.child)](e.child, run)
+    ops = run.ops()
+    if "not" not in ops:
+        raise UndefinedConnective(f"negation undefined for {run.logic.kind.value}")
+    return ops["not"](x)
+
+
+def _eval_impl(e, run):
+    x = _EVAL[type(e.left)](e.left, run)
+    y = _EVAL[type(e.right)](e.right, run)
+    ops = run.ops()
+    if "impl" not in ops:
+        raise UndefinedConnective(
+            f"implication undefined for {run.logic.kind.value}"
+        )
+    return ops["impl"](x, y)
+
+
+def _eval_nary(e, run):
+    vals = [_EVAL[type(ch)](ch, run) for ch in e.children]
+    conn = _NARY_NAMES[type(e)]
+    logic = run.logic
+    if logic.kind is LogicKind.STL:
+        kind = "conj" if conn == "and" else "disj"
+        return stl_nary_c(run.c, kind, logic.nu, vals)
+    return _fold(run.ops(), logic, conn, vals)
+
+
+# Op-table name of each n-ary node type.
+_NARY_NAMES = {And: "and", Or: "or", MAnd: "mand", MOr: "mor"}
+
+_EVAL = _Dispatch({
+    RealConst: _eval_real,
+    VecConst: _eval_vec,
+    IndexConst: _eval_index,
+    BoolConst: _eval_bool,
+    Lookup: _eval_lookup,
+    FunRef: _eval_fun,
+    Fun2Ref: _eval_fun2,
+    App: _eval_app,
+    App2: _eval_app2,
+    Cmp: _eval_cmp,
+    Not: _eval_not,
+    Impl: _eval_impl,
+    **{cls: _eval_nary for cls in _NARY_NAMES},
+})
 
 
 def _wants_carrier(f) -> bool:

@@ -140,8 +140,18 @@ class SpecDoc:
     networks: Tuple[Tuple[str, int, int], ...]
     goal: object
 
+    # Elaborated goal per flag profile, filled in by ``_goal``.  It is no
+    # field, so ``==``, ``hash`` and ``repr`` never see it.
+    _goals = None
+
     def vector_arity(self, name: str) -> int:
         return dict(self.vectors)[name]
+
+    def __getstate__(self):
+        # a pickled or copied doc starts without elaborated goals
+        state = dict(self.__dict__)
+        state.pop("_goals", None)
+        return state
 
 
 # ---------------------------------------------------------------------------
@@ -486,11 +496,7 @@ def elaborate(doc: SpecDoc, logic: LogicId, env: Optional[Env] = None) -> Expr:
     vecs = dict(doc.vectors)
     nets = {n: (m, k) for n, m, k in doc.networks}
     if env is not None:
-        for name in nets:
-            if name not in env.functions:
-                raise UndeclaredIdentifier(
-                    f"network {name!r} not present in the environment"
-                )
+        _check_networks(doc, env)
 
     def vec(e) -> Expr:
         if isinstance(e, VName):
@@ -532,6 +538,33 @@ def elaborate(doc: SpecDoc, logic: LogicId, env: Optional[Env] = None) -> Expr:
         raise ValidationError(f"not a formula: {f!r}")
 
     return formula(doc.goal)
+
+
+def _check_networks(doc: SpecDoc, env: Env) -> None:
+    for name, _, _ in doc.networks:
+        if name not in env.functions:
+            raise UndeclaredIdentifier(
+                f"network {name!r} not present in the environment"
+            )
+
+
+def _goal(doc: SpecDoc, logic: LogicId, env: Env) -> Expr:
+    """``elaborate(doc, logic, env)``, lowered once per doc and profile.
+
+    Elaboration reads only the logic's flag profile, so the goal is kept
+    on ``doc`` under that profile.  The environment is checked on every
+    call.
+    """
+    _check_networks(doc, env)
+    goals = doc._goals
+    if goals is None:
+        goals = {}
+        object.__setattr__(doc, "_goals", goals)
+    profile = logic.flag_profile
+    expr = goals.get(profile)
+    if expr is None:
+        expr = goals[profile] = elaborate(doc, logic)
+    return expr
 
 
 # ---------------------------------------------------------------------------
@@ -753,10 +786,17 @@ def eval_loss(
     pass also gives the value: each dual primal is computed by the float
     expression ``F64Carrier`` computes, so it is the float value bit for
     bit.  Other carriers compute the value in a pass of their own.
+
+    The goal is elaborated once per ``doc`` object and flag profile and
+    kept on the doc, so repeated calls on one doc skip elaboration, and
+    ``interpret`` skips the full validation walk of a goal it has already
+    validated.  Both memos assume that nodes and docs are not mutated
+    after construction.  Whether ``env`` holds every declared network is
+    checked on every call.
     """
     env = env if env is not None else base_env()
     _check_bindings(doc, inputs)
-    expr = elaborate(doc, logic, env)
+    expr = _goal(doc, logic, env)
     return _loss(logic, expr, inputs, env, carrier, grad_wrt)
 
 
@@ -811,7 +851,7 @@ def train_demo(
     center = bound[center_name]
     radius = bound[radius_name][0]
     _check_bindings(doc, bound)
-    expr = elaborate(doc, logic, env)
+    expr = _goal(doc, logic, env)
     trace = []
     for step in range(steps + 1):
         loss, grad = _loss(logic, expr, bound, env, grad_wrt=x_name)

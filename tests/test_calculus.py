@@ -33,7 +33,7 @@ from dlc.calculus import (
     weak_completeness_suite,
 )
 from dlc.calculus import _atom, _hyper_to_json, _random_instance, _tree_depth
-from dlc.cli import run
+from dlc.cli import _emit, run
 from dlc.core import DL2, GODEL, LUKASIEWICZ, STL_INFTY, And, BoolConst, Impl
 from dlc.errors import (
     PremiseArityMismatch,
@@ -386,6 +386,13 @@ class TestDeepProofs:
             assert node["rule"] == {"id": "lex", "params": {"c": 0, "pos": 0}}
             (node,) = node["premises"]
         assert node == proof_to_json("goedel", base)["tree"]
+
+    def test_3000_step_proof_is_too_deep_to_write(self, tmp_path):
+        doc = proof_to_json("goedel", _lex_tower(_goedel_projection(0), 3000))
+        out = tmp_path / "proof.json"
+        with pytest.raises(ValidationError, match="nested too deeply to write"):
+            _emit(doc, str(out))
+        assert not out.exists()
 
     def test_3000_step_proof_round_trips(self):
         tree = _lex_tower(_goedel_projection(0), 3000)

@@ -47,6 +47,26 @@ class TestEval:
         assert run(["eval", "nope.spec", "--inputs", INPUTS,
                     "--logic", "dl2"]) == 2
 
+    def test_infinite_loss_is_input_error(self, tmp_path, capsys):
+        # weights of 1e308 overflow the conclusion's norm, so the DL2 loss
+        # is -inf, which a JSON report cannot hold
+        net = tmp_path / "huge.json"
+        net.write_text(json.dumps({"version": "dlc-net/1", "layers": [
+            {"weights": [[1e308, 0.0], [0.0, 1e308]], "bias": [0.0, 0.0],
+             "activation": "identity"}]}))
+        inputs = tmp_path / "in.json"
+        inputs.write_text(json.dumps(
+            {"v": [10, 10], "x": [10, -10], "eps": 0.5, "delta": 0.1}))
+        argv = ["eval", SPEC, "--inputs", str(inputs), "--net", f"N={net}",
+                "--logic", "dl2", "--grad", "x"]
+        assert run(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "infinite" in captured.err
+        out = tmp_path / "r.json"
+        assert run(argv + ["--out", str(out)]) == 2
+        assert not out.exists()
+
     def test_nan_binding_is_input_error(self, tmp_path):
         inputs = tmp_path / "in.json"
         inputs.write_text('{"v": [0.0, 0.0], "x": [NaN, 0.0], "eps": 0.2, '

@@ -4,8 +4,9 @@ import dataclasses
 import pickle
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
+from dlc import core
 from dlc.core import (
     ALL_FUZZY,
     DL2,
@@ -44,6 +45,7 @@ from dlc.errors import (
     ArityMismatch,
     FlagViolation,
     IndexOutOfRange,
+    TypeMismatch,
     ValidationError,
 )
 
@@ -139,6 +141,27 @@ class TestValidation:
             f"node at path (0, 1) carries flags {dl2}, expected {fuzzy} "
             "for goedel")
 
+    def test_passing_walk_is_remembered_per_profile(self):
+        tree = And((atom(), Not(atom())))
+        validate_for_logic(tree, GODEL)
+        assert tree._validated == FUZZY_FLAGS
+        validate_for_logic(tree, STL_INFTY)  # same profile: no walk
+        with pytest.raises(FlagViolation):
+            validate_for_logic(tree, DL2)
+        assert tree._validated == FUZZY_FLAGS
+        assert "_validated" not in vars(pickle.loads(pickle.dumps(tree)))
+
+    def test_memo_skips_the_walk_for_the_same_profile(self, monkeypatch):
+        tree = And((atom(), Not(atom())))
+        validate_for_logic(tree, GODEL)
+        seen = []
+        monkeypatch.setattr(core, "children_of",
+                            lambda e: seen.append(e) or children_of(e))
+        validate_for_logic(tree, GODEL)
+        assert seen == []
+        validate_for_logic(tree.children[1], GODEL)  # a new root walks
+        assert len(seen) == 4  # Not, Cmp and its two literals
+
     def test_yager_requires_positive_r(self):
         with pytest.raises(ValidationError):
             yager(0.0)
@@ -223,3 +246,87 @@ def test_hash_contract(profile, depth, seed):
         assert hash(node) == hash(fields)
     assert expr_to_text(a) == text and repr(a) == shown
     assert "_hash" not in vars(pickle.loads(pickle.dumps(a)))
+
+
+# ---------------------------------------------------------------------------
+# The constructor flag contract: a built formula carries one profile
+
+
+BINARY_CONNECTIVES = [And, Or, MAnd, MOr, Impl]
+# connective -> the flag it needs
+NEEDS = {And: "lattice", Or: "lattice", MAnd: "monoid", MOr: "monoid",
+         Not: "neg", Impl: "impl"}
+
+
+def _build(cls, children):
+    if cls is Not:
+        return Not(children[0])
+    if cls is Impl:
+        return Impl(children[0], children[1])
+    return cls(children)
+
+
+def _formulas(profile):
+    """Hypothesis formulas built only from connectives profile defines."""
+    literal = st.floats(0.1, 10.0)
+    leaves = [st.builds(lambda op, a, b: Cmp(op, RealConst(a), RealConst(b),
+                                             profile),
+                        st.sampled_from(list(CmpOp)), literal, literal)]
+    if profile.impl:
+        leaves.append(st.booleans().map(lambda v: BoolConst(v, profile)))
+
+    def extend(kids):
+        allowed = [cls for cls, flag in NEEDS.items() if getattr(profile, flag)]
+        return st.one_of([
+            st.lists(kids, min_size=1 if cls not in (Not, Impl) else 2,
+                     max_size=3).map(lambda cs, cls=cls: _build(cls, cs))
+            for cls in allowed
+        ])
+
+    return st.recursive(st.one_of(leaves), extend, max_leaves=6)
+
+
+# these tests draw formulas in the test body, where Hypothesis's deadline
+# counts the drawing too
+BODY_DRAWS = settings(deadline=None)
+
+
+def _two_profiles():
+    return st.permutations(PROFILES).map(lambda ps: ps[:2])
+
+
+@BODY_DRAWS
+@given(data=st.data(), cls=st.sampled_from(BINARY_CONNECTIVES),
+       profiles=_two_profiles())
+def test_constructors_reject_mixed_profiles(data, cls, profiles):
+    p, q = profiles
+    kids = [data.draw(_formulas(p)), data.draw(_formulas(q))]
+    if cls is not Impl:
+        kids += data.draw(st.lists(_formulas(p) | _formulas(q), max_size=2))
+    order = data.draw(st.permutations(kids))
+    with pytest.raises(TypeMismatch):
+        _build(cls, order)
+
+
+@BODY_DRAWS
+@given(data=st.data(), profile=st.sampled_from(PROFILES),
+       cls=st.sampled_from(list(NEEDS)))
+def test_undefined_connectives_raise_flag_violation(data, profile, cls):
+    kids = data.draw(st.lists(_formulas(profile), min_size=2, max_size=3))
+    if getattr(profile, NEEDS[cls]):
+        assert _build(cls, kids).tag == BoolT(profile)
+    else:
+        with pytest.raises(FlagViolation):
+            _build(cls, kids)
+
+
+@BODY_DRAWS
+@given(data=st.data(), profile=st.sampled_from(PROFILES))
+def test_every_node_carries_the_root_profile(data, profile):
+    root = data.draw(_formulas(profile))
+    assert root.tag == BoolT(profile)
+    for node in walk(root):
+        if isinstance(node.tag, BoolT):
+            assert node.tag.flags == root.tag.flags
+    validate_for_logic(root, {FUZZY_FLAGS: GODEL, DL2_FLAGS: DL2,
+                              STL_FLAGS: stl(1.0)}[profile])

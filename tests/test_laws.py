@@ -1,5 +1,8 @@
 """Algebraic law matrix: expected verdicts, witnesses, residuation."""
 
+import json
+import math
+
 import pytest
 
 from dlc.core import ALL_FUZZY, DL2, GODEL, LUKASIEWICZ, PRODUCT, STL_INFTY, stl, yager
@@ -39,6 +42,15 @@ def test_no_cells_carry_witnesses(matrix):
             assert bad or na, f"{logic}/{group} marked no without a reason"
             for cell in bad:
                 assert cell["witness"] is not None
+
+
+def test_infinite_witness_values_are_written_as_text():
+    # STL-inf negation fails N1 at x = -1: the right side is -inf there
+    rep = check_axiom_values(STL_INFTY, AxiomId.N1, 60, seed=7)
+    assert rep.verdict == "counterexample" and rep.witness["rhs"] == -math.inf
+    cell = rep.to_json()["witness"]
+    assert cell == {"xs": [-1.0], "lhs": 1.0, "rhs": "-inf"}
+    json.dumps(cell, allow_nan=False)
 
 
 def test_goedel_idempotence_passes():

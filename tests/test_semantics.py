@@ -3,32 +3,67 @@
 import math
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
-from dlc.carriers import F64Carrier, XReal, XRealCarrier
+from dlc import semantics
+from dlc.carriers import (
+    Dual,
+    DualCarrier,
+    F64Carrier,
+    Tangents,
+    XReal,
+    XRealCarrier,
+)
 from dlc.core import (
     ALL_FUZZY,
     DL2,
+    DL2_FLAGS,
+    FUZZY_FLAGS,
     GODEL,
     LUKASIEWICZ,
     PRODUCT,
+    REAL,
+    STL_FLAGS,
     STL_INFTY,
+    And,
+    App,
+    App2,
     BoolConst,
     Cmp,
     CmpOp,
+    Expr,
+    Fun2Ref,
+    FunRef,
     Impl,
+    IndexConst,
+    LogicKind,
+    Lookup,
     MAnd,
+    MOr,
     Not,
+    Or,
     RealConst,
+    VecConst,
+    random_formula,
     stl,
+    walk,
     yager,
 )
-from dlc.errors import UndefinedConnective, ValidationError
+from dlc.errors import UndefinedConnective, UnresolvedFunction, ValidationError
 from dlc.semantics import (
+    EMPTY_ENV,
+    Env,
     _binary_ops,
+    _bool_const_value,
+    _cmp_value,
+    _eval,
+    _Run,
+    _wants_carrier,
+    carrier_aware,
     fold_nary,
     interpret,
     stl_nary,
+    stl_nary_c,
 )
 
 unit = st.floats(0, 1, allow_nan=False)
@@ -189,3 +224,214 @@ class TestFoldNary:
 def test_dl2_negation_is_undefined_at_value_level():
     ops = _binary_ops(DL2, F64Carrier)
     assert "not" not in ops
+
+
+# ---------------------------------------------------------------------------
+# The type-dispatched evaluator equals the recursive isinstance chain it
+# replaced, bit for bit, down to every carrier call
+
+
+def _reference_eval(logic, e, env, c):
+    """The recursive evaluator ``interpret`` used before type dispatch."""
+    if isinstance(e, RealConst):
+        return c.lift(e.value)
+    if isinstance(e, VecConst):
+        return tuple(c.lift(v) for v in e.values)
+    if isinstance(e, IndexConst):
+        return e.i
+    if isinstance(e, BoolConst):
+        return _bool_const_value(logic, e.value, c)
+    if isinstance(e, Lookup):
+        vec = _reference_eval(logic, e.vec, env, c)
+        idx = _reference_eval(logic, e.index, env, c)
+        return vec[idx]
+    if isinstance(e, FunRef):
+        try:
+            return env.functions[e.name]
+        except KeyError:
+            raise UnresolvedFunction(e.name) from None
+    if isinstance(e, Fun2Ref):
+        try:
+            return env.binary_functions[e.name]
+        except KeyError:
+            raise UnresolvedFunction(e.name) from None
+    if isinstance(e, App):
+        f = _reference_eval(logic, e.fun, env, c)
+        arg = _reference_eval(logic, e.arg, env, c)
+        out = tuple(f(arg, c) if _wants_carrier(f) else f(arg))
+        if len(out) != e.fun.tag.n:
+            raise ValidationError(
+                f"function returned arity {len(out)}, declared {e.fun.tag.n}"
+            )
+        return out
+    if isinstance(e, App2):
+        f = _reference_eval(logic, e.fun, env, c)
+        a1 = _reference_eval(logic, e.arg1, env, c)
+        a2 = _reference_eval(logic, e.arg2, env, c)
+        out = tuple(f(a1, a2, c) if _wants_carrier(f) else f(a1, a2))
+        if len(out) != e.fun.tag.n:
+            raise ValidationError(
+                f"function returned arity {len(out)}, declared {e.fun.tag.n}"
+            )
+        return out
+    if isinstance(e, Cmp):
+        r1 = _reference_eval(logic, e.left, env, c)
+        r2 = _reference_eval(logic, e.right, env, c)
+        return _cmp_value(logic, e.op, r1, r2, c)
+    if isinstance(e, Not):
+        x = _reference_eval(logic, e.child, env, c)
+        ops = _binary_ops(logic, c)
+        if "not" not in ops:
+            raise UndefinedConnective(f"negation undefined for {logic.kind.value}")
+        return ops["not"](x)
+    if isinstance(e, Impl):
+        x = _reference_eval(logic, e.left, env, c)
+        y = _reference_eval(logic, e.right, env, c)
+        ops = _binary_ops(logic, c)
+        if "impl" not in ops:
+            raise UndefinedConnective(f"implication undefined for {logic.kind.value}")
+        return ops["impl"](x, y)
+    if isinstance(e, (And, Or, MAnd, MOr)):
+        vals = [_reference_eval(logic, ch, env, c) for ch in e.children]
+        conn = {And: "and", Or: "or", MAnd: "mand", MOr: "mor"}[type(e)]
+        if logic.kind is LogicKind.STL:
+            kind = "conj" if conn == "and" else "disj"
+            return stl_nary_c(c, kind, logic.nu, vals)
+        return fold_nary(logic, conn, vals, carrier=c)
+    raise ValidationError(f"uninterpretable node {e!r}")
+
+
+class _Recording:
+    """A carrier that logs each method call with its operands."""
+
+    def __init__(self, carrier, log):
+        self.carrier, self.log = carrier, log
+        self.one, self.zero = carrier.one, carrier.zero
+
+    def __getattr__(self, name):
+        method = getattr(self.carrier, name)
+
+        def call(*args):
+            self.log.append((name, repr(args)))
+            return method(*args)
+
+        return call
+
+
+def _with_inputs(e):
+    """e with its i-th real literal read as coordinate i of input ``in``,
+    and the literals in order."""
+    literals = [node.value for node in walk(e) if isinstance(node, RealConst)]
+    n = max(len(literals), 1)
+    slot = App(FunRef("in", 1, n), VecConst((0.0,)))
+    at = iter(range(n))
+
+    def rebuild(node):
+        if isinstance(node, RealConst):
+            return Lookup(slot, IndexConst(next(at), n))
+        if isinstance(node, Cmp):
+            return Cmp(node.op, rebuild(node.left), rebuild(node.right),
+                       node.tag.flags)
+        if isinstance(node, Not):
+            return Not(rebuild(node.child))
+        if isinstance(node, Impl):
+            return Impl(rebuild(node.left), rebuild(node.right))
+        if isinstance(node, (And, Or, MAnd, MOr)):
+            return type(node)([rebuild(ch) for ch in node.children])
+        return node
+
+    return rebuild(e), literals or [0.0]
+
+
+def _input_env(literals, carrier):
+    """``in`` yields the literals; over duals coordinate j carries the j-th
+    unit tangent."""
+
+    @carrier_aware
+    def read(_arg, c):
+        if carrier is DualCarrier:
+            n = len(literals)
+            return tuple(Dual(v, Tangents.unit(j, n))
+                         for j, v in enumerate(literals))
+        return tuple(c.lift(v) for v in literals)
+
+    return Env(functions={"in": read})
+
+
+def _fingerprint(v):
+    if isinstance(v, float):
+        return v.hex()
+    if isinstance(v, XReal):
+        return ("xreal", v.value.hex())
+    t = v.tangent
+    tangent = [x.hex() for x in t.v] if isinstance(t, Tangents) else t.hex()
+    return ("dual", v.primal.hex(), tangent)
+
+
+def _outcome(evaluate):
+    log = []
+    try:
+        return _fingerprint(evaluate(log)), log
+    except Exception as exc:  # the same error must come from both sides
+        return (type(exc), str(exc)), log
+
+
+SEVEN_LOGICS = [GODEL, LUKASIEWICZ, yager(2.0), PRODUCT, DL2, stl(1.0),
+                STL_INFTY]
+CARRIERS = [F64Carrier, XRealCarrier, DualCarrier]
+PROFILES = [FUZZY_FLAGS, DL2_FLAGS, STL_FLAGS]
+
+
+# one example makes 42 recorded evaluations; a deep formula takes longer
+# than Hypothesis's default 200 ms deadline on a loaded host
+@settings(deadline=None)
+@given(profile=st.sampled_from(PROFILES), depth=st.integers(0, 4),
+       seed=st.integers(0, 10_000), over_inputs=st.booleans())
+def test_dispatch_matches_the_recursive_evaluator(profile, depth, seed,
+                                                  over_inputs):
+    """Every logic meets every profile, so undefined connectives and
+    constants (falsum under DL2, implication under STL) raise on both
+    sides; validation is skipped to reach them."""
+    e = random_formula(profile, depth, seed)
+    literals = [0.0]
+    if over_inputs:  # literals read from an input, so dual tangents move
+        e, literals = _with_inputs(e)
+    for carrier in CARRIERS:
+        env = _input_env(literals, carrier)
+        for logic in SEVEN_LOGICS:
+            new = _outcome(lambda log: _eval(
+                e, _Run(logic, env, _Recording(carrier, log))))
+            old = _outcome(lambda log: _reference_eval(
+                logic, e, env, _Recording(carrier, log)))
+            assert new == old
+            if profile == logic.flag_profile:
+                assert _outcome(lambda log: interpret(
+                    logic, e, env, carrier))[0] == old[0]
+
+
+def test_op_table_is_built_once_per_call_and_only_when_needed(monkeypatch):
+    builds = []
+
+    def counted(logic, c):
+        builds.append(logic)
+        return _binary_ops(logic, c)
+
+    monkeypatch.setattr(semantics, "_binary_ops", counted)
+    prof = GODEL.flag_profile
+    x = Cmp(CmpOp.LE, RealConst(1.0), RealConst(2.0), prof)
+    interpret(GODEL, x)
+    assert builds == []
+    interpret(GODEL, MAnd((Not(x), Impl(x, Not(x)), Or((x, x)))))
+    assert builds == [GODEL]
+
+
+def test_unknown_node_is_uninterpretable():
+    class Odd(RealConst):
+        pass
+
+    class Stray(Expr):
+        pass
+
+    assert interpret(GODEL, Odd(0.5)) == 0.5  # a subclass keeps its base's rule
+    with pytest.raises(ValidationError, match="uninterpretable node"):
+        _eval(Stray(REAL), _Run(GODEL, EMPTY_ENV, F64Carrier))

@@ -1,6 +1,7 @@
 """Surface language: parsing, pretty-printing, elaboration, evaluation."""
 
 import json
+import pickle
 import random
 
 import pytest
@@ -302,6 +303,72 @@ class TestTrainDemo:
         trace = train_demo(DL2, doc, INPUTS, env, steps=10)
         assert len(trace) == 11
         assert len(calls) == 1
+
+
+class TestGoalCache:
+    """``eval_loss`` elaborates once per doc object and flag profile."""
+
+    @pytest.fixture()
+    def elaborations(self, monkeypatch):
+        calls = []
+
+        def counted(doc, logic, env=None):
+            calls.append(logic)
+            return elaborate(doc, logic, env)
+
+        monkeypatch.setattr(speclang, "elaborate", counted)
+        return calls
+
+    def test_ten_calls_elaborate_once(self, doc, env, elaborations):
+        for i in range(10):
+            eval_loss(DL2, doc, INPUTS, env, grad_wrt="x" if i % 2 else None)
+        assert elaborations == [DL2]
+
+    def test_cache_is_keyed_on_the_flag_profile(self, doc, env, elaborations):
+        eval_loss(PRODUCT, doc, INPUTS, env)
+        eval_loss(STL_INFTY, doc, INPUTS, env, carrier=XRealCarrier)
+        assert elaborations == [PRODUCT]  # same profile, same goal
+        eval_loss(DL2, doc, INPUTS, env)
+        assert elaborations == [PRODUCT, DL2]
+        other = parse_spec(ROBUSTNESS)  # an equal doc is another object
+        eval_loss(DL2, other, INPUTS, env)
+        assert elaborations == [PRODUCT, DL2, DL2]
+
+    def test_cached_goal_gives_the_same_outputs(self, doc, env):
+        fresh = [eval_loss(logic, parse_spec(ROBUSTNESS), INPUTS, env,
+                           grad_wrt="x") for logic in (DL2, PRODUCT)]
+        for _ in range(2):
+            cached = [eval_loss(logic, doc, INPUTS, env, grad_wrt="x")
+                      for logic in (DL2, PRODUCT)]
+            assert [(v.hex(), [g.hex() for g in grad]) for v, grad in cached] \
+                == [(v.hex(), [g.hex() for g in grad]) for v, grad in fresh]
+
+    def test_environment_is_checked_on_every_call(self, doc, env):
+        eval_loss(DL2, doc, INPUTS, env)
+        with pytest.raises(UndeclaredIdentifier, match="'N' not present"):
+            eval_loss(DL2, doc, INPUTS, base_env())
+        with pytest.raises(UndeclaredIdentifier):
+            train_demo(DL2, doc, INPUTS, base_env())
+
+    def test_failed_elaboration_is_not_cached(self, doc, env, elaborations):
+        for _ in range(2):
+            with pytest.raises(FlagViolation):
+                eval_loss(stl(1.0), doc, INPUTS, env)
+        assert len(elaborations) == 2
+
+    def test_cache_is_invisible_to_equality_hash_repr_and_pickle(self, doc, env):
+        twin = parse_spec(ROBUSTNESS)
+        before = (hash(doc), repr(doc), pickle.dumps(doc))
+        eval_loss(DL2, doc, INPUTS, env)
+        eval_loss(PRODUCT, doc, INPUTS, env)
+        assert doc._goals
+        assert doc == twin and hash(doc) == hash(twin)
+        assert (hash(doc), repr(doc), pickle.dumps(doc)) == before
+        back = pickle.loads(pickle.dumps(doc))
+        assert back == doc and repr(back) == repr(doc)
+        assert "_goals" not in vars(back) and back._goals is None
+        assert eval_loss(DL2, back, INPUTS, env)[0] == \
+            eval_loss(DL2, doc, INPUTS, env)[0]
 
 
 def test_csv_bindings():
