@@ -1554,8 +1554,7 @@ def _decoding(what: str):
     """Map every error a malformed document raises to ValidationError."""
     try:
         yield
-    except (AttributeError, KeyError, TypeError, ValueError,
-            RecursionError) as exc:
+    except (AttributeError, KeyError, TypeError, ValueError) as exc:
         raise ValidationError(f"malformed {what}: {exc!r}") from exc
 
 

@@ -8,10 +8,11 @@ generic.
 A dual number's tangent is a float or a ``Tangents`` vector holding one
 partial per seeded coordinate, so a whole gradient takes one pass.  The
 dual operations are written once for both: every tangent expression has
-the form ``scalar * tangent``, ``tangent ± tangent`` or ``tangent /
-scalar``, and every branch looks at primals only.  So each coordinate of
-a vector tangent goes through the float operations, in the order, that a
-scalar tangent seeded at that coordinate would.  A lifted constant keeps
+the form ``scalar * tangent``, ``tangent ± tangent``, ``tangent /
+scalar``, or the min, max or abs of tangents entry by entry, and every
+branch looks at primals only.  So each coordinate of a vector tangent
+goes through the float operations, in the order, that a scalar tangent
+seeded at that coordinate would.  A lifted constant keeps
 the scalar tangent ``0.0``, which ``Tangents`` broadcasts.  Each dual
 primal is computed by the float expression ``F64Carrier`` uses, so a dual
 pass also yields the float value bit for bit.
@@ -72,8 +73,9 @@ class Tangents:
     """A tangent vector: one partial derivative per seeded coordinate.
 
     ``+``, ``-``, ``*`` and ``/`` act elementwise on two vectors of the
-    same length and broadcast a float operand on either side; each entry
-    is computed as the same float expression a scalar tangent would be.
+    same length and broadcast a float operand on either side, and ``abs``
+    acts elementwise; each entry is computed as the same float expression
+    a scalar tangent would be.
     """
 
     __slots__ = ("v",)
@@ -130,6 +132,9 @@ class Tangents:
     def __neg__(self):
         return Tangents([-t for t in self.v])
 
+    def __abs__(self):
+        return Tangents([abs(t) for t in self.v])
+
 
 @dataclass(frozen=True)
 class Dual:
@@ -147,44 +152,43 @@ class Dual:
         return x if isinstance(x, Dual) else Dual(float(x), 0.0)
 
     def __add__(self, other):
-        o = Dual._coerce(other)
-        return Dual(self.primal + o.primal, self.tangent + o.tangent)
+        return DualCarrier.add(self, Dual._coerce(other))
 
     __radd__ = __add__
 
     def __sub__(self, other):
-        o = Dual._coerce(other)
-        return Dual(self.primal - o.primal, self.tangent - o.tangent)
+        return DualCarrier.sub(self, Dual._coerce(other))
 
     def __rsub__(self, other):
-        return Dual._coerce(other).__sub__(self)
+        return DualCarrier.sub(Dual._coerce(other), self)
 
     def __mul__(self, other):
-        o = Dual._coerce(other)
-        return Dual(
-            self.primal * o.primal,
-            self.primal * o.tangent + self.tangent * o.primal,
-        )
+        return DualCarrier.mul(self, Dual._coerce(other))
 
     __rmul__ = __mul__
 
     def __truediv__(self, other):
-        o = Dual._coerce(other)
-        return Dual(
-            self.primal / o.primal,
-            (self.tangent * o.primal - self.primal * o.tangent)
-            / (o.primal * o.primal),
-        )
+        return DualCarrier.div(self, Dual._coerce(other))
 
     def __rtruediv__(self, other):
-        return Dual._coerce(other).__truediv__(self)
+        return DualCarrier.div(Dual._coerce(other), self)
 
     def __neg__(self):
-        return Dual(-self.primal, -self.tangent)
+        return DualCarrier.neg(self)
 
     def __abs__(self):
-        s = -1.0 if self.primal < 0 else 1.0
-        return Dual(abs(self.primal), s * self.tangent)
+        return DualCarrier.abs(self)
+
+
+def _elementwise(f, a, b):
+    """f on two tangents, entry by entry; a float is broadcast."""
+    if isinstance(a, Tangents):
+        if isinstance(b, Tangents):
+            return Tangents(map(f, a.v, b.v))
+        return Tangents([f(t, b) for t in a.v])
+    if isinstance(b, Tangents):
+        return Tangents([f(a, t) for t in b.v])
+    return f(a, b)
 
 
 class F64Carrier:
@@ -350,7 +354,15 @@ class XRealCarrier:
 
 
 class DualCarrier:
-    """Forward-mode dual numbers; min/max break ties toward the left."""
+    """Forward-mode dual numbers.
+
+    At a kink (``min2``/``max2`` of tied primals, ``abs`` at zero) each
+    tangent coordinate is the directional derivative along the seeded
+    coordinate's positive direction: the min, max or abs of the tangents
+    entry by entry (lexicographic differentiation, Nesterov, Math.
+    Program. 2005).  Wherever the one-sided derivatives agree, that is the
+    partial derivative.
+    """
 
     name = "dual"
     has_infinity = False
@@ -391,9 +403,10 @@ class DualCarrier:
 
     @staticmethod
     def abs(a: Dual) -> Dual:
-        # |x| at 0: treat as the right derivative (sign +1), keeping totality
-        s = -1.0 if a.primal < 0 else 1.0
-        return Dual(abs(a.primal), s * a.tangent)
+        p = a.primal
+        if p == 0.0:
+            return Dual(abs(p), abs(a.tangent))
+        return Dual(abs(p), (-1.0 if p < 0 else 1.0) * a.tangent)
 
     @staticmethod
     def exp(a: Dual) -> Dual:
@@ -411,12 +424,17 @@ class DualCarrier:
 
     @staticmethod
     def min2(a: Dual, b: Dual) -> Dual:
-        # exact tie keeps the LEFT argument's tangent
-        return a if a.primal <= b.primal else b
+        ap, bp = a.primal, b.primal
+        if ap == bp:
+            return Dual(ap, _elementwise(min, a.tangent, b.tangent))
+        return a if ap <= bp else b
 
     @staticmethod
     def max2(a: Dual, b: Dual) -> Dual:
-        return a if a.primal >= b.primal else b
+        ap, bp = a.primal, b.primal
+        if ap == bp:
+            return Dual(ap, _elementwise(max, a.tangent, b.tangent))
+        return a if ap >= bp else b
 
     @staticmethod
     def affine(bias, row, xs) -> Dual:

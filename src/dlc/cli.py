@@ -389,7 +389,14 @@ def run(argv) -> int:
     except (DlcError, OSError, json.JSONDecodeError, KeyError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except RecursionError as exc:
+        print(f"error: input nested too deeply to process ({exc})", file=sys.stderr)
+        return 2
 
 
 def main() -> None:
     sys.exit(run(sys.argv[1:]))
+
+
+if __name__ == "__main__":
+    main()

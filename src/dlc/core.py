@@ -11,8 +11,9 @@ from __future__ import annotations
 
 import json
 import random
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from enum import Enum
+from operator import attrgetter
 from typing import Iterator, Optional, Sequence, Union
 
 from .errors import (
@@ -114,7 +115,7 @@ class CmpOp(Enum):
 class Expr:
     tag: TypeTag
 
-    # Structural hash, filled in by the first ``__hash__`` call (_hash_once).
+    # Structural hash, filled in by the first ``__hash__`` call (_cached_hash).
     _hash = None
     # Flag profile of the last passing ``validate_for_logic`` walk from
     # this node as root; like _hash it is no field.
@@ -130,26 +131,78 @@ class Expr:
         return state
 
 
-def _hash_once(cls):
-    """Make cls cache its dataclass-generated hash on first use.
+# dlc-ast/1 kind -> node class, filled in by the @_node declarations
+NODES: dict = {}
+# kind -> the constructor arguments the kind itself stands for (Cmp's op)
+_KIND_ARGS: dict = {}
 
-    ``@dataclass(frozen=True)`` writes a ``__hash__`` into each decorated
-    class that walks the whole subtree on every call, so each node class
-    replaces its own.  The cached value is the generated one, so set and
-    dict layouts are unchanged; it is no field, so ``__eq__``, ``repr`` and
-    serialization never see it.  Nothing is hashed at construction.
+
+def _node(kind, kids=(), flags=False):
+    """Declare a node class, as a frozen dataclass whose constructor is its
+    own (or its base's); everything generic about nodes derives from this.
+
+    ``kind`` is the class's dlc-ast/1 kind, or an Enum whose member values
+    are its kinds; the class's first field then holds the member, and its
+    constructor takes it first.  ``kids`` names the fields holding child
+    nodes, in document and constructor order; a str instead names the one
+    field holding a tuple of them, written as a JSON list.  ``flags`` says
+    whether the document carries the node's flag profile, which the
+    constructor takes last.  Every other field but ``tag`` is payload,
+    written as is (a tuple as a list) and passed in field order.
     """
-    field_hash = cls.__hash__
 
-    def __hash__(self):
-        h = self._hash
-        if h is None:
-            h = field_hash(self)
-            object.__setattr__(self, "_hash", h)
+    def declare(cls):
+        cls = dataclass(frozen=True, init=False)(cls)
+        names = [f.name for f in fields(cls)[1:]]  # all but tag
+        if isinstance(kind, str):
+            NODES[kind] = cls
+            kind_of = attrgetter("KIND")
+        else:
+            for member in kind:
+                NODES[member.value] = cls
+                _KIND_ARGS[member.value] = (member,)
+            kind_of = attrgetter(names.pop(0) + ".value")
+        kid_fields = (kids,) if isinstance(kids, str) else kids
+        if isinstance(kids, str) or len(kids) > 1:
+            cls._kids = attrgetter(*kid_fields)
+        elif kids:
+            get = attrgetter(kids[0])
+            cls._kids = lambda e: (get(e),)
+        else:
+            cls._kids = lambda e: ()
+        cls.KIND = kind
+        payload = tuple(n for n in names if n not in kid_fields)
+        cls._codec = (kind_of, payload, kids, flags)
+        # the generated hash, cached per node by _cached_hash
+        cls._field_hash = cls.__hash__
+        cls.__hash__ = _cached_hash
+        return cls
+
+    return declare
+
+
+def _cached_hash(self) -> int:
+    """The dataclass-generated hash of self, computed once per node.
+
+    The nodes below self whose hash is not cached yet are hashed in
+    post-order from an explicit stack, so each generated hash finds its
+    children's cached: the value is unchanged, and no call recurses on the
+    formula's depth.  Nothing is hashed at construction.
+    """
+    h = self._hash
+    if h is not None:
         return h
-
-    cls.__hash__ = __hash__
-    return cls
+    stack = [(self, iter(children_of(self)))]
+    while stack:
+        node, kids = stack[-1]
+        for c in kids:
+            if c._hash is None:
+                stack.append((c, iter(children_of(c))))
+                break
+        else:
+            stack.pop()
+            object.__setattr__(node, "_hash", node._field_hash())
+    return self._hash
 
 
 def _bool_flags(e: Expr, what: str) -> ConnectiveFlags:
@@ -168,8 +221,7 @@ def _shared_flags(children: Sequence[Expr], what: str) -> ConnectiveFlags:
     return flags
 
 
-@_hash_once
-@dataclass(frozen=True)
+@_node("bool", flags=True)
 class BoolConst(Expr):
     value: bool
 
@@ -178,8 +230,7 @@ class BoolConst(Expr):
         object.__setattr__(self, "tag", BoolT(flags))
 
 
-@_hash_once
-@dataclass(frozen=True)
+@_node("real")
 class RealConst(Expr):
     value: float
 
@@ -188,8 +239,7 @@ class RealConst(Expr):
         object.__setattr__(self, "tag", REAL)
 
 
-@_hash_once
-@dataclass(frozen=True)
+@_node("index")
 class IndexConst(Expr):
     i: int
     n: int
@@ -202,8 +252,7 @@ class IndexConst(Expr):
         object.__setattr__(self, "tag", IndexT(n))
 
 
-@_hash_once
-@dataclass(frozen=True)
+@_node("vec")
 class VecConst(Expr):
     values: tuple
 
@@ -215,59 +264,44 @@ class VecConst(Expr):
         object.__setattr__(self, "tag", VectorT(len(vals)))
 
 
+@dataclass(frozen=True)
 class _Nary(Expr):
-    """Base for n-ary boolean connectives; subclasses set FLAG/NAME."""
+    """Base for n-ary boolean connectives; subclasses set FLAG."""
 
+    children: tuple
     FLAG = ""
-    NAME = ""
 
     def __init__(self, children: Sequence[Expr]):
         children = tuple(children)
-        flags = _shared_flags(children, self.NAME)
+        name = type(self).__name__
+        flags = _shared_flags(children, name)
         if not getattr(flags, self.FLAG):
-            raise FlagViolation(f"{self.NAME} undefined under flag profile {flags}")
+            raise FlagViolation(f"{name} undefined under flag profile {flags}")
         object.__setattr__(self, "children", children)
         object.__setattr__(self, "tag", BoolT(flags))
 
 
-@_hash_once
-@dataclass(frozen=True)
+@_node("and", kids="children")
 class And(_Nary):
-    children: tuple
     FLAG = "lattice"
-    NAME = "And"
-    __init__ = _Nary.__init__
 
 
-@_hash_once
-@dataclass(frozen=True)
+@_node("or", kids="children")
 class Or(_Nary):
-    children: tuple
     FLAG = "lattice"
-    NAME = "Or"
-    __init__ = _Nary.__init__
 
 
-@_hash_once
-@dataclass(frozen=True)
+@_node("mand", kids="children")
 class MAnd(_Nary):
-    children: tuple
     FLAG = "monoid"
-    NAME = "MAnd"
-    __init__ = _Nary.__init__
 
 
-@_hash_once
-@dataclass(frozen=True)
+@_node("mor", kids="children")
 class MOr(_Nary):
-    children: tuple
     FLAG = "monoid"
-    NAME = "MOr"
-    __init__ = _Nary.__init__
 
 
-@_hash_once
-@dataclass(frozen=True)
+@_node("not", kids=("child",))
 class Not(Expr):
     child: Expr
 
@@ -279,8 +313,7 @@ class Not(Expr):
         object.__setattr__(self, "tag", BoolT(flags))
 
 
-@_hash_once
-@dataclass(frozen=True)
+@_node("impl", kids=("left", "right"))
 class Impl(Expr):
     left: Expr
     right: Expr
@@ -294,8 +327,7 @@ class Impl(Expr):
         object.__setattr__(self, "tag", BoolT(flags))
 
 
-@_hash_once
-@dataclass(frozen=True)
+@_node(CmpOp, kids=("left", "right"), flags=True)
 class Cmp(Expr):
     op: CmpOp
     left: Expr
@@ -311,8 +343,7 @@ class Cmp(Expr):
         object.__setattr__(self, "tag", BoolT(flags))
 
 
-@_hash_once
-@dataclass(frozen=True)
+@_node("fun")
 class FunRef(Expr):
     name: str
     m: int
@@ -325,8 +356,7 @@ class FunRef(Expr):
         object.__setattr__(self, "tag", FunT(m, n))
 
 
-@_hash_once
-@dataclass(frozen=True)
+@_node("fun2")
 class Fun2Ref(Expr):
     name: str
     l: int
@@ -347,8 +377,7 @@ def _vec_arity(e: Expr, what: str) -> int:
     return e.tag.n
 
 
-@_hash_once
-@dataclass(frozen=True)
+@_node("app", kids=("fun", "arg"))
 class App(Expr):
     fun: Expr
     arg: Expr
@@ -365,8 +394,7 @@ class App(Expr):
         object.__setattr__(self, "tag", VectorT(fun.tag.n))
 
 
-@_hash_once
-@dataclass(frozen=True)
+@_node("app2", kids=("fun", "arg1", "arg2"))
 class App2(Expr):
     fun: Expr
     arg1: Expr
@@ -385,8 +413,7 @@ class App2(Expr):
         object.__setattr__(self, "tag", VectorT(fun.tag.n))
 
 
-@_hash_once
-@dataclass(frozen=True)
+@_node("lookup", kids=("vec", "index"))
 class Lookup(Expr):
     vec: Expr
     index: Expr
@@ -473,73 +500,21 @@ ALL_FUZZY = (GODEL, LUKASIEWICZ, yager(2.0), PRODUCT)
 
 
 # ---------------------------------------------------------------------------
-# Generic construction / traversal
-
-
-_NARY_KINDS = {"and": And, "or": Or, "mand": MAnd, "mor": MOr}
-
-
-def build_node(kind: str, children: Sequence, extra=None) -> Expr:
-    """Uniform node constructor; validates flags, arities and child tags."""
-    k = kind.lower()
-    if k in _NARY_KINDS:
-        return _NARY_KINDS[k](tuple(children))
-    if k == "not":
-        (c,) = children
-        return Not(c)
-    if k == "impl":
-        a, b = children
-        return Impl(a, b)
-    if k in ("le", "eq"):
-        a, b = children
-        return Cmp(CmpOp(k), a, b, extra)
-    if k == "bool":
-        return BoolConst(children[0], extra)
-    if k == "real":
-        return RealConst(children[0])
-    if k == "vec":
-        return VecConst(children)
-    if k == "index":
-        i, n = children
-        return IndexConst(i, n)
-    if k == "fun":
-        name, m, n = children
-        return FunRef(name, m, n)
-    if k == "fun2":
-        name, l, m, n = children
-        return Fun2Ref(name, l, m, n)
-    if k == "app":
-        f, a = children
-        return App(f, a)
-    if k == "app2":
-        f, a, b = children
-        return App2(f, a, b)
-    if k == "lookup":
-        v, i = children
-        return Lookup(v, i)
-    raise ValidationError(f"unknown node kind {kind!r}")
+# Traversal
 
 
 def children_of(e: Expr) -> tuple:
-    if isinstance(e, (And, Or, MAnd, MOr)):
-        return e.children
-    if isinstance(e, Not):
-        return (e.child,)
-    if isinstance(e, (Impl, Cmp)):
-        return (e.left, e.right)
-    if isinstance(e, App):
-        return (e.fun, e.arg)
-    if isinstance(e, App2):
-        return (e.fun, e.arg1, e.arg2)
-    if isinstance(e, Lookup):
-        return (e.vec, e.index)
-    return ()
+    """The child nodes of e, in the order its declaration names them."""
+    return type(e)._kids(e)
 
 
 def walk(e: Expr) -> Iterator[Expr]:
-    yield e
-    for c in children_of(e):
-        yield from walk(c)
+    """e and every node below it, in pre-order."""
+    stack = [e]
+    while stack:
+        node = stack.pop()
+        yield node
+        stack.extend(reversed(children_of(node)))
 
 
 def validate_for_logic(e: Expr, logic: LogicId) -> None:
@@ -632,7 +607,7 @@ def _random_formula(profile: ConnectiveFlags, depth: int, rng: random.Random) ->
         )
     width = rng.randint(1, 3)
     kids = tuple(_random_formula(profile, depth - 1, rng) for _ in range(width))
-    return _NARY_KINDS[k](kids)
+    return NODES[k](kids)
 
 
 # ---------------------------------------------------------------------------
@@ -648,95 +623,77 @@ def _flags_from_json(d: dict) -> ConnectiveFlags:
 
 
 def _node_to_json(e: Expr) -> dict:
-    if isinstance(e, BoolConst):
-        return {"kind": "bool", "value": e.value, "flags": _flags_to_json(e.tag.flags)}
-    if isinstance(e, RealConst):
-        return {"kind": "real", "value": e.value}
-    if isinstance(e, IndexConst):
-        return {"kind": "index", "i": e.i, "n": e.n}
-    if isinstance(e, VecConst):
-        return {"kind": "vec", "values": list(e.values)}
-    if isinstance(e, (And, Or, MAnd, MOr)):
-        kind = {And: "and", Or: "or", MAnd: "mand", MOr: "mor"}[type(e)]
-        return {"kind": kind, "children": [_node_to_json(c) for c in e.children]}
-    if isinstance(e, Not):
-        return {"kind": "not", "child": _node_to_json(e.child)}
-    if isinstance(e, Impl):
-        return {
-            "kind": "impl",
-            "left": _node_to_json(e.left),
-            "right": _node_to_json(e.right),
-        }
-    if isinstance(e, Cmp):
-        return {
-            "kind": e.op.value,
-            "left": _node_to_json(e.left),
-            "right": _node_to_json(e.right),
-            "flags": _flags_to_json(e.tag.flags),
-        }
-    if isinstance(e, FunRef):
-        return {"kind": "fun", "name": e.name, "m": e.m, "n": e.n}
-    if isinstance(e, Fun2Ref):
-        return {"kind": "fun2", "name": e.name, "l": e.l, "m": e.m, "n": e.n}
-    if isinstance(e, App):
-        return {"kind": "app", "fun": _node_to_json(e.fun), "arg": _node_to_json(e.arg)}
-    if isinstance(e, App2):
-        return {
-            "kind": "app2",
-            "fun": _node_to_json(e.fun),
-            "arg1": _node_to_json(e.arg1),
-            "arg2": _node_to_json(e.arg2),
-        }
-    if isinstance(e, Lookup):
-        return {
-            "kind": "lookup",
-            "vec": _node_to_json(e.vec),
-            "index": _node_to_json(e.index),
-        }
-    raise ValidationError(f"unserializable node {e!r}")
+    """The dlc-ast/1 document of e, written from an explicit stack."""
+    root: dict = {}
+    stack = [(e, root)]
+    while stack:
+        node, out = stack.pop()
+        try:
+            kind_of, payload, kids, flags = node._codec
+        except AttributeError:
+            raise ValidationError(f"unserializable node {node!r}") from None
+        out["kind"] = kind_of(node)
+        for name in payload:
+            value = getattr(node, name)
+            out[name] = list(value) if type(value) is tuple else value
+        if kids:
+            children = children_of(node)
+            if isinstance(kids, str):
+                docs = out[kids] = [{} for _ in children]
+            else:
+                docs = [out.setdefault(name, {}) for name in kids]
+            stack += zip(reversed(children), reversed(docs))
+        if flags:
+            out["flags"] = _flags_to_json(node.tag.flags)
+    return root
 
 
-def _node_from_json(d: dict) -> Expr:
+def _open_node(d) -> tuple:
+    """(class, constructor arguments so far, list its children go to,
+    iterator over its child documents, d) for the node document d; reads
+    d's kind and payload, and each child document only when it is next."""
     try:
         kind = d["kind"]
     except (TypeError, KeyError) as exc:
         raise ValidationError(f"malformed node document: {d!r}") from exc
-    if kind == "bool":
-        return BoolConst(d["value"], _flags_from_json(d["flags"]))
-    if kind == "real":
-        return RealConst(d["value"])
-    if kind == "index":
-        return IndexConst(d["i"], d["n"])
-    if kind == "vec":
-        return VecConst(d["values"])
-    if kind in _NARY_KINDS:
-        return _NARY_KINDS[kind]([_node_from_json(c) for c in d["children"]])
-    if kind == "not":
-        return Not(_node_from_json(d["child"]))
-    if kind == "impl":
-        return Impl(_node_from_json(d["left"]), _node_from_json(d["right"]))
-    if kind in ("le", "eq"):
-        return Cmp(
-            CmpOp(kind),
-            _node_from_json(d["left"]),
-            _node_from_json(d["right"]),
-            _flags_from_json(d["flags"]),
-        )
-    if kind == "fun":
-        return FunRef(d["name"], d["m"], d["n"])
-    if kind == "fun2":
-        return Fun2Ref(d["name"], d["l"], d["m"], d["n"])
-    if kind == "app":
-        return App(_node_from_json(d["fun"]), _node_from_json(d["arg"]))
-    if kind == "app2":
-        return App2(
-            _node_from_json(d["fun"]),
-            _node_from_json(d["arg1"]),
-            _node_from_json(d["arg2"]),
-        )
-    if kind == "lookup":
-        return Lookup(_node_from_json(d["vec"]), _node_from_json(d["index"]))
-    raise ValidationError(f"unknown node kind {kind!r}")
+    cls = NODES.get(kind)
+    if cls is None:
+        raise ValidationError(f"unknown node kind {kind!r}")
+    _, payload, kids, _ = cls._codec
+    args = list(_KIND_ARGS.get(kind, ()))
+    for name in payload:
+        args.append(d[name])
+    if isinstance(kids, str):
+        out: list = []
+        args.append(out)
+        return cls, args, out, iter(d[kids]), d
+    return cls, args, args, map(d.__getitem__, kids), d
+
+
+def _node_from_json(doc) -> Expr:
+    """The node of a dlc-ast/1 document, decoded from an explicit stack.
+
+    Reads happen in the order a depth-first decoder makes them: a node's
+    kind and payload, then each child document in turn, then its flags;
+    a node is built once its children are.  So a malformed document
+    raises what that decoder would raise.
+    """
+    stack = []
+    frame = _open_node(doc)
+    while True:
+        cls, args, _, docs, d = frame
+        for kid in docs:
+            stack.append(frame)
+            frame = _open_node(kid)
+            break
+        else:
+            if cls._codec[3]:
+                args.append(_flags_from_json(d["flags"]))
+            node = cls(*args)
+            if not stack:
+                return node
+            frame = stack.pop()
+            frame[2].append(node)
 
 
 def expr_to_text(e: Expr) -> str:

@@ -61,7 +61,8 @@ def _stl_conj_c(carrier, nu: float, values):
     pmin = p(m)
     nu_c = carrier.lift(nu)
     if pmin == 0.0:
-        return carrier.zero
+        # +0.0, with the minimum's tangent: the slope there is the minimum's
+        return carrier.add(m, carrier.zero)
     num = None
     den = None
     for v in values:
@@ -374,16 +375,13 @@ def _eval_impl(e, run):
 
 def _eval_nary(e, run):
     vals = [_EVAL[type(ch)](ch, run) for ch in e.children]
-    conn = _NARY_NAMES[type(e)]
+    conn = type(e).KIND
     logic = run.logic
     if logic.kind is LogicKind.STL:
         kind = "conj" if conn == "and" else "disj"
         return stl_nary_c(run.c, kind, logic.nu, vals)
     return _fold(run.ops(), logic, conn, vals)
 
-
-# Op-table name of each n-ary node type.
-_NARY_NAMES = {And: "and", Or: "or", MAnd: "mand", MOr: "mor"}
 
 _EVAL = _Dispatch({
     RealConst: _eval_real,
@@ -398,7 +396,7 @@ _EVAL = _Dispatch({
     Cmp: _eval_cmp,
     Not: _eval_not,
     Impl: _eval_impl,
-    **{cls: _eval_nary for cls in _NARY_NAMES},
+    **dict.fromkeys((And, Or, MAnd, MOr), _eval_nary),
 })
 
 

@@ -47,14 +47,11 @@ from .core import (
     FunRef,
     Impl,
     IndexConst,
-    And,
     LogicId,
     LogicKind,
     Lookup,
-    MAnd,
-    MOr,
+    NODES,
     Not,
-    Or,
     RealConst,
     VecConst,
 )
@@ -533,8 +530,7 @@ def elaborate(doc: SpecDoc, logic: LogicId, env: Optional[Env] = None) -> Expr:
         if isinstance(f, FImpl):
             return Impl(formula(f.left), formula(f.right))
         if isinstance(f, FBin):
-            kind = {"and": And, "or": Or, "mand": MAnd, "mor": MOr}[f.op]
-            return kind((formula(f.left), formula(f.right)))
+            return NODES[f.op]((formula(f.left), formula(f.right)))
         raise ValidationError(f"not a formula: {f!r}")
 
     return formula(doc.goal)

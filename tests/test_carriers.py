@@ -92,10 +92,26 @@ class TestDual:
         assert dual == pytest.approx(fd, abs=1e-4)
 
     def test_min_max_left_tie_breaking(self):
+        # a primal tie takes the smaller or larger tangent: the derivative
+        # along the seeded coordinate's positive direction
         a = Dual(1.0, 5.0)
         b = Dual(1.0, -5.0)
-        assert DualCarrier.min2(a, b).tangent == 5.0
+        assert DualCarrier.min2(a, b).tangent == -5.0
         assert DualCarrier.max2(a, b).tangent == 5.0
+
+    def test_kinks_take_tangents_entry_by_entry(self):
+        a = Dual(1.0, Tangents((1.0, -2.0)))
+        b = Dual(1.0, 0.0)  # a scalar tangent is broadcast
+        assert DualCarrier.min2(a, b).tangent == Tangents((0.0, -2.0))
+        assert DualCarrier.max2(b, a).tangent == Tangents((1.0, 0.0))
+        assert abs(Dual(-0.0, Tangents((1.0, -2.0)))).tangent == Tangents((1.0, 2.0))
+        assert DualCarrier.abs(Dual(0.0, -1.0)).tangent == 1.0
+        # off the kink, and at NaN, the rules are the plain ones
+        assert DualCarrier.min2(Dual(1.0, 5.0), Dual(2.0, -5.0)).tangent == 5.0
+        assert DualCarrier.abs(Dual(-1.0, 3.0)).tangent == -3.0
+        nan = Dual(math.nan, 1.0)
+        assert DualCarrier.max2(nan, Dual(0.0, 2.0)).tangent == 2.0
+        assert DualCarrier.abs(nan).tangent == 1.0
 
     def test_abs_right_derivative_at_zero(self):
         assert DualCarrier.abs(Dual(0.0, 1.0)).tangent == 1.0

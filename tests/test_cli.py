@@ -1,12 +1,17 @@
 """Command-line interface: subcommands, reports, exit codes."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import dlc
 from dlc.calculus import CALCULI, fixtures_dir, _atom
 from dlc.cli import run
-from dlc.core import _node_to_json
+from dlc.core import Not, _node_to_json
 
 FIX = fixtures_dir()
 SPEC = str(FIX / "robustness.spec")
@@ -66,6 +71,20 @@ class TestEval:
         out = tmp_path / "r.json"
         assert run(argv + ["--out", str(out)]) == 2
         assert not out.exists()
+
+    @pytest.mark.parametrize("clauses", [800, 1500])
+    def test_spec_nested_too_deeply_is_input_error(self, tmp_path, capsys,
+                                                   clauses):
+        spec = tmp_path / "wide.spec"
+        spec.write_text("vector v 2\nvector x 2\nscalar eps\nscalar delta\n"
+                        "network N 2 2\ngoal "
+                        + " /\\ ".join(["x[0] <= eps"] * clauses) + "\n")
+        assert run(["eval", str(spec), "--inputs", INPUTS, "--net", f"N={NET}",
+                    "--logic", "dl2"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        (line,) = captured.err.splitlines()
+        assert line.startswith("error: ") and "nested too deeply" in line
 
     def test_nan_binding_is_input_error(self, tmp_path):
         inputs = tmp_path / "in.json"
@@ -169,6 +188,24 @@ class TestProof:
         assert code == 0
         assert read_json(out)["found"]
 
+    def test_search_with_a_400_deep_formula(self, tmp_path, capsys):
+        f = _atom(1, CALCULI["goedel"].profile)
+        for _ in range(400):
+            f = Not(f)
+        goal = tmp_path / "goal.json"
+        goal.write_text(json.dumps(
+            {"components": [{"left": [], "right": [_node_to_json(f)]}]}))
+        code = run(["proof", "search", "--calculus", "goedel", "--goal",
+                    str(goal)])
+        captured = capsys.readouterr()
+        assert code in (0, 1) and captured.err == ""
+
+        def reject(name):
+            raise ValueError(f"non-strict JSON constant {name}")
+
+        rep = json.loads(captured.out, parse_constant=reject)
+        assert rep["kind"] == "proof-search" and rep["found"] == (code == 0)
+
     @pytest.mark.parametrize(
         "doc",
         [[1], {"components": 5}, {"components": [1]},
@@ -219,6 +256,16 @@ def test_train_demo(tmp_path):
     trace = read_json(out)["trace"]
     losses = [t["loss"] for t in trace]
     assert all(b >= a - 1e-12 for a, b in zip(losses, losses[1:]))
+
+
+def test_runs_as_a_module():
+    env = dict(os.environ, PYTHONPATH=str(Path(dlc.__file__).parents[1]))
+    proc = subprocess.run(
+        [sys.executable, "-m", "dlc.cli", "laws", "--samples", "1"],
+        capture_output=True, text=True, env=env, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout)["kind"] == "law-matrix"
 
 
 def test_usage_error_exit_code():

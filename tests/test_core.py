@@ -1,6 +1,8 @@
 """Expression construction, flag profiles, validation, serialization."""
 
+import copy
 import dataclasses
+import json
 import pickle
 
 import pytest
@@ -31,7 +33,6 @@ from dlc.core import (
     Or,
     RealConst,
     VecConst,
-    build_node,
     children_of,
     expr_from_text,
     expr_to_text,
@@ -209,12 +210,12 @@ def test_text_serialization_round_trip(profile, depth, seed):
     assert expr_from_text(expr_to_text(f)) == f
 
 
-def test_build_node_matches_constructors():
+def test_children_of_follows_the_declared_fields():
     x = atom()
-    assert build_node("and", [x, x]) == And((x, x))
-    assert build_node("impl", [x, x]) == Impl(x, x)
-    assert build_node("not", [x]) == Not(x)
     assert children_of(And((x, x))) == (x, x)
+    assert children_of(Not(x)) == (x,)
+    assert children_of(x) == (x.left, x.right)
+    assert children_of(x.left) == ()
 
 
 def test_all_fuzzy_enumeration():
@@ -330,3 +331,169 @@ def test_every_node_carries_the_root_profile(data, profile):
             assert node.tag.flags == root.tag.flags
     validate_for_logic(root, {FUZZY_FLAGS: GODEL, DL2_FLAGS: DL2,
                               STL_FLAGS: stl(1.0)}[profile])
+
+
+# ---------------------------------------------------------------------------
+# The dlc-ast/1 codec against the per-class recursive one it replaced
+
+
+def _flags_doc(f):
+    return {"neg": f.neg, "impl": f.impl, "monoid": f.monoid, "lattice": f.lattice}
+
+
+def _flags_of(d):
+    return core.ConnectiveFlags(d["neg"], d["impl"], d["monoid"], d["lattice"])
+
+
+_NARY = {"and": And, "or": Or, "mand": MAnd, "mor": MOr}
+
+
+def _reference_to_json(e):
+    if isinstance(e, BoolConst):
+        return {"kind": "bool", "value": e.value, "flags": _flags_doc(e.tag.flags)}
+    if isinstance(e, RealConst):
+        return {"kind": "real", "value": e.value}
+    if isinstance(e, IndexConst):
+        return {"kind": "index", "i": e.i, "n": e.n}
+    if isinstance(e, VecConst):
+        return {"kind": "vec", "values": list(e.values)}
+    if isinstance(e, (And, Or, MAnd, MOr)):
+        kind = {And: "and", Or: "or", MAnd: "mand", MOr: "mor"}[type(e)]
+        return {"kind": kind, "children": [_reference_to_json(c) for c in e.children]}
+    if isinstance(e, Not):
+        return {"kind": "not", "child": _reference_to_json(e.child)}
+    if isinstance(e, Impl):
+        return {"kind": "impl", "left": _reference_to_json(e.left),
+                "right": _reference_to_json(e.right)}
+    if isinstance(e, Cmp):
+        return {"kind": e.op.value, "left": _reference_to_json(e.left),
+                "right": _reference_to_json(e.right),
+                "flags": _flags_doc(e.tag.flags)}
+    if isinstance(e, FunRef):
+        return {"kind": "fun", "name": e.name, "m": e.m, "n": e.n}
+    if isinstance(e, core.Fun2Ref):
+        return {"kind": "fun2", "name": e.name, "l": e.l, "m": e.m, "n": e.n}
+    if isinstance(e, App):
+        return {"kind": "app", "fun": _reference_to_json(e.fun),
+                "arg": _reference_to_json(e.arg)}
+    if isinstance(e, core.App2):
+        return {"kind": "app2", "fun": _reference_to_json(e.fun),
+                "arg1": _reference_to_json(e.arg1),
+                "arg2": _reference_to_json(e.arg2)}
+    if isinstance(e, Lookup):
+        return {"kind": "lookup", "vec": _reference_to_json(e.vec),
+                "index": _reference_to_json(e.index)}
+    raise ValidationError(f"unserializable node {e!r}")
+
+
+def _reference_from_json(d):
+    try:
+        kind = d["kind"]
+    except (TypeError, KeyError) as exc:
+        raise ValidationError(f"malformed node document: {d!r}") from exc
+    if kind == "bool":
+        return BoolConst(d["value"], _flags_of(d["flags"]))
+    if kind == "real":
+        return RealConst(d["value"])
+    if kind == "index":
+        return IndexConst(d["i"], d["n"])
+    if kind == "vec":
+        return VecConst(d["values"])
+    if kind in _NARY:
+        return _NARY[kind]([_reference_from_json(c) for c in d["children"]])
+    if kind == "not":
+        return Not(_reference_from_json(d["child"]))
+    if kind == "impl":
+        return Impl(_reference_from_json(d["left"]), _reference_from_json(d["right"]))
+    if kind in ("le", "eq"):
+        return Cmp(CmpOp(kind), _reference_from_json(d["left"]),
+                   _reference_from_json(d["right"]), _flags_of(d["flags"]))
+    if kind == "fun":
+        return FunRef(d["name"], d["m"], d["n"])
+    if kind == "fun2":
+        return core.Fun2Ref(d["name"], d["l"], d["m"], d["n"])
+    if kind == "app":
+        return App(_reference_from_json(d["fun"]), _reference_from_json(d["arg"]))
+    if kind == "app2":
+        return core.App2(_reference_from_json(d["fun"]), _reference_from_json(d["arg1"]),
+                         _reference_from_json(d["arg2"]))
+    if kind == "lookup":
+        return Lookup(_reference_from_json(d["vec"]), _reference_from_json(d["index"]))
+    raise ValidationError(f"unknown node kind {kind!r}")
+
+
+def _formula_over_every_kind(profile, depth, seed):
+    """_formula_over_all_node_kinds with an App2 and an eq comparison."""
+    x = VecConst((1.0, 2.0))
+    read = Lookup(core.App2(core.Fun2Ref("sub", 2, 2, 2), x, x), IndexConst(0, 2))
+    return And((_formula_over_all_node_kinds(profile, depth, seed),
+                Cmp(CmpOp.EQ, read, RealConst(0.5), profile)))
+
+
+def _slots(doc):
+    """(container, key) of every value in a JSON document."""
+    stack, out = [doc], []
+    while stack:
+        node = stack.pop()
+        keys = node if isinstance(node, dict) else range(len(node))
+        for k in keys:
+            out.append((node, k))
+            if isinstance(node[k], (dict, list)):
+                stack.append(node[k])
+    return out
+
+
+def _outcome(decode, doc):
+    try:
+        return "ok", expr_to_text(decode(doc))
+    except Exception as exc:  # the exception type is what is compared
+        return "raised", type(exc)
+
+
+FAULTS = [None, 0, -1, 2.5, "x", "le", [], {}, True, {"kind": "real", "value": 1.0},
+          {"kind": "nope"}, {"neg": True}]
+
+
+@settings(deadline=None)
+@given(profile=st.sampled_from(PROFILES), depth=st.integers(0, 5),
+       seed=st.integers(0, 10_000), data=st.data())
+def test_codec_matches_the_recursive_reference(profile, depth, seed, data):
+    f = _formula_over_every_kind(profile, depth, seed)
+    doc = core._node_to_json(f)
+    assert json.dumps(doc) == json.dumps(_reference_to_json(f))
+    assert _outcome(core._node_from_json, doc) == ("ok", expr_to_text(f))
+    # one fault: a value replaced or a key deleted
+    container, key = data.draw(st.sampled_from(_slots(doc)))
+    fault = data.draw(st.sampled_from(FAULTS + ["delete"]))
+    if fault == "delete":
+        if isinstance(container, dict):
+            del container[key]
+        else:
+            container.pop(key)
+    else:
+        container[key] = copy.deepcopy(fault)
+    assert (_outcome(core._node_from_json, copy.deepcopy(doc))
+            == _outcome(_reference_from_json, doc))
+
+
+def _not_chain(depth):
+    f = atom()
+    for _ in range(depth):
+        f = Not(f)
+    return f
+
+
+def test_a_5000_deep_formula_round_trips_and_hashes():
+    f = _not_chain(5000)
+    doc = core._node_to_json(f)
+    back = core._node_from_json(doc)
+    assert hash(back) == hash(f)
+    a, b = f, back
+    for _ in range(5000):
+        assert type(b) is Not and b.tag == a.tag
+        a, b = a.child, b.child
+    assert a == b
+    for node in walk(back):  # each cached hash is the generated one
+        fields = tuple(getattr(node, f.name) for f in dataclasses.fields(node))
+        assert hash(node) == hash(fields)
+    assert sum(1 for _ in walk(f)) == 5003
