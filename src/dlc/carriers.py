@@ -20,7 +20,13 @@ pass also yields the float value bit for bit.
 ``affine(bias, row, xs)`` is one neuron's pre-activation: the left fold
 ``acc = add(acc, mul(lift(w), x))`` from ``acc = lift(bias)``.  The dual
 carrier fuses that fold into one list per multiply-add, with the same
-float operations per coordinate.
+float operations per coordinate, and skips the entry updates that add an
+exact zero: those of a unit seed's zero entries and of a scalar tangent
+whose term is ±0.0.  That is exact because no accumulator entry is ever
+-0.0, and adding ±0.0 to any other float returns it bit for bit; where a
+weight or primal is not finite, a zero entry's term may be NaN, so the
+dense update runs.  The extended-real carrier runs the fold as one float
+loop with the checks of ``lift``, ``mul`` and ``add`` in their order.
 """
 
 from __future__ import annotations
@@ -86,7 +92,7 @@ class Tangents:
     @staticmethod
     def unit(j: int, n: int) -> "Tangents":
         """The j-th of the n unit vectors: a seed for coordinate j."""
-        return Tangents(1.0 if k == j else 0.0 for k in range(n))
+        return _Unit(j, n)
 
     def __repr__(self):
         return f"Tangents({self.v})"
@@ -134,6 +140,17 @@ class Tangents:
 
     def __abs__(self):
         return Tangents([abs(t) for t in self.v])
+
+
+class _Unit(Tangents):
+    """A unit vector that knows its one nonzero coordinate ``j``; equal,
+    hashing and computing as the ``Tangents`` of the same entries."""
+
+    __slots__ = ("j",)
+
+    def __init__(self, j: int, n: int):
+        self.v = tuple(1.0 if k == j else 0.0 for k in range(n))
+        self.j = j
 
 
 @dataclass(frozen=True)
@@ -336,13 +353,24 @@ class XRealCarrier:
     def max2(a: XReal, b: XReal) -> XReal:
         return a if a.value >= b.value else b
 
-    @classmethod
-    def affine(cls, bias, row, xs) -> XReal:
-        # through add and mul, so that 0 * inf still raises
-        acc = cls.lift(bias)
+    @staticmethod
+    def affine(bias, row, xs) -> XReal:
+        # the checks of lift, mul and add, in their order: w * x is NaN
+        # exactly at 0 * inf, since neither factor is NaN
+        acc = float(bias)
+        if acc != acc:
+            raise CarrierError("NaN has no extended-real reading")
         for w, x in zip(row, xs):
-            acc = cls.add(acc, cls.mul(cls.lift(w), x))
-        return acc
+            w = float(w)
+            if w != w:
+                raise CarrierError("NaN has no extended-real reading")
+            m = w * x.value
+            if m != m:
+                raise CarrierError("indeterminate form 0 * inf")
+            acc = acc + m
+            if acc != acc:
+                raise CarrierError("indeterminate extended-real form")
+        return XReal(acc)
 
     @staticmethod
     def plus_inf() -> XReal:
@@ -438,9 +466,20 @@ class DualCarrier:
 
     @staticmethod
     def affine(bias, row, xs) -> Dual:
-        # mul(lift(w), x) has tangent w * t + 0.0 * x.primal, and add sums
-        # it into the accumulator's; a scalar tangent is broadcast on
-        # either side, as Tangents does
+        """The fold ``acc = add(acc, mul(lift(w), x))`` from ``lift(bias)``.
+
+        ``mul(lift(w), x)`` has tangent ``w * t + 0.0 * x.primal``, and
+        ``add`` sums it into the accumulator's; a scalar tangent is
+        broadcast on either side, as ``Tangents`` does.  Entry updates
+        that add an exact zero are skipped: no accumulator entry is ever
+        -0.0 (it starts at 0.0, and a sum is -0.0 only when both addends
+        are), and adding ±0.0 to any other float, ±inf and NaN included,
+        returns it unchanged.  So a unit seed ``Tangents.unit(j, n)``
+        updates entry j only, and a scalar tangent whose term is ±0.0
+        (a dead ReLU unit, a lifted constant) updates none.  The seed's
+        other terms are ``w * 0.0 + 0.0 * x.primal``, zero only when the
+        weight and the primal are finite; otherwise the dense update runs.
+        """
         p = float(bias)
         t = 0.0  # the accumulator's tangent: a float or a list
         for w, x in zip(row, xs):
@@ -450,13 +489,19 @@ class DualCarrier:
             z = 0.0 * xp
             p = p + w * xp
             if isinstance(xt, Tangents):
-                if type(t) is list:
+                if type(xt) is _Unit and z == 0.0 and -INF < w < INF:
+                    if type(t) is not list:
+                        t = [t] * len(xt.v)
+                    j = xt.j
+                    t[j] = t[j] + (w * 1.0 + z)
+                elif type(t) is list:
                     t = [a + (w * b + z) for a, b in zip(t, xt.v)]
                 else:
                     t = [t + (w * b + z) for b in xt.v]
             elif type(t) is list:
                 d = w * xt + z
-                t = [a + d for a in t]
+                if d != 0.0:
+                    t = [a + d for a in t]
             else:
                 t = t + (w * xt + z)
         return Dual(p, Tangents(t) if type(t) is list else t)

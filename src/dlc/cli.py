@@ -11,7 +11,9 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
+from json.encoder import encode_basestring_ascii as _encode_str
 
 from . import analysis, laws
 from .calculus import (
@@ -99,17 +101,113 @@ def _add_common_flags(p):
     p.add_argument("--out", default=None)
 
 
+_END = object()
+
+
+def _float_text(x: float) -> str:
+    if x != x or x in (math.inf, -math.inf):
+        raise ValueError(
+            f"Out of range float values are not JSON compliant: {x!r}"
+        )
+    return float.__repr__(x)
+
+
+def _key_text(key) -> str:
+    if isinstance(key, str):
+        return key
+    if isinstance(key, float):
+        return _float_text(key)
+    if key is True:
+        return "true"
+    if key is False:
+        return "false"
+    if key is None:
+        return "null"
+    if isinstance(key, int):
+        return int.__repr__(key)
+    raise TypeError(
+        f"keys must be str, int, float, bool or None, "
+        f"not {key.__class__.__name__}"
+    )
+
+
+def _json_text(value) -> str:
+    """``json.dumps(value, indent=2, default=str, allow_nan=False)``,
+    written from an explicit stack.
+
+    The library's indenting encoder nests one generator per open list or
+    dict and passes each chunk up through all of them, so its time grows
+    with the square of the depth, and it stops at the recursion limit.
+    This writer makes the same text, raises the same errors in the same
+    order, and rejects cycles as the library does.
+    """
+    out = []
+    stack = []  # open containers: [items, is a dict, indent, closer, first, id]
+    open_ids = set()
+    while True:
+        while True:  # write value; a nonempty list or dict is opened
+            if isinstance(value, str):
+                out.append(_encode_str(value))
+            elif value is None:
+                out.append("null")
+            elif value is True:
+                out.append("true")
+            elif value is False:
+                out.append("false")
+            elif isinstance(value, int):
+                out.append(int.__repr__(value))
+            elif isinstance(value, float):
+                out.append(_float_text(value))
+            elif isinstance(value, (list, tuple, dict)):
+                is_dict = isinstance(value, dict)
+                if not value:
+                    out.append("{}" if is_dict else "[]")
+                elif id(value) in open_ids:
+                    raise ValueError("Circular reference detected")
+                else:
+                    outer = stack[-1][2] if stack else "\n"
+                    out.append("{" if is_dict else "[")
+                    open_ids.add(id(value))
+                    stack.append([
+                        iter(value.items() if is_dict else value), is_dict,
+                        outer + "  ", outer + ("}" if is_dict else "]"), True,
+                        id(value),
+                    ])
+            else:  # default=str
+                value = str(value)
+                continue
+            break
+        while stack:  # the next value, after closing finished containers
+            frame = stack[-1]
+            items, is_dict, indent, closer, first, open_id = frame
+            item = next(items, _END)
+            if item is _END:
+                stack.pop()
+                open_ids.remove(open_id)
+                out.append(closer)
+                continue
+            sep = indent if first else "," + indent
+            frame[4] = False
+            if is_dict:
+                key, value = item
+                out.append(sep + _encode_str(_key_text(key)) + ": ")
+            else:
+                value = item
+                out.append(sep)
+            break
+        else:
+            return "".join(out)
+
+
 def _emit(report: dict, out_path) -> None:
     """Write the report as JSON; nothing is written if it cannot be."""
     try:
-        text = json.dumps(report, indent=2, default=str, allow_nan=False)
+        text = _json_text(report)
     except ValueError as exc:
         raise ValidationError(
             f"report holds NaN or an infinite number, which JSON cannot "
             f"represent ({exc})"
         ) from None
-    except RecursionError:
-        raise ValidationError("report is nested too deeply to write") from None
     if out_path:
         with open(out_path, "w") as fh:
             fh.write(text + "\n")

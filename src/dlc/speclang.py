@@ -488,16 +488,26 @@ def _slot(name: str, n: int) -> Expr:
 
 
 def elaborate(doc: SpecDoc, logic: LogicId, env: Optional[Env] = None) -> Expr:
-    """Lower the goal formula to a core expression for one logic."""
+    """Lower the goal formula to a core expression for one logic.
+
+    Every reference to an input shares one slot node.
+    """
     profile = logic.flag_profile
     vecs = dict(doc.vectors)
     nets = {n: (m, k) for n, m, k in doc.networks}
     if env is not None:
         _check_networks(doc, env)
+    slots = {}
+
+    def slot(name: str, n: int) -> Expr:
+        node = slots.get((name, n))
+        if node is None:
+            node = slots[name, n] = _slot(name, n)
+        return node
 
     def vec(e) -> Expr:
         if isinstance(e, VName):
-            return _slot(e.name, vecs[e.name])
+            return slot(e.name, vecs[e.name])
         if isinstance(e, VCall):
             args = [vec(a) for a in e.args]
             if e.name == "sub":
@@ -511,9 +521,9 @@ def elaborate(doc: SpecDoc, logic: LogicId, env: Optional[Env] = None) -> Expr:
         if isinstance(e, RNum):
             return RealConst(e.value)
         if isinstance(e, RName):
-            return Lookup(_slot(e.name, 1), IndexConst(0, 1))
+            return Lookup(slot(e.name, 1), IndexConst(0, 1))
         if isinstance(e, RIndex):
-            return Lookup(_slot(e.name, vecs[e.name]), IndexConst(e.i, vecs[e.name]))
+            return Lookup(slot(e.name, vecs[e.name]), IndexConst(e.i, vecs[e.name]))
         if isinstance(e, RNorm):
             v = vec(e.arg)
             return Lookup(

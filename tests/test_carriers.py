@@ -215,8 +215,12 @@ class TestTangents:
             assert [x.hex() for x in got.v] == [x.hex() for x in want]
 
     def test_unit_seeds(self):
-        assert Tangents.unit(1, 3) == Tangents((0.0, 1.0, 0.0))
+        e1, plain = Tangents.unit(1, 3), Tangents((0.0, 1.0, 0.0))
+        assert e1 == plain and plain == e1 and hash(e1) == hash(plain)
+        assert e1.v == plain.v and repr(e1) == repr(plain)
         assert Tangents.unit(0, 1).v == (1.0,)
+        for got in (e1 + plain, 2.0 * e1, -e1, abs(e1), e1 / 2.0):
+            assert type(got) is Tangents
 
 
 # ---------------------------------------------------------------------------
@@ -236,21 +240,37 @@ def _hexes(t):
 
 
 signed_zeros = st.sampled_from([0.0, -0.0])
+infinities = st.sampled_from([math.inf, -math.inf])
 entries = small | signed_zeros
-tangents = (st.lists(entries, min_size=3, max_size=3).map(Tangents)
-            | entries)
-duals = st.builds(Dual, small | signed_zeros, tangents)
+# the neurons' inputs mix unit seeds, dense vectors and scalar tangents;
+# primals and weights take signed zeros, negatives and infinities
+N = 3
+seeds = st.integers(0, N - 1).map(lambda j: Tangents.unit(j, N))
+dense = st.lists(entries | infinities, min_size=N, max_size=N).map(Tangents)
+tangents = seeds | dense | entries
+primals = entries | infinities
+weights = entries | infinities | st.just(math.nan)
+duals = st.builds(Dual, primals, tangents)
+
+
+def _outcome(affine, bias, row, xs):
+    """What a neuron gives, down to the bit: its primal and tangent kind
+    and entries, or its exception type and message."""
+    try:
+        out = affine(bias, row, xs)
+    except Exception as exc:
+        return type(exc), str(exc)
+    if isinstance(out, XReal):
+        return out.value.hex()
+    return out.primal.hex(), type(out.tangent), _hexes(out.tangent)
 
 
 class TestAffine:
     def _assert_dual_fold(self, bias, row, xs):
-        got = C.affine(bias, row, xs)
-        want = _fold(C, bias, row, xs)
-        assert got.primal.hex() == want.primal.hex()
-        assert type(got.tangent) is type(want.tangent)
-        assert _hexes(got.tangent) == _hexes(want.tangent)
+        assert _outcome(C.affine, bias, row, xs) == _outcome(
+            lambda *a: _fold(C, *a), bias, row, xs)
 
-    @given(bias=entries, row=st.lists(entries, min_size=1, max_size=6),
+    @given(bias=primals, row=st.lists(weights, min_size=1, max_size=6),
            xs=st.lists(duals, min_size=6, max_size=6))
     def test_dual_equals_fold(self, bias, row, xs):
         self._assert_dual_fold(bias, row, xs)
@@ -258,6 +278,7 @@ class TestAffine:
     def test_dual_cases(self):
         t = Tangents((1.0, -0.0, 0.5))
         u = Tangents((-0.0, 0.0, -2.0))
+        e0, e1, e2 = (Tangents.unit(j, 3) for j in range(3))
         relu_zero = C.max2(Dual(-0.5, t), C.zero)  # scalar 0.0 tangent
         cases = [
             (0.1, [2.0, -1.5], [Dual(1.5, t), Dual(-0.25, u)]),  # vectors
@@ -272,6 +293,18 @@ class TestAffine:
             # an overflowed primal makes 0.0 * primal NaN
             (0.0, [1.0, 2.0], [Dual(1.0, t), Dual(math.inf, u)]),
             (0.0, [1.0, 2.0], [Dual(1.0, t), Dual(-math.inf, 1.0)]),
+            # unit seeds: a first layer, then a scalar accumulator widened
+            (0.1, [2.0, -0.0, -1.5], [Dual(1.5, e0), Dual(-2.0, e1),
+                                      Dual(0.0, e2)]),
+            (0.0, [-1.0, 2.0], [relu_zero, Dual(-0.0, e1)]),
+            (0.0, [1.0, -3.0], [Dual(2.0, e0), Dual(2.0, e0)]),
+            # ... whose zero entries turn NaN at an infinite weight or primal
+            (0.0, [2.0, math.inf], [Dual(1.0, e0), Dual(1.0, e1)]),
+            (0.0, [2.0, -1.0], [Dual(1.0, e0), Dual(-math.inf, e2)]),
+            (0.0, [-math.inf, 1.0], [Dual(0.0, e2), Dual(1.0, e0)]),
+            # a scalar term of ±0.0 leaves NaN and infinite entries as they are
+            (0.0, [1.0, 0.0, -0.0], [Dual(math.inf, u), Dual(1.0, 5.0),
+                                     Dual(2.0, 0.0)]),
         ]
         for bias, row, xs in cases:
             self._assert_dual_fold(bias, row, xs)
@@ -282,22 +315,19 @@ class TestAffine:
         got = F64Carrier.affine(bias, row, xs)
         assert got.hex() == _fold(F64Carrier, bias, row, xs).hex()
 
-    @given(bias=entries, row=st.lists(entries, min_size=1, max_size=4),
-           xs=st.lists(finite | st.sampled_from([math.inf, -math.inf]),
-                       min_size=4, max_size=4))
+    @given(bias=primals | st.just(math.nan),
+           row=st.lists(weights, min_size=1, max_size=4),
+           xs=st.lists(primals.map(XReal), min_size=4, max_size=4))
     def test_xreal_equals_fold(self, bias, row, xs):
-        xs = [XReal(x) for x in xs]
-        try:
-            want = _fold(XRealCarrier, bias, row, xs)
-        except CarrierError:
-            with pytest.raises(CarrierError):
-                XRealCarrier.affine(bias, row, xs)
-            return
-        assert XRealCarrier.affine(bias, row, xs).value.hex() == want.value.hex()
+        assert _outcome(XRealCarrier.affine, bias, row, xs) == _outcome(
+            lambda *a: _fold(XRealCarrier, *a), bias, row, xs)
 
     def test_xreal_zero_times_infinity_raises(self):
-        with pytest.raises(CarrierError):
+        with pytest.raises(CarrierError, match=r"^indeterminate form 0 \* inf$"):
             XRealCarrier.affine(1.0, [2.0, 0.0], [XReal(1.0), XReal(math.inf)])
-        with pytest.raises(CarrierError):  # inf - inf
-            XRealCarrier.affine(0.0, [1.0, 1.0],
+        with pytest.raises(CarrierError,
+                           match="^indeterminate extended-real form$"):
+            XRealCarrier.affine(0.0, [1.0, 1.0],  # inf - inf
                                 [XReal(math.inf), XReal(-math.inf)])
+        with pytest.raises(CarrierError, match="^NaN has no extended-real"):
+            XRealCarrier.affine(0.0, [1.0, math.nan], [XReal(1.0), XReal(0.0)])

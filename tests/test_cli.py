@@ -6,11 +6,16 @@ import subprocess
 import sys
 from pathlib import Path
 
+import enum
+import math
+
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import dlc
 from dlc.calculus import CALCULI, fixtures_dir, _atom
-from dlc.cli import run
+from dlc.cli import _emit, _json_text, run
+from dlc.errors import ValidationError
 from dlc.core import Not, _node_to_json
 
 FIX = fixtures_dir()
@@ -271,3 +276,66 @@ def test_runs_as_a_module():
 def test_usage_error_exit_code():
     assert run(["no-such-command"]) == 2
     assert run(["eval"]) == 2  # missing required arguments
+
+
+# ---------------------------------------------------------------------------
+# Reports are written as json.dumps(report, indent=2, default=str,
+# allow_nan=False) would write them
+
+
+class _Color(enum.Enum):  # not JSON: written as str(value)
+    RED = 1
+
+
+class _Level(enum.IntEnum):  # an int: written as its number
+    HIGH = 7
+
+
+scalars = (st.none() | st.booleans() | st.integers() | st.floats()
+           | st.text() | st.sampled_from(["", "\"\\/\n\t\x00\x7f", "é∞😀",
+                                          _Color.RED, _Level.HIGH, 1j]))
+keys = st.text() | st.integers() | st.floats() | st.booleans() | st.none()
+values = st.recursive(
+    scalars,
+    lambda kids: (st.lists(kids, max_size=4)
+                  | st.lists(kids, max_size=3).map(tuple)
+                  | st.dictionaries(keys, kids, max_size=4)),
+    max_leaves=25,
+)
+
+
+def _written(write, value):
+    try:
+        return write(value)
+    except (ValueError, TypeError) as exc:
+        return type(exc), str(exc)
+
+
+@settings(deadline=None)
+@given(values)
+def test_report_text_is_json_dumps(value):
+    assert _written(_json_text, value) == _written(
+        lambda v: json.dumps(v, indent=2, default=str, allow_nan=False), value)
+
+
+def test_report_text_rejects_what_json_dumps_rejects():
+    cycle = []
+    cycle.append([cycle])
+    for bad in ({"a": [1, math.nan]}, {-math.inf: 0}, {(1,): 0}, cycle):
+        with pytest.raises(Exception) as ours:
+            _json_text(bad)
+        with pytest.raises(Exception) as theirs:
+            json.dumps(bad, indent=2, default=str, allow_nan=False)
+        assert (ours.type, str(ours.value)) == (theirs.type, str(theirs.value))
+    shared = [1]
+    assert _json_text([shared, shared]) == json.dumps([shared, shared],
+                                                       indent=2)
+
+
+def test_emit_maps_non_finite_numbers_to_validation_error(tmp_path):
+    out = tmp_path / "r.json"
+    with pytest.raises(ValidationError, match=r"^report holds NaN or an "
+                       r"infinite number, which JSON cannot represent \(Out "
+                       r"of range float values are not JSON compliant: inf\)$"):
+        _emit({"loss": [0.5, math.inf]}, str(out))
+    assert not out.exists()

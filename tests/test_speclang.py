@@ -9,7 +9,19 @@ from hypothesis import given, strategies as st
 
 from dlc import speclang
 from dlc.carriers import Dual, DualCarrier, F64Carrier, XReal, XRealCarrier
-from dlc.core import DL2, GODEL, PRODUCT, STL_INFTY, Impl, LogicKind, stl
+from dlc.core import (
+    DL2,
+    GODEL,
+    PRODUCT,
+    STL_INFTY,
+    App,
+    Impl,
+    LogicKind,
+    expr_from_text,
+    expr_to_text,
+    stl,
+    walk,
+)
 from dlc.errors import (
     ArityMismatch,
     DuplicateDeclaration,
@@ -166,6 +178,37 @@ def test_pretty_spec_round_trip(doc):
     assert parse_spec(pretty_spec(doc)) == doc
 
 
+class _Recording:
+    """A carrier that logs each method call with its operands."""
+
+    def __init__(self, carrier, log):
+        self.carrier, self.log = carrier, log
+        self.one, self.zero = carrier.one, carrier.zero
+
+    def __getattr__(self, name):
+        method = getattr(self.carrier, name)
+
+        def call(*args):
+            self.log.append((name, repr(args)))
+            return method(*args)
+
+        return call
+
+
+def _pinned_slots(env, carrier):
+    """env whose input slots run over carrier, whatever carrier they are
+    passed, so that a recording carrier still reads seeded duals."""
+    def pin(f):
+        @carrier_aware
+        def run(arg, _c):
+            return f(arg, carrier)
+        return run
+
+    return extend_env(env, functions={
+        name: pin(f) for name, f in env.functions.items()
+        if name.startswith("in:")})
+
+
 class TestElaboration:
     def test_dl2_and_stl_infty_accept(self, doc):
         for logic in (DL2, STL_INFTY):
@@ -185,6 +228,33 @@ class TestElaboration:
     def test_env_must_contain_networks(self, doc):
         with pytest.raises(UndeclaredIdentifier):
             elaborate(doc, DL2, base_env())
+
+    @pytest.mark.parametrize("logic, carrier", [
+        (DL2, F64Carrier), (DL2, DualCarrier), (STL_INFTY, XRealCarrier)])
+    def test_references_share_one_slot_node(self, doc, env, logic, carrier):
+        goal = elaborate(doc, logic, env)
+        slots = {}
+        for node in walk(goal):
+            if isinstance(node, App) and node.fun.name.startswith("in:"):
+                slots.setdefault(node.fun.name, []).append(node)
+        assert sorted(slots) == ["in:delta", "in:eps", "in:v", "in:x"]
+        assert len(slots["in:x"]) == 2  # x and N(x)
+        assert all(all(n is refs[0] for n in refs) for refs in slots.values())
+        # the decoded copy is the same tree with a node per reference;
+        # both make the same carrier calls with the same operands
+        copy = expr_from_text(expr_to_text(goal))
+        assert copy == goal
+        assert sum(isinstance(n, App) for n in walk(copy)) == len(
+            {id(n) for n in walk(copy) if isinstance(n, App)})
+        grad_wrt = "x" if carrier is DualCarrier else None
+        logs = []
+        for e in (goal, copy):
+            log = []
+            bound = speclang._bound_env(env, INPUTS, grad_wrt)
+            out = interpret(logic, e, _pinned_slots(bound, carrier),
+                            _Recording(carrier, log))
+            logs.append((log, repr(out)))
+        assert logs[0] == logs[1] and logs[0][0]
 
 
 class TestNetworks:
