@@ -16,8 +16,8 @@ from typing import Callable, List, Optional, Sequence, Tuple
 
 from .carriers import Dual, DualCarrier, F64Carrier
 from .core import GODEL, LogicId
-from .errors import IndexOutOfRange, ValidationError
-from .semantics import fold_nary, stl_nary, stl_nary_c
+from .errors import DomainError, IndexOutOfRange, ValidationError
+from .semantics import LOGICS, fold_nary, stl_nary
 
 ONE_SIDED_H = (1e-3, 1e-4, 1e-5)
 
@@ -101,7 +101,9 @@ def shadow_lifting_check(
 
     Holds iff at each (p, i) both one-sided difference estimates agree
     within agree_tol (a differentiability witness) and the derivative
-    exceeds tol.
+    exceeds tol.  A sample whose difference steps leave f's domain (f
+    raises DomainError) is reported as skipped, with the reason; it is
+    neither a pass nor a witness.
     """
     if any(p <= 0 for p in p_samples):
         raise ValidationError("shadow-lifting samples must be positive")
@@ -109,8 +111,12 @@ def shadow_lifting_check(
     for p in p_samples:
         point = (float(p),) * n
         for i in range(n):
-            above = partial(PartialSpec(f, point, i, "forward"))
-            below = partial(PartialSpec(f, point, i, "backward"))
+            try:
+                above = partial(PartialSpec(f, point, i, "forward"))
+                below = partial(PartialSpec(f, point, i, "backward"))
+            except DomainError as exc:
+                report.estimates.append({"p": p, "i": i, "skipped": str(exc)})
+                continue
             est = 0.5 * (above + below)
             entry = {"p": p, "i": i, "above": above, "below": below, "estimate": est}
             report.estimates.append(entry)
@@ -123,22 +129,14 @@ def shadow_lifting_check(
 
 def shadow_lifting_mand(logic: LogicId, n: int, p_samples, tol: float = 1e-9):
     """Shadow-lifting of the logic's n-ary monoidal conjunction."""
+    mand = LOGICS[logic.kind].nary["mand"]
 
-    if logic.kind.value == "stl":
-
-        def f(xs):
-            carrier = DualCarrier if xs and isinstance(xs[0], Dual) else F64Carrier
-            return stl_nary_c(carrier, "conj", logic.nu, list(xs))
-
-    else:
-
-        def f(xs):
-            carrier = DualCarrier if xs and isinstance(xs[0], Dual) else F64Carrier
-            return fold_nary(logic, "mand", list(xs), carrier=carrier)
+    def f(xs):
+        carrier = DualCarrier if xs and isinstance(xs[0], Dual) else F64Carrier
+        return mand(carrier, logic, list(xs))
 
     f.__name__ = f"mand_{logic.kind.value}"
-    rep = shadow_lifting_check(f, n, p_samples, tol)
-    return rep
+    return shadow_lifting_check(f, n, p_samples, tol)
 
 
 def stl_lt0_branch(nu: float, xs: Sequence) -> object:

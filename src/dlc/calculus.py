@@ -24,7 +24,6 @@ per form: falsum with a single succedent (Łukasiewicz); left implication
 from __future__ import annotations
 
 import json
-import math
 import random
 from contextlib import contextmanager
 from dataclasses import dataclass, field
@@ -32,7 +31,6 @@ from enum import Enum
 from functools import cached_property
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from .carriers import F64Carrier, XRealCarrier
 from .core import (
     DL2,
     GODEL,
@@ -47,7 +45,6 @@ from .core import (
     Expr,
     Impl,
     LogicId,
-    LogicKind,
     MAnd,
     MOr,
     Not,
@@ -65,7 +62,7 @@ from .errors import (
     SchemaMismatch,
     ValidationError,
 )
-from .semantics import EMPTY_ENV, Env, interpret
+from .semantics import EMPTY_ENV, LOGICS, Env, interpret
 
 PROOF_SCHEMA_VERSION = "dlc-proof/1"
 
@@ -1209,48 +1206,20 @@ def check_proof(calc: CalculusDef, tree: ProofTree) -> None:
 # Semantic oracle
 
 
-def _values(logic: LogicId, formulas, env: Env, carrier):
-    return [interpret(logic, f, env, carrier) for f in formulas]
-
-
 def sequent_holds(
     logic: LogicId, s: Sequent, env: Env = EMPTY_ENV, tol: float = 1e-9
 ) -> bool:
     """Truth of the inequality a sequent denotes under the given logic.
 
-    The monoidal antecedent/succedent folds for Łukasiewicz use the
-    untruncated affine form sum - (n - 1); on single formulas it agrees
-    with the formula semantics, and it is the reading under which the
-    splitting rule is locally sound.
+    The formulas are evaluated over the logic's exact-check carrier and
+    compared as its ``SequentReading`` says.
     """
-    kind = logic.kind
-    if kind is LogicKind.STL_INFTY:
-        lv = [x.value for x in _values(logic, s.left, env, XRealCarrier)]
-        rv = [x.value for x in _values(logic, s.right, env, XRealCarrier)]
-        lhs = min(lv) if lv else math.inf
-        rhs = max(rv) if rv else -math.inf
-        return lhs <= rhs
-    lv = _values(logic, s.left, env, F64Carrier)
-    rv = _values(logic, s.right, env, F64Carrier)
-    if kind is LogicKind.GODEL:
-        lhs = min(lv) if lv else 1.0
-        rhs = max(rv) if rv else 0.0
-        return lhs <= rhs + tol
-    if kind is LogicKind.LUKASIEWICZ:
-        lhs = sum(lv) - (len(lv) - 1) if lv else 1.0
-        if not rv:
-            return lhs <= 1.0 + tol
-        rhs = sum(rv) - (len(rv) - 1)
-        return lhs <= rhs + tol
-    if kind is LogicKind.PRODUCT:
-        lhs = math.prod(lv) if lv else 1.0
-        if not rv:
-            return lhs <= 1.0 + tol
-        rhs = math.prod(rv)
-        return lhs <= rhs + tol
-    if kind is LogicKind.DL2:
-        return sum(lv) <= sum(rv) + tol
-    raise ValidationError(f"no sequent semantics for {kind}")
+    spec = LOGICS[logic.kind]
+    lv = [interpret(logic, f, env, spec.carrier) for f in s.left]
+    rv = [interpret(logic, f, env, spec.carrier) for f in s.right]
+    if spec.sequent is None:
+        raise ValidationError(f"no sequent semantics for {logic.kind}")
+    return spec.sequent.holds(lv, rv, tol)
 
 
 def hypersequent_holds(
@@ -1659,22 +1628,14 @@ def goal_from_json(doc) -> Hypersequent:
     return goal
 
 
-def _load_json(path, what: str):
-    """The JSON document at path; one nested too deeply for the stdlib
-    decoder raises ValidationError."""
-    with open(path) as fh:
-        try:
-            return json.load(fh)
-        except RecursionError as exc:
-            raise ValidationError(f"malformed {what}: nested too deeply") from exc
-
-
 def load_proof(path):
-    return proof_from_json(_load_json(path, "proof document"))
+    with open(path) as fh:
+        return proof_from_json(json.load(fh))
 
 
 def load_goal(path) -> Hypersequent:
-    return goal_from_json(_load_json(path, "goal document"))
+    with open(path) as fh:
+        return goal_from_json(json.load(fh))
 
 
 def fixtures_dir():

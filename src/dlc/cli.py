@@ -28,18 +28,9 @@ from .calculus import (
     _tree_depth,
 )
 from .carriers import F64Carrier, XRealCarrier
-from .core import (
-    DL2,
-    GODEL,
-    LUKASIEWICZ,
-    PRODUCT,
-    STL_INFTY,
-    LogicId,
-    _node_to_json,
-    stl,
-    yager,
-)
+from .core import LogicId, LogicKind, _node_to_json
 from .errors import DlcError, StepError, ValidationError
+from .semantics import LOGICS
 from .speclang import (
     base_env,
     elaborate,
@@ -51,7 +42,7 @@ from .speclang import (
     train_demo,
 )
 
-LOGIC_NAMES = ("goedel", "lukasiewicz", "yager", "product", "dl2", "stl", "stl-inf")
+LOGIC_NAMES = tuple(kind.value for kind in LogicKind)
 CARRIERS = {"f64": F64Carrier, "xreal": XRealCarrier}
 
 
@@ -60,24 +51,18 @@ class UsageError(DlcError):
 
 
 def _logic_from_args(args) -> LogicId:
-    name = args.logic
-    if name == "yager":
-        if args.r is None:
-            raise UsageError("--logic yager requires --r")
-        return yager(args.r)
-    if name == "stl":
-        if args.nu is None:
-            raise UsageError("--logic stl requires --nu")
-        return stl(args.nu)
-    if args.r is not None or args.nu is not None:
-        raise UsageError("--r applies to yager only, --nu to stl only")
-    return {
-        "goedel": GODEL,
-        "lukasiewicz": LUKASIEWICZ,
-        "product": PRODUCT,
-        "dl2": DL2,
-        "stl-inf": STL_INFTY,
-    }[name]
+    """The logic --logic names, with the parameter its entry takes (--r or
+    --nu); the other parameter flag is ignored."""
+    kind = LogicKind(args.logic)
+    param = LOGICS[kind].param
+    if param is None:
+        if args.r is not None or args.nu is not None:
+            raise UsageError("--r applies to yager only, --nu to stl only")
+        return LogicId(kind)
+    value = getattr(args, param)
+    if value is None:
+        raise UsageError(f"--logic {kind.value} requires --{param}")
+    return LogicId(kind, **{param: value})
 
 
 def _positive_int(text: str) -> int:
@@ -293,14 +278,15 @@ def _cmd_converge(args) -> int:
 
     rng = random.Random(args.seed)
     logic = _logic_from_args(args)
-    if logic.kind.value == "stl":
+    param = LOGICS[logic.kind].param
+    if param == "nu":  # the soft conjunction's limit
         values = [rng.uniform(0.1, 2.0) for _ in range(4)]
         if args.negative:
             values = [-v for v in values]
         rep = analysis.convergence_stl_min(
             values, [1.0, 3.0, 10.0, 30.0, logic.nu], args.tol
         )
-    elif logic.kind.value == "yager":
+    elif param == "r":  # the Yager connectives' limit
         pairs = [(rng.uniform(0.05, 0.95), rng.uniform(0.05, 0.95)) for _ in range(20)]
         rep = analysis.convergence_yager_godel(
             pairs, [1.0, 2.0, 4.0, 8.0, 16.0, args.r], args.tol
@@ -489,6 +475,9 @@ def run(argv) -> int:
         return 2
     except RecursionError as exc:
         print(f"error: input nested too deeply to process ({exc})", file=sys.stderr)
+        return 2
+    except MemoryError:
+        print("error: input too large to process: out of memory", file=sys.stderr)
         return 2
 
 

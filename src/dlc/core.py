@@ -41,7 +41,6 @@ class ConnectiveFlags:
 FUZZY_FLAGS = ConnectiveFlags(neg=True, impl=True, monoid=True, lattice=True)
 DL2_FLAGS = ConnectiveFlags(neg=False, impl=True, monoid=True, lattice=True)
 STL_FLAGS = ConnectiveFlags(neg=True, impl=False, monoid=False, lattice=True)
-STL_INFTY_FLAGS = FUZZY_FLAGS
 
 
 # ---------------------------------------------------------------------------
@@ -470,15 +469,6 @@ class LogicId:
         if self.kind is LogicKind.STL:
             return STL_FLAGS
         return FUZZY_FLAGS
-
-    @property
-    def is_fuzzy(self) -> bool:
-        return self.kind in (
-            LogicKind.GODEL,
-            LogicKind.LUKASIEWICZ,
-            LogicKind.YAGER,
-            LogicKind.PRODUCT,
-        )
 
 
 GODEL = LogicId(LogicKind.GODEL)

@@ -12,11 +12,12 @@ import math
 import random
 from dataclasses import dataclass
 from enum import Enum
+from functools import partial
 from typing import Dict, List, Optional
 
-from .carriers import INF, F64Carrier, XReal, XRealCarrier
-from .core import LogicId, LogicKind
-from .semantics import _binary_ops, stl_nary_c
+from .carriers import INF
+from .core import LogicId
+from .semantics import LOGICS
 
 
 class AxiomId(Enum):
@@ -75,66 +76,21 @@ def _json_number(v: float):
 
 
 class ValueDomain:
-    """Sampling, comparison, and value-level connectives for one logic."""
+    """Comparison and value-level connectives for one logic, as its
+    ``LOGICS`` entry (``spec``, which also samples) declares them."""
 
     def __init__(self, logic: LogicId):
         self.logic = logic
-        if logic.kind is LogicKind.STL_INFTY:
-            self.carrier = XRealCarrier
-        else:
-            self.carrier = F64Carrier
-        c = self.carrier
-        if logic.kind is LogicKind.STL:
-            nu = logic.nu
-            self.ops = {
-                "and": lambda x, y: stl_nary_c(c, "conj", nu, [x, y]),
-                "or": lambda x, y: stl_nary_c(c, "disj", nu, [x, y]),
-                "not": c.neg,
-            }
-            # idempotence for this logic targets its soft conjunction
-            self.ops["mand"] = self.ops["and"]
-        else:
-            self.ops = dict(_binary_ops(logic, c))
-        self.consts: Dict[str, object] = {}
-        if logic.is_fuzzy:
-            self.consts = {"top": c.one, "bottom": c.zero}
-        elif logic.kind is LogicKind.DL2:
-            self.consts = {"top": c.zero}
-        elif logic.kind is LogicKind.STL_INFTY:
-            self.consts = {"top": c.plus_inf(), "bottom": c.minus_inf()}
-
-    # -- sampling ---------------------------------------------------------
-
-    def sample(self, rng: random.Random):
-        k = self.logic.kind
-        if self.logic.is_fuzzy:
-            u = rng.random()
-            if u < 0.05:
-                return 0.0
-            if u < 0.10:
-                return 1.0
-            return rng.random()
-        if k is LogicKind.DL2:
-            return 0.0 if rng.random() < 0.05 else rng.uniform(-10.0, 0.0)
-        if k is LogicKind.STL:
-            return rng.uniform(-10.0, 10.0)
-        u = rng.random()  # extended reals: finite bulk plus both infinities
-        if u < 0.04:
-            return XRealCarrier.plus_inf()
-        if u < 0.08:
-            return XRealCarrier.minus_inf()
-        return XReal(rng.uniform(-10.0, 10.0))
-
-    def witnesses(self) -> List:
-        if self.logic.is_fuzzy:
-            return [0.0, 1 / 3, 0.5, 2 / 3, 1.0]
-        if self.logic.kind is LogicKind.DL2:
-            return [0.0, -1 / 3, -0.5, -2 / 3, -1.0]
-        if self.logic.kind is LogicKind.STL:
-            return [-1.0, -1 / 3, 1 / 3, 2 / 3, 1.0]
-        return [
-            XReal(v) for v in (-1.0, -1 / 3, 0.0, 1 / 3, 1.0)
-        ] + [XRealCarrier.plus_inf(), XRealCarrier.minus_inf()]
+        spec = self.spec = LOGICS[logic.kind]
+        c = self.carrier = spec.carrier
+        self.ops = {k: partial(f, c, logic) for k, f in spec.clauses.items()}
+        for k, form in spec.soft.items():  # a soft form on two operands
+            self.ops[k] = lambda x, y, form=form: form(c, logic, [x, y])
+        self.consts: Dict[str, object] = {
+            name: make(c)
+            for name, make in (("top", spec.top), ("bottom", spec.bottom))
+            if make is not None
+        }
 
     # -- comparison -------------------------------------------------------
 
@@ -239,7 +195,7 @@ def check_axiom_values(
     if not _applicable(domain, needed):
         return LawReport(name, axiom.value, 0, "not-applicable", tol)
     rng = random.Random(seed)
-    witnesses = domain.witnesses()
+    witnesses = domain.spec.witnesses
     run = 0
     # witness tuples first (constant repetition covers the known failures),
     # then random samples
@@ -249,7 +205,7 @@ def check_axiom_values(
             if arity >= 2:
                 streams.append(tuple([w, v] + [w] * (arity - 2)))
     for _ in range(n_samples):
-        streams.append(tuple(domain.sample(rng) for _ in range(arity)))
+        streams.append(tuple(domain.spec.sample(rng) for _ in range(arity)))
     for xs in streams:
         run += 1
         a = lhs(domain.ops, domain.consts, xs)
@@ -279,7 +235,7 @@ def check_residuation(
     attempts = 0
     while run < n_samples and attempts < 50 * n_samples:
         attempts += 1
-        x, y, z = (domain.sample(rng) for _ in range(3))
+        x, y, z = (domain.spec.sample(rng) for _ in range(3))
         prod = ops["mand"](x, y)
         resid = ops["impl"](x, z)
         vp, vz = domain.value(prod), domain.value(z)

@@ -1,16 +1,21 @@
-"""The interpretation function: one generic interpreter over any carrier.
+"""The seven logics and the interpretation function over any carrier.
 
 Each logic maps boolean connectives to closed-form arithmetic on its
 carrier domain: the four fuzzy logics to [0,1], DL2 to (-inf, 0], the
-soft min/max logic to reals, and its limit to extended reals.
+soft min/max logic to reals, and its limit to extended reals.  Each is
+declared once, as a ``LogicDef`` in ``LOGICS``: its clauses, constants,
+exact-check carrier, sequent reading and sample domain.  Every other
+module reads the entry instead of branching on the logic.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
-from typing import Callable, Dict, Sequence
+from operator import attrgetter, methodcaller
+from typing import Callable, Dict, Optional, Sequence
 
-from .carriers import F64Carrier
+from .carriers import F64Carrier, XReal, XRealCarrier
 from .core import (
     And,
     App,
@@ -99,145 +104,260 @@ def stl_nary(kind: str, nu: float, values: Sequence[float]) -> float:
 
 
 # ---------------------------------------------------------------------------
-# Binary clauses per logic, expressed over a carrier
+# The logics, each declared once.  A clause takes (carrier, logic, *operands).
 
 
-def _godel_not(c, x):
+def _min(c, lg, x, y):
+    return c.min2(x, y)
+
+
+def _max(c, lg, x, y):
+    return c.max2(x, y)
+
+
+def _neg(c, lg, x):
+    return c.neg(x)
+
+
+def _godel_not(c, lg, x):
     return c.one if c.primal(x) == 0.0 else c.zero
 
 
-def _binary_ops(logic: LogicId, c):
-    """Return dict of binary clause implementations for one logic."""
-    kind = logic.kind
-    one, zero = c.one, c.zero
-
-    if kind is LogicKind.GODEL:
-        return {
-            "and": c.min2,
-            "or": c.max2,
-            "mand": c.min2,
-            "mor": c.max2,
-            "not": lambda x: _godel_not(c, x),
-            "impl": lambda x, y: one if c.primal(x) <= c.primal(y) else y,
-        }
-    if kind is LogicKind.LUKASIEWICZ:
-        return {
-            "and": c.min2,
-            "or": c.max2,
-            "mand": lambda x, y: c.max2(c.sub(c.add(x, y), one), zero),
-            "mor": lambda x, y: c.min2(c.add(x, y), one),
-            "not": lambda x: c.sub(one, x),
-            "impl": lambda x, y: c.min2(c.add(c.sub(one, x), y), one),
-        }
-    if kind is LogicKind.YAGER:
-        r = logic.r
-
-        def y_mand(x, y):
-            s = c.add(c.rpow(c.sub(one, x), r), c.rpow(c.sub(one, y), r))
-            return c.max2(c.sub(one, c.rpow(s, 1.0 / r)), zero)
-
-        def y_mor(x, y):
-            s = c.add(c.rpow(x, r), c.rpow(y, r))
-            return c.min2(c.rpow(s, 1.0 / r), one)
-
-        def y_not(x):
-            inner = c.sub(one, c.rpow(c.sub(one, x), r))
-            return c.sub(one, c.rpow(inner, 1.0 / r))
-
-        def y_impl(x, y):
-            if c.primal(x) <= c.primal(y):
-                return one
-            d = c.sub(c.rpow(c.sub(one, y), r), c.rpow(c.sub(one, x), r))
-            return c.sub(one, c.rpow(d, 1.0 / r))
-
-        return {
-            "and": c.min2,
-            "or": c.max2,
-            "mand": y_mand,
-            "mor": y_mor,
-            "not": y_not,
-            "impl": y_impl,
-        }
-    if kind is LogicKind.PRODUCT:
-        return {
-            "and": c.min2,
-            "or": c.max2,
-            "mand": c.mul,
-            "mor": lambda x, y: c.sub(c.add(x, y), c.mul(x, y)),
-            "not": lambda x: _godel_not(c, x),
-            "impl": lambda x, y: one if c.primal(x) <= c.primal(y) else c.div(y, x),
-        }
-    if kind is LogicKind.DL2:
-        return {
-            "and": c.min2,
-            "or": c.max2,
-            "mand": c.add,
-            "mor": lambda x, y: c.neg(c.mul(x, y)),
-            "impl": lambda x, y: c.neg(c.max2(c.sub(x, y), zero)),
-        }
-    if kind is LogicKind.STL_INFTY:
-        return {
-            "and": c.min2,
-            "or": c.max2,
-            "mand": c.min2,
-            "mor": c.max2,
-            "not": c.neg,
-            "impl": lambda x, y: (
-                c.plus_inf() if c.primal(x) <= c.primal(y) else y
-            ),
-        }
-    if kind is LogicKind.STL:
-        return {"not": c.neg}  # everything else has dedicated n-ary forms
-    raise ValidationError(f"no clause table for {kind}")
+def _yager_mand(c, lg, x, y):
+    one, r = c.one, lg.r
+    s = c.add(c.rpow(c.sub(one, x), r), c.rpow(c.sub(one, y), r))
+    return c.max2(c.sub(one, c.rpow(s, 1.0 / r)), c.zero)
 
 
-def fold_nary(logic: LogicId, connective: str, values, carrier=F64Carrier):
-    """Left fold of the binary clause over a value sequence."""
-    if logic.kind is LogicKind.STL and connective in ("and", "or"):
-        raise UndefinedConnective("soft logic folds use the dedicated n-ary forms")
-    return _fold(_binary_ops(logic, carrier), logic, connective, values)
+def _yager_mor(c, lg, x, y):
+    s = c.add(c.rpow(x, lg.r), c.rpow(y, lg.r))
+    return c.min2(c.rpow(s, 1.0 / lg.r), c.one)
 
 
-def _fold(ops: dict, logic: LogicId, connective: str, values):
-    if connective not in ops:
-        raise UndefinedConnective(f"{connective} undefined for {logic.kind.value}")
-    op = ops[connective]
-    values = list(values)
-    acc = values[0]
-    for v in values[1:]:
-        acc = op(acc, v)
-    return acc
+def _yager_not(c, lg, x):
+    one, r = c.one, lg.r
+    inner = c.sub(one, c.rpow(c.sub(one, x), r))
+    return c.sub(one, c.rpow(inner, 1.0 / r))
 
 
-def _cmp_value(logic: LogicId, op: CmpOp, r1, r2, c):
+def _yager_impl(c, lg, x, y):
+    one, r = c.one, lg.r
+    if c.primal(x) <= c.primal(y):
+        return one
+    d = c.sub(c.rpow(c.sub(one, y), r), c.rpow(c.sub(one, x), r))
+    return c.sub(one, c.rpow(d, 1.0 / r))
+
+
+def _left_fold(clause):
+    """The n-ary form of a binary clause: its left fold."""
+
+    def fold(c, lg, values):
+        acc = values[0]
+        for v in values[1:]:
+            acc = clause(c, lg, acc, v)
+        return acc
+
+    return fold
+
+
+def _graded_cmp(c, op: CmpOp, r1, r2):
+    """The fuzzy logics' comparison clause."""
     p = c.primal
-    if logic.is_fuzzy:
-        if p(r1) == -p(r2):  # definitional guard: denominator would vanish
-            return c.one
-        ratio = c.div(c.sub(r1, r2), c.add(r1, r2))
-        if op is CmpOp.EQ:
-            return c.max2(c.sub(c.one, c.abs(ratio)), c.zero)
-        return c.max2(c.sub(c.one, c.max2(ratio, c.zero)), c.zero)
-    if logic.kind is LogicKind.DL2:
-        if op is CmpOp.EQ:
-            return c.neg(c.abs(c.sub(r2, r1)))
-        return c.neg(c.max2(c.sub(r1, r2), c.zero))
-    # soft min/max logic and its limit share the comparison clauses
+    if p(r1) == -p(r2):  # definitional guard: denominator would vanish
+        return c.one
+    ratio = c.div(c.sub(r1, r2), c.add(r1, r2))
+    if op is CmpOp.EQ:
+        return c.max2(c.sub(c.one, c.abs(ratio)), c.zero)
+    return c.max2(c.sub(c.one, c.max2(ratio, c.zero)), c.zero)
+
+
+def _dl2_cmp(c, op: CmpOp, r1, r2):
+    if op is CmpOp.EQ:
+        return c.neg(c.abs(c.sub(r2, r1)))
+    return c.neg(c.max2(c.sub(r1, r2), c.zero))
+
+
+def _signed_cmp(c, op: CmpOp, r1, r2):
+    """STL(ν)'s and STL∞'s comparison clause."""
     if op is CmpOp.EQ:
         return c.neg(c.abs(c.sub(r2, r1)))
     return c.sub(r2, r1)
 
 
-def _bool_const_value(logic: LogicId, value: bool, c):
-    if logic.is_fuzzy:
-        return c.one if value else c.zero
-    if logic.kind is LogicKind.DL2:
-        if value:
-            return c.zero
-        raise UndefinedConnective("falsum has no DL2 interpretation")
-    if logic.kind is LogicKind.STL_INFTY:
-        return c.plus_inf() if value else c.minus_inf()
-    raise UndefinedConnective("truth constants undefined for the soft logic")
+def _unit_sample(rng):
+    u = rng.random()
+    if u < 0.05:
+        return 0.0
+    if u < 0.10:
+        return 1.0
+    return rng.random()
+
+
+def _xreal_sample(rng):
+    u = rng.random()  # finite bulk plus both infinities
+    if u < 0.04:
+        return XRealCarrier.plus_inf()
+    if u < 0.08:
+        return XRealCarrier.minus_inf()
+    return XReal(rng.uniform(-10.0, 10.0))
+
+
+@dataclass(frozen=True)
+class SequentReading:
+    """A sequent reads as fold(antecedent values) <= fold(succedent values),
+    over the values of the logic's exact-check carrier; an empty side takes
+    its empty value.  A tolerant reading allows the caller's tolerance."""
+
+    antecedent: Callable
+    empty_antecedent: float
+    succedent: Callable
+    empty_succedent: float
+    tolerant: bool = True
+
+    def holds(self, lv, rv, tol: float) -> bool:
+        lhs = self.antecedent(lv) if lv else self.empty_antecedent
+        rhs = self.succedent(rv) if rv else self.empty_succedent
+        return lhs <= rhs + tol if self.tolerant else lhs <= rhs
+
+
+@dataclass(frozen=True)
+class LogicDef:
+    """Everything the package knows about one logic.
+
+    ``clauses`` maps each connective the logic defines ("and", "or",
+    "mand", "mor", "not", "impl") to its clause; ``nary`` maps each n-ary
+    node kind to its n-ary form, the left fold of the binary clause unless
+    ``soft`` gives a dedicated one.  ``cmp(c, op, r1, r2)`` is the
+    comparison clause.  ``top`` and ``bottom`` take a carrier to the truth
+    constant, or are None where the logic has none (``no_constant`` says
+    why).  Exact checks evaluate over ``carrier``; ``sequent`` is None for
+    a logic without a calculus; ``sample(rng)`` and ``witnesses`` span the
+    value domain the law checks draw from; ``param`` names the ``LogicId``
+    field that parameterises the logic.
+    """
+
+    kind: LogicKind
+    clauses: dict
+    cmp: Callable
+    sample: Callable
+    witnesses: tuple
+    top: Optional[Callable] = None
+    bottom: Optional[Callable] = None
+    no_constant: str = ""
+    carrier: type = F64Carrier
+    sequent: Optional[SequentReading] = None
+    soft: dict = field(default_factory=dict)
+    param: Optional[str] = None
+    trainable: bool = False
+    nary: dict = field(init=False)
+
+    def __post_init__(self):
+        folds = {k: _left_fold(self.clauses[k])
+                 for k in ("and", "or", "mand", "mor") if k in self.clauses}
+        object.__setattr__(self, "nary", {**folds, **self.soft})
+
+    def constant(self, value: bool, c):
+        make = self.top if value else self.bottom
+        if make is None:
+            raise UndefinedConnective(self.no_constant)
+        return make(c)
+
+
+def _fuzzy(kind, mand, mor, neg, impl, sequent=None, **more) -> LogicDef:
+    """A [0, 1]-valued logic over the lattice min/max."""
+    return LogicDef(
+        kind,
+        {"and": _min, "or": _max, "mand": mand, "mor": mor, "not": neg,
+         "impl": impl},
+        _graded_cmp, _unit_sample, (0.0, 1 / 3, 0.5, 2 / 3, 1.0),
+        top=attrgetter("one"), bottom=attrgetter("zero"), sequent=sequent,
+        **more,
+    )
+
+
+def _affine_sum(vs):
+    """Łukasiewicz's untruncated monoidal fold: on one formula it agrees
+    with the formula semantics, and under it the splitting rule is
+    locally sound."""
+    return sum(vs) - (len(vs) - 1)
+
+
+LOGICS: Dict[LogicKind, LogicDef] = {spec.kind: spec for spec in (
+    _fuzzy(
+        LogicKind.GODEL, _min, _max, _godel_not,
+        lambda c, lg, x, y: c.one if c.primal(x) <= c.primal(y) else y,
+        SequentReading(min, 1.0, max, 0.0),
+    ),
+    _fuzzy(
+        LogicKind.LUKASIEWICZ,
+        lambda c, lg, x, y: c.max2(c.sub(c.add(x, y), c.one), c.zero),
+        lambda c, lg, x, y: c.min2(c.add(x, y), c.one),
+        lambda c, lg, x: c.sub(c.one, x),
+        lambda c, lg, x, y: c.min2(c.add(c.sub(c.one, x), y), c.one),
+        SequentReading(_affine_sum, 1.0, _affine_sum, 1.0),
+    ),
+    _fuzzy(LogicKind.YAGER, _yager_mand, _yager_mor, _yager_not, _yager_impl,
+           param="r"),
+    _fuzzy(
+        LogicKind.PRODUCT,
+        lambda c, lg, x, y: c.mul(x, y),
+        lambda c, lg, x, y: c.sub(c.add(x, y), c.mul(x, y)),
+        _godel_not,
+        lambda c, lg, x, y: (
+            c.one if c.primal(x) <= c.primal(y) else c.div(y, x)
+        ),
+        SequentReading(math.prod, 1.0, math.prod, 1.0), trainable=True,
+    ),
+    LogicDef(
+        LogicKind.DL2,
+        {"and": _min, "or": _max,
+         "mand": lambda c, lg, x, y: c.add(x, y),
+         "mor": lambda c, lg, x, y: c.neg(c.mul(x, y)),
+         "impl": lambda c, lg, x, y: c.neg(c.max2(c.sub(x, y), c.zero))},
+        _dl2_cmp,
+        lambda rng: 0.0 if rng.random() < 0.05 else rng.uniform(-10.0, 0.0),
+        (0.0, -1 / 3, -0.5, -2 / 3, -1.0),
+        top=attrgetter("zero"), no_constant="falsum has no DL2 interpretation",
+        sequent=SequentReading(sum, 0.0, sum, 0.0), trainable=True,
+    ),
+    # the soft forms are n-ary, not folds; the law and shadow-lifting
+    # checks read the soft conjunction as the monoidal one too
+    LogicDef(
+        LogicKind.STL, {"not": _neg}, _signed_cmp,
+        lambda rng: rng.uniform(-10.0, 10.0), (-1.0, -1 / 3, 1 / 3, 2 / 3, 1.0),
+        no_constant="truth constants undefined for the soft logic",
+        soft={
+            "and": lambda c, lg, vs: stl_nary_c(c, "conj", lg.nu, vs),
+            "or": lambda c, lg, vs: stl_nary_c(c, "disj", lg.nu, vs),
+            "mand": lambda c, lg, vs: stl_nary_c(c, "conj", lg.nu, vs),
+        },
+        param="nu", trainable=True,
+    ),
+    LogicDef(
+        LogicKind.STL_INFTY,
+        {"and": _min, "or": _max, "mand": _min, "mor": _max, "not": _neg,
+         "impl": lambda c, lg, x, y: (
+             c.plus_inf() if c.primal(x) <= c.primal(y) else y
+         )},
+        _signed_cmp, _xreal_sample,
+        tuple(XReal(v) for v in (-1.0, -1 / 3, 0.0, 1 / 3, 1.0))
+        + (XRealCarrier.plus_inf(), XRealCarrier.minus_inf()),
+        top=methodcaller("plus_inf"), bottom=methodcaller("minus_inf"),
+        carrier=XRealCarrier,
+        sequent=SequentReading(
+            lambda vs: min(v.value for v in vs), math.inf,
+            lambda vs: max(v.value for v in vs), -math.inf, tolerant=False,
+        ),
+    ),
+)}
+
+
+def fold_nary(logic: LogicId, connective: str, values, carrier=F64Carrier):
+    """Left fold of the binary clause over a value sequence."""
+    clause = LOGICS[logic.kind].clauses.get(connective)
+    if clause is None:
+        raise UndefinedConnective(f"{connective} undefined for {logic.kind.value}")
+    return _left_fold(clause)(carrier, logic, list(values))
 
 
 def interpret(logic: LogicId, e: Expr, env: Env = EMPTY_ENV, carrier=F64Carrier):
@@ -245,9 +365,8 @@ def interpret(logic: LogicId, e: Expr, env: Env = EMPTY_ENV, carrier=F64Carrier)
 
     ``validate_for_logic`` walks the whole tree only the first time a root
     meets a profile; it relies on nodes not being mutated after
-    construction.  Evaluation dispatches on each node's type, and the
-    logic's op table is built at most once per call, by the first
-    negation, implication or n-ary node that needs it.
+    construction.  Evaluation dispatches on each node's type and applies
+    the clauses of the logic's ``LOGICS`` entry.
     """
     validate_for_logic(e, logic)
     return _eval(e, _Run(logic, env, carrier))
@@ -256,18 +375,13 @@ def interpret(logic: LogicId, e: Expr, env: Env = EMPTY_ENV, carrier=F64Carrier)
 class _Run:
     """The state of one ``interpret`` call."""
 
-    __slots__ = ("logic", "env", "c", "_ops")
+    __slots__ = ("logic", "env", "c", "spec")
 
     def __init__(self, logic: LogicId, env: Env, c):
         self.logic = logic
         self.env = env
         self.c = c
-        self._ops = None
-
-    def ops(self) -> dict:
-        if self._ops is None:
-            self._ops = _binary_ops(self.logic, self.c)
-        return self._ops
+        self.spec = LOGICS[logic.kind]
 
 
 class _Dispatch(dict):
@@ -302,7 +416,7 @@ def _eval_index(e, run):
 
 
 def _eval_bool(e, run):
-    return _bool_const_value(run.logic, e.value, run.c)
+    return run.spec.constant(e.value, run.c)
 
 
 def _eval_lookup(e, run):
@@ -351,36 +465,36 @@ def _eval_app2(e, run):
 def _eval_cmp(e, run):
     r1 = _EVAL[type(e.left)](e.left, run)
     r2 = _EVAL[type(e.right)](e.right, run)
-    return _cmp_value(run.logic, e.op, r1, r2, run.c)
+    return run.spec.cmp(run.c, e.op, r1, r2)
 
 
 def _eval_not(e, run):
     x = _EVAL[type(e.child)](e.child, run)
-    ops = run.ops()
-    if "not" not in ops:
+    clause = run.spec.clauses.get("not")
+    if clause is None:
         raise UndefinedConnective(f"negation undefined for {run.logic.kind.value}")
-    return ops["not"](x)
+    return clause(run.c, run.logic, x)
 
 
 def _eval_impl(e, run):
     x = _EVAL[type(e.left)](e.left, run)
     y = _EVAL[type(e.right)](e.right, run)
-    ops = run.ops()
-    if "impl" not in ops:
+    clause = run.spec.clauses.get("impl")
+    if clause is None:
         raise UndefinedConnective(
             f"implication undefined for {run.logic.kind.value}"
         )
-    return ops["impl"](x, y)
+    return clause(run.c, run.logic, x, y)
 
 
 def _eval_nary(e, run):
     vals = [_EVAL[type(ch)](ch, run) for ch in e.children]
-    conn = type(e).KIND
-    logic = run.logic
-    if logic.kind is LogicKind.STL:
-        kind = "conj" if conn == "and" else "disj"
-        return stl_nary_c(run.c, kind, logic.nu, vals)
-    return _fold(run.ops(), logic, conn, vals)
+    form = run.spec.nary.get(type(e).KIND)
+    if form is None:
+        raise UndefinedConnective(
+            f"{type(e).KIND} undefined for {run.logic.kind.value}"
+        )
+    return form(run.c, run.logic, vals)
 
 
 _EVAL = _Dispatch({

@@ -48,7 +48,6 @@ from .core import (
     Impl,
     IndexConst,
     LogicId,
-    LogicKind,
     Lookup,
     NODES,
     Not,
@@ -63,7 +62,7 @@ from .errors import (
     UndeclaredIdentifier,
     ValidationError,
 )
-from .semantics import Env, carrier_aware, interpret
+from .semantics import LOGICS, Env, carrier_aware, interpret
 
 # ---------------------------------------------------------------------------
 # Surface AST
@@ -140,9 +139,6 @@ class SpecDoc:
     # Elaborated goal per flag profile, filled in by ``_goal``.  It is no
     # field, so ``==``, ``hash`` and ``repr`` never see it.
     _goals = None
-
-    def vector_arity(self, name: str) -> int:
-        return dict(self.vectors)[name]
 
     def __getstate__(self):
         # a pickled or copied doc starts without elaborated goals
@@ -626,10 +622,6 @@ class NetworkDef:
     def in_arity(self) -> int:
         return len(self.layers[0].weights[0])
 
-    @property
-    def out_arity(self) -> int:
-        return len(self.layers[-1].bias)
-
     def forward(self, xs, c=F64Carrier):
         """The outputs over carrier c: ``c.affine`` per neuron, then ReLU
         as ``c.max2(acc, c.zero)`` where the layer has it."""
@@ -825,8 +817,6 @@ def _loss(logic, expr, inputs, env, carrier=F64Carrier, grad_wrt=None):
     return value, gradient
 
 
-_TRAINABLE = (LogicKind.DL2, LogicKind.PRODUCT, LogicKind.STL)
-
 
 def train_demo(
     logic: LogicId,
@@ -844,7 +834,7 @@ def train_demo(
     Each step moves ``x_name`` along the loss gradient and projects it
     back into the box of radius ``radius_name`` around ``center_name``.
     """
-    if logic.kind not in _TRAINABLE:
+    if not LOGICS[logic.kind].trainable:
         raise RejectedLogic(
             f"{logic.kind.value} has min/max-flat gradients; "
             "use dl2, product, or stl"

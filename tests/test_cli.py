@@ -13,6 +13,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import dlc
+from dlc import cli
 from dlc.calculus import CALCULI, fixtures_dir, _atom
 from dlc.cli import _emit, _json_text, run
 from dlc.errors import ValidationError
@@ -129,6 +130,19 @@ class TestShadow:
         out = tmp_path / "s.json"
         assert run(["shadow", "--logic", "dl2", "--n", "0", "--out", str(out)]) == 2
         assert not out.exists()
+
+    def test_yager_skips_the_samples_outside_its_domain(self, tmp_path):
+        # the forward step at p = 1.0 leaves [0, 1]: those samples are
+        # skipped, and the witness is the flat clamp at p = 0.25
+        out = tmp_path / "s.json"
+        assert run(["shadow", "--logic", "yager", "--r", "2",
+                    "--out", str(out)]) == 1
+        rep = read_json(out)
+        assert rep["witness"]["p"] == 0.25 and rep["witness"]["estimate"] == 0.0
+        skipped = [e for e in rep["estimates"] if "skipped" in e]
+        assert [(e["p"], e["i"]) for e in skipped] == [(1.0, i) for i in range(3)]
+        assert all("is negative" in e["skipped"] for e in skipped)
+        assert len(rep["estimates"]) == 4 * 3
 
 
 class TestConverge:
@@ -271,6 +285,18 @@ def test_runs_as_a_module():
     )
     assert proc.returncode == 0, proc.stderr
     assert json.loads(proc.stdout)["kind"] == "law-matrix"
+
+
+def test_memory_error_is_input_error(monkeypatch, capsys):
+    def exhausted(args):
+        raise MemoryError
+
+    monkeypatch.setattr(cli, "_cmd_laws", exhausted)
+    assert run(["laws"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    (line,) = captured.err.splitlines()
+    assert line.startswith("error: ") and "out of memory" in line
 
 
 def test_usage_error_exit_code():

@@ -1,11 +1,11 @@
 """Value-level interpretation oracles for all seven logics."""
 
 import math
+from functools import partial
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from dlc import semantics
 from dlc.carriers import (
     Dual,
     DualCarrier,
@@ -36,7 +36,6 @@ from dlc.core import (
     FunRef,
     Impl,
     IndexConst,
-    LogicKind,
     Lookup,
     MAnd,
     MOr,
@@ -52,10 +51,8 @@ from dlc.core import (
 from dlc.errors import UndefinedConnective, UnresolvedFunction, ValidationError
 from dlc.semantics import (
     EMPTY_ENV,
+    LOGICS,
     Env,
-    _binary_ops,
-    _bool_const_value,
-    _cmp_value,
     _eval,
     _Run,
     _wants_carrier,
@@ -63,10 +60,14 @@ from dlc.semantics import (
     fold_nary,
     interpret,
     stl_nary,
-    stl_nary_c,
 )
 
 unit = st.floats(0, 1, allow_nan=False)
+
+
+def _binary_ops(logic, c):
+    """The logic's connective clauses over carrier c, as value functions."""
+    return {k: partial(f, c, logic) for k, f in LOGICS[logic.kind].clauses.items()}
 
 
 def cmp_eq(logic, a, b):
@@ -232,7 +233,9 @@ def test_dl2_negation_is_undefined_at_value_level():
 
 
 def _reference_eval(logic, e, env, c):
-    """The recursive evaluator ``interpret`` used before type dispatch."""
+    """The recursive evaluator ``interpret`` used before type dispatch,
+    reading the logic's ``LOGICS`` entry."""
+    spec = LOGICS[logic.kind]
     if isinstance(e, RealConst):
         return c.lift(e.value)
     if isinstance(e, VecConst):
@@ -240,7 +243,7 @@ def _reference_eval(logic, e, env, c):
     if isinstance(e, IndexConst):
         return e.i
     if isinstance(e, BoolConst):
-        return _bool_const_value(logic, e.value, c)
+        return spec.constant(e.value, c)
     if isinstance(e, Lookup):
         vec = _reference_eval(logic, e.vec, env, c)
         idx = _reference_eval(logic, e.index, env, c)
@@ -277,27 +280,24 @@ def _reference_eval(logic, e, env, c):
     if isinstance(e, Cmp):
         r1 = _reference_eval(logic, e.left, env, c)
         r2 = _reference_eval(logic, e.right, env, c)
-        return _cmp_value(logic, e.op, r1, r2, c)
+        return spec.cmp(c, e.op, r1, r2)
     if isinstance(e, Not):
         x = _reference_eval(logic, e.child, env, c)
-        ops = _binary_ops(logic, c)
-        if "not" not in ops:
+        if "not" not in spec.clauses:
             raise UndefinedConnective(f"negation undefined for {logic.kind.value}")
-        return ops["not"](x)
+        return spec.clauses["not"](c, logic, x)
     if isinstance(e, Impl):
         x = _reference_eval(logic, e.left, env, c)
         y = _reference_eval(logic, e.right, env, c)
-        ops = _binary_ops(logic, c)
-        if "impl" not in ops:
+        if "impl" not in spec.clauses:
             raise UndefinedConnective(f"implication undefined for {logic.kind.value}")
-        return ops["impl"](x, y)
+        return spec.clauses["impl"](c, logic, x, y)
     if isinstance(e, (And, Or, MAnd, MOr)):
         vals = [_reference_eval(logic, ch, env, c) for ch in e.children]
         conn = {And: "and", Or: "or", MAnd: "mand", MOr: "mor"}[type(e)]
-        if logic.kind is LogicKind.STL:
-            kind = "conj" if conn == "and" else "disj"
-            return stl_nary_c(c, kind, logic.nu, vals)
-        return fold_nary(logic, conn, vals, carrier=c)
+        if conn not in spec.nary:
+            raise UndefinedConnective(f"{conn} undefined for {logic.kind.value}")
+        return spec.nary[conn](c, logic, vals)
     raise ValidationError(f"uninterpretable node {e!r}")
 
 
@@ -407,22 +407,6 @@ def test_dispatch_matches_the_recursive_evaluator(profile, depth, seed,
             if profile == logic.flag_profile:
                 assert _outcome(lambda log: interpret(
                     logic, e, env, carrier))[0] == old[0]
-
-
-def test_op_table_is_built_once_per_call_and_only_when_needed(monkeypatch):
-    builds = []
-
-    def counted(logic, c):
-        builds.append(logic)
-        return _binary_ops(logic, c)
-
-    monkeypatch.setattr(semantics, "_binary_ops", counted)
-    prof = GODEL.flag_profile
-    x = Cmp(CmpOp.LE, RealConst(1.0), RealConst(2.0), prof)
-    interpret(GODEL, x)
-    assert builds == []
-    interpret(GODEL, MAnd((Not(x), Impl(x, Not(x)), Or((x, x)))))
-    assert builds == [GODEL]
 
 
 def test_unknown_node_is_uninterpretable():
