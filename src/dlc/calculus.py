@@ -71,30 +71,72 @@ PROOF_SCHEMA_VERSION = "dlc-proof/1"
 # Data model
 
 
+# Sequents and hypersequents are slotted and cache their hash, as Expr
+# does: search looks each one up several times.  The constructors write
+# the slots through the slot descriptors' setters (bound below each
+# class), which skips the frozen check as object.__setattr__ would, for
+# less; the hash slot starts as None and is filled by the first __hash__.
+# A pickle or copy rebuilds through the constructor, so no cached hash
+# travels with it.
+
+
 @dataclass(frozen=True)
 class Sequent:
     """An ordered pair of finite formula lists (antecedent, succedent)."""
 
+    __slots__ = ("left", "right", "_hash")
     left: Tuple[Expr, ...]
     right: Tuple[Expr, ...]
 
     def __init__(self, left: Sequence[Expr], right: Sequence[Expr]):
-        object.__setattr__(self, "left", tuple(left))
-        object.__setattr__(self, "right", tuple(right))
+        _set_left(self, tuple(left))
+        _set_right(self, tuple(right))
+        _set_sequent_hash(self, None)
+
+    def __hash__(self):
+        h = self._hash
+        if h is None:
+            h = hash((self.left, self.right))
+            _set_sequent_hash(self, h)
+        return h
+
+    def __reduce__(self):
+        return Sequent, (self.left, self.right)
+
+
+_set_left = Sequent.__dict__["left"].__set__
+_set_right = Sequent.__dict__["right"].__set__
+_set_sequent_hash = Sequent.__dict__["_hash"].__set__
 
 
 @dataclass(frozen=True)
 class Hypersequent:
     """A finite list of sequents, read disjunctively."""
 
+    __slots__ = ("components", "_hash")
     components: Tuple[Sequent, ...]
 
     def __init__(self, components: Sequence[Sequent]):
-        object.__setattr__(self, "components", tuple(components))
+        _set_components(self, tuple(components))
+        _set_hypersequent_hash(self, None)
+
+    def __hash__(self):
+        h = self._hash
+        if h is None:
+            h = hash(self.components)
+            _set_hypersequent_hash(self, h)
+        return h
+
+    def __reduce__(self):
+        return Hypersequent, (self.components,)
 
     def replace(self, c: int, new: Sequence[Sequent]) -> "Hypersequent":
         comps = self.components
         return Hypersequent(comps[:c] + tuple(new) + comps[c + 1 :])
+
+
+_set_components = Hypersequent.__dict__["components"].__set__
+_set_hypersequent_hash = Hypersequent.__dict__["_hash"].__set__
 
 
 class Rule(Enum):
@@ -1239,13 +1281,28 @@ def _random_axiom_tree(calc: CalculusDef, rng: random.Random) -> ProofTree:
     return ProofTree(h, inst, ())
 
 
+def _axiom_match(calc: CalculusDef, s: Sequent):
+    """(rule, params) of the first axiom of calc that s is an instance of,
+    or None."""
+    for spec in calc.axioms:
+        params = spec.match(s)
+        if params is not None:
+            return spec.rule, params
+    return None
+
+
+def _axiom_leaf(h: Hypersequent, c: int, match) -> ProofTree:
+    """The zero-premise proof of h by the axiom match of component c."""
+    rule, params = match
+    return ProofTree(h, RuleInstance(rule, {"c": c, **params}), ())
+
+
 def _leaf_for(calc: CalculusDef, h: Hypersequent) -> Optional[ProofTree]:
     """A zero-premise proof of h, if some component is an axiom instance."""
     for c, s in enumerate(h.components):
-        for spec in calc.axioms:
-            params = spec.match(s)
-            if params is not None:
-                return ProofTree(h, RuleInstance(spec.rule, {"c": c, **params}), ())
+        match = _axiom_match(calc, s)
+        if match is not None:
+            return _axiom_leaf(h, c, match)
     return None
 
 
@@ -1342,72 +1399,111 @@ def rule_local_soundness(
 # Bounded backward search
 
 
-def _backward_instances(calc: CalculusDef, h: Hypersequent):
-    """Rule instances worth trying backward on h, roughly best-first.
-
-    Logical instances come position by position, antecedent first; at most
-    one logical rule of a calculus matches a formula on a given side.
-    """
-    logical = []
-    for c, s in enumerate(h.components):
-        for left, specs in calc.logical.items():
-            if not left and calc.single_conclusion and len(s.right) != 1:
-                break
-            for pos, f in enumerate(_side(s, left)):
-                for spec in specs:
-                    if spec.matches(f):
-                        logical += spec.search_at(calc, s, c, pos)
-    structural = []
-    for rule in _SEARCH_ORDER:
-        if rule in calc.table:
-            structural += calc.table[rule].search(calc, h)
-    return logical, structural
+def _logical_matches(calc: CalculusDef, s: Sequent) -> List[tuple]:
+    """(spec, pos) of every logical rule whose principal formula can sit at
+    position pos of s, antecedent first, position by position; at most one
+    logical rule of a calculus matches a formula on a given side."""
+    found = []
+    for left, specs in calc.logical.items():
+        if not left and calc.single_conclusion and len(s.right) != 1:
+            break
+        for pos, f in enumerate(_side(s, left)):
+            for spec in specs:
+                if spec.matches(f):
+                    found.append((spec, pos))
+    return found
 
 
 def prove_bounded(
     calc: CalculusDef, goal: Hypersequent, depth_budget: int
 ) -> Optional[ProofTree]:
-    """Backward proof search; None means the budget was exhausted."""
+    """Backward proof search; None means the budget was exhausted.
+
+    Depth first: a node closes by an axiom leaf if it can, and otherwise
+    tries its logical instances component by component, then (unless the
+    last two steps were structural) the structural ones in
+    ``_SEARCH_ORDER``.  A failure is memoized with its budget, and an
+    instance with a premise on the path from the goal is skipped.
+
+    Each component is matched once per call: one table keyed by sequent
+    holds its first axiom match, another its logical (spec, pos) matches.
+    A node with budget 1 gives each premise only its leaf test and skips
+    the path check, which is exact: a premise on the path is an ancestor,
+    and an ancestor failed its leaf test.  The tables and the memo belong
+    to the call; no state outlives it.
+    """
     _validate(calc, goal)
     failed: Dict[Hypersequent, int] = {}
+    axiom_of: Dict[Sequent, Optional[tuple]] = {}
+    logical_of: Dict[Sequent, List[tuple]] = {}
+    structural = [calc.table[r] for r in _SEARCH_ORDER if r in calc.table]
+
+    def leaf(h):
+        for c, s in enumerate(h.components):
+            match = axiom_of.get(s, axiom_of)  # the table itself: not seen yet
+            if match is axiom_of:
+                match = axiom_of[s] = _axiom_match(calc, s)
+            if match is not None:
+                return _axiom_leaf(h, c, match)
+        return None
+
+    def candidates(h, streak):
+        """(instance, is_structural) pairs, logical ones first."""
+        for c, s in enumerate(h.components):
+            matches = logical_of.get(s)
+            if matches is None:
+                matches = logical_of[s] = _logical_matches(calc, s)
+            for spec, pos in matches:
+                for inst in spec.search_at(calc, s, c, pos):
+                    yield inst, False
+        if streak < 2:
+            for spec in structural:
+                for inst in spec.search(calc, h):
+                    yield inst, True
 
     def search(h, budget, streak, path):
         # a memoized failure has no leaf, so the memo is consulted first;
         # a node out of budget needs only the leaf scan
         if budget > 0 and failed.get(h, -1) >= budget:
             return None
-        leaf = _leaf_for(calc, h)
-        if leaf is not None:
-            return leaf
+        found = leaf(h)
+        if found is not None:
+            return found
         if budget <= 0:
             return None
-        logical, structural = _backward_instances(calc, h)
-        candidates = [(inst, False) for inst in logical]
-        if streak < 2:
-            candidates += [(inst, True) for inst in structural]
-        below = path | {h}
-        for inst, is_structural in candidates:
+        frontier = budget == 1  # the premises are leaves or nothing
+        below = None if frontier else path | {h}
+        for inst, is_structural in candidates(h, streak):
             try:
                 premises = premises_for(calc, inst, h)
             except (SchemaMismatch, RuleNotInCalculus):
                 continue
-            if any(p in path for p in premises):
+            if not frontier and any(p in path for p in premises):
                 continue
             subtrees = []
             next_streak = streak + 1 if is_structural else 0
             for p in premises:
-                sub = search(p, budget - 1, next_streak, below)
+                if frontier:
+                    sub = leaf(p)
+                else:
+                    sub = search(p, budget - 1, next_streak, below)
                 if sub is None:
                     break
                 subtrees.append(sub)
             else:
                 return ProofTree(h, inst, tuple(subtrees))
-        prev = failed.get(h, -1)
-        if budget > prev:
+        if budget > failed.get(h, -1):
             failed[h] = budget
         return None
 
-    return search(goal, depth_budget, 0, frozenset())
+    try:
+        return search(goal, depth_budget, 0, frozenset())
+    finally:
+        # search refers to itself, so the closures live on until the
+        # cyclic collector runs; emptying the tables frees them now
+        failed.clear()
+        axiom_of.clear()
+        logical_of.clear()
 
 
 # ---------------------------------------------------------------------------

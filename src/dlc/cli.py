@@ -52,12 +52,12 @@ class UsageError(DlcError):
 
 def _logic_from_args(args) -> LogicId:
     """The logic --logic names, with the parameter its entry takes (--r or
-    --nu); the other parameter flag is ignored."""
+    --nu); a parameter flag the logic does not take is a usage error."""
     kind = LogicKind(args.logic)
     param = LOGICS[kind].param
+    if any(getattr(args, flag) is not None for flag in ("r", "nu") if flag != param):
+        raise UsageError("--r applies to yager only, --nu to stl only")
     if param is None:
-        if args.r is not None or args.nu is not None:
-            raise UsageError("--r applies to yager only, --nu to stl only")
         return LogicId(kind)
     value = getattr(args, param)
     if value is None:
@@ -273,6 +273,11 @@ def _cmd_shadow(args) -> int:
     return 0 if rep.holds else 1
 
 
+def _schedule(fixed, limit: float) -> list:
+    """The fixed parameter values below limit, then limit itself."""
+    return [v for v in fixed if v < limit] + [limit]
+
+
 def _cmd_converge(args) -> int:
     import random
 
@@ -284,12 +289,12 @@ def _cmd_converge(args) -> int:
         if args.negative:
             values = [-v for v in values]
         rep = analysis.convergence_stl_min(
-            values, [1.0, 3.0, 10.0, 30.0, logic.nu], args.tol
+            values, _schedule((1.0, 3.0, 10.0, 30.0), logic.nu), args.tol
         )
     elif param == "r":  # the Yager connectives' limit
         pairs = [(rng.uniform(0.05, 0.95), rng.uniform(0.05, 0.95)) for _ in range(20)]
         rep = analysis.convergence_yager_godel(
-            pairs, [1.0, 2.0, 4.0, 8.0, 16.0, args.r], args.tol
+            pairs, _schedule((1.0, 2.0, 4.0, 8.0, 16.0), logic.r), args.tol
         )
     else:
         raise UsageError("converge applies to --logic stl or --logic yager")

@@ -172,9 +172,17 @@ def _node(kind, kids=(), flags=False):
         cls.KIND = kind
         payload = tuple(n for n in names if n not in kid_fields)
         cls._codec = (kind_of, payload, kids, flags)
+        # every field but the children, as a tuple, for _structural_eq
+        own = [f.name for f in fields(cls) if f.name not in kid_fields]
+        if len(own) > 1:
+            cls._own = attrgetter(*own)
+        else:
+            get_own = attrgetter(own[0])
+            cls._own = lambda e: (get_own(e),)
         # the generated hash, cached per node by _cached_hash
         cls._field_hash = cls.__hash__
         cls.__hash__ = _cached_hash
+        cls.__eq__ = _structural_eq
         return cls
 
     return declare
@@ -202,6 +210,36 @@ def _cached_hash(self) -> int:
             stack.pop()
             object.__setattr__(node, "_hash", node._field_hash())
     return self._hash
+
+
+def _structural_eq(self, other):
+    """The dataclass-generated equality, compared from an explicit stack.
+
+    A pair of nodes is equal when it is one object, and unequal when the
+    two cached hashes are both set and differ; otherwise its non-child
+    fields are compared as a tuple (as the generated method does) and its
+    children are pushed pair by pair.  No call recurses on the depth.
+    """
+    if other.__class__ is not self.__class__:
+        return NotImplemented
+    stack = [(self, other)]
+    while stack:
+        a, b = stack.pop()
+        if a is b:
+            continue
+        cls = a.__class__
+        if b.__class__ is not cls:
+            return False
+        ha, hb = a._hash, b._hash
+        if ha is not None and hb is not None and ha != hb:
+            return False
+        if cls._own(a) != cls._own(b):
+            return False
+        ka, kb = cls._kids(a), cls._kids(b)
+        if len(ka) != len(kb):
+            return False
+        stack.extend(zip(ka, kb))
+    return True
 
 
 def _bool_flags(e: Expr, what: str) -> ConnectiveFlags:

@@ -1,7 +1,10 @@
 """Hypersequent calculi: schemas, soundness, search, completeness."""
 
+import copy
+import dataclasses
 import hashlib
 import json
+import pickle
 import math
 import random
 import sys
@@ -34,7 +37,14 @@ from dlc.calculus import (
     weak_completeness_goals,
     weak_completeness_suite,
 )
-from dlc.calculus import _atom, _hyper_to_json, _random_instance, _tree_depth
+from dlc.calculus import (
+    _SEARCH_ORDER,
+    _atom,
+    _hyper_to_json,
+    _random_instance,
+    _tree_depth,
+    _validate,
+)
 from dlc.cli import _emit, run
 from dlc.core import DL2, GODEL, LUKASIEWICZ, STL_INFTY, And, BoolConst, Impl
 from dlc.errors import (
@@ -482,6 +492,65 @@ class TestDeepProofs:
         assert info.value.path == shallow
 
 
+class TestHashCache:
+    """Sequents and hypersequents cache their hash; nothing else shows it."""
+
+    @staticmethod
+    def build():
+        p, q = goedel_atom(1), goedel_atom(2)
+        s = Sequent((p, Impl(p, q)), (q,))
+        return s, Hypersequent([s, Sequent((), (p,))])
+
+    def test_equal_objects_built_apart_hash_equal(self):
+        (s1, h1), (s2, h2) = self.build(), self.build()
+        assert s1 is not s2 and s1.left[0] is not s2.left[0]
+        assert s1 == s2 and hash(s1) == hash(s2)
+        assert h1 == h2 and hash(h1) == hash(h2)
+        assert hash(h1) == hash(h1) and h1 != Hypersequent([s1])
+
+    def test_repr_is_the_dataclass_repr(self):
+        s, h = self.build()
+        p = s.right[0]
+        before = repr(h)
+        assert repr(Sequent((), (p,))) == f"Sequent(left=(), right=({p!r},))"
+        assert before == f"Hypersequent(components=({s!r}, {h.components[1]!r}))"
+        hash(h)
+        assert repr(h) == before
+
+    @pytest.mark.parametrize("attr", ["left", "right", "_hash"])
+    def test_sequent_is_immutable(self, attr):
+        s, _ = self.build()
+        hash(s)
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(s, attr, ())
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            delattr(s, attr)
+        with pytest.raises(AttributeError):
+            s.other = 1
+
+    @pytest.mark.parametrize("attr", ["components", "_hash"])
+    def test_hypersequent_is_immutable(self, attr):
+        _, h = self.build()
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(h, attr, ())
+        with pytest.raises(AttributeError):
+            h.other = 1
+
+    @pytest.mark.parametrize("trip, deep", [
+        (lambda x: pickle.loads(pickle.dumps(x)), True), (copy.deepcopy, True),
+        (copy.copy, False),  # a shallow copy shares the components
+    ], ids=["pickle", "deepcopy", "copy"])
+    def test_round_trip_carries_no_cached_hash(self, trip, deep):
+        (s, h), (_, fresh) = self.build(), self.build()
+        hash(h)
+        assert s._hash is not None and h._hash is not None
+        back = trip(h)
+        assert back._hash is None
+        assert all(c._hash is None for c in back.components) == deep
+        assert back == h and hash(back) == hash(h)
+        assert pickle.dumps(h) == pickle.dumps(fresh)
+
+
 class TestSerialization:
     def test_round_trip(self):
         tree = random_derivation(LUKA, "ser", 5)
@@ -520,3 +589,116 @@ class TestSerialization:
             tree["premises"] = [1]
         with pytest.raises(ValidationError):
             proof_from_json(doc)
+
+
+# ---------------------------------------------------------------------------
+# Search against the reference search
+
+
+def _reference_leaf(calc, h):
+    for c, s in enumerate(h.components):
+        for spec in calc.axioms:
+            params = spec.match(s)
+            if params is not None:
+                return ProofTree(h, RuleInstance(spec.rule, {"c": c, **params}), ())
+    return None
+
+
+def _reference_instances(calc, h):
+    logical = []
+    for c, s in enumerate(h.components):
+        for left, specs in calc.logical.items():
+            if not left and calc.single_conclusion and len(s.right) != 1:
+                break
+            for pos, f in enumerate(s.left if left else s.right):
+                for spec in specs:
+                    if spec.matches(f):
+                        logical += spec.search_at(calc, s, c, pos)
+    structural = []
+    for rule in _SEARCH_ORDER:
+        if rule in calc.table:
+            structural += calc.table[rule].search(calc, h)
+    return logical, structural
+
+
+def _reference_prove_bounded(calc, goal, depth_budget):
+    """prove_bounded without its per-call tables: every node re-matches each
+    component against every rule, and every premise is checked against the
+    path, also at budget 1."""
+    _validate(calc, goal)
+    failed = {}
+
+    def search(h, budget, streak, path):
+        if budget > 0 and failed.get(h, -1) >= budget:
+            return None
+        leaf = _reference_leaf(calc, h)
+        if leaf is not None:
+            return leaf
+        if budget <= 0:
+            return None
+        logical, structural = _reference_instances(calc, h)
+        candidates = [(inst, False) for inst in logical]
+        if streak < 2:
+            candidates += [(inst, True) for inst in structural]
+        below = path | {h}
+        for inst, is_structural in candidates:
+            try:
+                premises = premises_for(calc, inst, h)
+            except (SchemaMismatch, RuleNotInCalculus):
+                continue
+            if any(p in path for p in premises):
+                continue
+            subtrees = []
+            next_streak = streak + 1 if is_structural else 0
+            for p in premises:
+                sub = search(p, budget - 1, next_streak, below)
+                if sub is None:
+                    break
+                subtrees.append(sub)
+            else:
+                return ProofTree(h, inst, tuple(subtrees))
+        prev = failed.get(h, -1)
+        if budget > prev:
+            failed[h] = budget
+        return None
+
+    return search(goal, depth_budget, 0, frozenset())
+
+
+def _proof_bytes(calc, tree):
+    if tree is None:
+        return None
+    return json.dumps(proof_to_json(calc.name, tree)).encode()
+
+
+def _assert_search_matches_reference(calc, goal, budget):
+    want = _proof_bytes(calc, _reference_prove_bounded(calc, goal, budget))
+    got = _proof_bytes(calc, prove_bounded(calc, goal, budget))
+    assert got == want, (calc.name, _hyper_to_json(goal), budget)
+
+
+@pytest.mark.parametrize("name", sorted(CALCULI))
+def test_search_matches_reference_on_weak_completeness_goals(name):
+    calc = CALCULI[name]
+    for _, _, goal in weak_completeness_goals(calc):
+        for budget in range(13):
+            _assert_search_matches_reference(calc, goal, budget)
+
+
+@pytest.mark.parametrize("name", sorted(CALCULI))
+def test_search_matches_reference_on_derived_goals(name):
+    calc = CALCULI[name]
+    for i in range(40):  # 200 conclusions over the five calculi
+        goal = random_derivation(calc, f"diff/{i}", 1 + i % 4).conclusion
+        for budget in range(1, 7):
+            _assert_search_matches_reference(calc, goal, budget)
+
+
+def test_search_keeps_no_table_across_calls():
+    # the empty sequent is an emp axiom in Lukasiewicz but not in Goedel,
+    # so a table kept across calls or calculi would answer wrongly
+    goal = Hypersequent([Sequent((), ())])
+    for calc in (LUKA, GOEDEL, LUKA, GOEDEL):
+        _assert_search_matches_reference(calc, goal, 3)
+        tree = prove_bounded(calc, goal, 3)
+        assert (tree is not None) == (calc is LUKA)

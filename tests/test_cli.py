@@ -145,7 +145,31 @@ class TestShadow:
         assert len(rep["estimates"]) == 4 * 3
 
 
+@pytest.mark.parametrize("flags", [
+    ["--logic", "yager", "--r", "1", "--nu", "3"],
+    ["--logic", "stl", "--nu", "1", "--r", "2"],
+    ["--logic", "dl2", "--r", "1"],
+], ids=["nu_under_yager", "r_under_stl", "r_under_dl2"])
+def test_stray_parameter_flag_is_usage_error(tmp_path, capsys, flags):
+    out = tmp_path / "s.json"
+    assert run(["shadow", *flags, "--out", str(out)]) == 2
+    assert not out.exists()
+    err = capsys.readouterr().err
+    assert err == "error: --r applies to yager only, --nu to stl only\n"
+
+
 class TestConverge:
+    @pytest.mark.parametrize("flags, schedule", [
+        (["--logic", "yager", "--r", "2"], [1.0, 2.0]),
+        (["--logic", "yager", "--r", "0.5"], [0.5]),
+        (["--logic", "stl", "--nu", "5"], [1.0, 3.0, 5.0]),
+        (["--logic", "stl", "--nu", "30"], [1.0, 3.0, 10.0, 30.0]),
+    ], ids=["r_2", "r_below_the_schedule", "nu_5", "nu_on_the_schedule"])
+    def test_schedule_ends_at_the_parameter(self, tmp_path, flags, schedule):
+        out = tmp_path / "c.json"
+        assert run(["converge", *flags, "--out", str(out)]) in (0, 1)
+        assert [e["parameter"] for e in read_json(out)["entries"]] == schedule
+
     def test_stl(self, tmp_path):
         out = tmp_path / "c.json"
         code = run(
@@ -224,6 +248,19 @@ class TestProof:
 
         rep = json.loads(captured.out, parse_constant=reject)
         assert rep["kind"] == "proof-search" and rep["found"] == (code == 0)
+
+    def test_search_with_400_deep_equal_sides_finds_init(self, tmp_path, capsys):
+        f = _atom(1, CALCULI["goedel"].profile)
+        for _ in range(400):
+            f = Not(f)
+        side = [_node_to_json(f)]  # decoded as two distinct objects
+        goal = tmp_path / "goal.json"
+        goal.write_text(json.dumps({"components": [{"left": side, "right": side}]}))
+        code = run(["proof", "search", "--calculus", "goedel", "--goal", str(goal)])
+        captured = capsys.readouterr()
+        assert code == 0 and captured.err == ""
+        rep = json.loads(captured.out)
+        assert rep["found"] and rep["proof"]["tree"]["rule"]["id"] == "init"
 
     @pytest.mark.parametrize(
         "doc",

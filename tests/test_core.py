@@ -497,3 +497,59 @@ def test_a_5000_deep_formula_round_trips_and_hashes():
         fields = tuple(getattr(node, f.name) for f in dataclasses.fields(node))
         assert hash(node) == hash(fields)
     assert sum(1 for _ in walk(f)) == 5003
+
+
+def _reference_eq(a, b):
+    """The dataclass-generated equality: same class and equal field tuples,
+    recursing on children."""
+    if type(a) is not type(b):
+        return False
+    return all(_reference_field_eq(getattr(a, f.name), getattr(b, f.name))
+               for f in dataclasses.fields(a))
+
+
+def _reference_field_eq(x, y):
+    if x is y:
+        return True
+    if isinstance(x, core.Expr):
+        return isinstance(y, core.Expr) and _reference_eq(x, y)
+    if isinstance(x, tuple) and isinstance(y, tuple):
+        return len(x) == len(y) and all(map(_reference_field_eq, x, y))
+    return x == y
+
+
+@given(profile=st.sampled_from(PROFILES), depth=st.integers(0, 3),
+       seeds=st.tuples(st.integers(0, 3), st.integers(0, 3)),
+       hashed=st.sampled_from(["none", "left", "both"]))
+def test_equality_matches_the_generated_one(profile, depth, seeds, hashed):
+    a = _formula_over_all_node_kinds(profile, depth, seeds[0])
+    b = _formula_over_all_node_kinds(profile, depth, seeds[1])
+    if hashed != "none":
+        hash(a)
+    if hashed == "both":
+        hash(b)
+    want = _reference_eq(a, b)
+    assert (a == b) is want and (b == a) is want and (a != b) is not want
+    for x, y in zip(walk(a), walk(b)):  # every pair of subformulas too
+        assert (x == y) is _reference_eq(x, y)
+
+
+def test_equality_of_nan_literals_follows_the_generated_one():
+    nan = RealConst(float("nan"))
+    assert nan == nan and nan != RealConst(float("nan"))
+    assert _reference_eq(nan, nan) and not _reference_eq(nan, RealConst(float("nan")))
+    assert Cmp(CmpOp.LE, nan, nan, FUZZY_FLAGS) == Cmp(CmpOp.LE, nan, nan, FUZZY_FLAGS)
+
+
+def test_deep_formulas_built_apart_compare_without_recursion():
+    f, g = _not_chain(5000), _not_chain(5000)
+    assert f is not g and f == g and not f != g
+    deeper = Not(_not_chain(4999))
+    assert f == deeper
+    other = atom(a=3.0)
+    for _ in range(5000):
+        other = Not(other)
+    assert f != other and other != f  # differs only at the bottom
+    hash(f), hash(other)
+    assert f != other  # both hashes cached and different
+    assert f != _not_chain(4999) and f != 5
