@@ -277,6 +277,12 @@ class RuleSpec:
     """
 
     rule: Rule
+    # For backward search at budget 1: how many adjacent components the
+    # premises are built from, starting at the one the param ``anchor``
+    # names, all other components being copied; None when the premises
+    # read more than such a window.
+    window: Optional[int] = None
+    anchor = "c"
 
     def schema(self, calc, inst: RuleInstance, h: Hypersequent) -> List[Hypersequent]:
         """Premises the rule demands for conclusion h."""
@@ -476,7 +482,7 @@ class _EC(RuleSpec):
 class _EEX(RuleSpec):
     """H | G | D | H'  /  H | D | G | H'"""
 
-    rule = Rule.EEX
+    rule, window, anchor = Rule.EEX, 2, "i"
 
     def schema(self, calc, inst, h):
         comps = h.components
@@ -502,7 +508,7 @@ class _EEX(RuleSpec):
 class _COM(RuleSpec):
     """H | G1, T1 |- D1   H | G2, T2 |- D2  /  H | G1, G2 |- D1 | T1, T2 |- D2"""
 
-    rule = Rule.COM
+    rule, window = Rule.COM, 2
 
     def schema(self, calc, inst, h):
         comps = h.components
@@ -551,7 +557,7 @@ class _COM(RuleSpec):
 class _SPLIT(RuleSpec):
     """H | G1, G2 |- D1, D2  /  H | G1 |- D1 | G2 |- D2"""
 
-    rule = Rule.SPLIT
+    rule, window = Rule.SPLIT, 2
 
     def schema(self, calc, inst, h):
         comps = h.components
@@ -585,7 +591,7 @@ class _SPLIT(RuleSpec):
 class _MIX(RuleSpec):
     """H | G1 |- D1   H | G2 |- D2  /  H | G1, G2 |- D1, D2"""
 
-    rule = Rule.MIX
+    rule, window = Rule.MIX, 1
 
     def schema(self, calc, inst, h):
         c = _param(inst, "c")
@@ -626,7 +632,7 @@ class _MIX(RuleSpec):
 class _WeakL(RuleSpec):
     """H | G |- D  /  H | G, S |- D, for a block S of k formulas"""
 
-    rule = Rule.WEAK_L
+    rule, window = Rule.WEAK_L, 1
     longest = 3  # longest antecedent a random trial gives an empty one
 
     def schema(self, calc, inst, h):
@@ -682,6 +688,8 @@ class _ContrL(_WeakL):
 
 class _Exchange(RuleSpec):
     """Swap the formulas at pos and pos + 1 of one side of a component."""
+
+    window = 1
 
     def __init__(self, rule: Rule):
         self.rule = rule
@@ -1338,6 +1346,8 @@ def soundness_fuzz(
     calc: CalculusDef, trials: int, depth: int, seed, tol: float = 1e-9
 ) -> dict:
     """Generate derivations and assert the conclusion holds semantically."""
+    if depth < 1:
+        raise ValidationError("derivation depth must be >= 1")
     rng = random.Random(f"fuzz/{calc.name}/{seed}")
     violations = []
     for i in range(trials):
@@ -1414,8 +1424,19 @@ def _logical_matches(calc: CalculusDef, s: Sequent) -> List[tuple]:
     return found
 
 
+def _shifted(inst: RuleInstance, key: str, c: int) -> RuleInstance:
+    """inst with its param key moved c components to the right."""
+    params = dict(inst.params)
+    params[key] += c
+    return RuleInstance(inst.rule, params)
+
+
 def prove_bounded(
-    calc: CalculusDef, goal: Hypersequent, depth_budget: int
+    calc: CalculusDef,
+    goal: Hypersequent,
+    depth_budget: int,
+    *,
+    work: Optional[dict] = None,
 ) -> Optional[ProofTree]:
     """Backward proof search; None means the budget was exhausted.
 
@@ -1427,16 +1448,36 @@ def prove_bounded(
 
     Each component is matched once per call: one table keyed by sequent
     holds its first axiom match, another its logical (spec, pos) matches.
-    A node with budget 1 gives each premise only its leaf test and skips
-    the path check, which is exact: a premise on the path is an ancestor,
-    and an ancestor failed its leaf test.  The tables and the memo belong
-    to the call; no state outlives it.
+
+    A node with budget 1 (the frontier) needs an instance whose every
+    premise has an axiom leaf, and it is answered from tables instead of
+    building each instance's premises.  The logical rules' table is keyed
+    by one component; each structural spec with a ``window`` has its own
+    table, keyed by the components of that window.  An entry is the
+    first instance, in search order, that closes on the hypersequent of
+    the window alone, with its leaves, and is built once per call.  This
+    is exact: the frontier node failed its own leaf test, so only the
+    components a rule creates can be axioms, and those depend on the
+    window alone.  So the first hit, logical rules component by component
+    and then each structural spec component by component, is the instance
+    a full enumeration would find; it is re-placed at the node by shifting
+    the instance's and the leaves' component index.  A spec without a
+    window (``ew``) is enumerated, and the path check is skipped at the
+    frontier, since a premise on the path failed its leaf test.
+
+    The tables and the memo belong to the call; no state outlives it.  If
+    ``work`` is a dict, the call writes its counts into it when it
+    returns: nodes expanded, memo prunes, and frontier table hits (an
+    entry looked up again) and misses (an entry built).
     """
     _validate(calc, goal)
     failed: Dict[Hypersequent, int] = {}
     axiom_of: Dict[Sequent, Optional[tuple]] = {}
     logical_of: Dict[Sequent, List[tuple]] = {}
     structural = [calc.table[r] for r in _SEARCH_ORDER if r in calc.table]
+    closes_logical: Dict[Sequent, Optional[tuple]] = {}
+    closes: Dict[RuleSpec, dict] = {}  # spec -> {window: entry}
+    expanded = pruned = hits = 0
 
     def leaf(h):
         for c, s in enumerate(h.components):
@@ -1447,13 +1488,16 @@ def prove_bounded(
                 return _axiom_leaf(h, c, match)
         return None
 
+    def logical(s):
+        matches = logical_of.get(s)
+        if matches is None:
+            matches = logical_of[s] = _logical_matches(calc, s)
+        return matches
+
     def candidates(h, streak):
         """(instance, is_structural) pairs, logical ones first."""
         for c, s in enumerate(h.components):
-            matches = logical_of.get(s)
-            if matches is None:
-                matches = logical_of[s] = _logical_matches(calc, s)
-            for spec, pos in matches:
+            for spec, pos in logical(s):
                 for inst in spec.search_at(calc, s, c, pos):
                     yield inst, False
         if streak < 2:
@@ -1461,49 +1505,135 @@ def prove_bounded(
                 for inst in spec.search(calc, h):
                     yield inst, True
 
+    def closing(h, instances):
+        """(instance, leaves) of the first of instances on h whose every
+        premise has an axiom leaf, or None."""
+        for inst in instances:
+            try:
+                premises = premises_for(calc, inst, h)
+            except (SchemaMismatch, RuleNotInCalculus):
+                continue
+            leaves = []
+            for p in premises:
+                sub = leaf(p)
+                if sub is None:
+                    break
+                leaves.append(sub)
+            else:
+                return inst, leaves
+        return None
+
+    def placed(h, c, width, key, entry):
+        """The proof of h by entry, found on its window at c."""
+        inst, leaves = entry
+        comps = h.components
+        head, tail = comps[:c], comps[c + width :]
+        return ProofTree(h, _shifted(inst, key, c), tuple(
+            ProofTree(
+                Hypersequent(head + t.conclusion.components + tail),
+                _shifted(t.rule, "c", c),
+            )
+            for t in leaves
+        ))  # fmt: skip
+
+    def frontier(h, streak):
+        """A proof of h by one instance over axiom leaves, or None; h has
+        no axiom component."""
+        nonlocal hits
+        comps = h.components
+        for c, s in enumerate(comps):
+            entry = closes_logical.get(s, closes_logical)
+            if entry is closes_logical:
+                entry = closes_logical[s] = closing(Hypersequent((s,)), (
+                    inst for spec, pos in logical(s)
+                    for inst in spec.search_at(calc, s, 0, pos)
+                ))  # fmt: skip
+            else:
+                hits += 1
+            if entry is not None:
+                return placed(h, c, 1, "c", entry)
+        if streak >= 2:
+            return None
+        for spec in structural:
+            width = spec.window
+            if width is None:
+                entry = closing(h, spec.search(calc, h))
+                if entry is not None:
+                    return ProofTree(h, entry[0], tuple(entry[1]))
+                continue
+            table = closes.get(spec)
+            if table is None:
+                table = closes[spec] = {}
+            for c in range(len(comps) - width + 1):
+                key = comps[c] if width == 1 else comps[c : c + width]
+                entry = table.get(key, table)
+                if entry is table:
+                    alone = Hypersequent(comps[c : c + width])
+                    entry = table[key] = closing(alone, spec.search(calc, alone))
+                else:
+                    hits += 1
+                if entry is not None:
+                    return placed(h, c, width, spec.anchor, entry)
+        return None
+
     def search(h, budget, streak, path):
+        nonlocal expanded, pruned
         # a memoized failure has no leaf, so the memo is consulted first;
         # a node out of budget needs only the leaf scan
         if budget > 0 and failed.get(h, -1) >= budget:
+            pruned += 1
             return None
         found = leaf(h)
         if found is not None:
             return found
         if budget <= 0:
             return None
-        frontier = budget == 1  # the premises are leaves or nothing
-        below = None if frontier else path | {h}
+        expanded += 1
+        if budget == 1:
+            found = frontier(h, streak)
+        else:
+            found = deeper(h, budget, streak, path)
+        if found is None and budget > failed.get(h, -1):
+            failed[h] = budget
+        return found
+
+    def deeper(h, budget, streak, path):
+        """A proof of h, at budget 2 or more, whose premises are searched."""
+        below = path | {h}
         for inst, is_structural in candidates(h, streak):
             try:
                 premises = premises_for(calc, inst, h)
             except (SchemaMismatch, RuleNotInCalculus):
                 continue
-            if not frontier and any(p in path for p in premises):
+            if any(p in path for p in premises):
                 continue
             subtrees = []
             next_streak = streak + 1 if is_structural else 0
             for p in premises:
-                if frontier:
-                    sub = leaf(p)
-                else:
-                    sub = search(p, budget - 1, next_streak, below)
+                sub = search(p, budget - 1, next_streak, below)
                 if sub is None:
                     break
                 subtrees.append(sub)
             else:
                 return ProofTree(h, inst, tuple(subtrees))
-        if budget > failed.get(h, -1):
-            failed[h] = budget
         return None
 
     try:
         return search(goal, depth_budget, 0, frozenset())
     finally:
+        if work is not None:
+            work.update(
+                nodes_expanded=expanded, memo_prunes=pruned, frontier_hits=hits,
+                frontier_misses=len(closes_logical) + sum(map(len, closes.values())),
+            )  # fmt: skip
         # search refers to itself, so the closures live on until the
         # cyclic collector runs; emptying the tables frees them now
         failed.clear()
         axiom_of.clear()
         logical_of.clear()
+        closes_logical.clear()
+        for table in closes.values():
+            table.clear()
 
 
 # ---------------------------------------------------------------------------
@@ -1539,17 +1669,19 @@ def weak_completeness_goals(calc: CalculusDef):
 
 
 def weak_completeness_suite(calc: CalculusDef, depth_budget: int = 12) -> dict:
-    """Discharge every R1-R9 goal by bounded search."""
+    """Discharge every R1-R9 goal by bounded search; each goal's entry
+    carries the search's work counts (``prove_bounded``)."""
     results = []
     for axiom, direction, goal in weak_completeness_goals(calc):
         status = "failed"
-        tree = prove_bounded(calc, goal, depth_budget)
+        work = {}
+        tree = prove_bounded(calc, goal, depth_budget, work=work)
         if tree is not None:
             check_proof(calc, tree)
             status = "found"
         results.append(
             {"axiom": axiom, "direction": direction, "status": status,
-             "depth": _tree_depth(tree) if tree else None}
+             "depth": _tree_depth(tree) if tree else None, "work": work}
         )
     return {
         "version": "dlc-report/1",

@@ -72,6 +72,13 @@ def _positive_int(text: str) -> int:
     return n
 
 
+def _nonnegative_int(text: str) -> int:
+    n = int(text)
+    if n < 0:
+        raise argparse.ArgumentTypeError(f"expected a non-negative integer, got {n}")
+    return n
+
+
 def _add_logic_flags(p, required=True):
     p.add_argument("--logic", choices=LOGIC_NAMES, required=required)
     p.add_argument("--r", type=float, default=None)
@@ -329,7 +336,8 @@ def _cmd_proof_check(args) -> int:
 def _cmd_proof_search(args) -> int:
     calc = CALCULI[args.calculus]
     goal = load_goal(args.goal)
-    tree = prove_bounded(calc, goal, args.depth)
+    work = {}
+    tree = prove_bounded(calc, goal, args.depth, work=work)
     report = {
         "version": "dlc-report/1",
         "kind": "proof-search",
@@ -337,6 +345,7 @@ def _cmd_proof_search(args) -> int:
         "depth_budget": args.depth,
         "found": tree is not None,
         "proof": proof_to_json(calc.name, tree) if tree is not None else None,
+        "work": work,
     }
     _emit(report, args.out)
     return 0 if tree is not None else 1
@@ -435,19 +444,19 @@ def build_parser() -> argparse.ArgumentParser:
     p = psub.add_parser("search", help="bounded backward proof search")
     p.add_argument("--calculus", choices=sorted(CALCULI), required=True)
     p.add_argument("--goal", required=True)
-    p.add_argument("--depth", type=int, default=12)
+    p.add_argument("--depth", type=_nonnegative_int, default=12)
     _add_common_flags(p)
     p.set_defaults(fn=_cmd_proof_search)
 
     p = sub.add_parser("weakcomp", help="discharge the lattice/monoid goals")
     p.add_argument("--calculus", choices=sorted(CALCULI), required=True)
-    p.add_argument("--depth", type=int, default=12)
+    p.add_argument("--depth", type=_nonnegative_int, default=12)
     _add_common_flags(p)
     p.set_defaults(fn=_cmd_weakcomp)
 
     p = sub.add_parser("fuzz-soundness", help="random-derivation soundness fuzz")
     p.add_argument("--calculus", choices=sorted(CALCULI), required=True)
-    p.add_argument("--depth", type=int, default=6)
+    p.add_argument("--depth", type=_positive_int, default=6)
     _add_common_flags(p)
     p.set_defaults(fn=_cmd_fuzz)
 
@@ -458,7 +467,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--x", default="x")
     p.add_argument("--center", default="v")
     p.add_argument("--radius", default="eps")
-    p.add_argument("--steps", type=int, default=10)
+    p.add_argument("--steps", type=_nonnegative_int, default=10)
     p.add_argument("--lr", type=float, default=0.1)
     _add_logic_flags(p)
     _add_common_flags(p)

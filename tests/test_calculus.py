@@ -192,6 +192,12 @@ def test_soundness_fuzz_report_shape():
     assert rep["trials"] == 50
 
 
+@pytest.mark.parametrize("depth", [0, -3])
+def test_soundness_fuzz_rejects_depth_below_one(depth):
+    with pytest.raises(ValidationError, match="depth must be >= 1"):
+        soundness_fuzz(GOEDEL, 10, depth, "x")
+
+
 @pytest.mark.parametrize("name", sorted(CALCULI))
 def test_rule_local_soundness_fast_sweep(name):
     calc = CALCULI[name]
@@ -702,3 +708,49 @@ def test_search_keeps_no_table_across_calls():
         _assert_search_matches_reference(calc, goal, 3)
         tree = prove_bounded(calc, goal, 3)
         assert (tree is not None) == (calc is LUKA)
+    # p |- closes at budget 1 by weakl (a spec both calculi share) and emp
+    # in Lukasiewicz only; both calculi read p with the same flag profile
+    assert LUKA.profile == GOEDEL.profile
+    goal = Hypersequent([Sequent((goedel_atom(1),), ())])
+    for calc in (LUKA, GOEDEL, LUKA, GOEDEL):
+        _assert_search_matches_reference(calc, goal, 1)
+        tree = prove_bounded(calc, goal, 1)
+        assert (tree is not None) == (calc is LUKA)
+
+
+def _component_pool(calc):
+    """Sequents that close, or not, by one rule step under some calculus;
+    each call builds new objects."""
+    p, q = _atom(1, calc.profile), _atom(2, calc.profile)
+    return [
+        Sequent((p,), (q,)), Sequent((q,), (p,)), Sequent((p, q), (p,)),
+        Sequent((p,), ()), Sequent((), (p,)), Sequent((And((p, q)),), (p,)),
+    ]
+
+
+@pytest.mark.parametrize("name", sorted(CALCULI))
+def test_search_matches_reference_on_repeated_and_swapped_components(name):
+    # the frontier tables are keyed by one component or an adjacent pair:
+    # a component repeated (the same object, or equal and built apart) and
+    # a pair next to its swap look the same entries up again
+    calc = CALCULI[name]
+    pool, apart = _component_pool(calc), _component_pool(calc)
+    for i, x in enumerate(pool):
+        for y in pool:
+            for comps in ([x, y, x], [x, y, apart[i]], [x, y, y, x],
+                          [y, x, apart[i], y]):
+                goal = Hypersequent(comps)
+                for budget in (1, 2, 3):
+                    _assert_search_matches_reference(calc, goal, budget)
+
+
+def test_search_work_counts_repeat():
+    (goal,) = [g for a, d, g in weak_completeness_goals(GOEDEL) if a + d == "R7le"]
+    first, again = {}, {}
+    prove_bounded(GOEDEL, goal, 6, work=first)
+    prove_bounded(GOEDEL, goal, 6, work=again)
+    assert first == again
+    assert set(first) == {
+        "nodes_expanded", "memo_prunes", "frontier_hits", "frontier_misses"
+    }
+    assert first["frontier_hits"] > 0 and first["frontier_misses"] > 0

@@ -402,3 +402,150 @@ def test_emit_maps_non_finite_numbers_to_validation_error(tmp_path):
                        r"of range float values are not JSON compliant: inf\)$"):
         _emit({"loss": [0.5, math.inf]}, str(out))
     assert not out.exists()
+
+
+# ---------------------------------------------------------------------------
+# Search work counts in reports
+
+
+def _search_goal(tmp_path):
+    """A goal file: the bundled Łukasiewicz proof's second conclusion
+    component, p, q -> r |- s, which no axiom closes."""
+    doc = read_json(FIX / "limpl_ext_luka.json")
+    goal = tmp_path / "goal.json"
+    goal.write_text(json.dumps({"components": doc["tree"]["conclusion"][1:]}))
+    return str(goal)
+
+
+WORK_KEYS = {"nodes_expanded", "memo_prunes", "frontier_hits", "frontier_misses"}
+
+
+def test_search_reports_its_work(tmp_path, capsys):
+    argv = ["proof", "search", "--calculus", "goedel", "--goal",
+            _search_goal(tmp_path), "--depth", "4"]
+    assert run(argv) == 1
+    first = json.loads(capsys.readouterr().out)
+    assert set(first["work"]) == WORK_KEYS
+    assert first["work"]["nodes_expanded"] > 0
+    assert run(argv) == 1
+    assert json.loads(capsys.readouterr().out) == first
+
+
+def test_weakcomp_reports_work_per_goal(tmp_path):
+    out = tmp_path / "w.json"
+    assert run(["weakcomp", "--calculus", "goedel", "--depth", "6",
+                "--out", str(out)]) in (0, 1)
+    goals = read_json(out)["goals"]
+    assert all(set(g["work"]) == WORK_KEYS for g in goals)
+    assert sum(g["work"]["frontier_hits"] for g in goals) > 0
+
+
+# ---------------------------------------------------------------------------
+# The exit-code contract of every subcommand
+
+# Numeric flags out of range, rejected at parse time.
+OUT_OF_RANGE = {
+    "fuzz-depth-0": ["fuzz-soundness", "--calculus", "goedel", "--depth", "0"],
+    "fuzz-depth-negative": ["fuzz-soundness", "--calculus", "goedel",
+                            "--depth", "-3"],
+    "search-depth-negative": ["proof", "search", "--calculus", "goedel",
+                              "--goal", "{goal}", "--depth", "-5"],
+    "weakcomp-depth-negative": ["weakcomp", "--calculus", "goedel",
+                                "--depth", "-1"],
+    "train-steps-negative": ["train-demo", SPEC, "--inputs", INPUTS,
+                             "--net", f"N={NET}", "--logic", "dl2",
+                             "--steps", "-2"],
+}
+
+
+def _reject_constant(name):
+    raise ValueError(f"non-strict JSON constant {name}")
+
+
+def _contract_breach(code, captured):
+    """Why a run breaks the exit-code contract, or None."""
+    if "Traceback" in captured.err:
+        return "traceback"
+    if code == 2:
+        errors = [line for line in captured.err.splitlines() if "error:" in line]
+        if captured.out or len(errors) != 1:
+            return f"exit 2 with stdout {captured.out!r}, stderr {captured.err!r}"
+        return None
+    if code not in (0, 1):
+        return f"exit {code}"
+    if captured.err:
+        return f"stderr {captured.err!r}"
+    try:
+        rep = json.loads(captured.out, parse_constant=_reject_constant)
+    except ValueError as exc:
+        return f"no strict JSON report ({exc})"
+    if rep.get("version") != "dlc-report/1":
+        return f"version {rep.get('version')!r}"
+    return None
+
+
+@pytest.mark.parametrize("case", sorted(OUT_OF_RANGE))
+def test_out_of_range_numeric_flag_is_usage_error(case, tmp_path, capsys):
+    argv = [a.replace("{goal}", _search_goal(tmp_path)) for a in OUT_OF_RANGE[case]]
+    out = tmp_path / "r.json"
+    assert run(argv + ["--out", str(out)]) == 2
+    captured = capsys.readouterr()
+    assert _contract_breach(2, captured) is None
+    assert "expected a" in captured.err and not out.exists()
+
+
+LOGIC_FLAGS = {"goedel": [], "lukasiewicz": [], "yager": ["--r", "2"],
+               "product": [], "dl2": [], "stl": ["--nu", "1"], "stl-inf": []}
+# (subcommand, logic or calculus) -> why the run is expected to exit 2
+EXPECTED_USAGE_ERRORS = {
+    **{("converge", lg): "converge has a limit schedule for stl and yager only"
+       for lg in ("goedel", "lukasiewicz", "product", "dl2", "stl-inf")},
+    **{("train-demo", lg): "min/max-flat gradients"
+       for lg in ("goedel", "lukasiewicz", "yager", "stl-inf")},
+    **{(cmd, "stl"): "robustness.spec uses =>, which STL(nu) does not define"
+       for cmd in ("compile", "eval", "train-demo")},
+    **{(cmd, "dl2"): "the bundled proofs' formulas carry a flag profile with "
+       "negation, which dl2's lacks"
+       for cmd in ("proof-check-init", "proof-check-limplext", "proof-search")},
+}
+
+
+def _sweep_cases(goal):
+    for lg, flags in LOGIC_FLAGS.items():
+        logic = ["--logic", lg] + flags
+        net = ["--inputs", INPUTS, "--net", f"N={NET}"]
+        yield "compile", lg, ["compile", SPEC] + logic
+        yield "eval", lg, ["eval", SPEC, *net, "--grad", "x"] + logic
+        yield "shadow", lg, ["shadow", "--samples", "20"] + logic
+        yield "converge", lg, ["converge"] + logic
+        yield "train-demo", lg, ["train-demo", SPEC, *net, "--steps", "2"] + logic
+    yield "laws", None, ["laws", "--samples", "20"]
+    for calc in sorted(CALCULI):
+        on = ["--calculus", calc]
+        yield "proof-check-init", calc, ["proof", "check",
+                                         str(FIX / "init_goedel.json"), *on]
+        yield "proof-check-limplext", calc, ["proof", "check",
+                                             str(FIX / "limpl_ext_luka.json"), *on]
+        yield "proof-search", calc, ["proof", "search", *on, "--goal", goal,
+                                     "--depth", "3"]
+        yield "weakcomp", calc, ["weakcomp", *on, "--depth", "4"]
+        yield "fuzz-soundness", calc, ["fuzz-soundness", *on, "--samples", "20",
+                                       "--depth", "3"]
+    for case, argv in OUT_OF_RANGE.items():
+        yield case, None, [a.replace("{goal}", goal) for a in argv]
+
+
+def test_every_subcommand_keeps_the_exit_code_contract(tmp_path, capsys):
+    """Every subcommand under every logic or calculus, on the bundled
+    fixtures at small budgets, exits 0/1 with a strict report or 2 with one
+    error line; exactly the listed combinations exit 2."""
+    breaches = []
+    for cmd, target, argv in _sweep_cases(_search_goal(tmp_path)):
+        code = run(argv)
+        breach = _contract_breach(code, capsys.readouterr())
+        want_usage = (cmd, target) in EXPECTED_USAGE_ERRORS or cmd in OUT_OF_RANGE
+        if breach is None and (code == 2) != want_usage:
+            breach = f"exit {code}, expected {'2' if want_usage else '0 or 1'}"
+        if breach is not None:
+            breaches.append((cmd, target, breach))
+    assert breaches == []
