@@ -277,12 +277,6 @@ class RuleSpec:
     """
 
     rule: Rule
-    # For backward search at budget 1: how many adjacent components the
-    # premises are built from, starting at the one the param ``anchor``
-    # names, all other components being copied; None when the premises
-    # read more than such a window.
-    window: Optional[int] = None
-    anchor = "c"
 
     def schema(self, calc, inst: RuleInstance, h: Hypersequent) -> List[Hypersequent]:
         """Premises the rule demands for conclusion h."""
@@ -482,7 +476,7 @@ class _EC(RuleSpec):
 class _EEX(RuleSpec):
     """H | G | D | H'  /  H | D | G | H'"""
 
-    rule, window, anchor = Rule.EEX, 2, "i"
+    rule = Rule.EEX
 
     def schema(self, calc, inst, h):
         comps = h.components
@@ -508,7 +502,7 @@ class _EEX(RuleSpec):
 class _COM(RuleSpec):
     """H | G1, T1 |- D1   H | G2, T2 |- D2  /  H | G1, G2 |- D1 | T1, T2 |- D2"""
 
-    rule, window = Rule.COM, 2
+    rule = Rule.COM
 
     def schema(self, calc, inst, h):
         comps = h.components
@@ -557,7 +551,7 @@ class _COM(RuleSpec):
 class _SPLIT(RuleSpec):
     """H | G1, G2 |- D1, D2  /  H | G1 |- D1 | G2 |- D2"""
 
-    rule, window = Rule.SPLIT, 2
+    rule = Rule.SPLIT
 
     def schema(self, calc, inst, h):
         comps = h.components
@@ -591,7 +585,7 @@ class _SPLIT(RuleSpec):
 class _MIX(RuleSpec):
     """H | G1 |- D1   H | G2 |- D2  /  H | G1, G2 |- D1, D2"""
 
-    rule, window = Rule.MIX, 1
+    rule = Rule.MIX
 
     def schema(self, calc, inst, h):
         c = _param(inst, "c")
@@ -632,7 +626,7 @@ class _MIX(RuleSpec):
 class _WeakL(RuleSpec):
     """H | G |- D  /  H | G, S |- D, for a block S of k formulas"""
 
-    rule, window = Rule.WEAK_L, 1
+    rule = Rule.WEAK_L
     longest = 3  # longest antecedent a random trial gives an empty one
 
     def schema(self, calc, inst, h):
@@ -688,8 +682,6 @@ class _ContrL(_WeakL):
 
 class _Exchange(RuleSpec):
     """Swap the formulas at pos and pos + 1 of one side of a component."""
-
-    window = 1
 
     def __init__(self, rule: Rule):
         self.rule = rule
@@ -1105,6 +1097,14 @@ _SEARCH_ORDER = (
     Rule.COM, Rule.SPLIT, Rule.MIX, Rule.LEX, Rule.REX, Rule.EEX, Rule.WEAK_L, Rule.EW,
 )  # fmt: skip
 
+# At budget 1, the number of adjacent components, from the one the param
+# "c" names, that each structural rule builds its premises from, all other
+# components being copied.  eex and ew are absent: their premises only
+# reuse the node's own components, so at budget 1 they never close.
+_FRONTIER_WINDOW = {
+    Rule.COM: 2, Rule.SPLIT: 2, Rule.MIX: 1, Rule.LEX: 1, Rule.REX: 1, Rule.WEAK_L: 1,
+}  # fmt: skip
+
 
 @dataclass(frozen=True)
 class CalculusDef:
@@ -1134,6 +1134,16 @@ class CalculusDef:
         specs = [s for s in self.table.values() if isinstance(s, _Logical)]
         left = tuple(s for s in specs if s.left)
         return {True: left, False: tuple(s for s in specs if not s.left)}
+
+    @cached_property
+    def frontier_windows(self) -> Tuple[Tuple[RuleSpec, int], ...]:
+        """(spec, window width) of each structural rule that can close a
+        budget-1 node, in search order."""
+        return tuple(
+            (self.table[r], _FRONTIER_WINDOW[r])
+            for r in _SEARCH_ORDER
+            if r in self.table and r in _FRONTIER_WINDOW
+        )
 
 
 def _calc(name, logic, single, specs):
@@ -1424,10 +1434,10 @@ def _logical_matches(calc: CalculusDef, s: Sequent) -> List[tuple]:
     return found
 
 
-def _shifted(inst: RuleInstance, key: str, c: int) -> RuleInstance:
-    """inst with its param key moved c components to the right."""
+def _shifted(inst: RuleInstance, c: int) -> RuleInstance:
+    """inst with its component param "c" moved c components to the right."""
     params = dict(inst.params)
-    params[key] += c
+    params["c"] += c
     return RuleInstance(inst.rule, params)
 
 
@@ -1451,19 +1461,21 @@ def prove_bounded(
 
     A node with budget 1 (the frontier) needs an instance whose every
     premise has an axiom leaf, and it is answered from tables instead of
-    building each instance's premises.  The logical rules' table is keyed
-    by one component; each structural spec with a ``window`` has its own
-    table, keyed by the components of that window.  An entry is the
-    first instance, in search order, that closes on the hypersequent of
-    the window alone, with its leaves, and is built once per call.  This
-    is exact: the frontier node failed its own leaf test, so only the
-    components a rule creates can be axioms, and those depend on the
-    window alone.  So the first hit, logical rules component by component
-    and then each structural spec component by component, is the instance
-    a full enumeration would find; it is re-placed at the node by shifting
-    the instance's and the leaves' component index.  A spec without a
-    window (``ew``) is enumerated, and the path check is skipped at the
-    frontier, since a premise on the path failed its leaf test.
+    building each instance's premises.  The logical rules' table is keyed by
+    one component; each structural spec whose rule has a window in
+    ``_FRONTIER_WINDOW`` (``calc.frontier_windows``) has its own table,
+    keyed by the components of that window.  An entry is the first instance,
+    in search order, that closes on the hypersequent of the window alone,
+    with its leaves, and is built once per call.  This is exact: the
+    frontier node failed its own leaf test, so only the components a rule
+    creates can be axioms, and those depend on the window alone.  So the
+    first hit, logical rules component by component and then each structural
+    spec component by component, is the instance a full enumeration would
+    find; it is re-placed at the node by shifting the instance's and the
+    leaves' component index.  A rule without a window (``eex``, ``ew``) is
+    skipped there: its premises only reuse the node's components, none of
+    which is an axiom.  No path check is needed at the frontier, since a
+    premise on the path failed its leaf test.
 
     The tables and the memo belong to the call; no state outlives it.  If
     ``work`` is a dict, the call writes its counts into it when it
@@ -1523,15 +1535,15 @@ def prove_bounded(
                 return inst, leaves
         return None
 
-    def placed(h, c, width, key, entry):
+    def placed(h, c, width, entry):
         """The proof of h by entry, found on its window at c."""
         inst, leaves = entry
         comps = h.components
         head, tail = comps[:c], comps[c + width :]
-        return ProofTree(h, _shifted(inst, key, c), tuple(
+        return ProofTree(h, _shifted(inst, c), tuple(
             ProofTree(
                 Hypersequent(head + t.conclusion.components + tail),
-                _shifted(t.rule, "c", c),
+                _shifted(t.rule, c),
             )
             for t in leaves
         ))  # fmt: skip
@@ -1551,16 +1563,10 @@ def prove_bounded(
             else:
                 hits += 1
             if entry is not None:
-                return placed(h, c, 1, "c", entry)
+                return placed(h, c, 1, entry)
         if streak >= 2:
             return None
-        for spec in structural:
-            width = spec.window
-            if width is None:
-                entry = closing(h, spec.search(calc, h))
-                if entry is not None:
-                    return ProofTree(h, entry[0], tuple(entry[1]))
-                continue
+        for spec, width in calc.frontier_windows:
             table = closes.get(spec)
             if table is None:
                 table = closes[spec] = {}
@@ -1573,7 +1579,7 @@ def prove_bounded(
                 else:
                     hits += 1
                 if entry is not None:
-                    return placed(h, c, width, spec.anchor, entry)
+                    return placed(h, c, width, entry)
         return None
 
     def search(h, budget, streak, path):
@@ -1622,9 +1628,10 @@ def prove_bounded(
         return search(goal, depth_budget, 0, frozenset())
     finally:
         if work is not None:
+            misses = len(closes_logical) + sum(map(len, closes.values()))
             work.update(
                 nodes_expanded=expanded, memo_prunes=pruned, frontier_hits=hits,
-                frontier_misses=len(closes_logical) + sum(map(len, closes.values())),
+                frontier_misses=misses,
             )  # fmt: skip
         # search refers to itself, so the closures live on until the
         # cyclic collector runs; emptying the tables frees them now

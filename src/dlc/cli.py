@@ -65,18 +65,17 @@ def _logic_from_args(args) -> LogicId:
     return LogicId(kind, **{param: value})
 
 
-def _positive_int(text: str) -> int:
-    n = int(text)
-    if n < 1:
-        raise argparse.ArgumentTypeError(f"expected a positive integer, got {n}")
-    return n
+def _int_at_least(lo: int):
+    """An argparse type: an integer no smaller than lo."""
 
+    def parse(text: str) -> int:
+        n = int(text)
+        if n < lo:
+            raise argparse.ArgumentTypeError(f"expected an integer >= {lo}, got {n}")
+        return n
 
-def _nonnegative_int(text: str) -> int:
-    n = int(text)
-    if n < 0:
-        raise argparse.ArgumentTypeError(f"expected a non-negative integer, got {n}")
-    return n
+    parse.__name__ = "int"  # argparse names the type in its messages
+    return parse
 
 
 def _add_logic_flags(p, required=True):
@@ -87,7 +86,7 @@ def _add_logic_flags(p, required=True):
 
 def _add_common_flags(p):
     p.add_argument("--carrier", choices=sorted(CARRIERS), default="f64")
-    p.add_argument("--samples", type=_positive_int, default=1000)
+    p.add_argument("--samples", type=_int_at_least(1), default=1000)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--tol", type=float, default=1e-9)
     p.add_argument("--out", default=None)
@@ -420,7 +419,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(fn=_cmd_laws)
 
     p = sub.add_parser("shadow", help="shadow-lifting check for one logic")
-    p.add_argument("--n", type=_positive_int, default=3)
+    p.add_argument("--n", type=_int_at_least(1), default=3)
     _add_logic_flags(p)
     _add_common_flags(p)
     p.set_defaults(fn=_cmd_shadow)
@@ -444,19 +443,19 @@ def build_parser() -> argparse.ArgumentParser:
     p = psub.add_parser("search", help="bounded backward proof search")
     p.add_argument("--calculus", choices=sorted(CALCULI), required=True)
     p.add_argument("--goal", required=True)
-    p.add_argument("--depth", type=_nonnegative_int, default=12)
+    p.add_argument("--depth", type=_int_at_least(0), default=12)
     _add_common_flags(p)
     p.set_defaults(fn=_cmd_proof_search)
 
     p = sub.add_parser("weakcomp", help="discharge the lattice/monoid goals")
     p.add_argument("--calculus", choices=sorted(CALCULI), required=True)
-    p.add_argument("--depth", type=_nonnegative_int, default=12)
+    p.add_argument("--depth", type=_int_at_least(0), default=12)
     _add_common_flags(p)
     p.set_defaults(fn=_cmd_weakcomp)
 
     p = sub.add_parser("fuzz-soundness", help="random-derivation soundness fuzz")
     p.add_argument("--calculus", choices=sorted(CALCULI), required=True)
-    p.add_argument("--depth", type=_positive_int, default=6)
+    p.add_argument("--depth", type=_int_at_least(1), default=6)
     _add_common_flags(p)
     p.set_defaults(fn=_cmd_fuzz)
 
@@ -467,7 +466,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--x", default="x")
     p.add_argument("--center", default="v")
     p.add_argument("--radius", default="eps")
-    p.add_argument("--steps", type=_nonnegative_int, default=10)
+    p.add_argument("--steps", type=_int_at_least(0), default=10)
     p.add_argument("--lr", type=float, default=0.1)
     _add_logic_flags(p)
     _add_common_flags(p)
