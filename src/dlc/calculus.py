@@ -11,11 +11,12 @@ bounded backward search discharges the residuated-lattice goals.
 Each rule variant is declared once, as a ``RuleSpec`` in the rule table,
 and each calculus lists the variants it uses (``CALCULI``).  A spec holds
 the rule's backward schema, the instances backward search tries, the
-forward extensions soundness fuzzing grows derivations by, and the random
-instances rule-local soundness trials check.  The nine logical rules share
-one principal-formula path (``_Logical``); each axiom states its
-component test once (``_Axiom.match``), for its schema and for closing
-leaves.  Where calculi differ in a rule's form, the table has one variant
+forward steps soundness fuzzing grows derivations by, and the random
+instances rule-local soundness trials check.  Only the schema builds
+premises: a forward step names its params and conclusion, and its premises
+are read from the schema.  The nine logical rules share one
+principal-formula path (``_Logical``); each axiom states its component
+test once (``_Axiom.match``), for its schema and for closing leaves.  Where calculi differ in a rule's form, the table has one variant
 per form: falsum with a single succedent (Łukasiewicz); left implication
 (Gödel/STL∞, Łukasiewicz, product, DL2); ⊙-right with context splitting
 (DL2) or without (product); single- or multi-conclusion right implication.
@@ -272,8 +273,8 @@ class RuleSpec:
     """One rule variant: everything the engine knows about the rule.
 
     ``schema`` is the backward reading that ``premises_for`` dispatches to;
-    the other methods generate instances of it.  Forward candidates are
-    always re-checked against ``premises_for`` before use.
+    the other methods generate instances of it, and only ``schema`` builds
+    premises.
     """
 
     rule: Rule
@@ -287,8 +288,8 @@ class RuleSpec:
         return []
 
     def extend(self, calc, rng: random.Random, tree: ProofTree):
-        """Forward candidates (params, conclusion, premise trees), most with
-        tree as a premise; any other premise is closed by an axiom leaf."""
+        """Forward steps (params, conclusion) from tree's conclusion; the
+        schema gives their premises (``_extend_candidates``)."""
         return ()
 
     def instance(self, calc, rng: random.Random):
@@ -309,14 +310,6 @@ def _pick(rng, h: Hypersequent, wanted):
         return None, None
     c = rng.choice(cands)
     return c, h.components[c]
-
-
-def _closed(calc, params, conclusion, tree, premise):
-    """The forward candidate with premises tree and an axiom leaf for premise,
-    if some component of premise is an axiom instance."""
-    leaf = _leaf_for(calc, premise)
-    if leaf is not None:
-        yield params, conclusion, (tree, leaf)
 
 
 # --- axioms -----------------------------------------------------------------
@@ -442,7 +435,7 @@ class _EW(RuleSpec):
                     extra.append(Sequent(src.left, (_rand_formula(calc, rng),)))
             else:
                 extra.append(_rand_sequent(calc, rng))
-        yield {"k": len(extra)}, Hypersequent(comps + tuple(extra)), (tree,)
+        yield {"k": len(extra)}, Hypersequent(comps + tuple(extra))
 
     def place(self, calc, rng, comps, c):
         _two_or_more(calc, rng, comps)
@@ -466,7 +459,7 @@ class _EC(RuleSpec):
         comps = tree.conclusion.components
         for b in range(1, len(comps) // 2 + 1):
             if comps[-b:] == comps[-2 * b : -b]:
-                yield {"b": b}, Hypersequent(comps[:-b]), (tree,)
+                yield {"b": b}, Hypersequent(comps[:-b])
                 return
 
     def place(self, calc, rng, comps, c):
@@ -492,7 +485,7 @@ class _EEX(RuleSpec):
         comps = tree.conclusion.components
         if len(comps) >= 2:
             i = rng.randrange(len(comps) - 1)
-            yield {"i": i}, Hypersequent(_swap(comps, i)), (tree,)
+            yield {"i": i}, Hypersequent(_swap(comps, i))
 
     def place(self, calc, rng, comps, c):
         _two_or_more(calc, rng, comps)
@@ -536,9 +529,7 @@ class _COM(RuleSpec):
         conclusion = h.replace(
             c, [Sequent(s.left[:j] + (psi,), s.right), Sequent(s.left[j:], (psi,))]
         )
-        params = {"c": c, "k1": j, "k2": len(s.left) - j}
-        premise = h.replace(c, [Sequent((psi,), (psi,))])
-        yield from _closed(calc, params, conclusion, tree, premise)
+        yield {"c": c, "k1": j, "k2": len(s.left) - j}, conclusion
 
     def place(self, calc, rng, comps, c):
         _two_or_more(calc, rng, comps)
@@ -575,7 +566,7 @@ class _SPLIT(RuleSpec):
                 c,
                 [Sequent(s.left[:j], s.right[:k]), Sequent(s.left[j:], s.right[k:])],
             )
-            yield {"c": c}, conclusion, (tree,)
+            yield {"c": c}, conclusion
 
     def place(self, calc, rng, comps, c):
         _two_or_more(calc, rng, comps)
@@ -611,9 +602,7 @@ class _MIX(RuleSpec):
         s = h.components[c]
         psi = _rand_formula(calc, rng)
         conclusion = h.replace(c, [Sequent(s.left + (psi,), s.right + (psi,))])
-        params = {"c": c, "k1": len(s.left), "k2": len(s.right)}
-        premise = h.replace(c, [Sequent((psi,), (psi,))])
-        yield from _closed(calc, params, conclusion, tree, premise)
+        yield {"c": c, "k1": len(s.left), "k2": len(s.right)}, conclusion
 
     def place(self, calc, rng, comps, c):
         k1 = rng.randint(0, len(comps[c].left))
@@ -653,7 +642,7 @@ class _WeakL(RuleSpec):
         added = _rand_formulas(calc, rng, 1, 2)
         s = h.components[c]
         conclusion = h.replace(c, [Sequent(s.left + added, s.right)])
-        yield {"c": c, "k": len(added)}, conclusion, (tree,)
+        yield {"c": c, "k": len(added)}, conclusion
 
     def place(self, calc, rng, comps, c):
         s = comps[c]
@@ -676,7 +665,7 @@ class _ContrL(_WeakL):
             for k in range(1, len(s.left) // 2 + 1):
                 if s.left[-k:] == s.left[-2 * k : -k]:
                     conclusion = h.replace(c, [Sequent(s.left[:-k], s.right)])
-                    yield {"c": c, "k": k}, conclusion, (tree,)
+                    yield {"c": c, "k": k}, conclusion
                     break
 
 
@@ -710,7 +699,7 @@ class _Exchange(RuleSpec):
         c, s = _pick(rng, h, lambda s: len(_side(s, self.left)) >= 2)
         if c is not None:
             pos = rng.randrange(len(_side(s, self.left)) - 1)
-            yield {"c": c, "pos": pos}, h.replace(c, [self._swapped(s, pos)]), (tree,)
+            yield {"c": c, "pos": pos}, h.replace(c, [self._swapped(s, pos)])
 
     def place(self, calc, rng, comps, c):
         new = _rand_formulas(calc, rng, 2, 3)
@@ -843,9 +832,7 @@ class _Lattice(_Logical):
             unit = BoolConst(not self.left, calc.profile)
             f = self.drawn_kind(rng)((x[pos], unit))
             conclusion = h.replace(c, [_with_side(s, self.left, _put(x, pos, f))])
-            premise = h.replace(c, [_with_side(s, self.left, _put(x, pos, unit))])
-            params = self.params(calc, c, pos)
-            yield from _closed(calc, params, conclusion, tree, premise)
+            yield self.params(calc, c, pos), conclusion
 
     def _extend_by_merge(self, calc, rng, tree):
         # two adjacent components that differ in at most one principal-side
@@ -866,7 +853,7 @@ class _Lattice(_Logical):
             pos = diffs[0] if diffs else 0
             f = self.drawn_kind(rng)((x0[pos], x1[pos]))
             merged = _with_side(s0, self.left, _put(x0, pos, f))
-            yield self.params(calc, c, pos), _merge(comps, c, merged), (tree,)
+            yield self.params(calc, c, pos), _merge(comps, c, merged)
             return
 
 
@@ -884,7 +871,7 @@ class _LNeg(_Logical):
         if c is not None:
             delta = _rand_formulas(calc, rng)
             conclusion = h.replace(c, [Sequent(s.left + (Not(s.right[0]),), delta)])
-            yield {"c": c, "pos": len(s.left)}, conclusion, (tree,)
+            yield {"c": c, "pos": len(s.left)}, conclusion
 
 
 class _Odot(_Logical):
@@ -911,7 +898,7 @@ class _Odot(_Logical):
             pos = rng.randrange(len(x) - 1)
             x = x[:pos] + (MAnd((x[pos], x[pos + 1])),) + x[pos + 2 :]
             conclusion = h.replace(c, [_with_side(s, self.left, x)])
-            yield {"c": c, "pos": pos}, conclusion, (tree,)
+            yield {"c": c, "pos": pos}, conclusion
 
 
 class _ROdotSplit(_Odot):
@@ -947,8 +934,7 @@ class _ROdotSplit(_Odot):
             f = MAnd((s.right[0], phi1))
             conclusion = h.replace(c, [Sequent(s.left, (f,) + s.right[1:])])
             params = {"c": c, "pos": 0, "k1": len(s.left), "k2": len(s.right) - 1}
-            premise = h.replace(c, [Sequent((), (phi1,))])
-            yield from _closed(calc, params, conclusion, tree, premise)
+            yield params, conclusion
 
     def place(self, calc, rng, comps, c):
         params = super().place(calc, rng, comps, c)
@@ -977,9 +963,7 @@ class _LImpl(_Logical):
             delta = _rand_formulas(calc, rng)
             f = Impl(s.right[0], phi1)
             conclusion = h.replace(c, [Sequent(s.left + (f,), delta)])
-            premise = h.replace(c, [Sequent(s.left + (phi1,), delta)])
-            params = {"c": c, "pos": len(s.left)}
-            yield from _closed(calc, params, conclusion, tree, premise)
+            yield {"c": c, "pos": len(s.left)}, conclusion
 
 
 class _LImplLuka(_LImpl):
@@ -996,7 +980,7 @@ class _LImplLuka(_LImpl):
             pos = rng.randrange(len(s.left))
             f = Impl(s.right[0], s.left[pos])
             conclusion = h.replace(c, [Sequent(_put(s.left, pos, f), s.right[1:])])
-            yield {"c": c, "pos": pos}, conclusion, (tree,)
+            yield {"c": c, "pos": pos}, conclusion
 
 
 class _LImplProduct(_LImpl):
@@ -1016,11 +1000,7 @@ class _LImplProduct(_LImpl):
         if c is not None:
             phi0, phi1 = s.right[0], BoolConst(False, calc.profile)
             conclusion = h.replace(c, [Sequent(s.left + (Impl(phi0, phi1),), s.right)])
-            p1 = h.replace(c, [Sequent(s.left + (Not(phi0),), s.right)])
-            p2 = h.replace(c, [Sequent(s.left + (phi1,), (phi0,) + s.right)])
-            l1, l2 = _leaf_for(calc, p1), _leaf_for(calc, p2)
-            if l1 is not None and l2 is not None:
-                yield {"c": c, "pos": len(s.left)}, conclusion, (l1, l2)
+            yield {"c": c, "pos": len(s.left)}, conclusion
 
 
 class _LImplDL2(_LImpl):
@@ -1038,9 +1018,7 @@ class _LImplDL2(_LImpl):
         s = h.components[c]
         phi0, phi1 = _rand_formula(calc, rng), _rand_formula(calc, rng)
         conclusion = h.replace(c, [Sequent(s.left + (Impl(phi0, phi1),), s.right)])
-        premise = h.replace(c, [Sequent(s.left + (phi1,), (phi0,) + s.right)])
-        params = {"c": c, "pos": len(s.left)}
-        yield from _closed(calc, params, conclusion, tree, premise)
+        yield {"c": c, "pos": len(s.left)}, conclusion
 
 
 class _RImpl(_Logical):
@@ -1056,7 +1034,7 @@ class _RImpl(_Logical):
         c, s = _pick(rng, h, lambda s: len(s.right) == 1 and s.left)
         if c is not None:
             f = Impl(s.left[-1], s.right[0])
-            yield {"c": c}, h.replace(c, [Sequent(s.left[:-1], (f,))]), (tree,)
+            yield {"c": c}, h.replace(c, [Sequent(s.left[:-1], (f,))])
 
 
 class _RImplMulti(_RImpl):
@@ -1087,8 +1065,7 @@ class _RImplMulti(_RImpl):
         pos = rng.randint(0, len(s.right))
         f = Impl(phi0, phi1)
         conclusion = h.replace(c, [Sequent(s.left, _insert(s.right, pos, f))])
-        premise = h.replace(c, [Sequent(s.left + (phi0,), _insert(s.right, pos, phi1))])
-        yield from _closed(calc, {"c": c, "pos": pos}, conclusion, tree, premise)
+        yield {"c": c, "pos": pos}, conclusion
 
 
 # The order in which backward search tries structural rules, after the
@@ -1325,17 +1302,21 @@ def _leaf_for(calc: CalculusDef, h: Hypersequent) -> Optional[ProofTree]:
 
 
 def _extend_candidates(calc: CalculusDef, rng: random.Random, tree: ProofTree):
-    """Forward extensions of tree, each re-checked against the backward schema."""
+    """Forward steps from tree, with the schema's premises proved by tree
+    (the first, if it is tree's conclusion) or else by axiom leaves."""
     results = []
     for spec in calc.table.values():
-        for params, conclusion, premise_trees in spec.extend(calc, rng, tree):
+        for params, conclusion in spec.extend(calc, rng, tree):
             inst = RuleInstance(spec.rule, params)
-            try:
-                wanted = premises_for(calc, inst, conclusion)
-            except (SchemaMismatch, RuleNotInCalculus):
-                continue
-            if wanted == [t.conclusion for t in premise_trees]:
-                results.append(ProofTree(conclusion, inst, premise_trees))
+            premises = premises_for(calc, inst, conclusion)
+            proofs = []
+            for i, p in enumerate(premises):
+                sub = tree if i == 0 and p == tree.conclusion else _leaf_for(calc, p)
+                if sub is None:
+                    break
+                proofs.append(sub)
+            else:
+                results.append(ProofTree(conclusion, inst, tuple(proofs)))
     return results
 
 
@@ -1708,45 +1689,6 @@ def _tree_depth(tree: ProofTree) -> int:
         deepest = max(deepest, depth)
         stack.extend((p, depth + 1) for p in node.premises)
     return deepest
-
-
-# ---------------------------------------------------------------------------
-# The derived extended left-implication rule, as a checkable derivation
-
-
-def limpl_ext_fixture() -> ProofTree:
-    """Admissibility witness for the extended left-implication rule.
-
-    The rule concludes  H | Gamma, phi0 => phi1 |- Delta  from the single
-    premise  H | Gamma |- Delta | H | Gamma, phi1 |- phi0, Delta.  The
-    derivation below instantiates it with concrete formulas and rebuilds
-    it from the ordinary left-implication rule, weakening, and external
-    contraction, so it re-checks under the Łukasiewicz calculus.
-    """
-    pf = CALCULI["lukasiewicz"].profile
-    p, q, d, a, b = (_atom(i, pf) for i in range(5))
-    impl = Impl(a, b)
-    side = Sequent((p,), (p,))
-    target = Sequent((q, impl), (d,))
-    premise = Hypersequent(
-        [side, Sequent((q,), (d,)), side, Sequent((q, b), (a, d))]
-    )
-    leaf = ProofTree(premise, RuleInstance(Rule.INIT, {"c": 0}), ())
-    after_limpl = ProofTree(
-        Hypersequent([side, Sequent((q,), (d,)), side, target]),
-        RuleInstance(Rule.LIMPL, {"c": 3, "pos": 1}),
-        (leaf,),
-    )
-    after_weak = ProofTree(
-        Hypersequent([side, target, side, target]),
-        RuleInstance(Rule.WEAK_L, {"c": 1, "k": 1}),
-        (after_limpl,),
-    )
-    return ProofTree(
-        Hypersequent([side, target]),
-        RuleInstance(Rule.EC, {"b": 2}),
-        (after_weak,),
-    )
 
 
 # ---------------------------------------------------------------------------

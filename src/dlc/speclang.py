@@ -42,7 +42,9 @@ from .core import (
     App2,
     Cmp,
     CmpOp,
+    ConnectiveFlags,
     Expr,
+    FUZZY_FLAGS,
     Fun2Ref,
     FunRef,
     Impl,
@@ -350,73 +352,8 @@ def parse_spec(text: str) -> SpecDoc:
     if goal is None:
         raise ParseError("spec has no goal", 1, 1)
     doc = SpecDoc(tuple(vectors), tuple(scalars), tuple(networks), goal)
-    _resolve(doc)
+    _lower(doc, FUZZY_FLAGS)  # checks the goal against the declarations
     return doc
-
-
-def _resolve(doc: SpecDoc) -> None:
-    """Check every identifier in the goal against the declarations."""
-    vecs = dict(doc.vectors)
-    nets = {n: (m, k) for n, m, k in doc.networks}
-    scalars = set(doc.scalars)
-
-    def vec_arity(e) -> int:
-        if isinstance(e, VName):
-            if e.name not in vecs:
-                raise UndeclaredIdentifier(f"vector {e.name!r} not declared")
-            return vecs[e.name]
-        if isinstance(e, VCall):
-            arities = [vec_arity(a) for a in e.args]
-            if e.name == "sub":
-                if len(arities) != 2 or arities[0] != arities[1]:
-                    raise ArityMismatch("sub needs two vectors of equal arity")
-                return arities[0]
-            if e.name in nets:
-                m, k = nets[e.name]
-                if len(arities) != 1 or arities[0] != m:
-                    raise ArityMismatch(
-                        f"network {e.name!r} expects one vector of arity {m}"
-                    )
-                return k
-            raise UndeclaredIdentifier(f"function {e.name!r} not declared")
-        raise ValidationError(f"not a vector expression: {e!r}")
-
-    def real(e) -> None:
-        if isinstance(e, RNum):
-            return
-        if isinstance(e, RName):
-            if e.name not in scalars:
-                raise UndeclaredIdentifier(f"scalar {e.name!r} not declared")
-            return
-        if isinstance(e, RIndex):
-            if e.name not in vecs:
-                raise UndeclaredIdentifier(f"vector {e.name!r} not declared")
-            if not 0 <= e.i < vecs[e.name]:
-                raise ArityMismatch(
-                    f"index {e.i} out of range for vector {e.name!r}"
-                )
-            return
-        if isinstance(e, RNorm):
-            vec_arity(e.arg)
-            return
-        raise ValidationError(f"not a real expression: {e!r}")
-
-    def formula(f) -> None:
-        if isinstance(f, FCmp):
-            real(f.left)
-            real(f.right)
-        elif isinstance(f, FNot):
-            formula(f.child)
-        elif isinstance(f, FBin):
-            formula(f.left)
-            formula(f.right)
-        elif isinstance(f, FImpl):
-            formula(f.left)
-            formula(f.right)
-        else:
-            raise ValidationError(f"not a formula: {f!r}")
-
-    formula(doc.goal)
 
 
 # ---------------------------------------------------------------------------
@@ -484,15 +421,24 @@ def _slot(name: str, n: int) -> Expr:
 
 
 def elaborate(doc: SpecDoc, logic: LogicId, env: Optional[Env] = None) -> Expr:
-    """Lower the goal formula to a core expression for one logic.
-
-    Every reference to an input shares one slot node.
-    """
-    profile = logic.flag_profile
-    vecs = dict(doc.vectors)
-    nets = {n: (m, k) for n, m, k in doc.networks}
+    """Lower the goal formula to a core expression for one logic, after
+    checking that ``env``, if given, holds every declared network."""
     if env is not None:
         _check_networks(doc, env)
+    return _lower(doc, logic.flag_profile)
+
+
+def _lower(doc: SpecDoc, profile: ConnectiveFlags) -> Expr:
+    """The goal as a core expression under the flag profile.
+
+    One walk, left to right and a call's arguments before the call, checks
+    each identifier against the declarations before it builds the node
+    that refers to it, so the first fault in that order is the one raised.
+    Every reference to an input shares one slot node.
+    """
+    vecs = dict(doc.vectors)
+    nets = {n: (m, k) for n, m, k in doc.networks}
+    scalars = set(doc.scalars)
     slots = {}
 
     def slot(name: str, n: int) -> Expr:
@@ -501,25 +447,46 @@ def elaborate(doc: SpecDoc, logic: LogicId, env: Optional[Env] = None) -> Expr:
             node = slots[name, n] = _slot(name, n)
         return node
 
+    def arity(name: str) -> int:
+        if name not in vecs:
+            raise UndeclaredIdentifier(f"vector {name!r} not declared")
+        return vecs[name]
+
     def vec(e) -> Expr:
         if isinstance(e, VName):
-            return slot(e.name, vecs[e.name])
+            return slot(e.name, arity(e.name))
         if isinstance(e, VCall):
             args = [vec(a) for a in e.args]
+            arities = [a.tag.n for a in args]
             if e.name == "sub":
-                n = args[0].tag.n
+                if len(arities) != 2 or arities[0] != arities[1]:
+                    raise ArityMismatch("sub needs two vectors of equal arity")
+                n = arities[0]
                 return App2(Fun2Ref("sub", n, n, n), args[0], args[1])
-            m, k = nets[e.name]
-            return App(FunRef(e.name, m, k), args[0])
+            if e.name in nets:
+                m, k = nets[e.name]
+                if arities != [m]:
+                    raise ArityMismatch(
+                        f"network {e.name!r} expects one vector of arity {m}"
+                    )
+                return App(FunRef(e.name, m, k), args[0])
+            raise UndeclaredIdentifier(f"function {e.name!r} not declared")
         raise ValidationError(f"not a vector expression: {e!r}")
 
     def real(e) -> Expr:
         if isinstance(e, RNum):
             return RealConst(e.value)
         if isinstance(e, RName):
+            if e.name not in scalars:
+                raise UndeclaredIdentifier(f"scalar {e.name!r} not declared")
             return Lookup(slot(e.name, 1), IndexConst(0, 1))
         if isinstance(e, RIndex):
-            return Lookup(slot(e.name, vecs[e.name]), IndexConst(e.i, vecs[e.name]))
+            n = arity(e.name)
+            if not 0 <= e.i < n:
+                raise ArityMismatch(
+                    f"index {e.i} out of range for vector {e.name!r}"
+                )
+            return Lookup(slot(e.name, n), IndexConst(e.i, n))
         if isinstance(e, RNorm):
             v = vec(e.arg)
             return Lookup(

@@ -8,7 +8,6 @@ import pickle
 import math
 import random
 import sys
-import time
 
 import pytest
 
@@ -24,7 +23,6 @@ from dlc.calculus import (
     fixtures_dir,
     goal_from_json,
     hypersequent_holds,
-    limpl_ext_fixture,
     load_proof,
     premises_for,
     proof_from_json,
@@ -38,8 +36,14 @@ from dlc.calculus import (
     weak_completeness_suite,
 )
 from dlc.calculus import (
+    _EEX,
+    _MIN_MAX_RULES,
+    _MIX,
     _SEARCH_ORDER,
+    _Init,
     _atom,
+    _calc,
+    _extend_candidates,
     _hyper_to_json,
     _random_instance,
     _tree_depth,
@@ -184,6 +188,54 @@ def test_random_derivation_deterministic(name):
     a = random_derivation(calc, "seed", 6)
     b = random_derivation(calc, "seed", 6)
     assert a == b
+
+
+class _BadSwap(_EEX):
+    """eex whose forward step names a component pair that is not there."""
+
+    def extend(self, calc, rng, tree):
+        yield {"i": len(tree.conclusion.components)}, tree.conclusion
+
+
+def test_forward_step_the_schema_rejects_raises():
+    calc = _calc("goedel-bad-eex", GODEL, True, _MIN_MAX_RULES + (_BadSwap(),))
+    assert type(calc.table[Rule.EEX]) is _BadSwap
+    with pytest.raises(SchemaMismatch, match="eex: adjacent component index"):
+        random_derivation(calc, "bad", 2)
+
+
+class _MixSteps(_MIX):
+    """Three mix steps on a one-component tree p |- p: psi |- psi after it,
+    which init closes; psi |- chi after it, which no axiom closes; and
+    psi |- psi before it, whose first premise is not tree's conclusion."""
+
+    def extend(self, calc, rng, tree):
+        (s,) = tree.conclusion.components
+        psi, chi = _atom(1, calc.profile), _atom(2, calc.profile)
+        for right in (psi, chi):
+            conclusion = Hypersequent([Sequent(s.left + (psi,), s.right + (right,))])
+            yield {"c": 0, "k1": len(s.left), "k2": len(s.right)}, conclusion
+        yield {"c": 0, "k1": 1, "k2": 1}, Hypersequent(
+            [Sequent((psi,) + s.left, (psi,) + s.right)])
+
+
+def test_forward_step_without_a_leaf_is_dropped():
+    calc = _calc("init-mix", LUKASIEWICZ, False, (_Init(), _MixSteps()))
+    p, psi = _atom(3, calc.profile), _atom(1, calc.profile)
+    tree = ProofTree(Hypersequent([Sequent((p,), (p,))]),
+                     RuleInstance(Rule.INIT, {"c": 0}))
+    after, before = _extend_candidates(calc, random.Random(0), tree)
+    assert after.conclusion == Hypersequent([Sequent((p, psi), (p, psi))])
+    assert before.conclusion == Hypersequent([Sequent((psi, p), (psi, p))])
+    init = RuleInstance(Rule.INIT, {"c": 0})
+    assert after.premises[0] is tree
+    assert [(t.conclusion, t.rule) for t in after.premises[1:]] == [
+        (Hypersequent([Sequent((psi,), (psi,))]), init)]
+    # a first premise that is not tree's conclusion is closed by a leaf too
+    assert [(t.conclusion, t.rule) for t in before.premises] == [
+        (Hypersequent([Sequent((psi,), (psi,))]), init), (tree.conclusion, init)]
+    for step in (after, before):
+        check_proof(calc, step)
 
 
 def test_soundness_fuzz_report_shape():
@@ -344,12 +396,26 @@ def test_weak_completeness_pinned_depths(name):
 
 
 class TestExtendedRuleFixture:
-    def test_rechecks_under_lukasiewicz(self):
-        tree = limpl_ext_fixture()
+    """The bundled admissibility witness of the extended left-implication
+    rule, ``limpl_ext_luka.json``.
+
+    The rule concludes  H | Gamma, phi0 => phi1 |- Delta  from the single
+    premise  H | Gamma |- Delta | H | Gamma, phi1 |- phi0, Delta.  The
+    fixture instantiates it with concrete formulas and rebuilds it from the
+    ordinary left-implication rule, weakening, and external contraction, so
+    it re-checks under the Łukasiewicz calculus.
+    """
+
+    @pytest.fixture()
+    def tree(self):
+        name, tree = load_proof(str(fixtures_dir() / "limpl_ext_luka.json"))
+        assert name == "lukasiewicz"
+        return tree
+
+    def test_rechecks_under_lukasiewicz(self, tree):
         check_proof(LUKA, tree)
 
-    def test_uses_external_contraction(self):
-        tree = limpl_ext_fixture()
+    def test_uses_external_contraction(self, tree):
         rules = set()
 
         def visit(t):
@@ -385,6 +451,14 @@ def _goedel_projection(i: int) -> ProofTree:
     return tree
 
 
+def _stack_depth() -> int:
+    """Frames on the caller's stack."""
+    frame, depth = sys._getframe(1), 0
+    while frame is not None:
+        frame, depth = frame.f_back, depth + 1
+    return depth
+
+
 def _nth_premise(tree: ProofTree, path) -> ProofTree:
     for i in path:
         tree = tree.premises[i]
@@ -405,19 +479,25 @@ class TestDeepProofs:
             (node,) = node["premises"]
         assert node == proof_to_json("goedel", base)["tree"]
 
-    def test_proof_deeper_than_the_recursion_limit_writes_fast(self, tmp_path):
-        # json.dumps(indent=2) stops at about 490 steps.  The indented text
-        # grows with the square of the depth: 36 MB here, and 1.3 GB for
-        # the 3,000-step proof, which is too large to write in a test.
+    def test_proof_deeper_than_the_recursion_limit_writes_without_nesting(
+            self, tmp_path):
+        # The 500-step proof is written under a recursion limit about 50
+        # frames above this test's depth, so a writer that nests a frame per
+        # level, as the library's indenting encoder does (whose time grows
+        # with the square of the depth), fails here.  The indented text
+        # grows with the square of the depth too: 36 MB here, and 1.3 GB
+        # for the 3,000-step proof, which is too large to write in a test.
         doc = proof_to_json("goedel", _lex_tower(_goedel_projection(0), 500))
         out = tmp_path / "proof.json"
-        start = time.perf_counter()
-        _emit(doc, str(out))
-        assert time.perf_counter() - start < 0.5
         limit = sys.getrecursionlimit()
-        sys.setrecursionlimit(10_000)  # json.loads and == recurse per level
+        sys.setrecursionlimit(_stack_depth() + 50)
         try:
-            assert json.loads(out.read_text()) == doc
+            _emit(doc, str(out))
+        finally:
+            sys.setrecursionlimit(limit)
+        sys.setrecursionlimit(10_000)  # json.dumps nests per level
+        try:
+            assert out.read_text() == json.dumps(doc, indent=2) + "\n"
         finally:
             sys.setrecursionlimit(limit)
 

@@ -1,8 +1,10 @@
-"""Every name a module of the package imports is used in that module, and
+"""Every name a module of the package imports is used in that module,
 every module-level private function or class is referenced somewhere in
-the package."""
+the package, and every public one is referenced there or named in the
+README."""
 
 import ast
+import re
 from pathlib import Path
 
 import pytest
@@ -10,6 +12,7 @@ import pytest
 import dlc
 
 SOURCES = sorted(Path(dlc.__file__).parent.glob("*.py"))
+README = Path(__file__).resolve().parents[1] / "README.md"
 
 
 def _imported(tree: ast.Module):
@@ -41,12 +44,22 @@ def test_the_scan_finds_an_unused_import():
     assert {n for n, _ in _imported(tree)} - _used(tree) == {"os", "Tuple"}
 
 
+def _defs(tree: ast.Module):
+    """(name, line) of each module-level function or class."""
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            yield node.name, node.lineno
+
+
 def _private_defs(tree: ast.Module):
     """(name, line) of each module-level ``_private`` function or class."""
-    for node in tree.body:
-        if (isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
-                and node.name.startswith("_") and not node.name.endswith("__")):
-            yield node.name, node.lineno
+    return [(name, line) for name, line in _defs(tree)
+            if name.startswith("_") and not name.endswith("__")]
+
+
+def _public_defs(tree: ast.Module):
+    """(name, line) of each module-level public function or class."""
+    return [(name, line) for name, line in _defs(tree) if not name.startswith("_")]
 
 
 def _referenced(tree: ast.Module) -> set:
@@ -70,9 +83,27 @@ def test_no_unreferenced_private_definitions():
     assert not dead, f"private definitions nothing in dlc references: {dead}"
 
 
+def test_no_unreferenced_public_definitions():
+    trees = {p.name: ast.parse(p.read_text(), filename=str(p)) for p in SOURCES}
+    known = set().union(*map(_referenced, trees.values()))
+    known |= set(re.findall(r"\w+", README.read_text()))
+    dead = [f"{name}: {d} (line {line})" for name, tree in trees.items()
+            for d, line in _public_defs(tree) if d not in known]
+    assert not dead, (
+        f"public definitions nothing in dlc references and the README does "
+        f"not name: {dead}")
+
+
 def test_the_scan_finds_an_unreferenced_private_definition():
     tree = ast.parse("def _used(): pass\ndef _dead(): pass\n"
                      "class _Gone: pass\ndef __getattr__(name): pass\n"
                      "def public(): pass\nx = _used()\n")
     assert {n for n, _ in _private_defs(tree)} - _referenced(tree) == {
         "_dead", "_Gone"}
+
+
+def test_the_scan_finds_an_unreferenced_public_definition():
+    tree = ast.parse("def used(): pass\ndef dead(): pass\nclass Gone: pass\n"
+                     "def _private(): pass\nx = used()\n")
+    assert {n for n, _ in _public_defs(tree)} - _referenced(tree) == {
+        "dead", "Gone"}

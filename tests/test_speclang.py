@@ -28,6 +28,7 @@ from dlc.errors import (
     FlagViolation,
     ParseError,
     RejectedLogic,
+    TypeMismatch,
     UndeclaredIdentifier,
     ValidationError,
 )
@@ -145,6 +146,56 @@ class TestParser:
     def test_index_out_of_range(self):
         with pytest.raises(ArityMismatch):
             parse_spec("vector v 2\ngoal v[5] <= 1")
+
+    def test_applied_zero_width_network_fails_at_parse(self):
+        # parsing builds the goal's nodes, and a function type needs
+        # arities >= 1; a declaration the goal does not use still parses
+        with pytest.raises(TypeMismatch, match="function arities must be >= 1"):
+            parse_spec("vector x 2\nnetwork Z 2 0\ngoal |Z(x)|_inf <= 1")
+        parse_spec("vector x 2\nnetwork Z 2 0\ngoal x[0] <= 1")
+
+
+_DECLS = "vector x 2\nvector y 3\nscalar eps\nnetwork N 2 3\n"
+
+# (goal, error class, message) of specs that declare _DECLS and fail to
+# resolve.  The goal is walked left to right, a call's arguments before the
+# call itself, so the first fault in that order is the one reported.
+PARSE_ERRORS = [
+    ("|z|_inf <= 1", UndeclaredIdentifier, "vector 'z' not declared"),
+    ("z[0] <= 1", UndeclaredIdentifier, "vector 'z' not declared"),
+    ("delta <= 1", UndeclaredIdentifier, "scalar 'delta' not declared"),
+    ("x <= 1", UndeclaredIdentifier, "scalar 'x' not declared"),
+    ("|f(x)|_inf <= 1", UndeclaredIdentifier, "function 'f' not declared"),
+    ("|sub(x,y)|_inf <= 1", ArityMismatch, "sub needs two vectors of equal arity"),
+    ("|sub(x)|_inf <= 1", ArityMismatch, "sub needs two vectors of equal arity"),
+    ("|sub(N(x),x)|_inf <= 1", ArityMismatch,
+     "sub needs two vectors of equal arity"),
+    ("|N(y)|_inf <= 1", ArityMismatch, "network 'N' expects one vector of arity 2"),
+    ("|N(x,x)|_inf <= 1", ArityMismatch,
+     "network 'N' expects one vector of arity 2"),
+    ("x[2] <= 1", ArityMismatch, "index 2 out of range for vector 'x'"),
+    ("1 <= y[7]", ArityMismatch, "index 7 out of range for vector 'y'"),
+    # two faults: the first in walk order wins
+    ("delta <= 1 /\\ z[0] <= 1", UndeclaredIdentifier,
+     "scalar 'delta' not declared"),
+    ("z[0] <= 1 /\\ delta <= 1", UndeclaredIdentifier,
+     "vector 'z' not declared"),
+    ("x[5] <= delta", ArityMismatch, "index 5 out of range for vector 'x'"),
+    ("~ eps <= z[0] => x[9] <= 1", UndeclaredIdentifier,
+     "vector 'z' not declared"),
+    ("eps <= 1 => |sub(x,y)|_inf <= delta", ArityMismatch,
+     "sub needs two vectors of equal arity"),
+    ("|f(z)|_inf <= 1", UndeclaredIdentifier, "vector 'z' not declared"),
+    ("|sub(N(y),z)|_inf <= 1", ArityMismatch,
+     "network 'N' expects one vector of arity 2"),
+]
+
+
+@pytest.mark.parametrize("goal, error, message", PARSE_ERRORS)
+def test_parse_error_table(goal, error, message):
+    with pytest.raises(error) as info:
+        parse_spec(_DECLS + "goal " + goal)
+    assert type(info.value) is error and str(info.value) == message
 
 
 def surface_formulas():
