@@ -14,12 +14,15 @@ the rule's backward schema, the instances backward search tries, the
 forward steps soundness fuzzing grows derivations by, and the random
 instances rule-local soundness trials check.  Only the schema builds
 premises: a forward step names its params and conclusion, and its premises
-are read from the schema.  The nine logical rules share one
-principal-formula path (``_Logical``); each axiom states its component
-test once (``_Axiom.match``), for its schema and for closing leaves.  Where calculi differ in a rule's form, the table has one variant
-per form: falsum with a single succedent (Łukasiewicz); left implication
-(Gödel/STL∞, Łukasiewicz, product, DL2); ⊙-right with context splitting
-(DL2) or without (product); single- or multi-conclusion right implication.
+are read from the schema; backward search reads them from per-call tables
+that the schema fills, one per window of components an instance rewrites.
+The nine logical rules share one principal-formula path (``_Logical``);
+each axiom states its component test once (``_Axiom.match``), for its
+schema and for closing leaves.  Where calculi differ in a rule's form, the
+table has one variant per form: falsum with a single succedent
+(Łukasiewicz); left implication (Gödel/STL∞, Łukasiewicz, product, DL2);
+⊙-right with context splitting (DL2) or without (product); single- or
+multi-conclusion right implication.
 """
 
 from __future__ import annotations
@@ -30,6 +33,7 @@ from contextlib import contextmanager
 from dataclasses import dataclass, field
 from enum import Enum
 from functools import cached_property
+from itertools import repeat, tee
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from .core import (
@@ -1074,12 +1078,18 @@ _SEARCH_ORDER = (
     Rule.COM, Rule.SPLIT, Rule.MIX, Rule.LEX, Rule.REX, Rule.EEX, Rule.WEAK_L, Rule.EW,
 )  # fmt: skip
 
-# At budget 1, the number of adjacent components, from the one the param
-# "c" names, that each structural rule builds its premises from, all other
-# components being copied.  eex and ew are absent: their premises only
-# reuse the node's own components, so at budget 1 they never close.
-_FRONTIER_WINDOW = {
-    Rule.COM: 2, Rule.SPLIT: 2, Rule.MIX: 1, Rule.LEX: 1, Rule.REX: 1, Rule.WEAK_L: 1,
+# The window of adjacent components that the searched instances of each
+# structural rule rewrite, from the component their position param names
+# ("c", or eex's "i"): (width, last, fresh).  last: only the node's last
+# window is rewritten; ew's one searched instance (k = 1) rewrites the last
+# pair into its first component.  fresh: the premises create components;
+# eex's and ew's only reuse the node's own, so at budget 1, where no
+# component of the node is an axiom, they never close and are not tried.
+_WINDOW = {
+    Rule.COM: (2, False, True), Rule.SPLIT: (2, False, True),
+    Rule.MIX: (1, False, True), Rule.LEX: (1, False, True),
+    Rule.REX: (1, False, True), Rule.EEX: (2, False, False),
+    Rule.WEAK_L: (1, False, True), Rule.EW: (2, True, False),
 }  # fmt: skip
 
 
@@ -1113,13 +1123,13 @@ class CalculusDef:
         return {True: left, False: tuple(s for s in specs if not s.left)}
 
     @cached_property
-    def frontier_windows(self) -> Tuple[Tuple[RuleSpec, int], ...]:
-        """(spec, window width) of each structural rule that can close a
-        budget-1 node, in search order."""
-        return tuple(
-            (self.table[r], _FRONTIER_WINDOW[r])
-            for r in _SEARCH_ORDER
-            if r in self.table and r in _FRONTIER_WINDOW
+    def windows(self) -> Tuple[tuple, ...]:
+        """(spec, width, last, fresh) of each window backward search
+        rewrites, in search order: the logical rules' (spec None: one
+        component, every position, creating components), then each
+        structural rule's (``_WINDOW``)."""
+        return ((None, 1, False, True),) + tuple(
+            (self.table[r], *_WINDOW[r]) for r in _SEARCH_ORDER if r in self.table
         )
 
 
@@ -1416,9 +1426,12 @@ def _logical_matches(calc: CalculusDef, s: Sequent) -> List[tuple]:
 
 
 def _shifted(inst: RuleInstance, c: int) -> RuleInstance:
-    """inst with its component param "c" moved c components to the right."""
+    """inst with its position param ("c", or eex's "i") moved c components
+    to the right."""
     params = dict(inst.params)
-    params["c"] += c
+    for key in ("c", "i"):
+        if key in params:
+            params[key] += c
     return RuleInstance(inst.rule, params)
 
 
@@ -1437,191 +1450,276 @@ def prove_bounded(
     ``_SEARCH_ORDER``.  A failure is memoized with its budget, and an
     instance with a premise on the path from the goal is skipped.
 
-    Each component is matched once per call: one table keyed by sequent
-    holds its first axiom match, another its logical (spec, pos) matches.
+    Within one call each distinct sequent gets a small int id, and a node
+    is the tuple of its components' ids, so the memo, the path and every
+    table are keyed by int tuples.  Every searched instance rewrites a
+    window of adjacent components and copies the rest: a logical instance
+    its one component, a structural one the window ``_WINDOW`` gives
+    (``calc.windows``).  So a node's premise is the node with the window
+    replaced, and what replaces it depends on the window alone.  Each
+    window has one premise table per rule kind (the logical rules, or one
+    structural spec): for each instance search tries on the window alone,
+    in search order, its index among them and the id tuples its premises
+    put in place of the window.  The spec's ``schema`` fills a table, as
+    readers reach its entries, and a node at budget 2 or more reads its
+    premises from the tables.  Proof objects are built only for the proof
+    returned, from the indices of its instances.
 
     A node with budget 1 (the frontier) needs an instance whose every
-    premise has an axiom leaf, and it is answered from tables instead of
-    building each instance's premises.  The logical rules' table is keyed by
-    one component; each structural spec whose rule has a window in
-    ``_FRONTIER_WINDOW`` (``calc.frontier_windows``) has its own table,
-    keyed by the components of that window.  An entry is the first instance,
-    in search order, that closes on the hypersequent of the window alone,
-    with its leaves, and is built once per call.  This is exact: the
-    frontier node failed its own leaf test, so only the components a rule
-    creates can be axioms, and those depend on the window alone.  So the
-    first hit, logical rules component by component and then each structural
-    spec component by component, is the instance a full enumeration would
-    find; it is re-placed at the node by shifting the instance's and the
-    leaves' component index.  A rule without a window (``eex``, ``ew``) is
-    skipped there: its premises only reuse the node's components, none of
-    which is an axiom.  No path check is needed at the frontier, since a
-    premise on the path failed its leaf test.
+    premise has an axiom leaf.  For each window and rule kind the frontier
+    keeps the first such instance on the window alone: it reads the
+    window's premise table if there is one, and otherwise builds premises
+    one instance at a time.  This is exact: the frontier node failed its
+    own leaf test, so only the components a rule creates can be axioms,
+    and those depend on the window alone.  So the first hit, logical rules
+    component by component and then each structural spec window by window,
+    is the instance a full enumeration would find.  ``eex`` and ``ew`` are
+    skipped there: their premises only reuse the node's components, none
+    of which is an axiom.  No path check is needed at the frontier, since
+    a premise on the path failed its leaf test.
 
-    The tables and the memo belong to the call; no state outlives it.  If
-    ``work`` is a dict, the call writes its counts into it when it
-    returns: nodes expanded, memo prunes, and frontier table hits (an
-    entry looked up again) and misses (an entry built).
+    The ids, tables and memo belong to the call; no state outlives it.  If
+    ``work`` is a dict, the call writes its counts into it when it returns:
+    nodes expanded, memo prunes, frontier hits (an entry looked up again)
+    and misses (an entry built), streak cuts (nodes at budget 2 or more
+    whose structural instances the streak cap skipped), and premise table
+    hits (a table looked up again) and misses (a table made).
     """
     _validate(calc, goal)
-    failed: Dict[Hypersequent, int] = {}
-    axiom_of: Dict[Sequent, Optional[tuple]] = {}
-    logical_of: Dict[Sequent, List[tuple]] = {}
-    structural = [calc.table[r] for r in _SEARCH_ORDER if r in calc.table]
-    closes_logical: Dict[Sequent, Optional[tuple]] = {}
-    closes: Dict[RuleSpec, dict] = {}  # spec -> {window: entry}
-    expanded = pruned = hits = 0
+    windows = calc.windows
+    seqs: List[Sequent] = []  # id -> sequent
+    ids: Dict[Sequent, int] = {}
+    axiom: List[Optional[tuple]] = []  # id -> its first axiom match
+    axioms = set()  # ids of the axiom instances
+    logical_of: Dict[int, List[tuple]] = {}  # id -> its logical matches
+    alone: Dict[object, Hypersequent] = {}  # window key -> the window alone
+    failed: Dict[tuple, int] = {}
+    path = set()  # the nodes from the goal to the one being expanded
+    # per window kind (an index into windows), keyed by the window's id (one
+    # component) or id pair: its premise tables, and its frontier entries
+    tables = [{} for _ in windows]
+    closes = [{} for _ in windows]
+    expanded = pruned = hits = cuts = table_hits = 0
 
-    def leaf(h):
-        for c, s in enumerate(h.components):
-            match = axiom_of.get(s, axiom_of)  # the table itself: not seen yet
-            if match is axiom_of:
-                match = axiom_of[s] = _axiom_match(calc, s)
+    def ident(s):
+        """The id of the sequent s, given when s is new."""
+        i = ids.get(s)
+        if i is None:
+            i = ids[s] = len(seqs)
+            seqs.append(s)
+            match = _axiom_match(calc, s)
+            axiom.append(match)
             if match is not None:
-                return _axiom_leaf(h, c, match)
+                axioms.add(i)
+        return i
+
+    def instances(win, key):
+        """The window alone, as a hypersequent, and the (spec, instance) of
+        each instance of the window kind win that search tries on it, in
+        search order."""
+        h = alone.get(key)
+        if h is None:
+            window = (seqs[key],) if win[1] == 1 else map(seqs.__getitem__, key)
+            h = alone[key] = Hypersequent(window)
+        spec = win[0]
+        if spec is not None:
+            return h, list(zip(repeat(spec), spec.search(calc, h)))
+        matches = logical_of.get(key)
+        if matches is None:
+            matches = logical_of[key] = _logical_matches(calc, seqs[key])
+        return h, [
+            (spec, inst)
+            for spec, pos in matches
+            for inst in spec.search_at(calc, seqs[key], 0, pos)
+        ]
+
+    def entries(h, found):
+        """(k, premises) of each of the instances found on the window alone
+        h whose schema applies: k indexes found, and each premise is the id
+        tuple it puts in place of the window."""
+        for k, (spec, inst) in enumerate(found):
+            try:
+                premises = spec.schema(calc, inst, h)
+            except SchemaMismatch:
+                continue
+            yield k, tuple([tuple(map(ident, p.components)) for p in premises])
+
+    def closing(table):
+        """(k, leaves) of the first of table's entries whose every premise
+        has an axiom component, leaves holding each premise and the index
+        of its first one; or None."""
+        for k, premises in table:
+            leaves = []
+            for r in premises:
+                for j, i in enumerate(r):
+                    if i in axioms:
+                        leaves.append((r, j))
+                        break
+                else:
+                    break
+            else:
+                return k, leaves
         return None
 
-    def logical(s):
-        matches = logical_of.get(s)
-        if matches is None:
-            matches = logical_of[s] = _logical_matches(calc, s)
-        return matches
-
-    def candidates(h, streak):
-        """(instance, is_structural) pairs, logical ones first."""
-        for c, s in enumerate(h.components):
-            for spec, pos in logical(s):
-                for inst in spec.search_at(calc, s, c, pos):
-                    yield inst, False
-        if streak < 2:
-            for spec in structural:
-                for inst in spec.search(calc, h):
-                    yield inst, True
-
-    def closing(h, instances):
-        """(instance, leaves) of the first of instances on h whose every
-        premise has an axiom leaf, or None."""
-        for inst in instances:
+    def closing_alone(h, insts):
+        """closing for a window that has no premise table: the premises of
+        insts on the window alone h are built one instance at a time, and a
+        premise's components get ids only up to its first axiom."""
+        for k, (spec, inst) in enumerate(insts):
             try:
-                premises = premises_for(calc, inst, h)
-            except (SchemaMismatch, RuleNotInCalculus):
+                premises = spec.schema(calc, inst, h)
+            except SchemaMismatch:
                 continue
             leaves = []
             for p in premises:
-                sub = leaf(p)
-                if sub is None:
+                for j, s in enumerate(p.components):
+                    if ident(s) in axioms:
+                        leaves.append((tuple(map(ident, p.components)), j))
+                        break
+                else:
                     break
-                leaves.append(sub)
             else:
-                return inst, leaves
+                return k, leaves
         return None
 
-    def placed(h, c, width, entry):
-        """The proof of h by entry, found on its window at c."""
-        inst, leaves = entry
-        comps = h.components
-        head, tail = comps[:c], comps[c + width :]
-        return ProofTree(h, _shifted(inst, c), tuple(
-            ProofTree(
-                Hypersequent(head + t.conclusion.components + tail),
-                _shifted(t.rule, c),
-            )
-            for t in leaves
-        ))  # fmt: skip
-
-    def frontier(h, streak):
-        """A proof of h by one instance over axiom leaves, or None; h has
-        no axiom component."""
-        nonlocal hits
-        comps = h.components
-        for c, s in enumerate(comps):
-            entry = closes_logical.get(s, closes_logical)
-            if entry is closes_logical:
-                entry = closes_logical[s] = closing(Hypersequent((s,)), (
-                    inst for spec, pos in logical(s)
-                    for inst in spec.search_at(calc, s, 0, pos)
-                ))  # fmt: skip
-            else:
-                hits += 1
-            if entry is not None:
-                return placed(h, c, 1, entry)
-        if streak >= 2:
-            return None
-        for spec, width in calc.frontier_windows:
-            table = closes.get(spec)
-            if table is None:
-                table = closes[spec] = {}
-            for c in range(len(comps) - width + 1):
-                key = comps[c] if width == 1 else comps[c : c + width]
-                entry = table.get(key, table)
-                if entry is table:
-                    alone = Hypersequent(comps[c : c + width])
-                    entry = table[key] = closing(alone, spec.search(calc, alone))
+    def frontier(n, streak):
+        """The plan of a proof of n by one instance over axiom leaves, or
+        None; n has no axiom component."""
+        nonlocal hits, table_hits
+        pairs = tuple(zip(n, n[1:]))
+        for j, win in enumerate(windows):
+            spec, width, last, fresh = win
+            if spec is not None and streak >= 2:
+                return None
+            if not fresh:
+                continue
+            found = closes[j]
+            for c, key in enumerate(n if width == 1 else pairs):
+                entry = found.get(key, found)
+                if entry is found:
+                    table = tables[j].get(key)
+                    if table is None:
+                        entry = closing_alone(*instances(win, key))
+                    else:
+                        table_hits += 1
+                        entry = closing(table and table.__copy__())
+                    found[key] = entry
                 else:
                     hits += 1
                 if entry is not None:
-                    return placed(h, c, width, entry)
+                    k, leaves = entry
+                    head, tail = n[:c], n[c + width :]
+                    return n, win, c, k, [
+                        (head + r + tail, None, c + i, None, ()) for r, i in leaves
+                    ]
         return None
 
-    def search(h, budget, streak, path):
+    def search(n, budget, streak):
+        """The plan (n, window kind, c, k, premise plans) of a proof of n
+        by the k-th instance of its window at c, k None for an axiom leaf
+        at component c; or None."""
         nonlocal expanded, pruned
         # a memoized failure has no leaf, so the memo is consulted first;
         # a node out of budget needs only the leaf scan
-        if budget > 0 and failed.get(h, -1) >= budget:
+        if budget > 0 and failed.get(n, -1) >= budget:
             pruned += 1
             return None
-        found = leaf(h)
-        if found is not None:
-            return found
+        if not axioms.isdisjoint(n):
+            for c, i in enumerate(n):
+                if i in axioms:
+                    return n, None, c, None, ()
         if budget <= 0:
             return None
         expanded += 1
         if budget == 1:
-            found = frontier(h, streak)
+            found = frontier(n, streak)
         else:
-            found = deeper(h, budget, streak, path)
-        if found is None and budget > failed.get(h, -1):
-            failed[h] = budget
+            found = deeper(n, budget, streak)
+        if found is None and budget > failed.get(n, -1):
+            failed[n] = budget
         return found
 
-    def deeper(h, budget, streak, path):
-        """A proof of h, at budget 2 or more, whose premises are searched."""
-        below = path | {h}
-        for inst, is_structural in candidates(h, streak):
-            try:
-                premises = premises_for(calc, inst, h)
-            except (SchemaMismatch, RuleNotInCalculus):
-                continue
-            if any(p in path for p in premises):
-                continue
-            subtrees = []
-            next_streak = streak + 1 if is_structural else 0
-            for p in premises:
-                sub = search(p, budget - 1, next_streak, below)
-                if sub is None:
-                    break
-                subtrees.append(sub)
-            else:
-                return ProofTree(h, inst, tuple(subtrees))
-        return None
+    def deeper(n, budget, streak):
+        """The plan of a proof of n, at budget 2 or more, by the first
+        instance, window kind by window kind and window by window, whose
+        premises are off the path and all have proofs; or None."""
+        nonlocal cuts, table_hits
+        added = n not in path
+        if added:
+            path.add(n)
+        try:
+            pairs = tuple(zip(n, n[1:])) if len(n) > 1 else ()
+            for j, win in enumerate(windows):
+                spec, width, last, fresh = win
+                if spec is None:
+                    after = 0
+                elif streak >= 2:
+                    cuts += 1
+                    return None
+                else:
+                    after = streak + 1
+                keys = n if width == 1 else pairs
+                if not keys:
+                    continue
+                first = len(keys) - 1 if last else 0
+                by_window = tables[j]
+                for c, key in enumerate(keys[first:], first):
+                    table = by_window.get(key)
+                    if table is None:
+                        h, insts = instances(win, key)
+                        # read through copies, and built as readers reach it
+                        table = tee(entries(h, insts), 1)[0] if insts else ()
+                        by_window[key] = table
+                    else:
+                        table_hits += 1
+                    if not table:
+                        continue
+                    head, tail = n[:c], n[c + width :]
+                    for k, premises in table.__copy__():
+                        premises = [head + r + tail for r in premises]
+                        # n is on the path only if it was there before this node
+                        if not path.isdisjoint(premises) and (
+                            not added or any(p in path and p != n for p in premises)
+                        ):
+                            continue
+                        subs = []
+                        for p in premises:
+                            sub = search(p, budget - 1, after)
+                            if sub is None:
+                                break
+                            subs.append(sub)
+                        else:
+                            return n, win, c, k, subs
+            return None
+        finally:
+            if added:
+                path.discard(n)
+
+    def built(plan, h):
+        """The proof tree of plan, whose node is h."""
+        n, win, c, k, subs = plan
+        if k is None:
+            return _axiom_leaf(h, c, axiom[n[c]])
+        key = n[c] if win[1] == 1 else n[c : c + 2]
+        inst = _shifted(instances(win, key)[1][k][1], c)
+        return ProofTree(h, inst, tuple([
+            built(p, Hypersequent(map(seqs.__getitem__, p[0]))) for p in subs
+        ]))  # fmt: skip
 
     try:
-        return search(goal, depth_budget, 0, frozenset())
+        plan = search(tuple(map(ident, goal.components)), depth_budget, 0)
+        return None if plan is None else built(plan, goal)
     finally:
         if work is not None:
-            misses = len(closes_logical) + sum(map(len, closes.values()))
             work.update(
                 nodes_expanded=expanded, memo_prunes=pruned, frontier_hits=hits,
-                frontier_misses=misses,
+                frontier_misses=sum(map(len, closes)), streak_cuts=cuts,
+                table_hits=table_hits, table_misses=sum(map(len, tables)),
             )  # fmt: skip
-        # search refers to itself, so the closures live on until the
-        # cyclic collector runs; emptying the tables frees them now
-        failed.clear()
-        axiom_of.clear()
-        logical_of.clear()
-        closes_logical.clear()
-        for table in closes.values():
-            table.clear()
+        # search and built reach themselves through the closures' cells, so
+        # the closures and the tables would live on until the cyclic
+        # collector runs; emptying those two cells frees them all now
+        del search, built
 
 
 # ---------------------------------------------------------------------------

@@ -337,7 +337,8 @@ def parse_spec(text: str) -> SpecDoc:
             scalars.append(parts[0])
         elif head == "network":
             parts = rest.split()
-            if len(parts) != 3 or not all(p.isdigit() for p in parts[1:]):
+            arities = parts[1:]
+            if len(parts) != 3 or not all(p.isdigit() and int(p) >= 1 for p in arities):
                 raise ParseError(
                     "network declaration needs: name in-arity out-arity", lineno, 1
                 )

@@ -2,6 +2,7 @@
 
 import copy
 import dataclasses
+import functools
 import hashlib
 import json
 import pickle
@@ -831,6 +832,98 @@ def test_search_work_counts_repeat():
     prove_bounded(GOEDEL, goal, 6, work=again)
     assert first == again
     assert set(first) == {
-        "nodes_expanded", "memo_prunes", "frontier_hits", "frontier_misses"
+        "nodes_expanded", "memo_prunes", "frontier_hits", "frontier_misses",
+        "streak_cuts", "table_hits", "table_misses",
     }
-    assert first["frontier_hits"] > 0 and first["frontier_misses"] > 0
+    assert all(v > 0 for v in first.values()), first
+
+
+# The round trip: the conclusion of random_derivation(calc, f"rt/{i}",
+# 1 + i % 5), for i < ROUND_TRIP_GOALS, searched at a budget equal to the
+# derivation's depth.  The search misses exactly these goals (by i): its
+# weakl offers one formula at a time, and at most two structural steps run
+# in a row.  A search that proves one of them must remove it here.
+ROUND_TRIP_GOALS = 600
+ROUND_TRIP_MISSES = {
+    "goedel": {223, 359},
+    "lukasiewicz": {172, 237, 283, 324, 498, 554},
+    "product": {203, 298, 339, 369, 432, 508},
+    "dl2": {64, 98, 289, 399, 488},
+    "stl-inf": {24, 384, 459},
+}
+
+
+@functools.lru_cache(maxsize=None)
+def _round_trip(name):
+    """(goal, depth, proof or None, work) of each round-trip derivation of
+    the calculus, its conclusion searched at its depth; computed once per
+    session."""
+    calc = CALCULI[name]
+    out = []
+    for i in range(ROUND_TRIP_GOALS):
+        tree = random_derivation(calc, f"rt/{i}", 1 + i % 5)
+        depth, work = _tree_depth(tree), {}
+        proof = prove_bounded(calc, tree.conclusion, depth, work=work)
+        out.append((tree.conclusion, depth, proof, work))
+    return out
+
+
+@pytest.mark.parametrize("name", sorted(CALCULI))
+def test_search_round_trip_misses_only_the_pinned_goals(name):
+    calc = CALCULI[name]
+    missed = set()
+    for i, (goal, depth, proof, _) in enumerate(_round_trip(name)):
+        if proof is None:
+            missed.add(i)
+        else:
+            check_proof(calc, proof)
+            assert proof.conclusion == goal and _tree_depth(proof) <= depth + 1
+    assert missed == ROUND_TRIP_MISSES[name], (
+        f"missed but not pinned: {sorted(missed - ROUND_TRIP_MISSES[name])}; "
+        f"pinned but proved: {sorted(ROUND_TRIP_MISSES[name] - missed)}"
+    )
+
+
+# SHA-256 of every proof prove_bounded returns, with its first four work
+# counts, on the goals of search_digest.  It pins proofs and work together,
+# so a change to either shows here; update it only with the change that
+# means to move them.  Two round-trip goals are searched at their depth
+# only: at depth + 2 they take about 68 s (stl-inf 384) and 9 s (dl2 349).
+SEARCH_DIGEST = "edf968f762075360808b1e0ae6a3372695075eec34af9fcbe6c74b5772212eaa"
+DIGEST_WORK_KEYS = ("nodes_expanded", "memo_prunes", "frontier_hits", "frontier_misses")
+_SLOW_AT_DEPTH_PLUS_2 = {("stl-inf", 384), ("dl2", 349)}
+
+
+def search_digest():
+    """The digest of every calculus's weak-completeness goals at budgets
+    0-12 and of its round-trip goals at their depth d and at d + 2."""
+    digest = hashlib.sha256()
+
+    def add(calc, proof, work):
+        doc = None if proof is None else proof_to_json(calc.name, proof)
+        counts = [work[k] for k in DIGEST_WORK_KEYS]
+        digest.update(json.dumps([doc, counts]).encode())
+
+    def search(calc, goal, budget):
+        work = {}
+        add(calc, prove_bounded(calc, goal, budget, work=work), work)
+
+    for name in sorted(CALCULI):
+        calc = CALCULI[name]
+        for _, _, goal in weak_completeness_goals(calc):
+            for budget in range(13):
+                search(calc, goal, budget)
+        for i, (goal, depth, proof, work) in enumerate(_round_trip(name)):
+            add(calc, proof, work)
+            if (name, i) not in _SLOW_AT_DEPTH_PLUS_2:
+                search(calc, goal, depth + 2)
+    return digest.hexdigest()
+
+
+def test_search_digest_pins_proofs_and_work():
+    assert search_digest() == SEARCH_DIGEST, (
+        "proofs or work counts of prove_bounded changed; if that is intended, "
+        "print the new digest with  PYTHONPATH=src:tests python -c \"from "
+        "test_calculus import search_digest; print(search_digest())\"  and "
+        "update SEARCH_DIGEST"
+    )

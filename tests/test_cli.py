@@ -417,7 +417,10 @@ def _search_goal(tmp_path):
     return str(goal)
 
 
-WORK_KEYS = {"nodes_expanded", "memo_prunes", "frontier_hits", "frontier_misses"}
+WORK_KEYS = {
+    "nodes_expanded", "memo_prunes", "frontier_hits", "frontier_misses",
+    "streak_cuts", "table_hits", "table_misses",
+}
 
 
 def test_search_reports_its_work(tmp_path, capsys):

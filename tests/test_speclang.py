@@ -28,7 +28,6 @@ from dlc.errors import (
     FlagViolation,
     ParseError,
     RejectedLogic,
-    TypeMismatch,
     UndeclaredIdentifier,
     ValidationError,
 )
@@ -147,12 +146,13 @@ class TestParser:
         with pytest.raises(ArityMismatch):
             parse_spec("vector v 2\ngoal v[5] <= 1")
 
-    def test_applied_zero_width_network_fails_at_parse(self):
-        # parsing builds the goal's nodes, and a function type needs
-        # arities >= 1; a declaration the goal does not use still parses
-        with pytest.raises(TypeMismatch, match="function arities must be >= 1"):
-            parse_spec("vector x 2\nnetwork Z 2 0\ngoal |Z(x)|_inf <= 1")
-        parse_spec("vector x 2\nnetwork Z 2 0\ngoal x[0] <= 1")
+    def test_zero_arity_network_fails_at_its_declaration(self):
+        # as a vector of arity 0 does, whether or not the goal applies it
+        for decl in ("network Z 2 0", "network Z 0 2"):
+            for goal in ("|Z(x)|_inf <= 1", "x[0] <= 1"):
+                with pytest.raises(ParseError, match="network declaration") as exc:
+                    parse_spec(f"vector x 2\n{decl}\ngoal {goal}")
+                assert (exc.value.line, exc.value.col) == (2, 1)
 
 
 _DECLS = "vector x 2\nvector y 3\nscalar eps\nnetwork N 2 3\n"
