@@ -1586,7 +1586,7 @@ def prove_bounded(
         """The plan of a proof of n by one instance over axiom leaves, or
         None; n has no axiom component."""
         nonlocal hits, table_hits
-        pairs = tuple(zip(n, n[1:]))
+        pairs = tuple(zip(n, n[1:])) if len(n) > 1 else ()
         for j, win in enumerate(windows):
             spec, width, last, fresh = win
             if spec is not None and streak >= 2:

@@ -840,9 +840,10 @@ def test_search_work_counts_repeat():
 
 # The round trip: the conclusion of random_derivation(calc, f"rt/{i}",
 # 1 + i % 5), for i < ROUND_TRIP_GOALS, searched at a budget equal to the
-# derivation's depth.  The search misses exactly these goals (by i): its
-# weakl offers one formula at a time, and at most two structural steps run
-# in a row.  A search that proves one of them must remove it here.
+# derivation's depth.  The search misses exactly these goals (by i); for
+# example, its weakl offers one formula at a time, and at most two
+# structural steps run in a row.  A search that proves one of them must
+# remove it here.
 ROUND_TRIP_GOALS = 600
 ROUND_TRIP_MISSES = {
     "goedel": {223, 359},
