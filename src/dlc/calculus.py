@@ -252,8 +252,8 @@ def _with_side(s: Sequent, left: bool, seq) -> Sequent:
     return Sequent(seq, s.right) if left else Sequent(s.left, seq)
 
 
-def _rand_formula(calc: "CalculusDef", rng: random.Random, depth=1) -> Expr:
-    return random_formula(calc.profile, rng.randint(0, depth), rng.getrandbits(48))
+def _rand_formula(calc: "CalculusDef", rng: random.Random) -> Expr:
+    return random_formula(calc.profile, rng.randint(0, 1), rng)
 
 
 def _rand_formulas(calc, rng, lo=0, hi=2):
@@ -1008,7 +1008,18 @@ class _LImplProduct(_LImpl):
 
 
 class _LImplDL2(_LImpl):
-    """DL2:  H | G |- D   H | G, B |- A, D  /  H | G, A -> B |- D"""
+    """DL2:  H | G |- D   H | G, B |- A, D  /  H | G, A -> B |- D
+
+    Each premise alone gives the conclusion, so the rule with either one
+    dropped is still sound (an equivalent mutant).  Write g, d, a, b for
+    the values of G and D (each a sum) and of A and B; the conclusion says
+    g + [A -> B] <= d, with [A -> B] = -max(a - b, 0) <= 0.
+    - G |- D alone: g + [A -> B] <= g <= d.
+    - G, B |- A, D alone (g + b <= a + d): if a >= b, [A -> B] = b - a and
+      the conclusion is the premise; if a < b, g <= d + (a - b) < d.
+    A premise that holds through a component of H gives the conclusion,
+    which keeps H.
+    """
 
     def premises(self, calc, inst, h, c, s, pos, f):
         return [
@@ -1346,14 +1357,25 @@ def random_derivation(calc: CalculusDef, seed, depth: int) -> ProofTree:
 def soundness_fuzz(
     calc: CalculusDef, trials: int, depth: int, seed, tol: float = 1e-9
 ) -> dict:
-    """Generate derivations and assert the conclusion holds semantically."""
+    """Generate derivations and assert the conclusion holds semantically.
+
+    ``applied`` counts, for each rule of the calculus, the nodes of all the
+    derivations that apply it, so a rule the generator never reaches shows
+    as 0.
+    """
     if depth < 1:
         raise ValidationError("derivation depth must be >= 1")
     rng = random.Random(f"fuzz/{calc.name}/{seed}")
+    applied = {rule.value: 0 for rule in sorted(calc.rules, key=lambda r: r.value)}
     violations = []
     for i in range(trials):
         d = rng.randint(1, depth)
         tree = random_derivation(calc, f"{seed}/{i}", d)
+        stack = [tree]
+        while stack:
+            node = stack.pop()
+            applied[node.rule.rule.value] += 1
+            stack.extend(node.premises)
         if not hypersequent_holds(calc.logic, tree.conclusion, tol=tol):
             violations.append(
                 {"trial": i, "conclusion": _hyper_to_json(tree.conclusion)}
@@ -1364,6 +1386,7 @@ def soundness_fuzz(
         "calculus": calc.name,
         "trials": trials,
         "max_depth": depth,
+        "applied": applied,
         "violations": violations,
         "passed": not violations,
     }

@@ -584,14 +584,14 @@ def _path_to(root: Expr, target: Expr) -> tuple:
 # Random formula generation
 
 
-def random_formula(profile: ConnectiveFlags, depth: int, seed) -> Expr:
-    """Closed well-typed Bool formula; deterministic for a given seed.
+def random_formula(profile: ConnectiveFlags, depth: int, rng: random.Random) -> Expr:
+    """Closed well-typed Bool formula drawn from rng, which it advances; the
+    same rng state gives the same formula.
 
     Leaves are comparisons over real literals drawn uniformly from
     (0, 10], or truth constants where the target logic interprets them
     (no falsum under the DL2 profile, no truth constants under STL's).
     """
-    rng = random.Random(seed)
     return _random_formula(profile, depth, rng)
 
 

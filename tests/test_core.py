@@ -4,6 +4,7 @@ import copy
 import dataclasses
 import json
 import pickle
+import random
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -183,7 +184,7 @@ PROFILES = [FUZZY_FLAGS, DL2_FLAGS, STL_FLAGS]
     seed=st.integers(0, 10_000),
 )
 def test_random_formula_respects_profile(profile, depth, seed):
-    f = random_formula(profile, depth, seed)
+    f = random_formula(profile, depth, random.Random(seed))
     for node in walk(f):
         if hasattr(node.tag, "flags"):
             assert node.tag.flags == profile
@@ -195,9 +196,24 @@ def test_random_formula_respects_profile(profile, depth, seed):
     seed=st.integers(0, 10_000),
 )
 def test_random_formula_deterministic(profile, depth, seed):
-    assert random_formula(profile, depth, seed) == random_formula(
-        profile, depth, seed
+    assert random_formula(profile, depth, random.Random(seed)) == random_formula(
+        profile, depth, random.Random(seed)
     )
+
+
+@given(
+    profile=st.sampled_from(PROFILES),
+    depth=st.integers(0, 4),
+    seed=st.integers(0, 10_000),
+)
+def test_random_formula_draws_from_the_callers_rng(profile, depth, seed):
+    a, b = random.Random(seed), random.Random()
+    b.setstate(a.getstate())
+    assert random_formula(profile, depth, a) == random_formula(profile, depth, b)
+    assert a.getstate() == b.getstate()
+    # the call advanced the caller's rng: its next draw is not a fresh one's
+    assert a.getstate() != random.Random(seed).getstate()
+    assert a.random() != random.Random(seed).random()
 
 
 @given(
@@ -206,7 +222,7 @@ def test_random_formula_deterministic(profile, depth, seed):
     seed=st.integers(0, 10_000),
 )
 def test_text_serialization_round_trip(profile, depth, seed):
-    f = random_formula(profile, depth, seed)
+    f = random_formula(profile, depth, random.Random(seed))
     assert expr_from_text(expr_to_text(f)) == f
 
 
@@ -226,7 +242,7 @@ def test_all_fuzzy_enumeration():
 def _formula_over_all_node_kinds(profile, depth, seed):
     x = VecConst((1.0, 2.0))
     read = Lookup(App(FunRef("f", 2, 2), x), IndexConst(1, 2))
-    return And((random_formula(profile, depth, seed),
+    return And((random_formula(profile, depth, random.Random(seed)),
                 Cmp(CmpOp.LE, read, RealConst(0.5), profile)))
 
 

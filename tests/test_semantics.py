@@ -1,6 +1,7 @@
 """Value-level interpretation oracles for all seven logics."""
 
 import math
+import random
 from functools import partial
 
 import pytest
@@ -392,7 +393,7 @@ def test_dispatch_matches_the_recursive_evaluator(profile, depth, seed,
     """Every logic meets every profile, so undefined connectives and
     constants (falsum under DL2, implication under STL) raise on both
     sides; validation is skipped to reach them."""
-    e = random_formula(profile, depth, seed)
+    e = random_formula(profile, depth, random.Random(seed))
     literals = [0.0]
     if over_inputs:  # literals read from an input, so dual tangents move
         e, literals = _with_inputs(e)
