@@ -10,14 +10,13 @@ from __future__ import annotations
 
 import csv
 import io
-import math
 from dataclasses import dataclass, field
 from typing import Callable, List, Optional, Sequence, Tuple
 
 from .carriers import Dual, DualCarrier, F64Carrier
 from .core import GODEL, LogicId
 from .errors import DomainError, IndexOutOfRange, ValidationError
-from .semantics import LOGICS, fold_nary, stl_nary
+from .semantics import LOGICS, fold_nary, soft_conj_branch, stl_nary
 
 ONE_SIDED_H = (1e-3, 1e-4, 1e-5)
 
@@ -139,41 +138,16 @@ def shadow_lifting_mand(logic: LogicId, n: int, p_samples, tol: float = 1e-9):
     return shadow_lifting_check(f, n, p_samples, tol)
 
 
-def stl_lt0_branch(nu: float, xs: Sequence) -> object:
-    """The below-zero branch formula of the soft conjunction, unguarded."""
-    m = xs[0]
-    for v in xs[1:]:
-        m = v if _primal(v) < _primal(m) else m
-    num = None
-    den = None
-    for v in xs:
-        dev = (v - m) / m
-        w = _exp(nu * dev)
-        term = m * _exp(dev) * w
-        num = term if num is None else num + term
-        den = w if den is None else den + w
-    return num / den
-
-
-def _primal(x):
-    return x.primal if isinstance(x, Dual) else float(x)
-
-
-def _exp(x):
-    if isinstance(x, Dual):
-        return DualCarrier.exp(x)
-    return math.exp(x)
-
-
 def stl_lt0_branch_derivative(n: int, p: float, nu: float) -> float:
-    """Average of both one-sided partials of the lt0 branch at (p,...,p).
+    """Average of both one-sided partials of the soft conjunction's
+    below-zero branch (``soft_conj_branch``) at (p,...,p).
 
     Contract: equals 1/n for any coordinate, p > 0, nu > 0.
     """
     if n < 2 or p <= 0 or nu <= 0:
         raise ValidationError("need n >= 2, p > 0, nu > 0")
     point = (float(p),) * n
-    f = lambda xs: stl_lt0_branch(nu, list(xs))
+    f = lambda xs: soft_conj_branch(F64Carrier, nu, min(xs), xs, True)
     above = partial(PartialSpec(f, point, 0, "forward"))
     below = partial(PartialSpec(f, point, 0, "backward"))
     return 0.5 * (above + below)

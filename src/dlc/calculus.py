@@ -32,14 +32,16 @@ import random
 from contextlib import contextmanager
 from dataclasses import dataclass, field
 from enum import Enum
-from functools import cached_property
+from functools import cached_property, partial
 from itertools import repeat, tee
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from .core import (
+    AXIOMS,
     DL2,
     GODEL,
     LUKASIEWICZ,
+    NODES,
     PRODUCT,
     STL_INFTY,
     And,
@@ -56,6 +58,7 @@ from .core import (
     Or,
     RealConst,
     random_formula,
+    term_value,
     validate_for_logic,
     _Nary,
     _node_from_json,
@@ -76,34 +79,24 @@ PROOF_SCHEMA_VERSION = "dlc-proof/1"
 # Data model
 
 
-# Sequents and hypersequents are slotted and cache their hash, as Expr
-# does: search looks each one up several times.  The constructors write
-# the slots through the slot descriptors' setters (bound below each
-# class), which skips the frozen check as object.__setattr__ would, for
-# less; the hash slot starts as None and is filled by the first __hash__.
-# A pickle or copy rebuilds through the constructor, so no cached hash
-# travels with it.
+# Sequents and hypersequents are slotted frozen dataclasses, hashed and
+# compared by the generated methods.  The constructors write the slots
+# through the slot descriptors' setters (bound below each class), which
+# skips the frozen check as object.__setattr__ would, for less.  A pickle
+# or copy rebuilds through the constructor.
 
 
 @dataclass(frozen=True)
 class Sequent:
     """An ordered pair of finite formula lists (antecedent, succedent)."""
 
-    __slots__ = ("left", "right", "_hash")
+    __slots__ = ("left", "right")
     left: Tuple[Expr, ...]
     right: Tuple[Expr, ...]
 
     def __init__(self, left: Sequence[Expr], right: Sequence[Expr]):
         _set_left(self, tuple(left))
         _set_right(self, tuple(right))
-        _set_sequent_hash(self, None)
-
-    def __hash__(self):
-        h = self._hash
-        if h is None:
-            h = hash((self.left, self.right))
-            _set_sequent_hash(self, h)
-        return h
 
     def __reduce__(self):
         return Sequent, (self.left, self.right)
@@ -111,26 +104,17 @@ class Sequent:
 
 _set_left = Sequent.__dict__["left"].__set__
 _set_right = Sequent.__dict__["right"].__set__
-_set_sequent_hash = Sequent.__dict__["_hash"].__set__
 
 
 @dataclass(frozen=True)
 class Hypersequent:
     """A finite list of sequents, read disjunctively."""
 
-    __slots__ = ("components", "_hash")
+    __slots__ = ("components",)
     components: Tuple[Sequent, ...]
 
     def __init__(self, components: Sequence[Sequent]):
         _set_components(self, tuple(components))
-        _set_hypersequent_hash(self, None)
-
-    def __hash__(self):
-        h = self._hash
-        if h is None:
-            h = hash(self.components)
-            _set_hypersequent_hash(self, h)
-        return h
 
     def __reduce__(self):
         return Hypersequent, (self.components,)
@@ -141,7 +125,6 @@ class Hypersequent:
 
 
 _set_components = Hypersequent.__dict__["components"].__set__
-_set_hypersequent_hash = Hypersequent.__dict__["_hash"].__set__
 
 
 class Rule(Enum):
@@ -718,7 +701,7 @@ class _Exchange(RuleSpec):
 _MIN_MAX = {And: MAnd, Or: MOr}
 
 
-def _make(kind, phi0: Expr, phi1: Expr) -> Expr:
+def _make(kind, phi0: Expr, phi1: Optional[Expr] = None) -> Expr:
     if kind is Not:
         return Not(phi0)
     if kind is Impl:
@@ -1754,25 +1737,19 @@ def _atom(i: int, profile: ConnectiveFlags) -> Expr:
 
 
 def weak_completeness_goals(calc: CalculusDef):
-    """(axiom id, direction, goal hypersequent) triples for R1-R9."""
+    """(axiom id, direction, goal hypersequent) triples for R1-R9 of
+    ``AXIOMS``: lhs |- rhs, and rhs |- lhs for each equation."""
     pf = calc.profile
-    x, y, z = _atom(1, pf), _atom(2, pf), _atom(3, pf)
-    top = BoolConst(True, pf)
-    pairs = {
-        "R1": (And((x, y)), And((y, x))),
-        "R2": (And((x, And((y, z)))), And((And((x, y)), z))),
-        "R3": (Or((x, y)), Or((y, x))),
-        "R4": (Or((x, Or((y, z)))), Or((Or((x, y)), z))),
-        "R5": (And((x, Or((x, y)))), x),
-        "R6": (Or((x, And((x, y)))), x),
-        "R7": (And((x, Or((y, z)))), Or((And((x, y)), And((x, z))))),
-        "R8": (MAnd((x, MAnd((y, z)))), MAnd((MAnd((x, y)), z))),
-        "R9": (MAnd((x, top)), x),
-    }
+    xs = [_atom(i, pf) for i in (1, 2, 3)]
+    consts = {"top": BoolConst(True, pf)}
+    ops = {k: partial(_make, cls) for k, cls in NODES.items()}
     goals = []
-    for axiom, (lhs, rhs) in pairs.items():
+    for axiom, (relation, lhs, rhs) in AXIOMS.items():
+        if not axiom.startswith("R"):
+            continue
+        lhs, rhs = (term_value(t, ops, consts, xs) for t in (lhs, rhs))
         goals.append((axiom, "le", Hypersequent([Sequent((lhs,), (rhs,))])))
-        if axiom != "R7":  # R7 is stated as an inequality only
+        if relation == "eq":
             goals.append((axiom, "ge", Hypersequent([Sequent((rhs,), (lhs,))])))
     return goals
 

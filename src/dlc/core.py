@@ -581,6 +581,46 @@ def _path_to(root: Expr, target: Expr) -> tuple:
 
 
 # ---------------------------------------------------------------------------
+# Algebraic axioms
+
+
+# Each axiom as (relation, lhs, rhs), the relation "eq" or "le" (lhs <=
+# rhs): the residuated-lattice axioms R1-R9 (R10, residuation, is checked
+# apart), N1-N4 for negation, M1-M3 for the monoidal dual, and idempotence.
+# A term is a variable index, "top"/"bottom", or (node kind, *terms).
+AXIOMS = {
+    "R1": ("eq", ("and", 0, 1), ("and", 1, 0)),
+    "R2": ("eq", ("and", 0, ("and", 1, 2)), ("and", ("and", 0, 1), 2)),
+    "R3": ("eq", ("or", 0, 1), ("or", 1, 0)),
+    "R4": ("eq", ("or", 0, ("or", 1, 2)), ("or", ("or", 0, 1), 2)),
+    "R5": ("eq", ("and", 0, ("or", 0, 1)), 0),
+    "R6": ("eq", ("or", 0, ("and", 0, 1)), 0),
+    "R7": ("le", ("and", 0, ("or", 1, 2)), ("or", ("and", 0, 1), ("and", 0, 2))),
+    "R8": ("eq", ("mand", 0, ("mand", 1, 2)), ("mand", ("mand", 0, 1), 2)),
+    "R9": ("eq", ("mand", 0, "top"), 0),
+    "N1": ("eq", ("not", 0), ("impl", 0, "bottom")),
+    "N2": ("eq", ("not", ("not", 0)), 0),
+    "N3": ("eq", ("not", ("and", 0, 1)), ("or", ("not", 0), ("not", 1))),
+    "N4": ("eq", ("not", ("or", 0, 1)), ("and", ("not", 0), ("not", 1))),
+    "M1": ("eq", ("mor", ("mor", 0, 1), 2), ("mor", 0, ("mor", 1, 2))),
+    "M2": ("eq", ("not", ("mand", 0, 1)), ("mor", ("not", 0), ("not", 1))),
+    "M3": ("eq", ("not", ("mor", 0, 1)), ("mand", ("not", 0), ("not", 1))),
+    "IDEM": ("eq", ("mand", 0, 0), 0),
+}
+
+
+def term_value(t, ops, consts, xs):
+    """The value of term t with variable i at xs[i], each constant at
+    consts[name], and each node kind applied by ops[kind] to its operands'
+    values."""
+    if type(t) is int:
+        return xs[t]
+    if type(t) is str:
+        return consts[t]
+    return ops[t[0]](*[term_value(a, ops, consts, xs) for a in t[1:]])
+
+
+# ---------------------------------------------------------------------------
 # Random formula generation
 
 

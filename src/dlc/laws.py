@@ -15,8 +15,7 @@ from enum import Enum
 from functools import partial
 from typing import Dict, List, Optional
 
-from .carriers import INF
-from .core import LogicId
+from .core import AXIOMS, LogicId, term_value
 from .semantics import LOGICS
 
 
@@ -109,75 +108,25 @@ class ValueDomain:
 
 
 # ---------------------------------------------------------------------------
-# Axiom templates (value level)
+# Axioms on values
 
 
-def _template(axiom: AxiomId):
-    """Return (arity, kind, needed, lhs, rhs); lhs/rhs take (ops, consts, xs)."""
-    A = AxiomId
-    t = {
-        A.R1: (2, "eq", ["and"], lambda o, c, x: o["and"](x[0], x[1]),
-               lambda o, c, x: o["and"](x[1], x[0])),
-        A.R2: (3, "eq", ["and"],
-               lambda o, c, x: o["and"](o["and"](x[0], x[1]), x[2]),
-               lambda o, c, x: o["and"](x[0], o["and"](x[1], x[2]))),
-        A.R3: (2, "eq", ["or"], lambda o, c, x: o["or"](x[0], x[1]),
-               lambda o, c, x: o["or"](x[1], x[0])),
-        A.R4: (3, "eq", ["or"],
-               lambda o, c, x: o["or"](o["or"](x[0], x[1]), x[2]),
-               lambda o, c, x: o["or"](x[0], o["or"](x[1], x[2]))),
-        A.R5: (2, "eq", ["and", "or"],
-               lambda o, c, x: o["and"](x[0], o["or"](x[0], x[1])),
-               lambda o, c, x: x[0]),
-        A.R6: (2, "eq", ["and", "or"],
-               lambda o, c, x: o["or"](x[0], o["and"](x[0], x[1])),
-               lambda o, c, x: x[0]),
-        A.R7: (3, "leq", ["and", "or"],
-               lambda o, c, x: o["and"](x[0], o["or"](x[1], x[2])),
-               lambda o, c, x: o["or"](o["and"](x[0], x[1]),
-                                       o["and"](x[0], x[2]))),
-        A.R8: (3, "eq", ["mand"],
-               lambda o, c, x: o["mand"](o["mand"](x[0], x[1]), x[2]),
-               lambda o, c, x: o["mand"](x[0], o["mand"](x[1], x[2]))),
-        A.R9: (1, "eq", ["mand", "top"],
-               lambda o, c, x: o["mand"](x[0], c["top"]),
-               lambda o, c, x: x[0]),
-        A.N1: (1, "eq", ["not", "impl", "bottom"],
-               lambda o, c, x: o["not"](x[0]),
-               lambda o, c, x: o["impl"](x[0], c["bottom"])),
-        A.N2: (1, "eq", ["not"],
-               lambda o, c, x: o["not"](o["not"](x[0])),
-               lambda o, c, x: x[0]),
-        A.N3: (2, "eq", ["not", "and", "or"],
-               lambda o, c, x: o["not"](o["and"](x[0], x[1])),
-               lambda o, c, x: o["or"](o["not"](x[0]), o["not"](x[1]))),
-        A.N4: (2, "eq", ["not", "and", "or"],
-               lambda o, c, x: o["not"](o["or"](x[0], x[1])),
-               lambda o, c, x: o["and"](o["not"](x[0]), o["not"](x[1]))),
-        A.M1: (3, "eq", ["mor"],
-               lambda o, c, x: o["mor"](o["mor"](x[0], x[1]), x[2]),
-               lambda o, c, x: o["mor"](x[0], o["mor"](x[1], x[2]))),
-        A.M2: (2, "eq", ["not", "mand", "mor"],
-               lambda o, c, x: o["not"](o["mand"](x[0], x[1])),
-               lambda o, c, x: o["mor"](o["not"](x[0]), o["not"](x[1]))),
-        A.M3: (2, "eq", ["not", "mand", "mor"],
-               lambda o, c, x: o["not"](o["mor"](x[0], x[1])),
-               lambda o, c, x: o["mand"](o["not"](x[0]), o["not"](x[1]))),
-        A.IDEM_MONOID: (1, "eq", ["mand"],
-                        lambda o, c, x: o["mand"](x[0], x[0]),
-                        lambda o, c, x: x[0]),
-    }
-    return t[axiom]
+def _shape(axiom: AxiomId):
+    """(arity, needs) of an ``AXIOMS`` entry: the number of variables, and
+    the node kinds and constants its terms use."""
+    parts, terms = set(), list(AXIOMS[axiom.value][1:])
+    while terms:
+        t = terms.pop()
+        if type(t) is tuple:
+            t, *kids = t
+            terms += kids
+        parts.add(t)
+    arity = 1 + max(p for p in parts if type(p) is int)
+    return arity, {p for p in parts if type(p) is str}
 
 
-def _applicable(domain: ValueDomain, needed: List[str]) -> bool:
-    for item in needed:
-        if item in ("top", "bottom"):
-            if item not in domain.consts:
-                return False
-        elif item not in domain.ops:
-            return False
-    return True
+def _applicable(domain: ValueDomain, needs) -> bool:
+    return all(n in domain.ops or n in domain.consts for n in needs)
 
 
 def check_axiom_values(
@@ -190,9 +139,10 @@ def check_axiom_values(
     if axiom is AxiomId.R10:
         return check_residuation(logic, n_samples, tol, seed)
     domain = ValueDomain(logic)
-    arity, kind, needed, lhs, rhs = _template(axiom)
+    relation, lhs, rhs = AXIOMS[axiom.value]
+    arity, needs = _shape(axiom)
     name = logic.kind.value
-    if not _applicable(domain, needed):
+    if not _applicable(domain, needs):
         return LawReport(name, axiom.value, 0, "not-applicable", tol)
     rng = random.Random(seed)
     witnesses = domain.spec.witnesses
@@ -200,17 +150,15 @@ def check_axiom_values(
     # witness tuples first (constant repetition covers the known failures),
     # then random samples
     streams = [tuple([w] * arity) for w in witnesses]
-    for w in witnesses:
-        for v in witnesses:
-            if arity >= 2:
-                streams.append(tuple([w, v] + [w] * (arity - 2)))
+    if arity >= 2:
+        streams += [(w, v, *[w] * (arity - 2)) for w in witnesses for v in witnesses]
     for _ in range(n_samples):
         streams.append(tuple(domain.spec.sample(rng) for _ in range(arity)))
     for xs in streams:
         run += 1
-        a = lhs(domain.ops, domain.consts, xs)
-        b = rhs(domain.ops, domain.consts, xs)
-        ok = domain.eq(a, b, tol) if kind == "eq" else domain.leq(a, b, tol)
+        a = term_value(lhs, domain.ops, domain.consts, xs)
+        b = term_value(rhs, domain.ops, domain.consts, xs)
+        ok = (domain.eq if relation == "eq" else domain.leq)(a, b, tol)
         if not ok:
             witness = {
                 "xs": [domain.value(x) for x in xs],
@@ -241,7 +189,7 @@ def check_residuation(
         vp, vz = domain.value(prod), domain.value(z)
         vy, vr = domain.value(y), domain.value(resid)
         # resample anything grazing either inequality boundary
-        if _near(vp, vz, tol) or _near(vy, vr, tol):
+        if domain.eq(prod, z, tol) or domain.eq(y, resid, tol):
             continue
         run += 1
         if (vp <= vz) != (vy <= vr):
@@ -255,14 +203,6 @@ def check_residuation(
             return LawReport(name, AxiomId.R10.value, run, "counterexample", tol,
                              witness)
     return LawReport(name, AxiomId.R10.value, run, "pass", tol)
-
-
-def _near(a: float, b: float, tol: float) -> bool:
-    if a == b:
-        return True
-    if not (abs(a) < INF and abs(b) < INF):
-        return False
-    return abs(a - b) <= tol
 
 
 # ---------------------------------------------------------------------------

@@ -59,20 +59,25 @@ EMPTY_ENV = Env()
 
 def _stl_conj_c(carrier, nu: float, values):
     """Soft n-ary conjunction over any carrier (three-case formula)."""
-    p = carrier.primal
     m = values[0]
     for v in values[1:]:
         m = carrier.min2(m, v)
-    pmin = p(m)
-    nu_c = carrier.lift(nu)
+    pmin = carrier.primal(m)
     if pmin == 0.0:
         # +0.0, with the minimum's tangent: the slope there is the minimum's
         return carrier.add(m, carrier.zero)
+    return soft_conj_branch(carrier, nu, m, values, pmin < 0.0)
+
+
+def soft_conj_branch(carrier, nu: float, m, values, below: bool):
+    """The soft conjunction's branch for a minimum m below zero (below) or
+    above it, unguarded: it takes m as given and never looks at its sign."""
+    nu_c = carrier.lift(nu)
     num = None
     den = None
     for v in values:
         dev = carrier.div(carrier.sub(v, m), m)
-        if pmin < 0.0:
+        if below:
             w = carrier.exp(carrier.mul(nu_c, dev))
             term = carrier.mul(carrier.mul(m, carrier.exp(dev)), w)
         else:

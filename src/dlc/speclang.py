@@ -265,7 +265,7 @@ class _Parser:
             if nxt is not None and nxt.text == "[":
                 self.next()
                 idx = self.next()
-                if idx.kind != "num" or "." in idx.text:
+                if idx.kind != "num" or not idx.text.isdigit():
                     raise ParseError("index must be an integer", idx.line, idx.col)
                 self.expect("]")
                 return RIndex(t.text, int(idx.text))
@@ -670,6 +670,10 @@ def _as_vector(name: str, value) -> Tuple[float, ...]:
 
 
 def bindings_from_json(doc: dict) -> Dict[str, Tuple[float, ...]]:
+    if not isinstance(doc, dict):
+        raise ValidationError(
+            f"bindings must be a JSON object, not {type(doc).__name__}"
+        )
     return {name: _as_vector(name, value) for name, value in doc.items()}
 
 

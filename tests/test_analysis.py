@@ -66,6 +66,19 @@ class TestShadowLifting:
             1.0 / n, abs=1e-4
         )
 
+    # (n, p, nu, the derivative's float.hex), as computed on a hand copy
+    # of the branch before the derivative read the soft conjunction's own
+    @pytest.mark.parametrize("n, p, nu, want", [
+        (2, 0.3, 0.5, "0x1.fffffffc6eac0p-2"),
+        (3, 1.0, 4.0, "0x1.55551d68b7760p-2"),
+        (5, 9.5, 20.0, "0x1.9999846888fffp-3"),
+        (8, 0.01, 1.0, "0x1.ff3b1511caca8p-4"),
+        (2, 0.8, 4.0, "0x1.fffffffe56f40p-2"),
+        (3, 0.7, 5.0, "0x1.55550571a2680p-2"),
+    ])  # fmt: skip
+    def test_stl_below_zero_branch_derivative_bits(self, n, p, nu, want):
+        assert stl_lt0_branch_derivative(n, p, nu).hex() == want
+
     @pytest.mark.parametrize(
         "logic",
         [GODEL, LUKASIEWICZ, yager(2.0), STL_INFTY],

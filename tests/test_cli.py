@@ -92,6 +92,19 @@ class TestEval:
         (line,) = captured.err.splitlines()
         assert line.startswith("error: ") and "nested too deeply" in line
 
+    @pytest.mark.parametrize("text", ["[0.1, 0.2]", '"x"', "3"])
+    def test_inputs_that_are_no_json_object_are_input_error(
+        self, tmp_path, capsys, text
+    ):
+        inputs = tmp_path / "in.json"
+        inputs.write_text(text)
+        assert run(["eval", SPEC, "--inputs", str(inputs), "--net", f"N={NET}",
+                    "--logic", "dl2"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        (line,) = captured.err.splitlines()
+        assert line.startswith("error: ") and "JSON object" in line
+
     def test_nan_binding_is_input_error(self, tmp_path):
         inputs = tmp_path / "in.json"
         inputs.write_text('{"v": [0.0, 0.0], "x": [NaN, 0.0], "eps": 0.2, '
@@ -106,6 +119,15 @@ def test_compile(tmp_path):
     assert run(["compile", SPEC, "--logic", "dl2", "--out", str(out)]) == 0
     rep = read_json(out)
     assert rep["kind"] == "compile" and rep["expr"]["kind"] == "impl"
+
+
+def test_compile_exponent_index_is_input_error(tmp_path, capsys):
+    spec = tmp_path / "exp.spec"
+    spec.write_text("vector x 2\ngoal x[1e0] <= 1\n")
+    assert run(["compile", str(spec), "--logic", "dl2"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: index must be an integer\n"
 
 
 def test_laws_small_budget(tmp_path):

@@ -10,6 +10,7 @@ from dlc.laws import (
     EXPECTED_MATRIX,
     GROUPS,
     AxiomId,
+    _shape,
     check_axiom_values,
     check_residuation,
     render_matrix,
@@ -42,6 +43,37 @@ def test_no_cells_carry_witnesses(matrix):
             assert bad or na, f"{logic}/{group} marked no without a reason"
             for cell in bad:
                 assert cell["witness"] is not None
+
+
+# axiom -> (arity, connectives and constants it needs), as written out by
+# hand before both were read off the AXIOMS terms
+HAND_SHAPES = {
+    "R1": (2, ["and"]),
+    "R2": (3, ["and"]),
+    "R3": (2, ["or"]),
+    "R4": (3, ["or"]),
+    "R5": (2, ["and", "or"]),
+    "R6": (2, ["and", "or"]),
+    "R7": (3, ["and", "or"]),
+    "R8": (3, ["mand"]),
+    "R9": (1, ["mand", "top"]),
+    "N1": (1, ["not", "impl", "bottom"]),
+    "N2": (1, ["not"]),
+    "N3": (2, ["not", "and", "or"]),
+    "N4": (2, ["not", "and", "or"]),
+    "M1": (3, ["mor"]),
+    "M2": (2, ["not", "mand", "mor"]),
+    "M3": (2, ["not", "mand", "mor"]),
+    "IDEM": (1, ["mand"]),
+}
+
+
+def test_shapes_read_off_the_terms_match_the_hand_lists():
+    axioms = [a for a in AxiomId if a is not AxiomId.R10]
+    assert [a.value for a in axioms] == list(HAND_SHAPES)
+    for axiom in axioms:
+        arity, needs = HAND_SHAPES[axiom.value]
+        assert _shape(axiom) == (arity, set(needs))
 
 
 def test_infinite_witness_values_are_written_as_text():

@@ -60,6 +60,7 @@ from dlc.semantics import (
     carrier_aware,
     fold_nary,
     interpret,
+    soft_conj_branch,
     stl_nary,
 )
 
@@ -186,6 +187,14 @@ class TestSoftConnectives:
             assert stl_nary("conj", nu, [v, v, v]) == 0.0
         else:
             assert stl_nary("conj", nu, [v, v, v]) == pytest.approx(v)
+
+    @given(
+        v=st.floats(-5, -1e-3), n=st.integers(1, 8), nu=st.floats(0.5, 20)
+    )
+    def test_conjunction_below_zero_is_the_branch(self, v, n, nu):
+        vals = [v] * n
+        want = soft_conj_branch(F64Carrier, nu, v, vals, below=True)
+        assert stl_nary("conj", nu, vals).hex() == want.hex()
 
     @given(
         vals=st.lists(st.floats(-5, 5, allow_nan=False), min_size=1, max_size=5),

@@ -158,7 +158,7 @@ class TestParser:
 _DECLS = "vector x 2\nvector y 3\nscalar eps\nnetwork N 2 3\n"
 
 # (goal, error class, message) of specs that declare _DECLS and fail to
-# resolve.  The goal is walked left to right, a call's arguments before the
+# parse or resolve.  The goal is walked left to right, a call's arguments before the
 # call itself, so the first fault in that order is the one reported.
 PARSE_ERRORS = [
     ("|z|_inf <= 1", UndeclaredIdentifier, "vector 'z' not declared"),
@@ -188,6 +188,7 @@ PARSE_ERRORS = [
     ("|f(z)|_inf <= 1", UndeclaredIdentifier, "vector 'z' not declared"),
     ("|sub(N(y),z)|_inf <= 1", ArityMismatch,
      "network 'N' expects one vector of arity 2"),
+    ("x[1e0] <= 1", ParseError, "index must be an integer"),
 ]
 
 
@@ -507,6 +508,12 @@ def test_non_finite_bindings_rejected(value):
         bindings_from_json({"x": [0.1, float(value)]})
     with pytest.raises(ValidationError):
         bindings_from_json({"eps": float(value)})
+
+
+@pytest.mark.parametrize("doc", [[0.1, 0.2], "x", 3, None])
+def test_bindings_that_are_no_json_object_rejected(doc):
+    with pytest.raises(ValidationError, match="must be a JSON object"):
+        bindings_from_json(doc)
 
 
 # ---------------------------------------------------------------------------
