@@ -34,7 +34,7 @@ from dataclasses import dataclass, field
 from enum import Enum
 from functools import cached_property, partial
 from itertools import repeat, tee
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 from .core import (
     AXIOMS,
@@ -266,8 +266,11 @@ class RuleSpec:
 
     rule: Rule
 
-    def schema(self, calc, inst: RuleInstance, h: Hypersequent) -> List[Hypersequent]:
-        """Premises the rule demands for conclusion h."""
+    def schema(self, calc, inst: RuleInstance, h: Hypersequent) -> Iterable[Hypersequent]:
+        """Premises the rule demands for conclusion h, in order.  A rule
+        with two premises yields them one at a time, so a reader that stops
+        after the first builds no second; a SchemaMismatch may then surface
+        only once iteration starts, so readers catch it around the loop."""
         raise NotImplementedError
 
     def search(self, calc, h: Hypersequent) -> List[RuleInstance]:
@@ -493,10 +496,8 @@ class _COM(RuleSpec):
         k1, k2 = _param(inst, "k1"), _param(inst, "k2")
         if not (0 <= k1 <= len(s1.left) and 0 <= k2 <= len(s2.left)):
             _fail("com: antecedent partition out of range")
-        return [
-            _merge(comps, c, Sequent(s1.left[:k1] + s2.left[:k2], s1.right)),
-            _merge(comps, c, Sequent(s1.left[k1:] + s2.left[k2:], s2.right)),
-        ]
+        yield _merge(comps, c, Sequent(s1.left[:k1] + s2.left[:k2], s1.right))
+        yield _merge(comps, c, Sequent(s1.left[k1:] + s2.left[k2:], s2.right))
 
     def search(self, calc, h):
         comps = h.components
@@ -571,9 +572,8 @@ class _MIX(RuleSpec):
         k1, k2 = _param(inst, "k1"), _param(inst, "k2")
         if not (0 <= k1 <= len(s.left) and 0 <= k2 <= len(s.right)):
             _fail("mix: partition out of range")
-        p1 = h.replace(c, [Sequent(s.left[:k1], s.right[:k2])])
-        p2 = h.replace(c, [Sequent(s.left[k1:], s.right[k2:])])
-        return [p1, p2]
+        yield h.replace(c, [Sequent(s.left[:k1], s.right[:k2])])
+        yield h.replace(c, [Sequent(s.left[k1:], s.right[k2:])])
 
     def search(self, calc, h):
         return [
@@ -715,7 +715,8 @@ class _Logical(RuleSpec):
     In single-conclusion calculi a right rule needs the succedent to be that
     one formula; its instances name no "pos" and it sits at position 0.
     Subclasses define ``premises(calc, inst, h, c, s, pos, f)``, the
-    premises for the matched principal formula f of component s.
+    premises for the matched principal formula f of component s, in order
+    (an iterable, as ``schema`` returns).
     """
 
     kinds: tuple  # node classes of the principal connective, main one first
@@ -793,10 +794,10 @@ class _Lattice(_Logical):
 
     def premises(self, calc, inst, h, c, s, pos, f):
         x = _side(s, self.left)
-        parts = [_with_side(s, self.left, _put(x, pos, g)) for g in f.children]
+        parts = (_with_side(s, self.left, _put(x, pos, g)) for g in f.children)
         if self.branching:
-            return [h.replace(c, [p]) for p in parts]
-        return [h.replace(c, parts)]
+            return (h.replace(c, [p]) for p in parts)
+        return [h.replace(c, [*parts])]
 
     def extend(self, calc, rng, tree):
         if self.branching:
@@ -901,9 +902,8 @@ class _ROdotSplit(_Odot):
         rest = _put(s.right, pos)
         if not (0 <= k1 <= len(s.left) and 0 <= k2 <= len(rest)):
             _fail("rodot: context partition out of range")
-        p1 = h.replace(c, [Sequent(s.left[:k1], (a,) + rest[:k2])])
-        p2 = h.replace(c, [Sequent(s.left[k1:], (b,) + rest[k2:])])
-        return [p1, p2]
+        yield h.replace(c, [Sequent(s.left[:k1], (a,) + rest[:k2])])
+        yield h.replace(c, [Sequent(s.left[k1:], (b,) + rest[k2:])])
 
     def search_at(self, calc, s, c, pos):
         return [
@@ -937,10 +937,8 @@ class _LImpl(_Logical):
     rule, kinds, left = Rule.LIMPL, (Impl,), True
 
     def premises(self, calc, inst, h, c, s, pos, f):
-        return [
-            h.replace(c, [Sequent(_put(s.left, pos), (f.left,))]),
-            h.replace(c, [Sequent(_put(s.left, pos, f.right), s.right)]),
-        ]
+        yield h.replace(c, [Sequent(_put(s.left, pos), (f.left,))])
+        yield h.replace(c, [Sequent(_put(s.left, pos, f.right), s.right)])
 
     def extend(self, calc, rng, tree):
         h = tree.conclusion
@@ -974,10 +972,8 @@ class _LImplProduct(_LImpl):
     """Product:  H | G, ~A |- D   H | G, B |- A, D  /  H | G, A -> B |- D"""
 
     def premises(self, calc, inst, h, c, s, pos, f):
-        return [
-            h.replace(c, [Sequent(_put(s.left, pos, Not(f.left)), s.right)]),
-            h.replace(c, [Sequent(_put(s.left, pos, f.right), (f.left,) + s.right)]),
-        ]
+        yield h.replace(c, [Sequent(_put(s.left, pos, Not(f.left)), s.right)])
+        yield h.replace(c, [Sequent(_put(s.left, pos, f.right), (f.left,) + s.right)])
 
     def extend(self, calc, rng, tree):
         # Both premises must close by axiom leaves: the first by luck of the
@@ -1005,10 +1001,8 @@ class _LImplDL2(_LImpl):
     """
 
     def premises(self, calc, inst, h, c, s, pos, f):
-        return [
-            h.replace(c, [Sequent(_put(s.left, pos), s.right)]),
-            h.replace(c, [Sequent(_put(s.left, pos, f.right), (f.left,) + s.right)]),
-        ]
+        yield h.replace(c, [Sequent(_put(s.left, pos), s.right)])
+        yield h.replace(c, [Sequent(_put(s.left, pos, f.right), (f.left,) + s.right)])
 
     def extend(self, calc, rng, tree):
         h = tree.conclusion
@@ -1046,10 +1040,8 @@ class _RImplMulti(_RImpl):
         self.verum_consequent = verum_consequent
 
     def premises(self, calc, inst, h, c, s, pos, f):
-        return [
-            h.replace(c, [Sequent(s.left, _put(s.right, pos))]),
-            h.replace(c, [Sequent(s.left + (f.left,), _put(s.right, pos, f.right))]),
-        ]
+        yield h.replace(c, [Sequent(s.left, _put(s.right, pos))])
+        yield h.replace(c, [Sequent(s.left + (f.left,), _put(s.right, pos, f.right))])
 
     def extend(self, calc, rng, tree):
         h = tree.conclusion
@@ -1076,13 +1068,16 @@ _SEARCH_ORDER = (
 # structural rule rewrite, from the component their position param names
 # ("c", or eex's "i"): (width, last, fresh).  last: only the node's last
 # window is rewritten; ew's one searched instance (k = 1) rewrites the last
-# pair into its first component.  fresh: the premises create components;
-# eex's and ew's only reuse the node's own, so at budget 1, where no
-# component of the node is an axiom, they never close and are not tried.
+# pair into its first component.  fresh: the premises may create an axiom
+# component where the node has none.  At budget 1, where no component of
+# the node is an axiom, windows that are not fresh never close and are not
+# tried.  eex's and ew's premises only reuse the node's components; lex's
+# and rex's permute one side of one, and every axiom test (``match``) gives
+# the same answer on each permutation of a side.
 _WINDOW = {
     Rule.COM: (2, False, True), Rule.SPLIT: (2, False, True),
-    Rule.MIX: (1, False, True), Rule.LEX: (1, False, True),
-    Rule.REX: (1, False, True), Rule.EEX: (2, False, False),
+    Rule.MIX: (1, False, True), Rule.LEX: (1, False, False),
+    Rule.REX: (1, False, False), Rule.EEX: (2, False, False),
     Rule.WEAK_L: (1, False, True), Rule.EW: (2, True, False),
 }  # fmt: skip
 
@@ -1125,6 +1120,16 @@ class CalculusDef:
         return ((None, 1, False, True),) + tuple(
             (self.table[r], *_WINDOW[r]) for r in _SEARCH_ORDER if r in self.table
         )
+
+    @cached_property
+    def fresh_windows(self) -> Tuple[Tuple[int, ...], Tuple[int, ...]]:
+        """The indices into ``windows`` of the fresh structural windows of
+        one component, and of two."""
+        return tuple(
+            tuple(j for j, (spec, width, _, fresh) in enumerate(self.windows)
+                  if spec is not None and fresh and width == w)
+            for w in (1, 2)
+        )  # fmt: skip
 
 
 def _calc(name, logic, single, specs):
@@ -1191,7 +1196,7 @@ def premises_for(
     spec = _spec(calc, inst.rule)
     if not conclusion.components:
         _fail("a conclusion hypersequent needs at least one component")
-    return spec.schema(calc, inst, conclusion)
+    return list(spec.schema(calc, inst, conclusion))
 
 
 def check_step(
@@ -1473,28 +1478,39 @@ def prove_bounded(
 
     A node with budget 1 (the frontier) needs an instance whose every
     premise has an axiom leaf.  For each window and rule kind the frontier
-    keeps the first such instance on the window alone: it reads the
-    window's premise table if there is one, and otherwise builds premises
-    one instance at a time.  This is exact: the frontier node failed its
+    keeps its entry, the first such instance on the window alone: it reads
+    the window's premise table if there is one, and otherwise builds
+    premises one instance at a time, each only up to its first premise
+    with no axiom component.  This is exact: the frontier node failed its
     own leaf test, so only the components a rule creates can be axioms,
     and those depend on the window alone.  So the first hit, logical rules
     component by component and then each structural spec window by window,
-    is the instance a full enumeration would find.  ``eex`` and ``ew`` are
-    skipped there: their premises only reuse the node's components, none
-    of which is an axiom.  No path check is needed at the frontier, since
-    a premise on the path failed its leaf test.
+    is the instance a full enumeration would find.  Windows that are not
+    fresh (``_WINDOW``) are skipped there: their premises hold no axiom
+    component the node lacks.  No path check is needed at the frontier,
+    since a premise on the path failed its leaf test.
 
-    The ids, tables and memo belong to the call; no state outlives it.  If
-    ``work`` is a dict, the call writes its counts into it when it returns:
-    nodes expanded, memo prunes, frontier hits (an entry looked up again)
-    and misses (an entry built), streak cuts (nodes at budget 2 or more
-    whose structural instances the streak cap skipped), and premise table
-    hits (a table looked up again) and misses (a table made).
+    Whether a frontier node closes is decided from flags kept per
+    component id (a logical window closes it; a fresh structural window of
+    one component closes it) and per adjacent id pair (a fresh window of
+    two closes it), each read from the entries once; only the logical
+    flags count when the last two steps were structural.  The ordered scan
+    that picks the instance runs only for the premises of an instance that
+    wins at a budget-2 node, and for a goal searched at budget 1.
+
+    The ids, tables, flags and memo belong to the call; no state outlives
+    it.  If ``work`` is a dict, the call writes its counts into it when it
+    returns: nodes expanded, memo prunes, frontier hits (an entry looked up
+    again) and misses (an entry built), streak cuts (nodes at budget 2 or
+    more whose structural instances the streak cap skipped), and premise
+    table hits (a table looked up again) and misses (a table made).
     """
     _validate(calc, goal)
     windows = calc.windows
     seqs: List[Sequent] = []  # id -> sequent
-    ids: Dict[Sequent, int] = {}
+    # (antecedent, succedent) -> id: keyed by the sides, whose tuples hash
+    # and compare without the dataclass's generated methods
+    ids: Dict[tuple, int] = {}
     axiom: List[Optional[tuple]] = []  # id -> its first axiom match
     axioms = set()  # ids of the axiom instances
     logical_of: Dict[int, List[tuple]] = {}  # id -> its logical matches
@@ -1505,18 +1521,28 @@ def prove_bounded(
     # component) or id pair: its premise tables, and its frontier entries
     tables = [{} for _ in windows]
     closes = [{} for _ in windows]
+    singles, doubles = calc.fresh_windows
+    # id -> whether a logical window closes it, and whether a fresh
+    # structural one does (None until read); id pair -> whether a fresh
+    # window of two closes it
+    by_logical: List[Optional[bool]] = []
+    by_structural: List[Optional[bool]] = []
+    by_pair: Dict[tuple, bool] = {}
     expanded = pruned = hits = cuts = table_hits = 0
 
     def ident(s):
         """The id of the sequent s, given when s is new."""
-        i = ids.get(s)
+        key = s.left, s.right
+        i = ids.get(key)
         if i is None:
-            i = ids[s] = len(seqs)
+            i = ids[key] = len(seqs)
             seqs.append(s)
             match = _axiom_match(calc, s)
             axiom.append(match)
             if match is not None:
                 axioms.add(i)
+            by_logical.append(None)
+            by_structural.append(None)
         return i
 
     def instances(win, key):
@@ -1545,10 +1571,11 @@ def prove_bounded(
         tuple it puts in place of the window."""
         for k, (spec, inst) in enumerate(found):
             try:
-                premises = spec.schema(calc, inst, h)
+                premises = [tuple(map(ident, p.components))
+                            for p in spec.schema(calc, inst, h)]  # fmt: skip
             except SchemaMismatch:
                 continue
-            yield k, tuple([tuple(map(ident, p.components)) for p in premises])
+            yield k, tuple(premises)
 
     def closing(table):
         """(k, leaves) of the first of table's entries whose every premise
@@ -1569,78 +1596,121 @@ def prove_bounded(
 
     def closing_alone(h, insts):
         """closing for a window that has no premise table: the premises of
-        insts on the window alone h are built one instance at a time, and a
-        premise's components get ids only up to its first axiom."""
+        insts on the window alone h are built one at a time, up to the
+        first with no axiom component, and a premise's components get ids
+        only up to its first axiom."""
         for k, (spec, inst) in enumerate(insts):
-            try:
-                premises = spec.schema(calc, inst, h)
-            except SchemaMismatch:
-                continue
             leaves = []
-            for p in premises:
-                for j, s in enumerate(p.components):
-                    if ident(s) in axioms:
-                        leaves.append((tuple(map(ident, p.components)), j))
+            try:
+                for p in spec.schema(calc, inst, h):
+                    for j, s in enumerate(p.components):
+                        if ident(s) in axioms:
+                            leaves.append((tuple(map(ident, p.components)), j))
+                            break
+                    else:
                         break
                 else:
-                    break
-            else:
-                return k, leaves
+                    return k, leaves
+            except SchemaMismatch:
+                continue
         return None
 
-    def frontier(n, streak):
-        """The plan of a proof of n by one instance over axiom leaves, or
-        None; n has no axiom component."""
+    def entry(j, key):
+        """The frontier entry of window kind j at the window key: (k,
+        leaves) as closing gives it, or None."""
         nonlocal hits, table_hits
-        pairs = tuple(zip(n, n[1:])) if len(n) > 1 else ()
-        for j, win in enumerate(windows):
-            spec, width, last, fresh = win
-            if spec is not None and streak >= 2:
-                return None
-            if not fresh:
+        found = closes[j]
+        got = found.get(key, found)
+        if got is not found:
+            hits += 1
+            return got
+        table = tables[j].get(key)
+        if table is None:
+            got = closing_alone(*instances(windows[j], key))
+        else:
+            table_hits += 1
+            got = closing(table and table.__copy__())
+        found[key] = got
+        return got
+
+    def closed(n, streak):
+        """Whether search(n, 1, streak) finds a proof, with its memo reads
+        and writes and its counts; the plan is left to leaf or frontier."""
+        nonlocal expanded, pruned
+        # every memoized budget is 1 or more
+        if n in failed:
+            pruned += 1
+            return False
+        if not axioms.isdisjoint(n):
+            return True
+        expanded += 1
+        for i in n:
+            flag = by_logical[i]
+            if flag is None:
+                flag = by_logical[i] = entry(0, i) is not None
+            if flag:
+                return True
+        if streak < 2:
+            for i in n:
+                flag = by_structural[i]
+                if flag is None:
+                    flag = by_structural[i] = any(
+                        entry(j, i) is not None for j in singles
+                    )
+                if flag:
+                    return True
+            for key in zip(n, n[1:]):
+                flag = by_pair.get(key)
+                if flag is None:
+                    flag = by_pair[key] = any(
+                        entry(j, key) is not None for j in doubles
+                    )
+                if flag:
+                    return True
+        failed[n] = 1
+        return False
+
+    def leaf(n):
+        """The plan of the axiom leaf of n's first axiom component, or None."""
+        if not axioms.isdisjoint(n):
+            for c, i in enumerate(n):
+                if i in axioms:
+                    return n, None, c, None, ()
+        return None
+
+    def frontier(n):
+        """The plan of the proof of n, closed at budget 1 (``closed``) with
+        no axiom component, by the first instance over axiom leaves."""
+        pairs = tuple(zip(n, n[1:]))
+        for j, (_, width, _, new) in enumerate(windows):
+            if not new:
                 continue
-            found = closes[j]
             for c, key in enumerate(n if width == 1 else pairs):
-                entry = found.get(key, found)
-                if entry is found:
-                    table = tables[j].get(key)
-                    if table is None:
-                        entry = closing_alone(*instances(win, key))
-                    else:
-                        table_hits += 1
-                        entry = closing(table and table.__copy__())
-                    found[key] = entry
-                else:
-                    hits += 1
-                if entry is not None:
-                    k, leaves = entry
+                got = entry(j, key)
+                if got is not None:
+                    k, leaves = got
                     head, tail = n[:c], n[c + width :]
-                    return n, win, c, k, [
+                    return n, windows[j], c, k, [
                         (head + r + tail, None, c + i, None, ()) for r, i in leaves
                     ]
-        return None
 
     def search(n, budget, streak):
         """The plan (n, window kind, c, k, premise plans) of a proof of n
         by the k-th instance of its window at c, k None for an axiom leaf
         at component c; or None."""
         nonlocal expanded, pruned
+        if budget == 1:
+            return (leaf(n) or frontier(n)) if closed(n, streak) else None
         # a memoized failure has no leaf, so the memo is consulted first;
         # a node out of budget needs only the leaf scan
         if budget > 0 and failed.get(n, -1) >= budget:
             pruned += 1
             return None
-        if not axioms.isdisjoint(n):
-            for c, i in enumerate(n):
-                if i in axioms:
-                    return n, None, c, None, ()
-        if budget <= 0:
-            return None
+        found = leaf(n)
+        if found is not None or budget <= 0:
+            return found
         expanded += 1
-        if budget == 1:
-            found = frontier(n, streak)
-        else:
-            found = deeper(n, budget, streak)
+        found = deeper(n, budget, streak)
         if found is None and budget > failed.get(n, -1):
             failed[n] = budget
         return found
@@ -1656,7 +1726,7 @@ def prove_bounded(
         try:
             pairs = tuple(zip(n, n[1:])) if len(n) > 1 else ()
             for j, win in enumerate(windows):
-                spec, width, last, fresh = win
+                spec, width, last, _ = win
                 if spec is None:
                     after = 0
                 elif streak >= 2:
@@ -1687,6 +1757,14 @@ def prove_bounded(
                         if not path.isdisjoint(premises) and (
                             not added or any(p in path and p != n for p in premises)
                         ):
+                            continue
+                        if budget == 2:
+                            for p in premises:
+                                if not closed(p, after):
+                                    break
+                            else:
+                                subs = [leaf(p) or frontier(p) for p in premises]
+                                return n, win, c, k, subs
                             continue
                         subs = []
                         for p in premises:

@@ -669,12 +669,27 @@ def _as_vector(name: str, value) -> Tuple[float, ...]:
     return vals
 
 
+def _is_number(v) -> bool:
+    return isinstance(v, (int, float)) and not isinstance(v, bool)
+
+
 def bindings_from_json(doc: dict) -> Dict[str, Tuple[float, ...]]:
+    """Bindings from a JSON object whose every value is a number or a list
+    of numbers; any other value, a boolean or a string of digits too, is
+    refused."""
     if not isinstance(doc, dict):
         raise ValidationError(
             f"bindings must be a JSON object, not {type(doc).__name__}"
         )
-    return {name: _as_vector(name, value) for name, value in doc.items()}
+    out = {}
+    for name, value in doc.items():
+        values = value if isinstance(value, list) else [value]
+        if not all(map(_is_number, values)):
+            raise ValidationError(
+                f"binding {name!r} must be a number or a list of numbers"
+            )
+        out[name] = _as_vector(name, values)
+    return out
 
 
 def bindings_from_csv(text: str) -> Dict[str, Tuple[float, ...]]:

@@ -4,6 +4,7 @@ import copy
 import dataclasses
 import functools
 import hashlib
+import itertools
 import json
 import pickle
 import math
@@ -41,12 +42,15 @@ from dlc.calculus import (
     _MIN_MAX_RULES,
     _MIX,
     _SEARCH_ORDER,
+    _WINDOW,
     _Init,
     _LImplDL2,
     _atom,
     _calc,
     _extend_candidates,
+    _axiom_match,
     _hyper_to_json,
+    _rand_sequent,
     _random_instance,
     _tree_depth,
     _validate,
@@ -282,7 +286,7 @@ class _LImplDL2Keeping(_LImplDL2):
         self.keep = keep
 
     def premises(self, calc, inst, h, c, s, pos, f):
-        return [super().premises(calc, inst, h, c, s, pos, f)[self.keep]]
+        return [list(super().premises(calc, inst, h, c, s, pos, f))[self.keep]]
 
 
 @pytest.mark.parametrize("keep", [0, 1])
@@ -890,6 +894,61 @@ def test_search_matches_reference_on_repeated_and_swapped_components(name):
                     _assert_search_matches_reference(calc, goal, budget)
 
 
+def _axiom_test_pool(calc, rng):
+    """Components drawn by _rand_sequent, and hand-made ones with falsum and
+    verum at several positions."""
+    p, q = _atom(1, calc.profile), _atom(2, calc.profile)
+    bot, top = BoolConst(False, calc.profile), BoolConst(True, calc.profile)
+    made = [
+        Sequent((p,), (p,)), Sequent((p, q), (p,)), Sequent((p,), (p, q)),
+        Sequent((), ()), Sequent((bot,), ()), Sequent((bot,), (q,)),
+        Sequent((p, bot), (q,)), Sequent((bot, p, q), (q, p)),
+        Sequent((p, q, bot), (top,)), Sequent((p, bot, q), ()),
+        Sequent((p,), (top,)), Sequent((), (p, top)), Sequent((q,), (top, p)),
+        Sequent((top, bot), (top, p, q)), Sequent((top,), (bot,)),
+    ]  # fmt: skip
+    return made + [_rand_sequent(calc, rng) for _ in range(300)]
+
+
+@pytest.mark.parametrize("name", sorted(CALCULI))
+def test_axiom_tests_ignore_the_order_within_a_side(name):
+    # lex and rex are not tried at the frontier (_WINDOW) because of this
+    calc = CALCULI[name]
+    for s in _axiom_test_pool(calc, random.Random(f"perm/{name}")):
+        for left, right in itertools.product(
+            itertools.permutations(s.left), itertools.permutations(s.right)
+        ):
+            t = Sequent(left, right)
+            for spec in calc.axioms:
+                assert (spec.match(t) is None) == (spec.match(s) is None), (
+                    name, spec.rule.value, s, t
+                )
+
+
+@pytest.mark.parametrize("name", sorted(CALCULI))
+def test_windows_that_are_not_fresh_create_no_axiom(name):
+    # a frontier node has no axiom component, and windows that are not
+    # fresh are skipped there: none of their premises may have one
+    calc = CALCULI[name]
+    rng = random.Random(f"fresh/{name}")
+    pool = [
+        s for s in _axiom_test_pool(calc, rng) if _axiom_match(calc, s) is None
+    ]
+    stale = [r for r in _SEARCH_ORDER if r in calc.table and not _WINDOW[r][2]]
+    assert {Rule.LEX, Rule.REX, Rule.EEX, Rule.EW} <= set(stale)
+    tried = 0
+    for _ in range(300):
+        h = Hypersequent(rng.sample(pool, rng.randint(1, 3)))
+        for rule in stale:
+            for inst in calc.table[rule].search(calc, h):
+                tried += 1
+                for p in premises_for(calc, inst, h):
+                    assert all(_axiom_match(calc, s) is None for s in p.components), (
+                        name, inst, _hyper_to_json(h)
+                    )
+    assert tried > 300
+
+
 def test_search_work_counts_repeat():
     (goal,) = [g for a, d, g in weak_completeness_goals(GOEDEL) if a + d == "R7le"]
     first, again = {}, {}
@@ -953,23 +1012,29 @@ def test_search_round_trip_misses_only_the_pinned_goals(name):
 # SHA-256 of every proof prove_bounded returns, with its first four work
 # counts, on the goals of search_digest.  It pins proofs and work together,
 # so a change to either shows here; update it only with the change that
-# means to move them.  Two round-trip goals are searched at their depth
-# only: at depth + 2 they take about 12.6 s (stl-inf 384) and 2.8 s (dl2 349)
-# of CPU, and every other goal under 0.6 s.
-SEARCH_DIGEST = "269836382bbb552a830fb805549cc48eaef773fccca0606369271e3402e3cd29"
+# means to move them.  PROOF_DIGEST hashes the same proofs with only the
+# nodes expanded and the memo prunes, which follow the search's course
+# alone: a change to how premises are found or built must keep it.
+# Two round-trip goals are searched at their depth only: at depth + 2 they
+# take about 13 s (stl-inf 384) and 3 s (dl2 349) of CPU, most of it
+# building the premises of com windows, and every other goal under 0.6 s.
+SEARCH_DIGEST = "49966b1e03b51b1c89a25396b2045680e26fc32667260f7c3457cfb7a810c37f"
+PROOF_DIGEST = "4fa41063240e41632533900af0711c3d0e754ef504ffce495d36b6e11e321770"
 DIGEST_WORK_KEYS = ("nodes_expanded", "memo_prunes", "frontier_hits", "frontier_misses")
+PROOF_WORK_KEYS = DIGEST_WORK_KEYS[:2]
 _SLOW_AT_DEPTH_PLUS_2 = {("stl-inf", 384), ("dl2", 349)}
 
 
 def search_digest():
-    """The digest of every calculus's weak-completeness goals at budgets
-    0-12 and of its round-trip goals at their depth d and at d + 2."""
-    digest = hashlib.sha256()
+    """The digests (SEARCH_DIGEST, PROOF_DIGEST), from one search of every
+    calculus's weak-completeness goals at budgets 0-12 and of its
+    round-trip goals at their depth d and at d + 2."""
+    digests = [(keys, hashlib.sha256()) for keys in (DIGEST_WORK_KEYS, PROOF_WORK_KEYS)]
 
     def add(calc, proof, work):
         doc = None if proof is None else proof_to_json(calc.name, proof)
-        counts = [work[k] for k in DIGEST_WORK_KEYS]
-        digest.update(json.dumps([doc, counts]).encode())
+        for keys, digest in digests:
+            digest.update(json.dumps([doc, [work[k] for k in keys]]).encode())
 
     def search(calc, goal, budget):
         work = {}
@@ -984,13 +1049,23 @@ def search_digest():
             add(calc, proof, work)
             if (name, i) not in _SLOW_AT_DEPTH_PLUS_2:
                 search(calc, goal, depth + 2)
-    return digest.hexdigest()
+    return tuple(digest.hexdigest() for _, digest in digests)
+
+
+def _reprint(i, name):
+    return (
+        "; if that is intended, print the new digest with  PYTHONPATH=src:tests "
+        "python -c \"from test_calculus import search_digest; "
+        f"print(search_digest()[{i}])\"  and update {name}"
+    )
 
 
 def test_search_digest_pins_proofs_and_work():
-    assert search_digest() == SEARCH_DIGEST, (
-        "proofs or work counts of prove_bounded changed; if that is intended, "
-        "print the new digest with  PYTHONPATH=src:tests python -c \"from "
-        "test_calculus import search_digest; print(search_digest())\"  and "
-        "update SEARCH_DIGEST"
+    search, proofs = search_digest()
+    assert proofs == PROOF_DIGEST, (
+        "proofs, nodes_expanded or memo_prunes of prove_bounded changed"
+        + _reprint(1, "PROOF_DIGEST")
+    )
+    assert search == SEARCH_DIGEST, (
+        "work counts of prove_bounded changed" + _reprint(0, "SEARCH_DIGEST")
     )

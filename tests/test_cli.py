@@ -105,6 +105,20 @@ class TestEval:
         (line,) = captured.err.splitlines()
         assert line.startswith("error: ") and "JSON object" in line
 
+    @pytest.mark.parametrize("value", ['"12"', "true", "[true, false]"])
+    def test_binding_that_is_no_number_is_input_error(
+        self, tmp_path, capsys, value
+    ):
+        inputs = tmp_path / "in.json"
+        inputs.write_text('{"v": [0.0, 0.0], "x": [0.1, 0.0], "eps": %s, '
+                          '"delta": 0.05}' % value)
+        assert run(["eval", SPEC, "--inputs", str(inputs), "--net", f"N={NET}",
+                    "--logic", "dl2"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        (line,) = captured.err.splitlines()
+        assert line.startswith("error: ") and "'eps'" in line
+
     def test_nan_binding_is_input_error(self, tmp_path):
         inputs = tmp_path / "in.json"
         inputs.write_text('{"v": [0.0, 0.0], "x": [NaN, 0.0], "eps": 0.2, '

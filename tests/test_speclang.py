@@ -510,6 +510,24 @@ def test_non_finite_bindings_rejected(value):
         bindings_from_json({"eps": float(value)})
 
 
+@pytest.mark.parametrize("doc, want", [
+    ({"x": [0.1, 2]}, {"x": (0.1, 2.0)}),
+    ({"eps": 3, "delta": 0.5}, {"eps": (3.0,), "delta": (0.5,)}),
+    ({"v": []}, {"v": ()}),
+])
+def test_json_bindings(doc, want):
+    assert bindings_from_json(doc) == want
+
+
+@pytest.mark.parametrize("value", [
+    "12", "0.5", True, False, [True, False], [0.1, True], [0.1, "2"],
+    [[0.1]], None, [None], {"a": 1},
+])
+def test_json_bindings_that_are_no_numbers_rejected(value):
+    with pytest.raises(ValidationError, match="number or a list of numbers"):
+        bindings_from_json({"x": value})
+
+
 @pytest.mark.parametrize("doc", [[0.1, 0.2], "x", 3, None])
 def test_bindings_that_are_no_json_object_rejected(doc):
     with pytest.raises(ValidationError, match="must be a JSON object"):
