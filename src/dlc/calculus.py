@@ -10,12 +10,12 @@ bounded backward search discharges the residuated-lattice goals.
 
 Each rule variant is declared once, as a ``RuleSpec`` in the rule table,
 and each calculus lists the variants it uses (``CALCULI``).  A spec holds
-the rule's backward schema, the instances backward search tries, the
-forward steps soundness fuzzing grows derivations by, and the random
-instances rule-local soundness trials check.  Only the schema builds
-premises: a forward step names its params and conclusion, and its premises
-are read from the schema; backward search reads them from per-call tables
-that the schema fills, one per window of components an instance rewrites.
+the rule's backward schema, the forward steps soundness fuzzing grows
+derivations by, and its params and search window, from which come the
+schema's range check, the instances backward search tries and rule-local
+trials' draws.  Only a spec's ``build`` builds premises: backward search
+reads them from per-call tables that ``build`` fills, one per window of
+components an instance rewrites, and forward steps from the schema.
 The nine logical rules share one principal-formula path (``_Logical``);
 each axiom states its component test once (``_Axiom.match``), for its
 schema and for closing leaves.  Where calculi differ in a rule's form, the
@@ -34,7 +34,9 @@ from dataclasses import dataclass, field
 from enum import Enum
 from functools import cached_property, partial
 from itertools import repeat, tee
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import (
+    Callable, Dict, Iterable, List, NamedTuple, Optional, Sequence, Tuple,
+)  # fmt: skip
 
 from .core import (
     AXIOMS,
@@ -181,17 +183,11 @@ def _fail(msg):
     raise SchemaMismatch(msg)
 
 
-def _component(h: Hypersequent, c: int) -> Sequent:
-    if not 0 <= c < len(h.components):
-        _fail(f"component index {c} out of range")
-    return h.components[c]
-
-
 def _param(inst: RuleInstance, name: str) -> int:
-    try:
-        return int(inst.params[name])
-    except KeyError:
-        _fail(f"rule {inst.rule.value} needs parameter {name!r}")
+    v = inst.params.get(name)
+    if type(v) is not int:
+        _fail(f"{inst.rule.value}: parameter {name!r} missing or not an integer")
+    return v
 
 
 def _is_bot(f: Expr) -> bool:
@@ -200,12 +196,6 @@ def _is_bot(f: Expr) -> bool:
 
 def _is_top(f: Expr) -> bool:
     return isinstance(f, BoolConst) and f.value is True
-
-
-def _at(seq: Tuple[Expr, ...], pos: int, what: str) -> Expr:
-    if not 0 <= pos < len(seq):
-        _fail(f"{what}: formula position {pos} out of range")
-    return seq[pos]
 
 
 def _swap(seq: Tuple, i: int) -> Tuple:
@@ -247,35 +237,112 @@ def _rand_sequent(calc: "CalculusDef", rng: random.Random) -> Sequent:
     return Sequent(_rand_formulas(calc, rng), _rand_formulas(calc, rng))
 
 
-def _two_or_more(calc, rng, comps: list) -> None:
-    if len(comps) < 2:
-        comps.append(_rand_sequent(calc, rng))
-
-
 # ---------------------------------------------------------------------------
 # The rule table
+
+
+class Param(NamedTuple):
+    """A declared rule param: ``bounds(comps, p)``, its inclusive range from
+    the conclusion's components and the params p before it, and the one
+    value search tries where it tries only one (``searched``; None: all)."""
+
+    name: str
+    what: str  # what the param names, for the range error
+    bounds: Callable[[Sequence[Sequent], Dict[str, int]], Tuple[int, int]]
+    searched: Optional[int] = None
+
+
+class Window(NamedTuple):
+    """The adjacent components a structural rule's searched instances
+    rewrite, from the one their position param ("c", or eex's "i") names.
+
+    last: only the node's last window is rewritten (ew's searched instance,
+    k = 1, rewrites the last pair into its first component).  fresh: the
+    premises may create an axiom component where the node has none; at
+    budget 1, where the node has none, other windows are not tried.  eex's
+    and ew's premises reuse the node's components, and lex's and rex's
+    permute a side of one, which no axiom test (``match``) sees.
+    """
+
+    width: int
+    last: bool = False
+    fresh: bool = True
+
+
+def _enumerator(rule: Rule, params: Tuple[Param, ...], i: int = 0):
+    """The function (comps, q, found) that appends to found, and returns it,
+    each instance of rule whose params extend q (written in place) by
+    params[i:]: each over its range, or at its searched value alone if that
+    is in range, the earlier varying slower."""
+    if i == len(params):  # nothing to enumerate: the one instance q
+        return lambda comps, q, found: [RuleInstance(rule, q)]
+    name, _, bounds, searched = params[i]
+    inner = _enumerator(rule, params, i + 1) if i + 1 < len(params) else None
+
+    def enum(comps, q, found):
+        lo, hi = bounds(comps, q)
+        if searched is not None:
+            lo, hi = (searched, searched) if lo <= searched <= hi else (1, 0)
+        for v in range(lo, hi + 1):
+            if inner is None:
+                found.append(RuleInstance(rule, {**q, name: v}))
+            else:
+                q[name] = v
+                inner(comps, q, found)
+        return found
+
+    return enum
 
 
 class RuleSpec:
     """One rule variant: everything the engine knows about the rule.
 
-    ``schema`` is the backward reading that ``premises_for`` dispatches to;
-    the other methods generate instances of it, and only ``schema`` builds
-    premises.
+    ``params`` declares each param but a logical rule's "pos", in draw
+    order, and ``window`` the components its searched structural instances
+    rewrite (None: none).  From them come the range check (``checked``),
+    the instances ``search`` (a logical rule's ``search_at``) lists and a
+    trial's draws (``instance``).  ``schema``, which ``premises_for`` calls,
+    hands a checked instance's params to ``build``, the one builder of
+    premises, which backward search calls directly.
     """
 
     rule: Rule
+    params: Tuple[Param, ...] = ()
+    window: Optional[Window] = None
 
     def schema(self, calc, inst: RuleInstance, h: Hypersequent) -> Iterable[Hypersequent]:
-        """Premises the rule demands for conclusion h, in order.  A rule
-        with two premises yields them one at a time, so a reader that stops
-        after the first builds no second; a SchemaMismatch may then surface
-        only once iteration starts, so readers catch it around the loop."""
+        """Premises the rule demands for conclusion h, in order; an instance
+        the rule does not take raises SchemaMismatch."""
+        return self.build(calc, h, self.checked(inst, h, {}))
+
+    def checked(self, inst: RuleInstance, h: Hypersequent, p: Dict[str, int]):
+        """p (params read from inst, no other) with each declared param added
+        once it is in range; a param inst names beyond them raises."""
+        comps = h.components
+        for name, what, bounds, _ in self.params:
+            v = _param(inst, name)
+            lo, hi = bounds(comps, p)
+            if not lo <= v <= hi:
+                _fail(f"{self.rule.value}: {what} out of range")
+            p[name] = v
+        if len(p) != len(inst.params):
+            _fail(f"{self.rule.value}: unknown params {inst.params.keys() - p.keys()}")
+        return p
+
+    def build(self, calc, h: Hypersequent, p: Dict[str, int]) -> Iterable[Hypersequent]:
+        """The premises for conclusion h of the instance with the params p
+        (in range), in order.  Two premises are yielded one at a time, so a
+        reader that stops after the first builds no second."""
         raise NotImplementedError
 
+    @cached_property
+    def enumerator(self):
+        """``_enumerator`` of the declared params, built once."""
+        return _enumerator(self.rule, self.params)
+
     def search(self, calc, h: Hypersequent) -> List[RuleInstance]:
-        """Structural instances worth trying backward on h."""
-        return []
+        """The structural instances backward search tries on h."""
+        return self.enumerator(h.components, {}, [])
 
     def extend(self, calc, rng: random.Random, tree: ProofTree):
         """Forward steps (params, conclusion) from tree's conclusion; the
@@ -283,14 +350,32 @@ class RuleSpec:
         return ()
 
     def instance(self, calc, rng: random.Random):
-        """A random (instance, conclusion) whose shape the rule applies to."""
+        """A random (instance, conclusion) whose shape the rule applies to:
+        each declared param that ``fit`` leaves open is drawn in its
+        bounds."""
         comps = [_rand_sequent(calc, rng) for _ in range(rng.randint(1, 3))]
-        params = self.place(calc, rng, comps, rng.randrange(len(comps)))
-        return RuleInstance(self.rule, params), Hypersequent(comps)
+        p = self.fit(calc, rng, comps, rng.randrange(len(comps)))
+        for name, _, bounds, _ in self.params:
+            if name not in p:
+                p[name] = rng.randint(*bounds(comps, p))
+        return RuleInstance(self.rule, p), Hypersequent(comps)
 
-    def place(self, calc, rng, comps: list, c: int) -> Dict[str, int]:
-        """Fit the random components comps to the rule, around component c."""
-        raise NotImplementedError
+    def fit(self, calc, rng, comps: list, c: int) -> Dict[str, int]:
+        """Fit the random components comps to the rule, around component c;
+        the params this fixes."""
+        return {}
+
+
+def _two_or_more(spec, calc, rng, comps: list, c: int) -> Dict[str, int]:
+    """``fit`` of the rules on two components: a lone one gets a second."""
+    if len(comps) < 2:
+        comps.append(_rand_sequent(calc, rng))
+    return {}
+
+
+_COMPONENT = Param("c", "component index", lambda comps, p: (0, len(comps) - 1))
+_PAIR = Param("c", "adjacent component index", lambda comps, p: (0, len(comps) - 2))
+_K1 = Param("k1", "antecedent partition", lambda comps, p: (0, len(comps[p["c"]].left)))
 
 
 def _pick(rng, h: Hypersequent, wanted):
@@ -316,12 +401,11 @@ class _Axiom(RuleSpec):
     """
 
     shape: str  # the axiom's component, for error messages
-    positional = False  # whether the principal formula is named by "pos"
+    params = (_COMPONENT,)
 
     def schema(self, calc, inst, h):
-        s = _component(h, _param(inst, "c"))
-        pos = _param(inst, "pos") if self.positional else None
-        if self.match(s, pos) is None:
+        p = self.checked(inst, h, {})
+        if self.match(h.components[p["c"]], p.get("pos")) is None:
             _fail(f"{self.rule.value}: component must be {self.shape}")
         return []
 
@@ -368,7 +452,10 @@ class _TopR(_Axiom):
 class _BotL(_Axiom):
     """Gamma, F |- Delta; the Łukasiewicz form wants a single succedent."""
 
-    rule, positional = Rule.BOT_L, True
+    rule = Rule.BOT_L
+    params = (_COMPONENT, Param(
+        "pos", "formula position", lambda comps, p: (0, len(comps[p["c"]].left) - 1)
+    ))  # fmt: skip
 
     def __init__(self, single_succedent: bool = False):
         self.single_succedent = single_succedent
@@ -378,7 +465,7 @@ class _BotL(_Axiom):
         if self.single_succedent and len(s.right) != 1:
             return None
         for p in range(len(s.left)) if pos is None else (pos,):
-            if 0 <= p < len(s.left) and _is_bot(s.left[p]):
+            if _is_bot(s.left[p]):
                 return {"pos": p}
         return None
 
@@ -399,17 +486,13 @@ class _BotL(_Axiom):
 class _EW(RuleSpec):
     """H  /  H | G1 | ... | Gk"""
 
-    rule = Rule.EW
+    rule, window, fit = Rule.EW, Window(2, last=True, fresh=False), _two_or_more
+    params = (Param(
+        "k", "added component count", lambda comps, p: (1, len(comps) - 1), searched=1
+    ),)  # fmt: skip
 
-    def schema(self, calc, inst, h):
-        comps = h.components
-        k = _param(inst, "k")
-        if not 1 <= k <= len(comps) - 1:
-            _fail("ew: must add between 1 and n-1 trailing components")
-        return [Hypersequent(comps[:-k])]
-
-    def search(self, calc, h):
-        return [RuleInstance(Rule.EW, {"k": 1})] if len(h.components) >= 2 else []
+    def build(self, calc, h, p):
+        return [Hypersequent(h.components[: -p["k"]])]
 
     def extend(self, calc, rng, tree):
         comps = tree.conclusion.components
@@ -427,22 +510,16 @@ class _EW(RuleSpec):
                 extra.append(_rand_sequent(calc, rng))
         yield {"k": len(extra)}, Hypersequent(comps + tuple(extra))
 
-    def place(self, calc, rng, comps, c):
-        _two_or_more(calc, rng, comps)
-        return {"k": rng.randint(1, len(comps) - 1)}
-
 
 class _EC(RuleSpec):
     """H | B | B  /  H | B, for a block B of b components"""
 
     rule = Rule.EC
+    params = (Param("b", "duplicated block size", lambda comps, p: (1, len(comps))),)
 
-    def schema(self, calc, inst, h):
+    def build(self, calc, h, p):
         comps = h.components
-        b = _param(inst, "b")
-        if not 1 <= b <= len(comps):
-            _fail("ec: duplicated block size out of range")
-        return [Hypersequent(comps + comps[-b:])]
+        return [Hypersequent(comps + comps[-p["b"] :])]
 
     def extend(self, calc, rng, tree):
         # forward reading: the conclusion must end in a duplicate block
@@ -452,24 +529,15 @@ class _EC(RuleSpec):
                 yield {"b": b}, Hypersequent(comps[:-b])
                 return
 
-    def place(self, calc, rng, comps, c):
-        return {"b": rng.randint(1, len(comps))}
-
 
 class _EEX(RuleSpec):
     """H | G | D | H'  /  H | D | G | H'"""
 
-    rule = Rule.EEX
+    rule, window, fit = Rule.EEX, Window(2, fresh=False), _two_or_more
+    params = (_PAIR._replace(name="i"),)
 
-    def schema(self, calc, inst, h):
-        comps = h.components
-        i = _param(inst, "i")
-        if not 0 <= i <= len(comps) - 2:
-            _fail("eex: adjacent component index out of range")
-        return [Hypersequent(_swap(comps, i))]
-
-    def search(self, calc, h):
-        return [RuleInstance(Rule.EEX, {"i": i}) for i in range(len(h.components) - 1)]
+    def build(self, calc, h, p):
+        return [Hypersequent(_swap(h.components, p["i"]))]
 
     def extend(self, calc, rng, tree):
         comps = tree.conclusion.components
@@ -477,36 +545,20 @@ class _EEX(RuleSpec):
             i = rng.randrange(len(comps) - 1)
             yield {"i": i}, Hypersequent(_swap(comps, i))
 
-    def place(self, calc, rng, comps, c):
-        _two_or_more(calc, rng, comps)
-        return {"i": rng.randrange(len(comps) - 1)}
-
 
 class _COM(RuleSpec):
     """H | G1, T1 |- D1   H | G2, T2 |- D2  /  H | G1, G2 |- D1 | T1, T2 |- D2"""
 
-    rule = Rule.COM
+    rule, window, fit = Rule.COM, Window(2), _two_or_more
+    params = (_PAIR, _K1, Param(
+        "k2", "antecedent partition", lambda comps, p: (0, len(comps[p["c"] + 1].left))
+    ))  # fmt: skip
 
-    def schema(self, calc, inst, h):
-        comps = h.components
-        c = _param(inst, "c")
-        if not 0 <= c <= len(comps) - 2:
-            _fail("com: needs two adjacent components")
+    def build(self, calc, h, p):
+        comps, c, k1, k2 = h.components, p["c"], p["k1"], p["k2"]
         s1, s2 = comps[c], comps[c + 1]
-        k1, k2 = _param(inst, "k1"), _param(inst, "k2")
-        if not (0 <= k1 <= len(s1.left) and 0 <= k2 <= len(s2.left)):
-            _fail("com: antecedent partition out of range")
         yield _merge(comps, c, Sequent(s1.left[:k1] + s2.left[:k2], s1.right))
         yield _merge(comps, c, Sequent(s1.left[k1:] + s2.left[k2:], s2.right))
-
-    def search(self, calc, h):
-        comps = h.components
-        return [
-            RuleInstance(Rule.COM, {"c": c, "k1": k1, "k2": k2})
-            for c in range(len(comps) - 1)
-            for k1 in range(len(comps[c].left) + 1)
-            for k2 in range(len(comps[c + 1].left) + 1)
-        ]
 
     def extend(self, calc, rng, tree):
         h = tree.conclusion
@@ -519,30 +571,17 @@ class _COM(RuleSpec):
         )
         yield {"c": c, "k1": j, "k2": len(s.left) - j}, conclusion
 
-    def place(self, calc, rng, comps, c):
-        _two_or_more(calc, rng, comps)
-        c = rng.randrange(len(comps) - 1)
-        k1 = rng.randint(0, len(comps[c].left))
-        k2 = rng.randint(0, len(comps[c + 1].left))
-        return {"c": c, "k1": k1, "k2": k2}
-
 
 class _SPLIT(RuleSpec):
     """H | G1, G2 |- D1, D2  /  H | G1 |- D1 | G2 |- D2"""
 
-    rule = Rule.SPLIT
+    rule, window, fit = Rule.SPLIT, Window(2), _two_or_more
+    params = (_PAIR,)
 
-    def schema(self, calc, inst, h):
-        comps = h.components
-        c = _param(inst, "c")
-        if not 0 <= c <= len(comps) - 2:
-            _fail("split: needs two adjacent components")
+    def build(self, calc, h, p):
+        comps, c = h.components, p["c"]
         s1, s2 = comps[c], comps[c + 1]
         return [_merge(comps, c, Sequent(s1.left + s2.left, s1.right + s2.right))]
-
-    def search(self, calc, h):
-        n = len(h.components)
-        return [RuleInstance(Rule.SPLIT, {"c": c}) for c in range(n - 1)]
 
     def extend(self, calc, rng, tree):
         h = tree.conclusion
@@ -556,32 +595,20 @@ class _SPLIT(RuleSpec):
             )
             yield {"c": c}, conclusion
 
-    def place(self, calc, rng, comps, c):
-        _two_or_more(calc, rng, comps)
-        return {"c": rng.randrange(len(comps) - 1)}
-
 
 class _MIX(RuleSpec):
     """H | G1 |- D1   H | G2 |- D2  /  H | G1, G2 |- D1, D2"""
 
-    rule = Rule.MIX
+    rule, window = Rule.MIX, Window(1)
+    params = (_COMPONENT, _K1, Param(
+        "k2", "succedent partition", lambda comps, p: (0, len(comps[p["c"]].right))
+    ))  # fmt: skip
 
-    def schema(self, calc, inst, h):
-        c = _param(inst, "c")
-        s = _component(h, c)
-        k1, k2 = _param(inst, "k1"), _param(inst, "k2")
-        if not (0 <= k1 <= len(s.left) and 0 <= k2 <= len(s.right)):
-            _fail("mix: partition out of range")
+    def build(self, calc, h, p):
+        c, k1, k2 = p["c"], p["k1"], p["k2"]
+        s = h.components[c]
         yield h.replace(c, [Sequent(s.left[:k1], s.right[:k2])])
         yield h.replace(c, [Sequent(s.left[k1:], s.right[k2:])])
-
-    def search(self, calc, h):
-        return [
-            RuleInstance(Rule.MIX, {"c": c, "k1": k1, "k2": k2})
-            for c, s in enumerate(h.components)
-            for k1 in range(len(s.left) + 1)
-            for k2 in range(len(s.right) + 1)
-        ]
 
     def extend(self, calc, rng, tree):
         h = tree.conclusion
@@ -591,9 +618,8 @@ class _MIX(RuleSpec):
         conclusion = h.replace(c, [Sequent(s.left + (psi,), s.right + (psi,))])
         yield {"c": c, "k1": len(s.left), "k2": len(s.right)}, conclusion
 
-    def place(self, calc, rng, comps, c):
-        k1 = rng.randint(0, len(comps[c].left))
-        return {"c": c, "k1": k1, "k2": rng.randint(0, len(comps[c].right))}
+    def fit(self, calc, rng, comps, c):
+        return {"c": c}
 
 
 # --- internal structural rules ----------------------------------------------
@@ -602,26 +628,18 @@ class _MIX(RuleSpec):
 class _WeakL(RuleSpec):
     """H | G |- D  /  H | G, S |- D, for a block S of k formulas"""
 
-    rule = Rule.WEAK_L
+    rule, window = Rule.WEAK_L, Window(1)
+    params = (_COMPONENT, Param(
+        "k", "block size", lambda comps, p: (1, len(comps[p["c"]].left)), searched=1
+    ))  # fmt: skip
     longest = 3  # longest antecedent a random trial gives an empty one
 
-    def schema(self, calc, inst, h):
-        c = _param(inst, "c")
-        s = _component(h, c)
-        k = _param(inst, "k")
-        if not 1 <= k <= len(s.left):
-            _fail(f"{self.rule.value}: block size out of range")
-        return [h.replace(c, [self.premise(s, k)])]
+    def build(self, calc, h, p):
+        c = p["c"]
+        return [h.replace(c, [self.premise(h.components[c], p["k"])])]
 
     def premise(self, s: Sequent, k: int) -> Sequent:
         return Sequent(s.left[:-k], s.right)
-
-    def search(self, calc, h):
-        return [
-            RuleInstance(Rule.WEAK_L, {"c": c, "k": 1})
-            for c, s in enumerate(h.components)
-            if s.left
-        ]
 
     def extend(self, calc, rng, tree):
         h = tree.conclusion
@@ -631,17 +649,17 @@ class _WeakL(RuleSpec):
         conclusion = h.replace(c, [Sequent(s.left + added, s.right)])
         yield {"c": c, "k": len(added)}, conclusion
 
-    def place(self, calc, rng, comps, c):
+    def fit(self, calc, rng, comps, c):
         s = comps[c]
         if not s.left:
             comps[c] = Sequent(_rand_formulas(calc, rng, 1, self.longest), s.right)
-        return {"c": c, "k": rng.randint(1, len(comps[c].left))}
+        return {"c": c}
 
 
 class _ContrL(_WeakL):
     """H | G, S, S |- D  /  H | G, S |- D, for a block S of k formulas"""
 
-    rule, longest = Rule.CONTR_L, 2
+    rule, longest, window = Rule.CONTR_L, 2, None
 
     def premise(self, s, k):
         return Sequent(s.left + s.left[-k:], s.right)
@@ -659,27 +677,22 @@ class _ContrL(_WeakL):
 class _Exchange(RuleSpec):
     """Swap the formulas at pos and pos + 1 of one side of a component."""
 
+    window = Window(1, fresh=False)
+
     def __init__(self, rule: Rule):
         self.rule = rule
-        self.left = rule is Rule.LEX
+        self.left = left = rule is Rule.LEX
+        self.params = (_COMPONENT, Param(
+            "pos", "adjacent formula position",
+            lambda comps, p: (0, len(_side(comps[p["c"]], left)) - 2),
+        ))  # fmt: skip
 
     def _swapped(self, s: Sequent, pos: int) -> Sequent:
         return _with_side(s, self.left, _swap(_side(s, self.left), pos))
 
-    def schema(self, calc, inst, h):
-        c = _param(inst, "c")
-        s = _component(h, c)
-        pos = _param(inst, "pos")
-        if not 0 <= pos <= len(_side(s, self.left)) - 2:
-            _fail(f"{self.rule.value}: adjacent formula position out of range")
-        return [h.replace(c, [self._swapped(s, pos)])]
-
-    def search(self, calc, h):
-        return [
-            RuleInstance(self.rule, {"c": c, "pos": pos})
-            for c, s in enumerate(h.components)
-            for pos in range(len(_side(s, self.left)) - 1)
-        ]
+    def build(self, calc, h, p):
+        c = p["c"]
+        return [h.replace(c, [self._swapped(h.components[c], p["pos"])])]
 
     def extend(self, calc, rng, tree):
         h = tree.conclusion
@@ -688,10 +701,9 @@ class _Exchange(RuleSpec):
             pos = rng.randrange(len(_side(s, self.left)) - 1)
             yield {"c": c, "pos": pos}, h.replace(c, [self._swapped(s, pos)])
 
-    def place(self, calc, rng, comps, c):
-        new = _rand_formulas(calc, rng, 2, 3)
-        comps[c] = _with_side(comps[c], self.left, new)
-        return {"c": c, "pos": rng.randrange(len(new) - 1)}
+    def fit(self, calc, rng, comps, c):
+        comps[c] = _with_side(comps[c], self.left, _rand_formulas(calc, rng, 2, 3))
+        return {"c": c}
 
 
 # --- logical rules ------------------------------------------------------------
@@ -714,13 +726,14 @@ class _Logical(RuleSpec):
 
     In single-conclusion calculi a right rule needs the succedent to be that
     one formula; its instances name no "pos" and it sits at position 0.
-    Subclasses define ``premises(calc, inst, h, c, s, pos, f)``, the
-    premises for the matched principal formula f of component s, in order
-    (an iterable, as ``schema`` returns).
+    Subclasses define ``premises(calc, p, h, c, s, pos, f)``, the premises
+    for the matched principal formula f of component s, in order (an
+    iterable, as ``build`` returns); p holds the instance's params.
     """
 
     kinds: tuple  # node classes of the principal connective, main one first
     left: bool  # whether the principal formula is in the antecedent
+    params = (_COMPONENT,)
 
     def matches(self, f: Expr) -> bool:
         return isinstance(f, self.kinds) and (
@@ -731,7 +744,8 @@ class _Logical(RuleSpec):
         """Whether the principal formula must be the sole succedent."""
         return calc.single_conclusion and not self.left
 
-    def params(self, calc, c: int, pos: int) -> Dict[str, int]:
+    def where(self, calc, c: int, pos: int) -> Dict[str, int]:
+        """The params naming the principal formula at (c, pos)."""
         return {"c": c} if self.sole(calc) else {"c": c, "pos": pos}
 
     def drawn_kind(self, rng):
@@ -739,25 +753,40 @@ class _Logical(RuleSpec):
         return rng.choice(self.kinds) if len(self.kinds) > 1 else self.kinds[0]
 
     def schema(self, calc, inst, h):
-        name = self.rule.value
-        c = _param(inst, "c")
-        s = _component(h, c)
-        if self.sole(calc):
-            if len(s.right) != 1:
-                _fail(f"{name}: succedent must be a single formula")
-            pos = 0
+        sole = self.sole(calc)
+        p = {} if sole else {"pos": _param(inst, "pos")}
+        if sole and "pos" in inst.params:
+            p["pos"] = 0  # a sole principal formula is at 0, whatever "pos" says
+        p = self.checked(inst, h, p)
+        c, pos = p["c"], p.get("pos", 0)
+        s = h.components[c]
+        x = _side(s, self.left)
+        if sole and len(s.right) != 1:
+            what = "succedent must be a single formula"
+        elif not 0 <= pos < len(x):
+            what = "formula position out of range"
+        elif not self.matches(x[pos]):
+            what = "principal formula has the wrong connective or arity"
         else:
-            pos = _param(inst, "pos")
-        f = _at(_side(s, self.left), pos, name)
-        if not self.matches(f):
-            _fail(f"{name}: principal formula has the wrong connective or arity")
-        return self.premises(calc, inst, h, c, s, pos, f)
+            return self.premises(calc, p, h, c, s, pos, x[pos])
+        _fail(f"{self.rule.value}: {what}")
+
+    def build(self, calc, h, p):
+        c, pos = p["c"], p.get("pos", 0)
+        s = h.components[c]
+        return self.premises(calc, p, h, c, s, pos, _side(s, self.left)[pos])
+
+    @cached_property
+    def enumerator(self):
+        """``_enumerator`` of the params after "c", which ``where`` names."""
+        return _enumerator(self.rule, self.params, 1)
 
     def search_at(self, calc, s: Sequent, c: int, pos: int) -> List[RuleInstance]:
-        """Backward instances with the principal formula at (c, pos)."""
-        return [RuleInstance(self.rule, self.params(calc, c, pos))]
+        """Backward instances with the principal formula at (c, pos), each
+        declared param over its range; the bounds read component c alone."""
+        return self.enumerator({c: s}, self.where(calc, c, pos), [])
 
-    def place(self, calc, rng, comps, c):
+    def fit(self, calc, rng, comps, c):
         s = comps[c]
         phi0, phi1 = _rand_formula(calc, rng), _rand_formula(calc, rng)
         kind = self.kinds[0]
@@ -773,7 +802,7 @@ class _Logical(RuleSpec):
             pos = rng.randint(0, len(x))
             x = _insert(x, pos, f)
         comps[c] = _with_side(s, self.left, x)
-        return self.params(calc, c, pos)
+        return self.where(calc, c, pos)
 
 
 class _Lattice(_Logical):
@@ -792,11 +821,11 @@ class _Lattice(_Logical):
         self.rule, self.kinds, self.left = rule, kinds, left
         self.branching = (kinds[0] is Or) == left
 
-    def premises(self, calc, inst, h, c, s, pos, f):
+    def premises(self, calc, p, h, c, s, pos, f):
         x = _side(s, self.left)
         parts = (_with_side(s, self.left, _put(x, pos, g)) for g in f.children)
         if self.branching:
-            return (h.replace(c, [p]) for p in parts)
+            return (h.replace(c, [part]) for part in parts)
         return [h.replace(c, [*parts])]
 
     def extend(self, calc, rng, tree):
@@ -820,7 +849,7 @@ class _Lattice(_Logical):
             unit = BoolConst(not self.left, calc.profile)
             f = self.drawn_kind(rng)((x[pos], unit))
             conclusion = h.replace(c, [_with_side(s, self.left, _put(x, pos, f))])
-            yield self.params(calc, c, pos), conclusion
+            yield self.where(calc, c, pos), conclusion
 
     def _extend_by_merge(self, calc, rng, tree):
         # two adjacent components that differ in at most one principal-side
@@ -841,7 +870,7 @@ class _Lattice(_Logical):
             pos = diffs[0] if diffs else 0
             f = self.drawn_kind(rng)((x0[pos], x1[pos]))
             merged = _with_side(s0, self.left, _put(x0, pos, f))
-            yield self.params(calc, c, pos), _merge(comps, c, merged)
+            yield self.where(calc, c, pos), _merge(comps, c, merged)
             return
 
 
@@ -850,7 +879,7 @@ class _LNeg(_Logical):
 
     rule, kinds, left = Rule.LNEG, (Not,), True
 
-    def premises(self, calc, inst, h, c, s, pos, f):
+    def premises(self, calc, p, h, c, s, pos, f):
         return [h.replace(c, [Sequent(_put(s.left, pos), (f.child,))])]
 
     def extend(self, calc, rng, tree):
@@ -874,7 +903,7 @@ class _Odot(_Logical):
     def __init__(self, left: bool):
         self.rule, self.left = (Rule.LODOT if left else Rule.RODOT), left
 
-    def premises(self, calc, inst, h, c, s, pos, f):
+    def premises(self, calc, p, h, c, s, pos, f):
         x = _put(_side(s, self.left), pos, *f.children)
         return [h.replace(c, [_with_side(s, self.left, x)])]
 
@@ -896,21 +925,16 @@ class _ROdotSplit(_Odot):
     between the premises, at k1 and k2.
     """
 
-    def premises(self, calc, inst, h, c, s, pos, f):
+    params = (_COMPONENT, _K1, Param(
+        "k2", "context partition", lambda comps, p: (0, len(comps[p["c"]].right) - 1)
+    ))  # fmt: skip
+
+    def premises(self, calc, p, h, c, s, pos, f):
         a, b = f.children
-        k1, k2 = _param(inst, "k1"), _param(inst, "k2")
+        k1, k2 = p["k1"], p["k2"]
         rest = _put(s.right, pos)
-        if not (0 <= k1 <= len(s.left) and 0 <= k2 <= len(rest)):
-            _fail("rodot: context partition out of range")
         yield h.replace(c, [Sequent(s.left[:k1], (a,) + rest[:k2])])
         yield h.replace(c, [Sequent(s.left[k1:], (b,) + rest[k2:])])
-
-    def search_at(self, calc, s, c, pos):
-        return [
-            RuleInstance(Rule.RODOT, {"c": c, "pos": pos, "k1": k1, "k2": k2})
-            for k1 in range(len(s.left) + 1)
-            for k2 in range(len(s.right))
-        ]
 
     def extend(self, calc, rng, tree):
         # the second premise is closed by verum
@@ -923,20 +947,13 @@ class _ROdotSplit(_Odot):
             params = {"c": c, "pos": 0, "k1": len(s.left), "k2": len(s.right) - 1}
             yield params, conclusion
 
-    def place(self, calc, rng, comps, c):
-        params = super().place(calc, rng, comps, c)
-        s = comps[c]
-        params["k1"] = rng.randint(0, len(s.left))
-        params["k2"] = rng.randint(0, len(s.right) - 1)
-        return params
-
 
 class _LImpl(_Logical):
     """Gödel/STL∞:  H | G |- A   H | G, B |- D  /  H | G, A -> B |- D"""
 
     rule, kinds, left = Rule.LIMPL, (Impl,), True
 
-    def premises(self, calc, inst, h, c, s, pos, f):
+    def premises(self, calc, p, h, c, s, pos, f):
         yield h.replace(c, [Sequent(_put(s.left, pos), (f.left,))])
         yield h.replace(c, [Sequent(_put(s.left, pos, f.right), s.right)])
 
@@ -954,7 +971,7 @@ class _LImpl(_Logical):
 class _LImplLuka(_LImpl):
     """Łukasiewicz:  H | G, B |- A, D  /  H | G, A -> B |- D"""
 
-    def premises(self, calc, inst, h, c, s, pos, f):
+    def premises(self, calc, p, h, c, s, pos, f):
         left = _put(s.left, pos, f.right)
         return [h.replace(c, [Sequent(left, (f.left,) + s.right)])]
 
@@ -971,7 +988,7 @@ class _LImplLuka(_LImpl):
 class _LImplProduct(_LImpl):
     """Product:  H | G, ~A |- D   H | G, B |- A, D  /  H | G, A -> B |- D"""
 
-    def premises(self, calc, inst, h, c, s, pos, f):
+    def premises(self, calc, p, h, c, s, pos, f):
         yield h.replace(c, [Sequent(_put(s.left, pos, Not(f.left)), s.right)])
         yield h.replace(c, [Sequent(_put(s.left, pos, f.right), (f.left,) + s.right)])
 
@@ -1000,7 +1017,7 @@ class _LImplDL2(_LImpl):
     which keeps H.
     """
 
-    def premises(self, calc, inst, h, c, s, pos, f):
+    def premises(self, calc, p, h, c, s, pos, f):
         yield h.replace(c, [Sequent(_put(s.left, pos), s.right)])
         yield h.replace(c, [Sequent(_put(s.left, pos, f.right), (f.left,) + s.right)])
 
@@ -1018,7 +1035,7 @@ class _RImpl(_Logical):
 
     rule, kinds, left = Rule.RIMPL, (Impl,), False
 
-    def premises(self, calc, inst, h, c, s, pos, f):
+    def premises(self, calc, p, h, c, s, pos, f):
         return [h.replace(c, [Sequent(s.left + (f.left,), (f.right,))])]
 
     def extend(self, calc, rng, tree):
@@ -1039,7 +1056,7 @@ class _RImplMulti(_RImpl):
     def __init__(self, verum_consequent: bool = False):
         self.verum_consequent = verum_consequent
 
-    def premises(self, calc, inst, h, c, s, pos, f):
+    def premises(self, calc, p, h, c, s, pos, f):
         yield h.replace(c, [Sequent(s.left, _put(s.right, pos))])
         yield h.replace(c, [Sequent(s.left + (f.left,), _put(s.right, pos, f.right))])
 
@@ -1063,23 +1080,6 @@ class _RImplMulti(_RImpl):
 _SEARCH_ORDER = (
     Rule.COM, Rule.SPLIT, Rule.MIX, Rule.LEX, Rule.REX, Rule.EEX, Rule.WEAK_L, Rule.EW,
 )  # fmt: skip
-
-# The window of adjacent components that the searched instances of each
-# structural rule rewrite, from the component their position param names
-# ("c", or eex's "i"): (width, last, fresh).  last: only the node's last
-# window is rewritten; ew's one searched instance (k = 1) rewrites the last
-# pair into its first component.  fresh: the premises may create an axiom
-# component where the node has none.  At budget 1, where no component of
-# the node is an axiom, windows that are not fresh never close and are not
-# tried.  eex's and ew's premises only reuse the node's components; lex's
-# and rex's permute one side of one, and every axiom test (``match``) gives
-# the same answer on each permutation of a side.
-_WINDOW = {
-    Rule.COM: (2, False, True), Rule.SPLIT: (2, False, True),
-    Rule.MIX: (1, False, True), Rule.LEX: (1, False, False),
-    Rule.REX: (1, False, False), Rule.EEX: (2, False, False),
-    Rule.WEAK_L: (1, False, True), Rule.EW: (2, True, False),
-}  # fmt: skip
 
 
 @dataclass(frozen=True)
@@ -1116,10 +1116,11 @@ class CalculusDef:
         """(spec, width, last, fresh) of each window backward search
         rewrites, in search order: the logical rules' (spec None: one
         component, every position, creating components), then each
-        structural rule's (``_WINDOW``)."""
+        structural rule's (its ``window``)."""
         return ((None, 1, False, True),) + tuple(
-            (self.table[r], *_WINDOW[r]) for r in _SEARCH_ORDER if r in self.table
-        )
+            (self.table[r], *self.table[r].window)
+            for r in _SEARCH_ORDER if r in self.table
+        )  # fmt: skip
 
     @cached_property
     def fresh_windows(self) -> Tuple[Tuple[int, ...], Tuple[int, ...]]:
@@ -1465,14 +1466,15 @@ def prove_bounded(
     is the tuple of its components' ids, so the memo, the path and every
     table are keyed by int tuples.  Every searched instance rewrites a
     window of adjacent components and copies the rest: a logical instance
-    its one component, a structural one the window ``_WINDOW`` gives
+    its one component, a structural one its spec's ``window``
     (``calc.windows``).  So a node's premise is the node with the window
     replaced, and what replaces it depends on the window alone.  Each
     window has one premise table per rule kind (the logical rules, or one
     structural spec): for each instance search tries on the window alone,
     in search order, its index among them and the id tuples its premises
-    put in place of the window.  The spec's ``schema`` fills a table, as
-    readers reach its entries, and a node at budget 2 or more reads its
+    put in place of the window.  The spec's ``build`` fills a table, as
+    readers reach its entries (with no range check: search lists only
+    instances in range), and a node at budget 2 or more reads its
     premises from the tables.  Proof objects are built only for the proof
     returned, from the indices of its instances.
 
@@ -1486,7 +1488,7 @@ def prove_bounded(
     and those depend on the window alone.  So the first hit, logical rules
     component by component and then each structural spec window by window,
     is the instance a full enumeration would find.  Windows that are not
-    fresh (``_WINDOW``) are skipped there: their premises hold no axiom
+    fresh (``Window``) are skipped there: their premises hold no axiom
     component the node lacks.  No path check is needed at the frontier,
     since a premise on the path failed its leaf test.
 
@@ -1567,15 +1569,11 @@ def prove_bounded(
 
     def entries(h, found):
         """(k, premises) of each of the instances found on the window alone
-        h whose schema applies: k indexes found, and each premise is the id
-        tuple it puts in place of the window."""
+        h: k indexes found, and each premise is the id tuple it puts in
+        place of the window."""
         for k, (spec, inst) in enumerate(found):
-            try:
-                premises = [tuple(map(ident, p.components))
-                            for p in spec.schema(calc, inst, h)]  # fmt: skip
-            except SchemaMismatch:
-                continue
-            yield k, tuple(premises)
+            yield k, tuple([tuple(map(ident, p.components))
+                            for p in spec.build(calc, h, inst.params)])  # fmt: skip
 
     def closing(table):
         """(k, leaves) of the first of table's entries whose every premise
@@ -1601,18 +1599,15 @@ def prove_bounded(
         only up to its first axiom."""
         for k, (spec, inst) in enumerate(insts):
             leaves = []
-            try:
-                for p in spec.schema(calc, inst, h):
-                    for j, s in enumerate(p.components):
-                        if ident(s) in axioms:
-                            leaves.append((tuple(map(ident, p.components)), j))
-                            break
-                    else:
+            for p in spec.build(calc, h, inst.params):
+                for j, s in enumerate(p.components):
+                    if ident(s) in axioms:
+                        leaves.append((tuple(map(ident, p.components)), j))
                         break
                 else:
-                    return k, leaves
-            except SchemaMismatch:
-                continue
+                    break
+            else:
+                return k, leaves
         return None
 
     def entry(j, key):
@@ -1932,10 +1927,14 @@ def _tree_from_json(d: dict) -> ProofTree:
     stack = [d]
     while stack:
         node = stack.pop()
-        params = dict(node["rule"].get("params", {}))
-        if not all(type(v) is int for v in params.values()):
-            raise ValidationError(f"rule parameters must be integers: {params!r}")
-        inst = RuleInstance(Rule(node["rule"]["id"]), params)
+        params = node["rule"].get("params", {})
+        if not isinstance(params, dict) or not all(
+            type(k) is str and type(v) is int for k, v in params.items()
+        ):
+            raise ValidationError(
+                f"rule parameters must be an object of integers: {params!r}"
+            )
+        inst = RuleInstance(Rule(node["rule"]["id"]), dict(params))
         conclusion = _hyper_from_json(node["conclusion"])
         premises = _json_list(node.get("premises", []))
         decoded.append((conclusion, inst, len(premises)))

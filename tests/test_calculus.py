@@ -42,7 +42,6 @@ from dlc.calculus import (
     _MIN_MAX_RULES,
     _MIX,
     _SEARCH_ORDER,
-    _WINDOW,
     _Init,
     _LImplDL2,
     _atom,
@@ -123,6 +122,33 @@ class TestSchemas:
         inst = RuleInstance(Rule.INIT, {"c": 0})
         with pytest.raises(PremiseArityMismatch):
             check_step(GOEDEL, inst, h, [h])
+
+    def test_check_step_rejects_a_param_the_rule_does_not_take(self):
+        p, q = goedel_atom(1), goedel_atom(2)
+        h = Hypersequent([Sequent((p,), (p,)), Sequent((), (And((p, q)),))])
+        for rule, params, premises in [
+            (Rule.INIT, {"c": 0, "zzz": 7}, []),
+            (Rule.EW, {"k": 1, "c": 0}, [Hypersequent(h.components[:1])]),
+            (Rule.RAND, {"c": 1, "k1": 0}, premises_for(
+                GOEDEL, RuleInstance(Rule.RAND, {"c": 1}), h)),
+        ]:
+            with pytest.raises(SchemaMismatch, match="unknown params"):
+                check_step(GOEDEL, RuleInstance(rule, params), h, premises)
+        with pytest.raises(SchemaMismatch, match="zzz"):
+            check_proof(GOEDEL, ProofTree(
+                h, RuleInstance(Rule.INIT, {"c": 0, "zzz": 7}), ()))
+        # a sole principal formula's instance may still name its position
+        check_step(GOEDEL, RuleInstance(Rule.RAND, {"c": 1, "pos": 0}), h,
+                   premises_for(GOEDEL, RuleInstance(Rule.RAND, {"c": 1}), h))
+
+    @pytest.mark.parametrize("value", [0.7, True, "0", None])
+    def test_a_param_that_is_no_int_is_rejected(self, value):
+        p, q = goedel_atom(1), goedel_atom(2)
+        h = Hypersequent([Sequent((p,), (p,)), Sequent((And((p, q)),), (p,))])
+        for rule, params in [(Rule.INIT, {"c": value}), (Rule.EW, {"k": value}),
+                             (Rule.LAND, {"c": 1, "pos": value})]:
+            with pytest.raises(SchemaMismatch, match="not an integer"):
+                premises_for(GOEDEL, RuleInstance(rule, params), h)
 
     def test_check_proof_validates_formulas(self):
         # a fuzzy-profile atom must not appear in a DL2 proof
@@ -725,7 +751,8 @@ class TestSerialization:
             proof_from_json({"version": "other/9", "calculus": "dl2", "tree": {}})
 
     @pytest.mark.parametrize("mangle", ["top_level_list", "unknown_rule",
-                                        "non_integer_param", "non_numeric_real",
+                                        "non_integer_param", "params_as_pairs",
+                                        "non_numeric_real",
                                         "premises_not_objects",
                                         "premises_not_a_list"])
     def test_malformed_document_is_validation_error(self, mangle):
@@ -737,6 +764,8 @@ class TestSerialization:
             tree["rule"]["id"] = "nope"
         elif mangle == "non_integer_param":
             tree["rule"]["params"]["c"] = "0"
+        elif mangle == "params_as_pairs":
+            tree["rule"]["params"] = [[1, 0], ["c", 0]]
         elif mangle == "non_numeric_real":
             tree["conclusion"][0]["left"] = [{"kind": "real", "value": "x"}]
         elif mangle == "premises_not_a_list":
@@ -912,7 +941,7 @@ def _axiom_test_pool(calc, rng):
 
 @pytest.mark.parametrize("name", sorted(CALCULI))
 def test_axiom_tests_ignore_the_order_within_a_side(name):
-    # lex and rex are not tried at the frontier (_WINDOW) because of this
+    # lex and rex are not tried at the frontier (Window) because of this
     calc = CALCULI[name]
     for s in _axiom_test_pool(calc, random.Random(f"perm/{name}")):
         for left, right in itertools.product(
@@ -934,7 +963,8 @@ def test_windows_that_are_not_fresh_create_no_axiom(name):
     pool = [
         s for s in _axiom_test_pool(calc, rng) if _axiom_match(calc, s) is None
     ]
-    stale = [r for r in _SEARCH_ORDER if r in calc.table and not _WINDOW[r][2]]
+    stale = [r for r in _SEARCH_ORDER
+             if r in calc.table and not calc.table[r].window.fresh]
     assert {Rule.LEX, Rule.REX, Rule.EEX, Rule.EW} <= set(stale)
     tried = 0
     for _ in range(300):
@@ -947,6 +977,146 @@ def test_windows_that_are_not_fresh_create_no_axiom(name):
                         name, inst, _hyper_to_json(h)
                     )
     assert tried > 300
+
+
+def _pinned_goal(calc, i):
+    p, q, r = (_atom(k, calc.profile) for k in (1, 2, 3))
+    return Hypersequent([
+        [Sequent((p, q), (r,)), Sequent((q,), ())],
+        [Sequent((), (p, q)), Sequent((r, p, q), (MAnd((p, q)),)), Sequent((p,), (p,))],
+        [Sequent((p,), (MAnd((p, q)), q))],
+        [Sequent((p,), (p,)), Sequent((), (And((p, q)),)), Sequent((q, And((p, q))), (p,))],
+    ][i])  # fmt: skip
+
+
+# (calculus, goal, rule, (c, pos) of a logical rule's principal formula):
+# (param names, the params of each instance search lists, in order), as
+# written out from the search methods the rules had before their params
+# were declared
+PINNED_INSTANCES = {
+    ("dl2", 0, "com", None): ("c k1 k2", [
+        (0, 0, 0), (0, 0, 1), (0, 1, 0), (0, 1, 1), (0, 2, 0), (0, 2, 1)]),
+    ("dl2", 1, "com", None): ("c k1 k2", [
+        (0, 0, 0), (0, 0, 1), (0, 0, 2), (0, 0, 3), (1, 0, 0), (1, 0, 1),
+        (1, 1, 0), (1, 1, 1), (1, 2, 0), (1, 2, 1), (1, 3, 0), (1, 3, 1)]),
+    ("dl2", 2, "com", None): ("c k1 k2", []),
+    ("dl2", 0, "lex", None): ("c pos", [(0, 0)]),
+    ("dl2", 1, "lex", None): ("c pos", [(1, 0), (1, 1)]),
+    ("dl2", 0, "rex", None): ("c pos", []),
+    ("dl2", 1, "rex", None): ("c pos", [(0, 0)]),
+    ("dl2", 0, "eex", None): ("i", [(0,)]),
+    ("dl2", 1, "eex", None): ("i", [(0,), (1,)]),
+    ("dl2", 2, "eex", None): ("i", []),
+    ("dl2", 0, "weakl", None): ("c k", [(0, 1), (1, 1)]),
+    ("dl2", 1, "weakl", None): ("c k", [(1, 1), (2, 1)]),
+    ("dl2", 2, "weakl", None): ("c k", [(0, 1)]),
+    ("dl2", 1, "ew", None): ("k", [(1,)]),
+    ("dl2", 2, "ew", None): ("k", []),
+    ("dl2", 1, "rodot", (1, 0)): ("c pos k1 k2", [
+        (1, 0, 0, 0), (1, 0, 1, 0), (1, 0, 2, 0), (1, 0, 3, 0)]),
+    ("dl2", 2, "rodot", (0, 0)): ("c pos k1 k2", [
+        (0, 0, 0, 0), (0, 0, 0, 1), (0, 0, 1, 0), (0, 0, 1, 1)]),
+    ("dl2", 3, "rand", (1, 0)): ("c pos", [(1, 0)]),
+    ("goedel", 3, "rand", (1, 0)): ("c", [(1,)]),
+    ("goedel", 3, "land", (2, 1)): ("c pos", [(2, 1)]),
+    ("lukasiewicz", 0, "split", None): ("c", [(0,)]),
+    ("lukasiewicz", 1, "split", None): ("c", [(0,), (1,)]),
+    ("lukasiewicz", 0, "mix", None): ("c k1 k2", [
+        (0, 0, 0), (0, 0, 1), (0, 1, 0), (0, 1, 1), (0, 2, 0), (0, 2, 1),
+        (1, 0, 0), (1, 1, 0)]),
+    ("lukasiewicz", 2, "mix", None): ("c k1 k2", [
+        (0, 0, 0), (0, 0, 1), (0, 0, 2), (0, 1, 0), (0, 1, 1), (0, 1, 2)]),
+}
+
+
+@pytest.mark.parametrize("key", sorted(PINNED_INSTANCES, key=str), ids=str)
+def test_search_lists_the_pinned_instances_in_order(key):
+    # _reference_prove_bounded lists instances by the same methods, so only
+    # this pin catches a change of their order
+    name, i, rule, at = key
+    calc, h = CALCULI[name], _pinned_goal(CALCULI[name], i)
+    spec = calc.table[Rule(rule)]
+    if at is None:
+        got = spec.search(calc, h)
+    else:
+        got = spec.search_at(calc, h.components[at[0]], *at)
+    names, values = PINNED_INSTANCES[key]
+    assert [inst.rule for inst in got] == [spec.rule] * len(got)
+    assert [inst.params for inst in got] == [
+        dict(zip(names.split(), v)) for v in values]
+
+
+def _with_param(spec, inst, comps, j, v):
+    """inst with its declared param j set to v and each later one kept, or
+    moved to its lower bound if out of range; None if a later range is
+    empty."""
+    p = dict(inst.params)
+    p[spec.params[j].name] = v
+    for later in spec.params[j + 1 :]:
+        lo, hi = later.bounds(comps, p)
+        if lo > hi:
+            return None
+        if not lo <= p[later.name] <= hi:
+            p[later.name] = lo
+    return RuleInstance(inst.rule, p)
+
+
+@pytest.mark.parametrize("name", sorted(CALCULI))
+def test_declared_bounds_are_the_range_the_schema_takes(name):
+    # on random trial instances, each declared param is accepted at both of
+    # its bounds and rejected one past either; where the param is "c", every
+    # component is a copy of the one it names, and where it is botl's "pos",
+    # every antecedent formula of that one is falsum, so that the rule
+    # applies wherever the param points
+    calc = CALCULI[name]
+    rng = random.Random(f"bounds/{name}")
+    reached = set()
+    for spec in calc.table.values():
+        for _ in range(30):
+            inst, h = spec.instance(calc, rng)
+            for j, (pname, _, bounds, _) in enumerate(spec.params):
+                comps = h.components
+                if pname == "c":
+                    comps = (comps[inst.params["c"]],) * len(comps)
+                elif (spec.rule, pname) == (Rule.BOT_L, "pos"):
+                    c, s = inst.params["c"], comps[inst.params["c"]]
+                    s = Sequent(s.left[inst.params["pos"]:][:1] * len(s.left), s.right)
+                    comps = comps[:c] + (s,) + comps[c + 1 :]
+                lo, hi = bounds(comps, inst.params)
+                accepted = 0
+                for v in (lo, hi):
+                    moved = _with_param(spec, inst, comps, j, v)
+                    if moved is not None:
+                        premises_for(calc, moved, Hypersequent(comps))
+                        accepted += 1
+                if accepted == 2:
+                    reached.add((spec.rule, pname))
+                for v in (lo - 1, hi + 1):
+                    p = {**inst.params, pname: v}
+                    with pytest.raises(SchemaMismatch, match="out of range"):
+                        premises_for(calc, RuleInstance(inst.rule, p),
+                                     Hypersequent(comps))
+    assert reached == {(spec.rule, param.name) for spec in calc.table.values()
+                       for param in spec.params}
+
+
+@pytest.mark.parametrize("name", sorted(CALCULI))
+def test_searched_instances_pass_the_schema_check(name):
+    # prove_bounded builds the premises of the instances search lists
+    # without the range check: each must pass it, with the same premises
+    calc = CALCULI[name]
+    rng = random.Random(f"searched/{name}")
+    rules = set()
+    for _ in range(300):
+        comps = [_rand_sequent(calc, rng) for _ in range(rng.randint(1, 3))]
+        h = Hypersequent(comps)
+        logical, structural = _reference_instances(calc, h)
+        for inst in logical + structural:
+            built = list(calc.table[inst.rule].build(calc, h, inst.params))
+            assert premises_for(calc, inst, h) == built, (inst, _hyper_to_json(h))
+            rules.add(inst.rule)
+    assert {r for r in _SEARCH_ORDER if r in calc.rules} <= rules
+    assert rules - set(_SEARCH_ORDER)  # some logical rule too
 
 
 def test_search_work_counts_repeat():

@@ -236,16 +236,29 @@ class TestProof:
         assert code == 0
         assert read_json(out)["passed"]
 
-    @pytest.mark.parametrize("mangle", ["top_level_list", "unknown_rule"])
+    @pytest.mark.parametrize("mangle", ["top_level_list", "unknown_rule",
+                                        "params_as_pairs"])
     def test_check_malformed_document_is_input_error(self, tmp_path, mangle):
         doc = read_json(FIX / "init_goedel.json")
         if mangle == "top_level_list":
             doc = [1]
+        elif mangle == "params_as_pairs":
+            # a list that dict() would read as {1: 0, "c": 0}
+            doc["tree"]["rule"]["params"] = [[1, 0], ["c", 0]]
         else:
             doc["tree"]["rule"]["id"] = "nope"
         path = tmp_path / "bad.json"
         path.write_text(json.dumps(doc))
         assert run(["proof", "check", str(path)]) == 2
+
+    def test_check_param_the_rule_does_not_take_fails(self, tmp_path, capsys):
+        doc = read_json(FIX / "init_goedel.json")
+        doc["tree"]["rule"]["params"]["zzz"] = 7
+        path = tmp_path / "extra.json"
+        path.write_text(json.dumps(doc))
+        assert run(["proof", "check", str(path)]) == 1
+        rep = json.loads(capsys.readouterr().out)
+        assert not rep["passed"] and "zzz" in rep["detail"]
 
     def test_check_wrong_calculus_fails(self, tmp_path):
         code = run(

@@ -1,7 +1,7 @@
 """Every name a module of the package imports is used in that module,
-every module-level private function or class is referenced somewhere in
-the package, and every public one is referenced there or named in the
-README."""
+every module-level private function, class or assigned name is referenced
+somewhere in the package, and every public function or class is referenced
+there or named in the README."""
 
 import ast
 import re
@@ -51,9 +51,25 @@ def _defs(tree: ast.Module):
             yield node.name, node.lineno
 
 
+def _assigned(tree: ast.Module):
+    """(name, line) of each name a module-level assignment binds."""
+    for node in tree.body:
+        if isinstance(node, ast.Assign):
+            targets = node.targets
+        elif isinstance(node, (ast.AnnAssign, ast.AugAssign)):
+            targets = [node.target]
+        else:
+            continue
+        for target in targets:
+            for n in ast.walk(target):
+                if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Store):
+                    yield n.id, node.lineno
+
+
 def _private_defs(tree: ast.Module):
-    """(name, line) of each module-level ``_private`` function or class."""
-    return [(name, line) for name, line in _defs(tree)
+    """(name, line) of each module-level ``_private`` function, class or
+    assigned name."""
+    return [(name, line) for name, line in [*_defs(tree), *_assigned(tree)]
             if name.startswith("_") and not name.endswith("__")]
 
 
@@ -63,10 +79,11 @@ def _public_defs(tree: ast.Module):
 
 
 def _referenced(tree: ast.Module) -> set:
-    """Every name tree loads, reads as an attribute or imports."""
+    """Every name tree loads, reads as an attribute or imports; a name an
+    assignment binds is not referenced by that."""
     names = set()
     for n in ast.walk(tree):
-        if isinstance(n, ast.Name):
+        if isinstance(n, ast.Name) and not isinstance(n.ctx, ast.Store):
             names.add(n.id)
         elif isinstance(n, ast.Attribute):
             names.add(n.attr)
@@ -97,9 +114,11 @@ def test_no_unreferenced_public_definitions():
 def test_the_scan_finds_an_unreferenced_private_definition():
     tree = ast.parse("def _used(): pass\ndef _dead(): pass\n"
                      "class _Gone: pass\ndef __getattr__(name): pass\n"
-                     "def public(): pass\nx = _used()\n")
+                     "def public(): pass\nx = _used()\n"
+                     "_TABLE = {}\n_READ, _UNREAD = 1, 2\n_ANN: int = _READ\n"
+                     "__all__ = ['public']\nTABLE = {}\n_TABLE2 = _TABLE\n")
     assert {n for n, _ in _private_defs(tree)} - _referenced(tree) == {
-        "_dead", "_Gone"}
+        "_dead", "_Gone", "_UNREAD", "_ANN", "_TABLE2"}
 
 
 def test_the_scan_finds_an_unreferenced_public_definition():
