@@ -19,6 +19,9 @@ from .errors import DomainError, IndexOutOfRange, ValidationError
 from .semantics import LOGICS, fold_nary, soft_conj_branch, stl_nary
 
 ONE_SIDED_H = (1e-3, 1e-4, 1e-5)
+# How far the two one-sided estimates of a shadow-lifting partial may differ
+# for the partial to count as a derivative.
+AGREE_TOL = 1e-4
 
 
 def err_vec(n: int, i: int) -> Tuple[float, ...]:
@@ -94,12 +97,11 @@ def shadow_lifting_check(
     n: int,
     p_samples: Sequence[float],
     tol: float = 1e-9,
-    agree_tol: float = 1e-4,
 ) -> ShadowReport:
     """Check every partial of f is positive at constant positive vectors.
 
     Holds iff at each (p, i) both one-sided difference estimates agree
-    within agree_tol (a differentiability witness) and the derivative
+    within AGREE_TOL (a differentiability witness) and the derivative
     exceeds tol.  A sample whose difference steps leave f's domain (f
     raises DomainError) is reported as skipped, with the reason; it is
     neither a pass nor a witness.
@@ -119,7 +121,7 @@ def shadow_lifting_check(
             est = 0.5 * (above + below)
             entry = {"p": p, "i": i, "above": above, "below": below, "estimate": est}
             report.estimates.append(entry)
-            ok = abs(above - below) <= agree_tol and est > tol
+            ok = abs(above - below) <= AGREE_TOL and est > tol
             if not ok and report.holds:
                 report.holds = False
                 report.witness = entry

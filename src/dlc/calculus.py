@@ -8,34 +8,29 @@ equality.  A semantic oracle (``sequent_holds``) evaluates sequents under
 the matching logic so derivations can be fuzzed against soundness, and a
 bounded backward search discharges the residuated-lattice goals.
 
-Each rule variant is declared once, as a ``RuleSpec`` in the rule table,
-and each calculus lists the variants it uses (``CALCULI``).  A spec holds
-the rule's backward schema, the forward steps soundness fuzzing grows
-derivations by, and its params and search window, from which come the
-schema's range check, the instances backward search tries and rule-local
-trials' draws.  Only a spec's ``build`` builds premises: backward search
-reads them from per-call tables that ``build`` fills, one per window of
-components an instance rewrites, and forward steps from the schema.
-The nine logical rules share one principal-formula path (``_Logical``);
-each axiom states its component test once (``_Axiom.match``), for its
-schema and for closing leaves.  Where calculi differ in a rule's form, the
-table has one variant per form: falsum with a single succedent
-(Łukasiewicz); left implication (Gödel/STL∞, Łukasiewicz, product, DL2);
-⊙-right with context splitting (DL2) or without (product); single- or
-multi-conclusion right implication.
+Each rule variant is declared once, as a ``Template``: the patterns of its
+conclusion and premises, as in the rule's figure.  Each calculus lists the
+variants it uses (``CALCULI``).  ``RuleSpec`` reads a template once into the
+rule's params and bounds and its shape, and on first use compiles it into
+Python functions: the schema (range and shape checks, then the premises),
+``build`` (the premises alone, which backward search reads into per-call
+tables), an axiom's component test and the instances search tries.  The
+forward steps soundness fuzzing grows derivations by, and the axioms' leaf
+draws, are plain functions the templates name.
 """
 
 from __future__ import annotations
 
 import json
 import random
+import re
 from contextlib import contextmanager
 from dataclasses import dataclass, field
 from enum import Enum
-from functools import cached_property, partial
+from functools import cached_property, lru_cache, partial
 from itertools import repeat, tee
 from typing import (
-    Callable, Dict, Iterable, List, NamedTuple, Optional, Sequence, Tuple,
+    Callable, Dict, List, NamedTuple, Optional, Sequence, Tuple,
 )  # fmt: skip
 
 from .core import (
@@ -72,7 +67,7 @@ from .errors import (
     SchemaMismatch,
     ValidationError,
 )
-from .semantics import EMPTY_ENV, LOGICS, Env, interpret
+from .semantics import EMPTY_ENV, LOGICS, interpret
 
 PROOF_SCHEMA_VERSION = "dlc-proof/1"
 
@@ -183,10 +178,13 @@ def _fail(msg):
     raise SchemaMismatch(msg)
 
 
-def _param(inst: RuleInstance, name: str) -> int:
-    v = inst.params.get(name)
+def _param(q: dict, rule: str, name: str, lo: int, hi: int, what: str) -> int:
+    """The param name of q, an int in lo..hi; else SchemaMismatch."""
+    v = q.get(name)
     if type(v) is not int:
-        _fail(f"{inst.rule.value}: parameter {name!r} missing or not an integer")
+        _fail(f"{rule}: parameter {name!r} missing or not an integer")
+    if not lo <= v <= hi:
+        _fail(f"{rule}: {what} out of range")
     return v
 
 
@@ -209,11 +207,6 @@ def _put(seq: Tuple, pos: int, *new) -> Tuple:
 
 def _insert(seq: Tuple, pos: int, f: Expr) -> Tuple:
     return seq[:pos] + (f,) + seq[pos:]
-
-
-def _merge(comps: Tuple, c: int, s: Sequent) -> Hypersequent:
-    """comps with components c and c + 1 replaced by s."""
-    return Hypersequent(comps[:c] + (s,) + comps[c + 2 :])
 
 
 def _side(s: Sequent, left: bool) -> Tuple[Expr, ...]:
@@ -239,6 +232,19 @@ def _rand_sequent(calc: "CalculusDef", rng: random.Random) -> Sequent:
 
 # ---------------------------------------------------------------------------
 # The rule table
+#
+# Each rule variant is one template: "conclusion / premise ; premise ...",
+# perhaps with "/ where" after.  A hypersequent pattern lists, split by "|",
+# component lists (H, H2; a block K has at least one component) and sequent
+# patterns "antecedent |- succedent".  A side lists, split by ",", formula
+# lists (G, D, T1, E1, ...; a block S has at least one formula) and
+# formulas: A, B, T (verum), F (falsum), ~A and A op B, op one of & v * ->.
+# X^p says the param p is X's length; the one list of a sequence with no
+# param holds what the others leave.  A conclusion of sequent patterns
+# alone sits between H^c and H2, and each premise between H and H2.  The
+# where clause "D1, D2 = E1^k2, E2" splits D1 and D2, joined, again.  A
+# connective in the conclusion makes the rule logical: the list before
+# that principal formula gives its position "pos", which is not declared.
 
 
 class Param(NamedTuple):
@@ -253,464 +259,433 @@ class Param(NamedTuple):
 
 
 class Window(NamedTuple):
-    """The adjacent components a structural rule's searched instances
-    rewrite, from the one their position param ("c", or eex's "i") names.
-
-    last: only the node's last window is rewritten (ew's searched instance,
-    k = 1, rewrites the last pair into its first component).  fresh: the
-    premises may create an axiom component where the node has none; at
-    budget 1, where the node has none, other windows are not tried.  eex's
-    and ew's premises reuse the node's components, and lex's and rex's
-    permute a side of one, which no axiom test (``match``) sees.
-    """
+    """The adjacent components a structural rule's searched instances rewrite,
+    from the one their position param ("c", or eex's "i") names; last: the
+    last window only (ew's, k = 1).  fresh: the premises may create an axiom
+    component, as those that only repeat components or permute sides (eex,
+    ew, lex, rex) cannot; at budget 1 only fresh windows are tried."""
 
     width: int
     last: bool = False
     fresh: bool = True
 
 
-def _enumerator(rule: Rule, params: Tuple[Param, ...], i: int = 0):
-    """The function (comps, q, found) that appends to found, and returns it,
-    each instance of rule whose params extend q (written in place) by
-    params[i:]: each over its range, or at its searched value alone if that
-    is in range, the earlier varying slower."""
-    if i == len(params):  # nothing to enumerate: the one instance q
-        return lambda comps, q, found: [RuleInstance(rule, q)]
-    name, _, bounds, searched = params[i]
-    inner = _enumerator(rule, params, i + 1) if i + 1 < len(params) else None
+class Template(NamedTuple):
+    """A rule variant: its template, and the plain functions that read it
+    forward.  ``step(spec, calc, rng, tree)`` yields forward steps (params,
+    conclusion), the schema giving their premises; an axiom's ``leaf(calc,
+    rng)`` draws an instance component and its params besides "c"."""
 
-    def enum(comps, q, found):
-        lo, hi = bounds(comps, q)
-        if searched is not None:
-            lo, hi = (searched, searched) if lo <= searched <= hi else (1, 0)
-        for v in range(lo, hi + 1):
-            if inner is None:
-                found.append(RuleInstance(rule, {**q, name: v}))
+    rule: Rule
+    text: str
+    step: Optional[Callable] = None
+    leaf: Optional[Callable] = None
+    searched: Optional[Dict[str, int]] = None  # the one value search tries
+    window: Optional[Window] = None  # default: one component per sequent
+
+
+# --- compiling templates ----------------------------------------------------
+
+_KINDS = {"&": (And,), "v": (Or,), "*": (MAnd,), "->": (Impl,), "~": (Not,)}
+# In the min/max logics & and v also match their monoidal twins.
+_MIN_MAX_KINDS = {**_KINDS, "&": (And, MAnd), "v": (Or, MOr)}
+_NODES = (And, Or, MAnd, MOr, Impl, Not)  # what a premise pattern may build
+_OPERANDS = {"~": ("child",), "->": ("left", "right")}  # else children[i]
+_FORMULA = re.compile(r"(~)?([AB])(?: (&|v|\*|->) ([AB]))?")
+_SIDES = ("antecedent", "succedent")
+
+
+def _item(tok: str, side: bool) -> tuple:
+    """The pattern item tok: ("list", name, param or "", least length), or
+    in a side ("var", name), ("const", value) or ("conn", op, operands)."""
+    m = _FORMULA.fullmatch(tok) if side else None
+    if side and tok in ("T", "F"):
+        return ("const", tok == "T")
+    if m:
+        neg, a, op, b = m.groups()
+        if neg or op:
+            return ("conn", "~", (a,)) if neg else ("conn", op, (a, b))
+        return ("var", a)
+    m = re.fullmatch(r"([A-Z]\w*)(\^\w*)?", tok)
+    if m is None or m[2] == "^":
+        raise ValueError(f"pattern item {tok!r}: want a name or name^param")
+    return ("list", m[1], m[2][1:] if m[2] else "", int(m[1][0] in "SK"))
+
+
+def _hyper(text: str) -> list:
+    """The items of a hypersequent pattern: component lists and ("seq",
+    antecedent items, succedent items)."""
+    return [("seq", *([_item(t.strip(), True) for t in x.split(",") if t.strip()]
+                      for x in p.split("|-"))) if "|-" in p else _item(p.strip(), False)
+            for p in re.split(r"\|(?!-)", text)]  # fmt: skip
+
+
+def _key(item, ordered=True) -> tuple:
+    """The item without its param, a sequent's sides sorted unless ordered:
+    what a premise repeats of the conclusion."""
+    if item[0] != "seq":
+        return item[:2] if item[0] == "list" else item
+    sides = (tuple(map(_key, x)) for x in item[1:])
+    return tuple(x if ordered else tuple(sorted(x, key=repr)) for x in sides)
+
+
+def _plus(first: dict, *forms, sign=1) -> dict:
+    """first plus sign times forms: linear forms, term -> coefficient."""
+    out = dict(first)
+    for form in forms:
+        for t, k in form.items():
+            out[t] = out.get(t, 0) + sign * k
+    return {t: k for t, k in out.items() if k}
+
+
+def _src(form: dict, ctx: dict) -> str:
+    """Python source of a linear form, each term formatted with ctx."""
+    out = ""
+    for t, k in sorted(form.items(), key=lambda tk: tk[0] == ""):
+        term = t.format(**ctx) or str(abs(k))
+        term = f"{abs(k)} * {term}" if t and abs(k) != 1 else term
+        out += (" - " if k < 0 else " + ") + term if out else "-" * (k < 0) + term
+    return out or "0"
+
+
+def _concat(parts: list) -> str:
+    """Source of the concatenation of tuples (strings) and single elements
+    (in 1-tuples)."""
+    return " + ".join(p if isinstance(p, str) else f"({p[0]},)" for p in parts) or "()"
+
+
+class _Compiler:
+    """A template read: its declared params and shape, and the code of the
+    functions it generates (``code``).  Each list, formula and sequent of the
+    conclusion is bound to the source that reads it: in the functions through
+    locals (comps, s0, s1, the params, the principal formula f, the where
+    list r0), in a param's bounds through (comps, p).  Lengths are linear
+    forms, formatted for either reader."""
+
+    def __init__(self, rule: Rule, text: str, searched: tuple):
+        self.rule, self.searched = rule.value, dict(searched)  # param -> value
+        self.text, *rest = text.split("/")
+        conclusion = _hyper(self.text)
+        premises = [_hyper(p) for p in rest[0].split(";")] if rest else []
+        if all(it[0] == "seq" for it in conclusion):
+            h, h2 = ("list", "H", "", 0), ("list", "H2", "", 0)
+            conclusion = [("list", "H", "c", 0), *conclusion, h2]
+            premises = [[h, *p, h2] for p in premises]
+        # a premise has a component: a list that is a whole premise has one
+        lone = {p[0][1] for p in premises if len(p) == 1 and p[0][0] == "list"}
+        conclusion = [(*it[:3], 1) if it[0] == "list" and it[1] in lone else it
+                      for it in conclusion]  # fmt: skip
+        self.seqs = [it for it in conclusion if it[0] == "seq"]
+        self.keys = [_key(it) for it in self.seqs]
+        self.env, self.sizes = {}, {}  # pattern name -> its source; list -> length
+        self.local, self.ctx, self.range = {}, {}, {}  # term -> source; param
+        self.params, self.checks, self.binds = [], [], []
+        self.sized, self.tests = [], []  # side-length and formula tests
+        self.principal = None  # (op, source, side, "pos" or "" if fixed, lo, hi)
+        self.least = self.lay(conclusion, "comps", {"len(comps)": 1}, "")
+        self.fits = [[self.lay(x, f"s{n}.{a}", {f"len({{s{n}}}.{a})": 1}, side)
+                      for x, a, side in zip(s[1:], ("left", "right"), _SIDES)]
+                     for n, s in enumerate(self.seqs)][:1]  # fmt: skip
+        self.where = None
+        if premises and self.tests:
+            raise ValueError(f"{self.rule}: only an axiom tests formulas")
+        try:
+            if len(rest) > 1:
+                names, pattern = ([n.strip() for n in x.split(",")]
+                                  for x in rest[1].split("="))
+                self.where = " + ".join(self.env[n] for n in names)
+                self.lay([_item(x, True) for x in pattern], "r0",
+                         _plus({}, *map(self.sizes.__getitem__, names)), "context")
+            self.premises = [self.premise(p) for p in premises]
+        except KeyError as e:
+            raise ValueError(f"{self.rule}: {e.args[0]} is not bound by the conclusion")
+        keys = {_key(s, False) for s in self.seqs}
+        self.fresh = any(_key(it, False) not in keys
+                         for p in premises for it in p if it[0] == "seq")  # fmt: skip
+
+    def declare(self, name: str, what: Optional[str], lo: int, hi: dict):
+        """Declare the param name, or (what None) the principal's position."""
+        if name in self.local:
+            raise ValueError(f"{self.rule}: param {name} named twice")
+        self.local[name], self.ctx[name] = name, f'p["{name}"]'
+        self.range[name] = lo, hi
+        if what is not None:
+            bounds = f"lambda comps, p: ({lo}, {_src(hi, self.ctx)})"  # as source
+            self.params.append(Param(name, what, bounds, self.searched.get(name)))
+            at = f"{name!r}, {lo}, {_src(hi, self.local)}, {what!r}"
+            self.checks.append(f"{name} = _param(q, rule, {at})")
+
+    def lay(self, items: list, base: str, total: dict, side: str) -> int:
+        """Bind the items of a list pattern over base, of length total; the
+        least length it matches.  Items before the free list count from the
+        start, those after it (each taking an element) from the end."""
+        free = [j for j, it in enumerate(items) if it[0] == "list" and not it[2]]
+        f = free[0] if free else len(items)
+        sizes = [{"{%s}" % it[2]: 1} if it[0] == "list" else {"": 1} for it in items]
+        least = sum(it[3] if it[0] == "list" else 1 for it in items)
+        if len(free) > 1:
+            a, b = (items[j][1] for j in free[:2])
+            raise ValueError(f"{self.rule}: a split with no param name: {a}, {b}")
+        if sum(it[0] == "list" for it in items) > 1 + bool(free) or any(
+            it[0] == "list" and not it[3] for it in items[f + 1 :]
+        ):
+            raise ValueError(f"{self.rule}: want a free list, one measured before it")
+        if side and not free:
+            test = f"len({base}) == {least}" if least else f"not {base}"
+            self.sized.append((test, side, least))
+        heads, tails = [{}], [{}]  # lengths before item j < f; after item j >= f
+        for j in range(f):
+            heads.append(_plus(heads[-1], sizes[j]))
+        for j in reversed(range(f + 1, len(items))):
+            tails.insert(0, _plus(tails[0], sizes[j]))
+
+        def span(j, ctx):  # the sources of item j's start and stop ("": the end)
+            if j < f:
+                return _src(heads[j], ctx), _src(heads[j + 1], ctx)
+            return [_src(heads[f], ctx) if b is None else
+                    _src(_plus({}, b, sign=-1), ctx) if b else ""
+                    for b in (tails[j - f - 1] if j > f else None, tails[j - f])]
+
+        for j, it in enumerate(items):
+            nxt = items[j + 1][0] if j + 1 < len(items) else None
+            if it[0] == "list" and it[2]:
+                what = (("block size" if it[1][0] == "S" else f"{side} partition"
+                         if nxt == "list" else "formula position") if side else
+                        "component block size" if it[1][0] == "K" else
+                        "adjacent " * (len(self.seqs) > 1) + "component index")
+                hi = _plus(total, {"": it[3] - least})
+                self.declare(it[2], None if nxt == "conn" else what, it[3], hi)
+        for j, it in enumerate(items):
+            at, to = span(j, self.local)
+            if it[0] == "list":
+                at = "" if at == "0" else at
+                self.env[it[1]] = f"{base}[{at}:{to}]" if at or to else base
+                rest = _plus(total, *sizes[:j], *sizes[j + 1 :], sign=-1)
+                self.sizes[it[1]] = sizes[j] if it[2] else rest
+            elif it[0] == "seq":
+                n = len(self.binds)
+                self.local[f"s{n}"] = f"s{n}"
+                self.ctx[f"s{n}"] = f"comps[{span(j, self.ctx)[0]}]"
+                self.binds.append(f"s{n} = comps[{at}]")
+                self.checks.append(self.binds[-1])
+            elif it[0] == "var" and it[1] in self.env:
+                self.tests.append(f"{base}[{at}] == {self.env[it[1]]}")
+            elif it[0] == "var":
+                self.env[it[1]] = f"{base}[{at}]"
+            elif it[0] == "const":
+                self.tests.append(f"_is_{'top' if it[1] else 'bot'}({base}[{at}])")
+            elif self.principal or j > f:
+                raise ValueError(f"{self.rule}: one principal formula, before the rest")
             else:
-                q[name] = v
-                inner(comps, q, found)
-        return found
+                pos = items[j - 1][2] if j and items[j - 1][0] == "list" else ""
+                if pos not in ("", "pos"):
+                    raise ValueError(f"{self.rule}: the principal's position is pos")
+                lo, hi = self.range[pos] if pos else (at, {"": int(at)})
+                self.principal = (it[1], f"{base}[{at}]", side, pos, str(lo),
+                                  _src(hi, self.local))  # fmt: skip
+                ops = _OPERANDS.get(it[1], ("children[0]", "children[1]"))
+                self.env.update(zip(it[2], (f"f.{op}" for op in ops)))
+        return least
 
-    return enum
+    def premise(self, items: list) -> str:
+        """Source of a premise hypersequent."""
+        def part(x):  # a tuple's source, or an element's in a 1-tuple
+            if x[0] in ("list", "var"):
+                return self.env[x[1]] if x[0] == "list" else (self.env[x[1]],)
+            if x[0] == "conn":
+                args = ", ".join(self.env[a] for a in x[2])
+                return (f"_make({_KINDS[x[1]][0].__name__}, {args})",)
+            same = [f"s{n}" for n, s in enumerate(self.keys) if s == _key(x)]
+            sides = (_concat(list(map(part, side))) for side in x[1:])
+            return (same[0] if same else "Sequent({}, {})".format(*sides),)
+
+        return f"Hypersequent({_concat(list(map(part, items)))})"
+
+    @cached_property
+    def declared(self) -> Tuple[Param, ...]:
+        """The declared params, their bounds made functions."""
+        return tuple(x._replace(bounds=eval(x.bounds, {})) for x in self.params)
+
+    @lru_cache(maxsize=None)
+    def code(self, search: bool):
+        """The code of the instances search lists (search), or of schema and
+        build or an axiom's match; compiled on first use, since compiling is
+        most of what a rule costs."""
+        rule, p, premises = self.rule, self.principal, self.premises
+        names = [x.name for x in self.params]
+        made = [f"f = {p[1]}"] if p else []
+        made += [f"r0 = {self.where}"] if self.where else []
+        listed = f"return [{', '.join(premises)}]"
+        build = ["comps = h.components", *(f"{n} = p[{n!r}]" for n in names)]
+        build += ["pos = p['pos']"] * bool(p and p[3]) + self.binds + made + (
+            [f"yield {x}" for x in premises] if len(premises) > 1 else [listed])
+        schema = ["q = inst.params", "comps = h.components"]
+        known = tuple(sorted({*names, "pos"} if p else names))
+        count = "len(q) - ('pos' in q)" if p else "len(q)"
+        schema += self.checks
+        unknown = f"{rule}: unknown params {{q.keys() - {known!r}}}"
+        schema.append(f"if {count} != {len(names)}: _fail(f{unknown!r})")
+        # instances: q and each param over its range (or searched value), in order
+        listing, indent = ["found = []"], ""
+        if p:
+            listing += ["c = q['c']", *self.binds]
+        for x in self.params[bool(p) :]:
+            lo, hi = self.range[x.name]
+            over = f"range({lo}, {_src(_plus(hi, {'': 1}), self.local)})"
+            if x.searched is not None:
+                within = f"{lo} <= {x.searched} <= {_src(hi, self.local)}"
+                over = f"({x.searched},) if {within} else ()"
+            listing.append(f"{indent}for {x.name} in {over}:")
+            indent += "    "
+            listing += [indent + b for b in self.binds if x is self.params[0] and not p]
+        new = "".join(f", {n!r}: {n}" for n in names[bool(p) :])
+        listing.append(f"{indent}found.append(RuleInstance(R, {{**q{new}}}))")
+        listing.append("return found")
+        funcs = {"schema(calc, inst, h)": schema}
+        test = " and ".join([t for t, _, _ in self.sized] + self.tests)
+        if not premises:  # an axiom: one test, match
+            args = "".join(", " + x.name for x in self.params[1:])
+            shape = f"{rule}: component must be " + re.sub(r"\^\w+", "", self.text)
+            schema += [f"if match(s0{args}) is None: _fail({shape.strip()!r})"]
+            schema.append("return []")
+            match = [f"if {test}:", "    return {}"]
+            for x in self.params[1:]:  # one at most: its first fit if not given
+                a, (lo, hi) = x.name, self.range[x.name]
+                stop = _src(_plus(hi, {"": 1}), self.local)
+                match = [f"for {a} in range({lo}, {stop}) if {a} is None else ({a},):",
+                         f"    if {test}:",
+                         f"        return {{{a!r}: {a}}}"]  # fmt: skip
+            funcs["match(s0, pos=None)"] = [*match, "return None"]
+        else:  # a rule with premises: their builder, and the instances search lists
+            funcs.update({"build(calc, h, p)": build, "instances(comps, q)": listing})
+            for t, side, n in self.sized:
+                what = "a single formula" if n == 1 else f"{n} formulas"
+                msg = f"{rule}: {side} must be {what}"
+                schema.append(f"if not {t}: _fail({msg!r})")
+            if p:  # the position of a sole principal formula may go unnamed
+                at = f"_param(q, rule, 'pos', {p[4]}, {p[5]}, 'formula position')"
+                wrong = f"{rule}: principal formula has the wrong connective or arity"
+                schema += [f"pos = {at}" if p[3] else f"if 'pos' in q: {at}",
+                           f"if not matches({p[1]}): _fail({wrong!r})"]
+            schema.append("return list(build(calc, h, q))")
+        src = "".join(f"def {h}:\n" + "".join(f"    {x}\n" for x in body)
+                      for h, body in funcs.items() if h.startswith("inst") == search)
+        return compile(src, f"<{rule} template>", "exec")
+
+
+# A template is read once, whichever calculi use it.
+_compiler = lru_cache(maxsize=None)(_Compiler)
+
+
+# The order backward search tries structural rules in, after the logical ones.
+_SEARCH_ORDER = (Rule.COM, Rule.SPLIT, Rule.MIX, Rule.LEX, Rule.REX, Rule.EEX,
+                 Rule.WEAK_L, Rule.EW)
 
 
 class RuleSpec:
-    """One rule variant: everything the engine knows about the rule.
+    """One rule variant of a calculus, read from its ``Template``, whose
+    generated functions are compiled on the first use of one.  ``params``:
+    each param but a logical rule's "pos", in draw order.  ``schema(calc,
+    inst, h)`` checks an instance (its params' ranges, the conclusion's
+    shape) and lists its premises; ``build(calc, h, p)``, which search
+    calls, builds those of params in range, two one at a time.  An axiom's
+    ``match(s, pos=None)``: the params besides "c" under which s is an
+    instance, its formula at pos or first found; None if none.  A logical
+    rule's ``matches(f)`` tests a principal formula's connective (``kinds``,
+    main one first) and arity on its side (``left``); a ``sole`` one is
+    alone at 0, its instances naming no "pos"."""
 
-    ``params`` declares each param but a logical rule's "pos", in draw
-    order, and ``window`` the components its searched structural instances
-    rewrite (None: none).  From them come the range check (``checked``),
-    the instances ``search`` (a logical rule's ``search_at``) lists and a
-    trial's draws (``instance``).  ``schema``, which ``premises_for`` calls,
-    hands a checked instance's params to ``build``, the one builder of
-    premises, which backward search calls directly.
-    """
+    def __init__(self, t: Template, kinds: dict = _KINDS):
+        c = self.compiler = _compiler(t.rule, t.text, tuple((t.searched or {}).items()))
+        p = c.principal
+        self.template, self.rule, self.step, self.leaf = t, t.rule, t.step, t.leaf
+        self.least, self.axiom = c.least, not c.premises
+        self.left = None if p is None else p[2] == "antecedent"
+        self.kinds, self.sole = (kinds[p[0]], not p[3]) if p else ((), False)
+        self.aliases = tuple(k for k in kinds.values() if len(k) > 1)
+        # a trial fits a one-sequent conclusion's sides to their least
+        # lengths, and places the principal formula on its side (None)
+        self.fits = None if len(c.seqs) != 1 else [
+            None if p and p[2] == side else n for n, side in zip(c.fits[0], _SIDES)
+        ]  # fmt: skip
+        self.window = (t.window or Window(len(c.seqs)))._replace(fresh=c.fresh) if (
+            t.rule in _SEARCH_ORDER) else None
 
-    rule: Rule
-    params: Tuple[Param, ...] = ()
-    window: Optional[Window] = None
-
-    def schema(self, calc, inst: RuleInstance, h: Hypersequent) -> Iterable[Hypersequent]:
-        """Premises the rule demands for conclusion h, in order; an instance
-        the rule does not take raises SchemaMismatch."""
-        return self.build(calc, h, self.checked(inst, h, {}))
-
-    def checked(self, inst: RuleInstance, h: Hypersequent, p: Dict[str, int]):
-        """p (params read from inst, no other) with each declared param added
-        once it is in range; a param inst names beyond them raises."""
-        comps = h.components
-        for name, what, bounds, _ in self.params:
-            v = _param(inst, name)
-            lo, hi = bounds(comps, p)
-            if not lo <= v <= hi:
-                _fail(f"{self.rule.value}: {what} out of range")
-            p[name] = v
-        if len(p) != len(inst.params):
-            _fail(f"{self.rule.value}: unknown params {inst.params.keys() - p.keys()}")
-        return p
-
-    def build(self, calc, h: Hypersequent, p: Dict[str, int]) -> Iterable[Hypersequent]:
-        """The premises for conclusion h of the instance with the params p
-        (in range), in order.  Two premises are yielded one at a time, so a
-        reader that stops after the first builds no second."""
-        raise NotImplementedError
-
-    @cached_property
-    def enumerator(self):
-        """``_enumerator`` of the declared params, built once."""
-        return _enumerator(self.rule, self.params)
+    def __getattr__(self, name):
+        c, kinds = self.compiler, self.kinds
+        ns = dict(_GLOBALS, rule=c.rule, R=self.rule)
+        if name == "params":
+            self.params = c.declared
+        elif name == "instances":
+            exec(c.code(True), ns)
+            self.instances = ns["instances"]
+        elif name in ("schema", "build", "match", "matches"):
+            nary = bool(kinds) and issubclass(kinds[0], _Nary)
+            self.matches = ns["matches"] = (lambda f: isinstance(f, kinds) and (
+                not nary or len(f.children) == 2)) if kinds else None  # fmt: skip
+            exec(c.code(False), ns)
+            self.schema, self.build = ns["schema"], ns.get("build")
+            self.match = ns.get("match")
+        else:
+            raise AttributeError(name)
+        return getattr(self, name)
 
     def search(self, calc, h: Hypersequent) -> List[RuleInstance]:
         """The structural instances backward search tries on h."""
-        return self.enumerator(h.components, {}, [])
+        return self.instances(h.components, {})
 
-    def extend(self, calc, rng: random.Random, tree: ProofTree):
-        """Forward steps (params, conclusion) from tree's conclusion; the
-        schema gives their premises (``_extend_candidates``)."""
-        return ()
+    def search_at(self, calc, s: Sequent, c: int, pos: int) -> List[RuleInstance]:
+        """Backward instances with the principal formula at (c, pos) in s."""
+        return self.instances({c: s}, self.where(c, pos))
+
+    def where(self, c: int, pos: int) -> Dict[str, int]:
+        """The params naming the principal formula at (c, pos)."""
+        return {"c": c} if self.sole else {"c": c, "pos": pos}
+
+    def drawn_kind(self, rng):
+        """The principal node class for a forward step."""
+        return rng.choice(self.kinds) if len(self.kinds) > 1 else self.kinds[0]
 
     def instance(self, calc, rng: random.Random):
-        """A random (instance, conclusion) whose shape the rule applies to:
-        each declared param that ``fit`` leaves open is drawn in its
-        bounds."""
+        """A random (instance, conclusion) the rule applies to: a leaf among
+        random components, or as many of them as the conclusion needs, the
+        drawn one (c) fitted to a one-sequent conclusion; params left open
+        are drawn in their bounds."""
+        if self.leaf is not None:
+            comp, extra = self.leaf(calc, rng)
+            side = [_rand_sequent(calc, rng) for _ in range(rng.randint(0, 2))]
+            c = rng.randint(0, len(side))
+            side.insert(c, comp)
+            return RuleInstance(self.rule, {"c": c, **extra}), Hypersequent(side)
         comps = [_rand_sequent(calc, rng) for _ in range(rng.randint(1, 3))]
-        p = self.fit(calc, rng, comps, rng.randrange(len(comps)))
+        c = rng.randrange(len(comps))
+        comps += [_rand_sequent(calc, rng) for _ in range(self.least - len(comps))]
+        p = {} if self.fits is None else {"c": c}
+        for j, least in enumerate(self.fits or ()):
+            x = (comps[c].left, comps[c].right)[j]
+            if least is None:  # the principal formula, at a random position
+                phi0, phi1 = _rand_formula(calc, rng), _rand_formula(calc, rng)
+                drawn = {k[0]: rng.choice(k) for k in self.aliases}
+                f = _make(drawn.get(self.kinds[0], self.kinds[0]), phi0, phi1)
+                if not self.sole:
+                    p["pos"] = rng.randint(0, len(x))
+                x = (f,) if self.sole else _insert(x, p["pos"], f)
+            elif len(x) < least:
+                x = _rand_formulas(calc, rng, least, least + 1)
+            comps[c] = _with_side(comps[c], j == 0, x)
         for name, _, bounds, _ in self.params:
             if name not in p:
                 p[name] = rng.randint(*bounds(comps, p))
         return RuleInstance(self.rule, p), Hypersequent(comps)
 
-    def fit(self, calc, rng, comps: list, c: int) -> Dict[str, int]:
-        """Fit the random components comps to the rule, around component c;
-        the params this fixes."""
-        return {}
 
-
-def _two_or_more(spec, calc, rng, comps: list, c: int) -> Dict[str, int]:
-    """``fit`` of the rules on two components: a lone one gets a second."""
-    if len(comps) < 2:
-        comps.append(_rand_sequent(calc, rng))
-    return {}
-
-
-_COMPONENT = Param("c", "component index", lambda comps, p: (0, len(comps) - 1))
-_PAIR = Param("c", "adjacent component index", lambda comps, p: (0, len(comps) - 2))
-_K1 = Param("k1", "antecedent partition", lambda comps, p: (0, len(comps[p["c"]].left)))
-
-
-def _pick(rng, h: Hypersequent, wanted):
-    """(c, component) of a random component satisfying wanted, or (None, None)."""
-    cands = [c for c, s in enumerate(h.components) if wanted(s)]
-    if not cands:
-        return None, None
-    c = rng.choice(cands)
-    return c, h.components[c]
-
-
-# --- axioms -----------------------------------------------------------------
-
-
-class _Axiom(RuleSpec):
-    """A zero-premise rule: some component is an instance of the axiom.
-
-    Subclasses define the axiom's one test of a component s,
-    ``match(s, pos=None)``: the params besides "c" under which s is an
-    instance, with the principal formula at pos or, when pos is None,
-    wherever it first occurs; None when s is no instance.  They also define
-    ``component(calc, rng)``, a random instance and its params.
-    """
-
-    shape: str  # the axiom's component, for error messages
-    params = (_COMPONENT,)
-
-    def schema(self, calc, inst, h):
-        p = self.checked(inst, h, {})
-        if self.match(h.components[p["c"]], p.get("pos")) is None:
-            _fail(f"{self.rule.value}: component must be {self.shape}")
-        return []
-
-    def instance(self, calc, rng):
-        comp, extra = self.component(calc, rng)
-        side = [_rand_sequent(calc, rng) for _ in range(rng.randint(0, 2))]
-        c = rng.randint(0, len(side))
-        side.insert(c, comp)
-        return RuleInstance(self.rule, {"c": c, **extra}), Hypersequent(side)
-
-
-class _Init(_Axiom):
-    rule, shape = Rule.INIT, "phi |- phi"
-
-    def match(self, s, pos=None):
-        ok = len(s.left) == 1 and len(s.right) == 1 and s.left[0] == s.right[0]
-        return {} if ok else None
-
-    def component(self, calc, rng):
-        f = _rand_formula(calc, rng)
-        return Sequent((f,), (f,)), {}
-
-
-class _Emp(_Axiom):
-    rule, shape = Rule.EMP, "the empty sequent"
-
-    def match(self, s, pos=None):
-        return {} if not s.left and not s.right else None
-
-    def component(self, calc, rng):
-        return Sequent((), ()), {}
-
-
-class _TopR(_Axiom):
-    rule, shape = Rule.TOP_R, "Gamma |- T"
-
-    def match(self, s, pos=None):
-        return {} if len(s.right) == 1 and _is_top(s.right[0]) else None
-
-    def component(self, calc, rng):
-        return Sequent(_rand_formulas(calc, rng), (BoolConst(True, calc.profile),)), {}
-
-
-class _BotL(_Axiom):
-    """Gamma, F |- Delta; the Łukasiewicz form wants a single succedent."""
-
-    rule = Rule.BOT_L
-    params = (_COMPONENT, Param(
-        "pos", "formula position", lambda comps, p: (0, len(comps[p["c"]].left) - 1)
-    ))  # fmt: skip
-
-    def __init__(self, single_succedent: bool = False):
-        self.single_succedent = single_succedent
-        self.shape = "Gamma, F |- phi" if single_succedent else "Gamma, F |- Delta"
-
-    def match(self, s, pos=None):
-        if self.single_succedent and len(s.right) != 1:
-            return None
-        for p in range(len(s.left)) if pos is None else (pos,):
-            if _is_bot(s.left[p]):
-                return {"pos": p}
-        return None
-
-    def component(self, calc, rng):
-        left = list(_rand_formulas(calc, rng))
-        pos = rng.randint(0, len(left))
-        left.insert(pos, BoolConst(False, calc.profile))
-        if self.single_succedent:
-            right = (_rand_formula(calc, rng),)
-        else:
-            right = _rand_formulas(calc, rng)
-        return Sequent(tuple(left), right), {"pos": pos}
-
-
-# --- external structural rules ----------------------------------------------
-
-
-class _EW(RuleSpec):
-    """H  /  H | G1 | ... | Gk"""
-
-    rule, window, fit = Rule.EW, Window(2, last=True, fresh=False), _two_or_more
-    params = (Param(
-        "k", "added component count", lambda comps, p: (1, len(comps) - 1), searched=1
-    ),)  # fmt: skip
-
-    def build(self, calc, h, p):
-        return [Hypersequent(h.components[: -p["k"]])]
-
-    def extend(self, calc, rng, tree):
-        comps = tree.conclusion.components
-        extra = []
-        for _ in range(rng.randint(1, 2)):
-            if rng.random() < 0.5:
-                src = rng.choice(comps)
-                if rng.random() < 0.5 and src.left:
-                    left = list(src.left)
-                    left[rng.randrange(len(left))] = _rand_formula(calc, rng)
-                    extra.append(Sequent(tuple(left), src.right))
-                else:
-                    extra.append(Sequent(src.left, (_rand_formula(calc, rng),)))
-            else:
-                extra.append(_rand_sequent(calc, rng))
-        yield {"k": len(extra)}, Hypersequent(comps + tuple(extra))
-
-
-class _EC(RuleSpec):
-    """H | B | B  /  H | B, for a block B of b components"""
-
-    rule = Rule.EC
-    params = (Param("b", "duplicated block size", lambda comps, p: (1, len(comps))),)
-
-    def build(self, calc, h, p):
-        comps = h.components
-        return [Hypersequent(comps + comps[-p["b"] :])]
-
-    def extend(self, calc, rng, tree):
-        # forward reading: the conclusion must end in a duplicate block
-        comps = tree.conclusion.components
-        for b in range(1, len(comps) // 2 + 1):
-            if comps[-b:] == comps[-2 * b : -b]:
-                yield {"b": b}, Hypersequent(comps[:-b])
-                return
-
-
-class _EEX(RuleSpec):
-    """H | G | D | H'  /  H | D | G | H'"""
-
-    rule, window, fit = Rule.EEX, Window(2, fresh=False), _two_or_more
-    params = (_PAIR._replace(name="i"),)
-
-    def build(self, calc, h, p):
-        return [Hypersequent(_swap(h.components, p["i"]))]
-
-    def extend(self, calc, rng, tree):
-        comps = tree.conclusion.components
-        if len(comps) >= 2:
-            i = rng.randrange(len(comps) - 1)
-            yield {"i": i}, Hypersequent(_swap(comps, i))
-
-
-class _COM(RuleSpec):
-    """H | G1, T1 |- D1   H | G2, T2 |- D2  /  H | G1, G2 |- D1 | T1, T2 |- D2"""
-
-    rule, window, fit = Rule.COM, Window(2), _two_or_more
-    params = (_PAIR, _K1, Param(
-        "k2", "antecedent partition", lambda comps, p: (0, len(comps[p["c"] + 1].left))
-    ))  # fmt: skip
-
-    def build(self, calc, h, p):
-        comps, c, k1, k2 = h.components, p["c"], p["k1"], p["k2"]
-        s1, s2 = comps[c], comps[c + 1]
-        yield _merge(comps, c, Sequent(s1.left[:k1] + s2.left[:k2], s1.right))
-        yield _merge(comps, c, Sequent(s1.left[k1:] + s2.left[k2:], s2.right))
-
-    def extend(self, calc, rng, tree):
-        h = tree.conclusion
-        c = rng.randrange(len(h.components))
-        s = h.components[c]
-        j = rng.randint(0, len(s.left))
-        psi = _rand_formula(calc, rng)
-        conclusion = h.replace(
-            c, [Sequent(s.left[:j] + (psi,), s.right), Sequent(s.left[j:], (psi,))]
-        )
-        yield {"c": c, "k1": j, "k2": len(s.left) - j}, conclusion
-
-
-class _SPLIT(RuleSpec):
-    """H | G1, G2 |- D1, D2  /  H | G1 |- D1 | G2 |- D2"""
-
-    rule, window, fit = Rule.SPLIT, Window(2), _two_or_more
-    params = (_PAIR,)
-
-    def build(self, calc, h, p):
-        comps, c = h.components, p["c"]
-        s1, s2 = comps[c], comps[c + 1]
-        return [_merge(comps, c, Sequent(s1.left + s2.left, s1.right + s2.right))]
-
-    def extend(self, calc, rng, tree):
-        h = tree.conclusion
-        c, s = _pick(rng, h, lambda s: s.left or s.right)
-        if c is not None:
-            j = rng.randint(0, len(s.left))
-            k = rng.randint(0, len(s.right))
-            conclusion = h.replace(
-                c,
-                [Sequent(s.left[:j], s.right[:k]), Sequent(s.left[j:], s.right[k:])],
-            )
-            yield {"c": c}, conclusion
-
-
-class _MIX(RuleSpec):
-    """H | G1 |- D1   H | G2 |- D2  /  H | G1, G2 |- D1, D2"""
-
-    rule, window = Rule.MIX, Window(1)
-    params = (_COMPONENT, _K1, Param(
-        "k2", "succedent partition", lambda comps, p: (0, len(comps[p["c"]].right))
-    ))  # fmt: skip
-
-    def build(self, calc, h, p):
-        c, k1, k2 = p["c"], p["k1"], p["k2"]
-        s = h.components[c]
-        yield h.replace(c, [Sequent(s.left[:k1], s.right[:k2])])
-        yield h.replace(c, [Sequent(s.left[k1:], s.right[k2:])])
-
-    def extend(self, calc, rng, tree):
-        h = tree.conclusion
-        c = rng.randrange(len(h.components))
-        s = h.components[c]
-        psi = _rand_formula(calc, rng)
-        conclusion = h.replace(c, [Sequent(s.left + (psi,), s.right + (psi,))])
-        yield {"c": c, "k1": len(s.left), "k2": len(s.right)}, conclusion
-
-    def fit(self, calc, rng, comps, c):
-        return {"c": c}
-
-
-# --- internal structural rules ----------------------------------------------
-
-
-class _WeakL(RuleSpec):
-    """H | G |- D  /  H | G, S |- D, for a block S of k formulas"""
-
-    rule, window = Rule.WEAK_L, Window(1)
-    params = (_COMPONENT, Param(
-        "k", "block size", lambda comps, p: (1, len(comps[p["c"]].left)), searched=1
-    ))  # fmt: skip
-    longest = 3  # longest antecedent a random trial gives an empty one
-
-    def build(self, calc, h, p):
-        c = p["c"]
-        return [h.replace(c, [self.premise(h.components[c], p["k"])])]
-
-    def premise(self, s: Sequent, k: int) -> Sequent:
-        return Sequent(s.left[:-k], s.right)
-
-    def extend(self, calc, rng, tree):
-        h = tree.conclusion
-        c = rng.randrange(len(h.components))
-        added = _rand_formulas(calc, rng, 1, 2)
-        s = h.components[c]
-        conclusion = h.replace(c, [Sequent(s.left + added, s.right)])
-        yield {"c": c, "k": len(added)}, conclusion
-
-    def fit(self, calc, rng, comps, c):
-        s = comps[c]
-        if not s.left:
-            comps[c] = Sequent(_rand_formulas(calc, rng, 1, self.longest), s.right)
-        return {"c": c}
-
-
-class _ContrL(_WeakL):
-    """H | G, S, S |- D  /  H | G, S |- D, for a block S of k formulas"""
-
-    rule, longest, window = Rule.CONTR_L, 2, None
-
-    def premise(self, s, k):
-        return Sequent(s.left + s.left[-k:], s.right)
-
-    def extend(self, calc, rng, tree):
-        h = tree.conclusion
-        for c, s in enumerate(h.components):
-            for k in range(1, len(s.left) // 2 + 1):
-                if s.left[-k:] == s.left[-2 * k : -k]:
-                    conclusion = h.replace(c, [Sequent(s.left[:-k], s.right)])
-                    yield {"c": c, "k": k}, conclusion
-                    break
-
-
-class _Exchange(RuleSpec):
-    """Swap the formulas at pos and pos + 1 of one side of a component."""
-
-    window = Window(1, fresh=False)
-
-    def __init__(self, rule: Rule):
-        self.rule = rule
-        self.left = left = rule is Rule.LEX
-        self.params = (_COMPONENT, Param(
-            "pos", "adjacent formula position",
-            lambda comps, p: (0, len(_side(comps[p["c"]], left)) - 2),
-        ))  # fmt: skip
-
-    def _swapped(self, s: Sequent, pos: int) -> Sequent:
-        return _with_side(s, self.left, _swap(_side(s, self.left), pos))
-
-    def build(self, calc, h, p):
-        c = p["c"]
-        return [h.replace(c, [self._swapped(h.components[c], p["pos"])])]
-
-    def extend(self, calc, rng, tree):
-        h = tree.conclusion
-        c, s = _pick(rng, h, lambda s: len(_side(s, self.left)) >= 2)
-        if c is not None:
-            pos = rng.randrange(len(_side(s, self.left)) - 1)
-            yield {"c": c, "pos": pos}, h.replace(c, [self._swapped(s, pos)])
-
-    def fit(self, calc, rng, comps, c):
-        comps[c] = _with_side(comps[c], self.left, _rand_formulas(calc, rng, 2, 3))
-        return {"c": c}
-
-
-# --- logical rules ------------------------------------------------------------
-
-# In the min/max logics the monoidal connectives coincide with the lattice
-# ones: each lattice node class and its monoidal twin.
-_MIN_MAX = {And: MAnd, Or: MOr}
+def _pick(rng, tree: ProofTree, wanted=None):
+    """Tree's conclusion h, and (c, h's component c) for a random c whose
+    component satisfies wanted (if given), or (None, None)."""
+    h = tree.conclusion
+    cands = [c for c, s in enumerate(h.components) if wanted is None or wanted(s)]
+    c = rng.choice(cands) if cands else None
+    return h, c, None if c is None else h.components[c]
 
 
 def _make(kind, phi0: Expr, phi1: Optional[Expr] = None) -> Expr:
@@ -721,365 +696,194 @@ def _make(kind, phi0: Expr, phi1: Optional[Expr] = None) -> Expr:
     return kind((phi0, phi1))
 
 
-class _Logical(RuleSpec):
-    """A rule for the connective of the formula at (c, pos) on one side.
+# what the compiled code of a template reads
+_GLOBALS = {k.__name__: k for k in (Sequent, Hypersequent, RuleInstance, _make, _fail,
+                                    _param, _is_top, _is_bot, *_NODES)}
 
-    In single-conclusion calculi a right rule needs the succedent to be that
-    one formula; its instances name no "pos" and it sits at position 0.
-    Subclasses define ``premises(calc, p, h, c, s, pos, f)``, the premises
-    for the matched principal formula f of component s, in order (an
-    iterable, as ``build`` returns); p holds the instance's params.
-    """
 
-    kinds: tuple  # node classes of the principal connective, main one first
-    left: bool  # whether the principal formula is in the antecedent
-    params = (_COMPONENT,)
+# --- leaf draws and forward steps ---------------------------------------------
 
-    def matches(self, f: Expr) -> bool:
-        return isinstance(f, self.kinds) and (
-            not isinstance(f, _Nary) or len(f.children) == 2
-        )
 
-    def sole(self, calc) -> bool:
-        """Whether the principal formula must be the sole succedent."""
-        return calc.single_conclusion and not self.left
+def _leaf_init(calc, rng):
+    f = _rand_formula(calc, rng)
+    return Sequent((f,), (f,)), {}
 
-    def where(self, calc, c: int, pos: int) -> Dict[str, int]:
-        """The params naming the principal formula at (c, pos)."""
-        return {"c": c} if self.sole(calc) else {"c": c, "pos": pos}
 
-    def drawn_kind(self, rng):
-        """The principal node class for a forward step."""
-        return rng.choice(self.kinds) if len(self.kinds) > 1 else self.kinds[0]
+def _leaf_botl(calc, rng, single=False):  # single: one succedent formula
+    left = list(_rand_formulas(calc, rng))
+    pos = rng.randint(0, len(left))
+    left.insert(pos, BoolConst(False, calc.profile))
+    right = (_rand_formula(calc, rng),) if single else _rand_formulas(calc, rng)
+    return Sequent(tuple(left), right), {"pos": pos}
 
-    def schema(self, calc, inst, h):
-        sole = self.sole(calc)
-        p = {} if sole else {"pos": _param(inst, "pos")}
-        if sole and "pos" in inst.params:
-            p["pos"] = 0  # a sole principal formula is at 0, whatever "pos" says
-        p = self.checked(inst, h, p)
-        c, pos = p["c"], p.get("pos", 0)
-        s = h.components[c]
-        x = _side(s, self.left)
-        if sole and len(s.right) != 1:
-            what = "succedent must be a single formula"
-        elif not 0 <= pos < len(x):
-            what = "formula position out of range"
-        elif not self.matches(x[pos]):
-            what = "principal formula has the wrong connective or arity"
+
+def _step_ew(spec, calc, rng, tree):
+    comps = tree.conclusion.components
+    extra = []
+    for _ in range(rng.randint(1, 2)):
+        if rng.random() < 0.5:
+            src = rng.choice(comps)
+            if rng.random() < 0.5 and src.left:
+                left = list(src.left)
+                left[rng.randrange(len(left))] = _rand_formula(calc, rng)
+                extra.append(Sequent(tuple(left), src.right))
+            else:
+                extra.append(Sequent(src.left, (_rand_formula(calc, rng),)))
         else:
-            return self.premises(calc, p, h, c, s, pos, x[pos])
-        _fail(f"{self.rule.value}: {what}")
-
-    def build(self, calc, h, p):
-        c, pos = p["c"], p.get("pos", 0)
-        s = h.components[c]
-        return self.premises(calc, p, h, c, s, pos, _side(s, self.left)[pos])
-
-    @cached_property
-    def enumerator(self):
-        """``_enumerator`` of the params after "c", which ``where`` names."""
-        return _enumerator(self.rule, self.params, 1)
-
-    def search_at(self, calc, s: Sequent, c: int, pos: int) -> List[RuleInstance]:
-        """Backward instances with the principal formula at (c, pos), each
-        declared param over its range; the bounds read component c alone."""
-        return self.enumerator({c: s}, self.where(calc, c, pos), [])
-
-    def fit(self, calc, rng, comps, c):
-        s = comps[c]
-        phi0, phi1 = _rand_formula(calc, rng), _rand_formula(calc, rng)
-        kind = self.kinds[0]
-        if calc.single_conclusion:
-            # every rule draws both lattice kinds, used or not
-            drawn = {k: rng.choice([k, alias]) for k, alias in _MIN_MAX.items()}
-            kind = drawn.get(kind, kind)
-        f = _make(kind, phi0, phi1)
-        x = _side(s, self.left)
-        if self.sole(calc):
-            pos, x = 0, (f,)
-        else:
-            pos = rng.randint(0, len(x))
-            x = _insert(x, pos, f)
-        comps[c] = _with_side(s, self.left, x)
-        return self.where(calc, c, pos)
+            extra.append(_rand_sequent(calc, rng))
+    yield {"k": len(extra)}, Hypersequent(comps + tuple(extra))
 
 
-class _Lattice(_Logical):
-    """The lattice rules.
-
-        LAND  H | G, A |- D | G, B |- D      /  H | G, A & B |- D
-        ROR   H | G |- A, D | G |- B, D      /  H | G |- A v B, D
-        LOR   H | G, A |- D   H | G, B |- D  /  H | G, A v B |- D
-        RAND  H | G |- A, D   H | G |- B, D  /  H | G |- A & B, D
-
-    LAND and ROR split the component; LOR and RAND branch.  The min/max
-    calculi (Gödel, STL∞) let them match the monoidal node too.
-    """
-
-    def __init__(self, rule: Rule, kinds: tuple, left: bool):
-        self.rule, self.kinds, self.left = rule, kinds, left
-        self.branching = (kinds[0] is Or) == left
-
-    def premises(self, calc, p, h, c, s, pos, f):
-        x = _side(s, self.left)
-        parts = (_with_side(s, self.left, _put(x, pos, g)) for g in f.children)
-        if self.branching:
-            return (h.replace(c, [part]) for part in parts)
-        return [h.replace(c, [*parts])]
-
-    def extend(self, calc, rng, tree):
-        if self.branching:
-            return self._extend_by_unit(calc, rng, tree)
-        return self._extend_by_merge(calc, rng, tree)
-
-    def _extend_by_unit(self, calc, rng, tree):
-        # A & T on the right, A v F on the left: an axiom closes the premise
-        # with the unit
-        if self.left and not calc.profile.neg:  # falsum needs negation
-            return
-        h = tree.conclusion
-        sole = self.sole(calc)
-        c, s = _pick(
-            rng, h, lambda s: len(s.right) == 1 if sole else _side(s, self.left)
-        )
-        if c is not None:
-            x = _side(s, self.left)
-            pos = 0 if sole else rng.randrange(len(x))
-            unit = BoolConst(not self.left, calc.profile)
-            f = self.drawn_kind(rng)((x[pos], unit))
-            conclusion = h.replace(c, [_with_side(s, self.left, _put(x, pos, f))])
-            yield self.where(calc, c, pos), conclusion
-
-    def _extend_by_merge(self, calc, rng, tree):
-        # two adjacent components that differ in at most one principal-side
-        # formula merge into one
-        comps = tree.conclusion.components
-        for c in range(len(comps) - 1):
-            s0, s1 = comps[c], comps[c + 1]
-            x0, x1 = _side(s0, self.left), _side(s1, self.left)
-            if _side(s0, not self.left) != _side(s1, not self.left):
-                continue
-            if len(x0) != len(x1) or not x0:
-                continue
-            diffs = [i for i in range(len(x0)) if x0[i] != x1[i]]
-            if len(diffs) > 1:
-                continue
-            if self.sole(calc) and len(x0) != 1:
-                continue
-            pos = diffs[0] if diffs else 0
-            f = self.drawn_kind(rng)((x0[pos], x1[pos]))
-            merged = _with_side(s0, self.left, _put(x0, pos, f))
-            yield self.where(calc, c, pos), _merge(comps, c, merged)
+def _step_ec(spec, calc, rng, tree):
+    # forward reading: the conclusion must end in a duplicate block
+    comps = tree.conclusion.components
+    for b in range(1, len(comps) // 2 + 1):
+        if comps[-b:] == comps[-2 * b : -b]:
+            yield {"b": b}, Hypersequent(comps[:-b])
             return
 
 
-class _LNeg(_Logical):
-    """H | G |- A  /  H | G, ~A |- D"""
-
-    rule, kinds, left = Rule.LNEG, (Not,), True
-
-    def premises(self, calc, p, h, c, s, pos, f):
-        return [h.replace(c, [Sequent(_put(s.left, pos), (f.child,))])]
-
-    def extend(self, calc, rng, tree):
-        h = tree.conclusion
-        c, s = _pick(rng, h, lambda s: len(s.right) == 1)
-        if c is not None:
-            delta = _rand_formulas(calc, rng)
-            conclusion = h.replace(c, [Sequent(s.left + (Not(s.right[0]),), delta)])
-            yield {"c": c, "pos": len(s.left)}, conclusion
+def _step_eex(spec, calc, rng, tree):
+    comps = tree.conclusion.components
+    if len(comps) >= 2:
+        i = rng.randrange(len(comps) - 1)
+        yield {"i": i}, Hypersequent(_swap(comps, i))
 
 
-class _Odot(_Logical):
-    """The ⊙ rules that keep the context whole.
-
-        LODOT  H | G, A, B |- D  /  H | G, A (*) B |- D
-        RODOT  H | G |- A, B, D  /  H | G |- A (*) B, D   (product)
-    """
-
-    kinds = (MAnd,)
-
-    def __init__(self, left: bool):
-        self.rule, self.left = (Rule.LODOT if left else Rule.RODOT), left
-
-    def premises(self, calc, p, h, c, s, pos, f):
-        x = _put(_side(s, self.left), pos, *f.children)
-        return [h.replace(c, [_with_side(s, self.left, x)])]
-
-    def extend(self, calc, rng, tree):
-        h = tree.conclusion
-        c, s = _pick(rng, h, lambda s: len(_side(s, self.left)) >= 2)
-        if c is not None:
-            x = _side(s, self.left)
-            pos = rng.randrange(len(x) - 1)
-            x = x[:pos] + (MAnd((x[pos], x[pos + 1])),) + x[pos + 2 :]
-            conclusion = h.replace(c, [_with_side(s, self.left, x)])
-            yield {"c": c, "pos": pos}, conclusion
+def _step_com(spec, calc, rng, tree):
+    h, c, s = _pick(rng, tree)
+    j = rng.randint(0, len(s.left))
+    psi = _rand_formula(calc, rng)
+    split = [Sequent(s.left[:j] + (psi,), s.right), Sequent(s.left[j:], (psi,))]
+    yield {"c": c, "k1": j, "k2": len(s.left) - j}, h.replace(c, split)
 
 
-class _ROdotSplit(_Odot):
-    """DL2:  H | G1 |- A, D1   H | G2 |- B, D2  /  H | G1, G2 |- A (*) B, D1, D2
-
-    Both the antecedent and the rest of the succedent are partitioned
-    between the premises, at k1 and k2.
-    """
-
-    params = (_COMPONENT, _K1, Param(
-        "k2", "context partition", lambda comps, p: (0, len(comps[p["c"]].right) - 1)
-    ))  # fmt: skip
-
-    def premises(self, calc, p, h, c, s, pos, f):
-        a, b = f.children
-        k1, k2 = p["k1"], p["k2"]
-        rest = _put(s.right, pos)
-        yield h.replace(c, [Sequent(s.left[:k1], (a,) + rest[:k2])])
-        yield h.replace(c, [Sequent(s.left[k1:], (b,) + rest[k2:])])
-
-    def extend(self, calc, rng, tree):
-        # the second premise is closed by verum
-        h = tree.conclusion
-        c, s = _pick(rng, h, lambda s: len(s.right) >= 1)
-        if c is not None:
-            phi1 = BoolConst(True, calc.profile)
-            f = MAnd((s.right[0], phi1))
-            conclusion = h.replace(c, [Sequent(s.left, (f,) + s.right[1:])])
-            params = {"c": c, "pos": 0, "k1": len(s.left), "k2": len(s.right) - 1}
-            yield params, conclusion
+def _step_split(spec, calc, rng, tree):
+    h, c, s = _pick(rng, tree, lambda s: s.left or s.right)
+    if c is not None:
+        j, k = rng.randint(0, len(s.left)), rng.randint(0, len(s.right))
+        split = [Sequent(s.left[:j], s.right[:k]), Sequent(s.left[j:], s.right[k:])]
+        yield {"c": c}, h.replace(c, split)
 
 
-class _LImpl(_Logical):
-    """Gödel/STL∞:  H | G |- A   H | G, B |- D  /  H | G, A -> B |- D"""
-
-    rule, kinds, left = Rule.LIMPL, (Impl,), True
-
-    def premises(self, calc, p, h, c, s, pos, f):
-        yield h.replace(c, [Sequent(_put(s.left, pos), (f.left,))])
-        yield h.replace(c, [Sequent(_put(s.left, pos, f.right), s.right)])
-
-    def extend(self, calc, rng, tree):
-        h = tree.conclusion
-        c, s = _pick(rng, h, lambda s: len(s.right) == 1)
-        if c is not None:
-            phi1 = BoolConst(False, calc.profile)
-            delta = _rand_formulas(calc, rng)
-            f = Impl(s.right[0], phi1)
-            conclusion = h.replace(c, [Sequent(s.left + (f,), delta)])
-            yield {"c": c, "pos": len(s.left)}, conclusion
+def _step_mix(spec, calc, rng, tree):
+    h, c, s = _pick(rng, tree)
+    psi = _rand_formula(calc, rng)
+    mixed = Sequent(s.left + (psi,), s.right + (psi,))
+    yield {"c": c, "k1": len(s.left), "k2": len(s.right)}, h.replace(c, [mixed])
 
 
-class _LImplLuka(_LImpl):
-    """Łukasiewicz:  H | G, B |- A, D  /  H | G, A -> B |- D"""
-
-    def premises(self, calc, p, h, c, s, pos, f):
-        left = _put(s.left, pos, f.right)
-        return [h.replace(c, [Sequent(left, (f.left,) + s.right)])]
-
-    def extend(self, calc, rng, tree):
-        h = tree.conclusion
-        c, s = _pick(rng, h, lambda s: s.left and s.right)
-        if c is not None:
-            pos = rng.randrange(len(s.left))
-            f = Impl(s.right[0], s.left[pos])
-            conclusion = h.replace(c, [Sequent(_put(s.left, pos, f), s.right[1:])])
-            yield {"c": c, "pos": pos}, conclusion
+def _step_weakl(spec, calc, rng, tree):
+    h, c, s = _pick(rng, tree)
+    added = _rand_formulas(calc, rng, 1, 2)
+    yield {"c": c, "k": len(added)}, h.replace(c, [Sequent(s.left + added, s.right)])
 
 
-class _LImplProduct(_LImpl):
-    """Product:  H | G, ~A |- D   H | G, B |- A, D  /  H | G, A -> B |- D"""
-
-    def premises(self, calc, p, h, c, s, pos, f):
-        yield h.replace(c, [Sequent(_put(s.left, pos, Not(f.left)), s.right)])
-        yield h.replace(c, [Sequent(_put(s.left, pos, f.right), (f.left,) + s.right)])
-
-    def extend(self, calc, rng, tree):
-        # Both premises must close by axiom leaves: the first by luck of the
-        # other components, the second through falsum as the consequent.
-        h = tree.conclusion
-        c, s = _pick(rng, h, lambda s: len(s.right) == 1)
-        if c is not None:
-            phi0, phi1 = s.right[0], BoolConst(False, calc.profile)
-            conclusion = h.replace(c, [Sequent(s.left + (Impl(phi0, phi1),), s.right)])
-            yield {"c": c, "pos": len(s.left)}, conclusion
+def _step_contrl(spec, calc, rng, tree):
+    h = tree.conclusion
+    for c, s in enumerate(h.components):
+        for k in range(1, len(s.left) // 2 + 1):
+            if s.left[-k:] == s.left[-2 * k : -k]:
+                yield {"c": c, "k": k}, h.replace(c, [Sequent(s.left[:-k], s.right)])
+                break
 
 
-class _LImplDL2(_LImpl):
-    """DL2:  H | G |- D   H | G, B |- A, D  /  H | G, A -> B |- D
-
-    Each premise alone gives the conclusion, so the rule with either one
-    dropped is still sound (an equivalent mutant).  Write g, d, a, b for
-    the values of G and D (each a sum) and of A and B; the conclusion says
-    g + [A -> B] <= d, with [A -> B] = -max(a - b, 0) <= 0.
-    - G |- D alone: g + [A -> B] <= g <= d.
-    - G, B |- A, D alone (g + b <= a + d): if a >= b, [A -> B] = b - a and
-      the conclusion is the premise; if a < b, g <= d + (a - b) < d.
-    A premise that holds through a component of H gives the conclusion,
-    which keeps H.
-    """
-
-    def premises(self, calc, p, h, c, s, pos, f):
-        yield h.replace(c, [Sequent(_put(s.left, pos), s.right)])
-        yield h.replace(c, [Sequent(_put(s.left, pos, f.right), (f.left,) + s.right)])
-
-    def extend(self, calc, rng, tree):
-        h = tree.conclusion
-        c = rng.randrange(len(h.components))
-        s = h.components[c]
-        phi0, phi1 = _rand_formula(calc, rng), _rand_formula(calc, rng)
-        conclusion = h.replace(c, [Sequent(s.left + (Impl(phi0, phi1),), s.right)])
-        yield {"c": c, "pos": len(s.left)}, conclusion
+def _step_pair(spec, calc, rng, tree, left=None):
+    # lex and rex swap two adjacent formulas of a side; lodot and rodot
+    # (product) join them by ⊙
+    left = spec.left if left is None else left
+    h, c, s = _pick(rng, tree, lambda s: len(_side(s, left)) >= 2)
+    if c is not None:
+        x = _side(s, left)
+        pos = rng.randrange(len(x) - 1)
+        pair = (x[pos + 1], x[pos]) if spec.left is None else (MAnd(x[pos : pos + 2]),)
+        x = x[:pos] + pair + x[pos + 2 :]
+        yield {"c": c, "pos": pos}, h.replace(c, [_with_side(s, left, x)])
 
 
-class _RImpl(_Logical):
-    """Single conclusion:  H | G, A |- B  /  H | G |- A -> B"""
-
-    rule, kinds, left = Rule.RIMPL, (Impl,), False
-
-    def premises(self, calc, p, h, c, s, pos, f):
-        return [h.replace(c, [Sequent(s.left + (f.left,), (f.right,))])]
-
-    def extend(self, calc, rng, tree):
-        h = tree.conclusion
-        c, s = _pick(rng, h, lambda s: len(s.right) == 1 and s.left)
-        if c is not None:
-            f = Impl(s.left[-1], s.right[0])
-            yield {"c": c}, h.replace(c, [Sequent(s.left[:-1], (f,))])
+def _step_unit(spec, calc, rng, tree):
+    # lor and rand: A v F on the left, A & T on the right, so that an axiom
+    # closes the premise with the unit
+    if spec.left and not calc.profile.neg:  # falsum needs negation
+        return
+    sole, left = spec.sole, spec.left
+    h, c, s = _pick(rng, tree, lambda s: len(s.right) == 1 if sole else _side(s, left))
+    if c is not None:
+        x = _side(s, left)
+        pos = 0 if sole else rng.randrange(len(x))
+        f = spec.drawn_kind(rng)((x[pos], BoolConst(not left, calc.profile)))
+        yield spec.where(c, pos), h.replace(c, [_with_side(s, left, _put(x, pos, f))])
 
 
-class _RImplMulti(_RImpl):
-    """Multiple conclusions:  H | G |- D   H | G, A |- B, D  /  H | G |- A -> B, D
-
-    Forward steps close the second premise by an axiom leaf; the DL2 form
-    draws verum as the consequent, which its verum axiom can close.
-    """
-
-    def __init__(self, verum_consequent: bool = False):
-        self.verum_consequent = verum_consequent
-
-    def premises(self, calc, p, h, c, s, pos, f):
-        yield h.replace(c, [Sequent(s.left, _put(s.right, pos))])
-        yield h.replace(c, [Sequent(s.left + (f.left,), _put(s.right, pos, f.right))])
-
-    def extend(self, calc, rng, tree):
-        h = tree.conclusion
-        c = rng.randrange(len(h.components))
-        s = h.components[c]
-        phi0 = _rand_formula(calc, rng)
-        if self.verum_consequent:
-            phi1 = BoolConst(True, calc.profile)
-        else:
-            phi1 = _rand_formula(calc, rng)
-        pos = rng.randint(0, len(s.right))
-        f = Impl(phi0, phi1)
-        conclusion = h.replace(c, [Sequent(s.left, _insert(s.right, pos, f))])
-        yield {"c": c, "pos": pos}, conclusion
+def _step_merge(spec, calc, rng, tree):
+    # land and ror: two adjacent components that differ in at most one
+    # principal-side formula merge into one
+    comps = tree.conclusion.components
+    for c in range(len(comps) - 1):
+        s0, s1 = comps[c], comps[c + 1]
+        x0, x1 = _side(s0, spec.left), _side(s1, spec.left)
+        if _side(s0, not spec.left) != _side(s1, not spec.left) or len(x0) != len(x1):
+            continue
+        diffs = [i for i in range(len(x0)) if x0[i] != x1[i]]
+        if not x0 or len(diffs) > 1 or spec.sole and len(x0) != 1:
+            continue
+        pos = diffs[0] if diffs else 0
+        f = spec.drawn_kind(rng)((x0[pos], x1[pos]))
+        merged = _with_side(s0, spec.left, _put(x0, pos, f))
+        yield spec.where(c, pos), Hypersequent(comps[:c] + (merged,) + comps[c + 2 :])
+        return
 
 
-# The order in which backward search tries structural rules, after the
-# logical ones.
-_SEARCH_ORDER = (
-    Rule.COM, Rule.SPLIT, Rule.MIX, Rule.LEX, Rule.REX, Rule.EEX, Rule.WEAK_L, Rule.EW,
-)  # fmt: skip
+def _step_falsum(spec, calc, rng, tree, keep=False):
+    # lneg, and limpl of Gödel and product: a sole succedent A goes left as ~A
+    # or A -> F, over random succedents (keep: the same; product's first premise
+    # then closes by luck of the other components, its second by falsum)
+    h, c, s = _pick(rng, tree, lambda s: len(s.right) == 1)
+    if c is not None:
+        f = _make(spec.kinds[0], s.right[0], BoolConst(False, calc.profile))
+        moved = Sequent(s.left + (f,), s.right if keep else _rand_formulas(calc, rng))
+        yield {"c": c, "pos": len(s.left)}, h.replace(c, [moved])
+
+
+def _step_rodot_split(spec, calc, rng, tree):
+    # the second premise is closed by verum
+    h, c, s = _pick(rng, tree, lambda s: len(s.right) >= 1)
+    if c is not None:
+        f = MAnd((s.right[0], BoolConst(True, calc.profile)))
+        params = {"c": c, "pos": 0, "k1": len(s.left), "k2": len(s.right) - 1}
+        yield params, h.replace(c, [Sequent(s.left, (f,) + s.right[1:])])
+
+
+def _step_limpl_luka(spec, calc, rng, tree):
+    h, c, s = _pick(rng, tree, lambda s: s.left and s.right)
+    if c is not None:
+        pos = rng.randrange(len(s.left))
+        moved = Sequent(_put(s.left, pos, Impl(s.right[0], s.left[pos])), s.right[1:])
+        yield {"c": c, "pos": pos}, h.replace(c, [moved])
+
+
+def _step_limpl_dl2(spec, calc, rng, tree):
+    h, c, s = _pick(rng, tree)
+    f = Impl(_rand_formula(calc, rng), _rand_formula(calc, rng))
+    yield {"c": c, "pos": len(s.left)}, h.replace(c, [Sequent(s.left + (f,), s.right)])
+
+
+def _step_rimpl(spec, calc, rng, tree):
+    h, c, s = _pick(rng, tree, lambda s: len(s.right) == 1 and s.left)
+    if c is not None:
+        f = Impl(s.left[-1], s.right[0])
+        yield {"c": c}, h.replace(c, [Sequent(s.left[:-1], (f,))])
+
+
+def _step_rimpl_multi(spec, calc, rng, tree, verum=False):
+    # the second premise is closed by an axiom leaf; the DL2 form draws
+    # verum as the consequent, which its verum axiom can close
+    h, c, s = _pick(rng, tree)
+    phi0 = _rand_formula(calc, rng)
+    f = Impl(phi0, BoolConst(True, calc.profile) if verum else _rand_formula(calc, rng))
+    pos = rng.randint(0, len(s.right))
+    added = Sequent(s.left, _insert(s.right, pos, f))
+    yield {"c": c, "pos": pos}, h.replace(c, [added])
 
 
 @dataclass(frozen=True)
@@ -1101,13 +905,13 @@ class CalculusDef:
         return self.logic.flag_profile
 
     @cached_property
-    def axioms(self) -> Tuple[_Axiom, ...]:
-        return tuple(s for s in self.table.values() if isinstance(s, _Axiom))
+    def axioms(self) -> Tuple[RuleSpec, ...]:
+        return tuple(s for s in self.table.values() if s.axiom)
 
     @cached_property
-    def logical(self) -> Dict[bool, Tuple[_Logical, ...]]:
+    def logical(self) -> Dict[bool, Tuple[RuleSpec, ...]]:
         """The logical rules by side (True: antecedent)."""
-        specs = [s for s in self.table.values() if isinstance(s, _Logical)]
+        specs = [s for s in self.table.values() if s.left is not None]
         left = tuple(s for s in specs if s.left)
         return {True: left, False: tuple(s for s in specs if not s.left)}
 
@@ -1133,48 +937,102 @@ class CalculusDef:
         )  # fmt: skip
 
 
-def _calc(name, logic, single, specs):
-    by_rule = {s.rule: s for s in specs}
+# ---------------------------------------------------------------------------
+# The templates of every rule variant, and the calculi
+
+_INIT = Template(Rule.INIT, "A |- A", leaf=_leaf_init)
+_EMP = Template(Rule.EMP, "|-", leaf=lambda calc, rng: (Sequent((), ()), {}))
+_TOP_R = Template(Rule.TOP_R, "G |- T", leaf=lambda calc, rng: (
+    Sequent(_rand_formulas(calc, rng), (BoolConst(True, calc.profile),)), {}))
+_BOT_L = Template(Rule.BOT_L, "G1^pos, F, G2 |- D", leaf=_leaf_botl)
+_EW = Template(Rule.EW, "H | K^k / H", _step_ew, searched={"k": 1},
+               window=Window(2, last=True))
+_EC = Template(Rule.EC, "H | K^b / H | K | K", _step_ec)
+_EEX = Template(Rule.EEX, "H^i | G1 |- D1 | G2 |- D2 | H2"
+                " / H | G2 |- D2 | G1 |- D1 | H2", _step_eex)  # fmt: skip
+_COM = Template(Rule.COM, "G1^k1, G2 |- D1 | T1^k2, T2 |- D2"
+                " / G1, T1 |- D1 ; G2, T2 |- D2", _step_com)  # fmt: skip
+_SPLIT = Template(Rule.SPLIT, "G1 |- D1 | G2 |- D2 / G1, G2 |- D1, D2", _step_split)
+_MIX = Template(Rule.MIX, "G1^k1, G2 |- D1^k2, D2 / G1 |- D1 ; G2 |- D2", _step_mix)
+_WEAK_L = Template(Rule.WEAK_L, "G, S^k |- D / G |- D", _step_weakl, searched={"k": 1})
+_CONTR_L = Template(Rule.CONTR_L, "G, S^k |- D / G, S, S |- D", _step_contrl)
+_LEX = Template(Rule.LEX, "G1^pos, A, B, G2 |- D / G1, B, A, G2 |- D",
+                partial(_step_pair, left=True))  # fmt: skip
+_REX = Template(Rule.REX, "G |- D1^pos, A, B, D2 / G |- D1, B, A, D2",
+                partial(_step_pair, left=False))  # fmt: skip
+_LAND = Template(Rule.LAND, "G1^pos, A & B, G2 |- D"
+                 " / G1, A, G2 |- D | G1, B, G2 |- D", _step_merge)  # fmt: skip
+_LOR = Template(Rule.LOR, "G1^pos, A v B, G2 |- D"
+                " / G1, A, G2 |- D ; G1, B, G2 |- D", _step_unit)  # fmt: skip
+_LODOT = Template(Rule.LODOT, "G1^pos, A * B, G2 |- D / G1, A, B, G2 |- D", _step_pair)
+# the multi-conclusion right implication of Łukasiewicz, product and DL2
+_RIMPL = Template(Rule.RIMPL, "G |- D1^pos, A -> B, D2"
+                  " / G |- D1, D2 ; G, A |- D1, B, D2", _step_rimpl_multi)  # fmt: skip
+
+# Either premise of DL2's limpl alone gives the conclusion g + [A -> B] <= d
+# (g, d, a, b: the values of G, D, A, B; [A -> B] = -max(a - b, 0) <= 0), so
+# dropping one leaves it sound, an equivalent mutant.  G |- D: g + [A -> B]
+# <= g <= d.  G, B |- A, D (g + b <= a + d): the conclusion if a >= b, and
+# g <= d + a - b < d if a < b.  A premise true in a component of H is too.
+_LIMPL_DL2 = Template(Rule.LIMPL, "G1^pos, A -> B, G2 |- D"
+                      " / G1, G2 |- D ; G1, B, G2 |- A, D", _step_limpl_dl2)
+
+# Every calculus has these.
+_COMMON = (_INIT, _EW, _EC, _EEX, _WEAK_L, _LEX, _REX)
+
+# Gödel and STL∞ read every connective as min/max and share one rule list,
+# with single-conclusion right rules.
+_MIN_MAX_RULES = _COMMON + (
+    _BOT_L, _TOP_R, _COM, _CONTR_L, _LAND, _LOR,
+    Template(Rule.RAND, "G |- A & B / G |- A ; G |- B", _step_unit),
+    Template(Rule.ROR, "G |- A v B / G |- A | G |- B", _step_merge),
+    Template(Rule.LIMPL, "G1^pos, A -> B, G2 |- D / G1, G2 |- A ; G1, B, G2 |- D",
+             _step_falsum),
+    Template(Rule.RIMPL, "G |- A -> B / G, A |- B", _step_rimpl),
+)  # fmt: skip
+
+
+def _calc(name, logic, single, templates, kinds=_KINDS):
+    """The calculus whose rules are the templates, compiled with kinds (the
+    node classes each connective of a template matches)."""
+    by_rule = {t.rule: RuleSpec(t, kinds) for t in templates}
     table = {rule: by_rule[rule] for rule in Rule if rule in by_rule}
     return CalculusDef(name, logic, single, table)
 
 
-# Every calculus has these.
-_COMMON = (
-    _Init(), _EW(), _EC(), _EEX(), _WeakL(), _Exchange(Rule.LEX), _Exchange(Rule.REX),
-)  # fmt: skip
-
-
-def _lattice(and_kinds: tuple, or_kinds: tuple) -> tuple:
-    """The four lattice rules, matching the given node classes."""
-    return (
-        _Lattice(Rule.LAND, and_kinds, True), _Lattice(Rule.RAND, and_kinds, False),
-        _Lattice(Rule.LOR, or_kinds, True), _Lattice(Rule.ROR, or_kinds, False),
-    )  # fmt: skip
-
-
-# Gödel and STL∞ read every connective as min/max and share one rule list.
-_MIN_MAX_RULES = _COMMON + _lattice((And, MAnd), (Or, MOr)) + (
-    _BotL(), _TopR(), _COM(), _ContrL(), _LImpl(), _RImpl(),
-)  # fmt: skip
-
 CALCULI: Dict[str, CalculusDef] = {
     c.name: c
     for c in (
-        _calc("goedel", GODEL, True, _MIN_MAX_RULES),
+        _calc("goedel", GODEL, True, _MIN_MAX_RULES, _MIN_MAX_KINDS),
         _calc("lukasiewicz", LUKASIEWICZ, False, _COMMON + (
-            _Emp(), _BotL(single_succedent=True), _SPLIT(), _MIX(),
-            _LImplLuka(), _RImplMulti(),
+            _EMP, _SPLIT, _MIX, _RIMPL,
+            Template(Rule.BOT_L, "G1^pos, F, G2 |- A",
+                     leaf=partial(_leaf_botl, single=True)),
+            Template(Rule.LIMPL, "G1^pos, A -> B, G2 |- D / G1, B, G2 |- A, D",
+                     _step_limpl_luka),
         )),
         _calc("product", PRODUCT, False, _COMMON + (
-            _Emp(), _BotL(), _SPLIT(), _MIX(), _LNeg(), _Odot(left=True),
-            _Odot(left=False), _LImplProduct(), _RImplMulti(),
+            _EMP, _BOT_L, _SPLIT, _MIX, _LODOT, _RIMPL,
+            Template(Rule.LNEG, "G1^pos, ~A, G2 |- D / G1, G2 |- A", _step_falsum),
+            Template(Rule.RODOT, "G |- D1^pos, A * B, D2 / G |- D1, A, B, D2",
+                     _step_pair),
+            Template(Rule.LIMPL, "G1^pos, A -> B, G2 |- D"
+                     " / G1, ~A, G2 |- D ; G1, B, G2 |- A, D",
+                     partial(_step_falsum, keep=True)),
         )),
-        _calc("dl2", DL2, False, _COMMON + _lattice((And,), (Or,)) + (
-            _Emp(), _TopR(), _COM(), _Odot(left=True), _ROdotSplit(left=False),
-            _LImplDL2(), _RImplMulti(verum_consequent=True),
+        _calc("dl2", DL2, False, _COMMON + (
+            _EMP, _TOP_R, _COM, _LAND, _LOR, _LODOT, _LIMPL_DL2,
+            Template(Rule.RAND, "G |- D1^pos, A & B, D2"
+                     " / G |- D1, A, D2 ; G |- D1, B, D2", _step_unit),
+            Template(Rule.ROR, "G |- D1^pos, A v B, D2"
+                     " / G |- D1, A, D2 | G |- D1, B, D2", _step_merge),
+            # the antecedent and the rest of the succedent are both split
+            Template(Rule.RODOT, "G1^k1, G2 |- D1^pos, A * B, D2"
+                     " / G1 |- A, E1 ; G2 |- B, E2 / D1, D2 = E1^k2, E2",
+                     _step_rodot_split),
+            _RIMPL._replace(step=partial(_step_rimpl_multi, verum=True)),
         )),
-        _calc("stl-inf", STL_INFTY, True, _MIN_MAX_RULES),
+        _calc("stl-inf", STL_INFTY, True, _MIN_MAX_RULES, _MIN_MAX_KINDS),
     )
 }  # fmt: skip
 
@@ -1253,27 +1111,23 @@ def check_proof(calc: CalculusDef, tree: ProofTree) -> None:
 # Semantic oracle
 
 
-def sequent_holds(
-    logic: LogicId, s: Sequent, env: Env = EMPTY_ENV, tol: float = 1e-9
-) -> bool:
+def sequent_holds(logic: LogicId, s: Sequent, tol: float = 1e-9) -> bool:
     """Truth of the inequality a sequent denotes under the given logic.
 
-    The formulas are evaluated over the logic's exact-check carrier and
-    compared as its ``SequentReading`` says.
+    The formulas, all closed, are evaluated over the logic's exact-check
+    carrier and compared as its ``SequentReading`` says.
     """
     spec = LOGICS[logic.kind]
-    lv = [interpret(logic, f, env, spec.carrier) for f in s.left]
-    rv = [interpret(logic, f, env, spec.carrier) for f in s.right]
+    lv = [interpret(logic, f, EMPTY_ENV, spec.carrier) for f in s.left]
+    rv = [interpret(logic, f, EMPTY_ENV, spec.carrier) for f in s.right]
     if spec.sequent is None:
         raise ValidationError(f"no sequent semantics for {logic.kind}")
     return spec.sequent.holds(lv, rv, tol)
 
 
-def hypersequent_holds(
-    logic: LogicId, h: Hypersequent, env: Env = EMPTY_ENV, tol: float = 1e-9
-) -> bool:
+def hypersequent_holds(logic: LogicId, h: Hypersequent, tol: float = 1e-9) -> bool:
     """A hypersequent holds iff some component's sequent holds."""
-    return any(sequent_holds(logic, s, env, tol) for s in h.components)
+    return any(sequent_holds(logic, s, tol) for s in h.components)
 
 
 # ---------------------------------------------------------------------------
@@ -1316,7 +1170,7 @@ def _extend_candidates(calc: CalculusDef, rng: random.Random, tree: ProofTree):
     (the first, if it is tree's conclusion) or else by axiom leaves."""
     results = []
     for spec in calc.table.values():
-        for params, conclusion in spec.extend(calc, rng, tree):
+        for params, conclusion in spec.step(spec, calc, rng, tree) if spec.step else ():
             inst = RuleInstance(spec.rule, params)
             premises = premises_for(calc, inst, conclusion)
             proofs = []

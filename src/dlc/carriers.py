@@ -212,7 +212,6 @@ class F64Carrier:
     """Plain float arithmetic."""
 
     name = "f64"
-    has_infinity = False
 
     @staticmethod
     def lift(r: float) -> float:
@@ -285,7 +284,6 @@ class XRealCarrier:
     """Extended reals; indeterminate forms raise instead of yielding NaN."""
 
     name = "xreal"
-    has_infinity = True
 
     @staticmethod
     def lift(r: float) -> XReal:
@@ -393,7 +391,6 @@ class DualCarrier:
     """
 
     name = "dual"
-    has_infinity = False
 
     @staticmethod
     def lift(r: float) -> Dual:

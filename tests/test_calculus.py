@@ -39,11 +39,13 @@ from dlc.calculus import (
 )
 from dlc.calculus import (
     _EEX,
+    _INIT,
+    _LIMPL_DL2,
+    _MIN_MAX_KINDS,
     _MIN_MAX_RULES,
     _MIX,
     _SEARCH_ORDER,
-    _Init,
-    _LImplDL2,
+    Template,
     _atom,
     _calc,
     _extend_candidates,
@@ -141,6 +143,19 @@ class TestSchemas:
         check_step(GOEDEL, RuleInstance(Rule.RAND, {"c": 1, "pos": 0}), h,
                    premises_for(GOEDEL, RuleInstance(Rule.RAND, {"c": 1}), h))
 
+    def test_sole_principal_formula_is_at_position_zero(self):
+        # a single-conclusion right rule's instance may name "pos" 0, where
+        # its principal formula is, and no other position
+        p, q = goedel_atom(1), goedel_atom(2)
+        h = Hypersequent([Sequent((p,), (p,)), Sequent((), (And((p, q)),))])
+        def rand(**params):
+            return premises_for(GOEDEL, RuleInstance(Rule.RAND, {"c": 1, **params}), h)
+
+        assert rand(pos=0) == rand()
+        for pos in (5, 1, -1):
+            with pytest.raises(SchemaMismatch, match="formula position out of range"):
+                rand(pos=pos)
+
     @pytest.mark.parametrize("value", [0.7, True, "0", None])
     def test_a_param_that_is_no_int_is_rejected(self, value):
         p, q = goedel_atom(1), goedel_atom(2)
@@ -233,37 +248,35 @@ def test_random_derivation_deterministic(name):
     assert a == b
 
 
-class _BadSwap(_EEX):
-    """eex whose forward step names a component pair that is not there."""
-
-    def extend(self, calc, rng, tree):
-        yield {"i": len(tree.conclusion.components)}, tree.conclusion
+def _bad_swap(spec, calc, rng, tree):
+    """An eex forward step that names a component pair that is not there."""
+    yield {"i": len(tree.conclusion.components)}, tree.conclusion
 
 
 def test_forward_step_the_schema_rejects_raises():
-    calc = _calc("goedel-bad-eex", GODEL, True, _MIN_MAX_RULES + (_BadSwap(),))
-    assert type(calc.table[Rule.EEX]) is _BadSwap
+    bad = _EEX._replace(step=_bad_swap)
+    calc = _calc("goedel-bad-eex", GODEL, True, _MIN_MAX_RULES + (bad,), _MIN_MAX_KINDS)
+    assert calc.table[Rule.EEX].step is _bad_swap
     with pytest.raises(SchemaMismatch, match="eex: adjacent component index"):
         random_derivation(calc, "bad", 2)
 
 
-class _MixSteps(_MIX):
+def _mix_steps(spec, calc, rng, tree):
     """Three mix steps on a one-component tree p |- p: psi |- psi after it,
     which init closes; psi |- chi after it, which no axiom closes; and
     psi |- psi before it, whose first premise is not tree's conclusion."""
-
-    def extend(self, calc, rng, tree):
-        (s,) = tree.conclusion.components
-        psi, chi = _atom(1, calc.profile), _atom(2, calc.profile)
-        for right in (psi, chi):
-            conclusion = Hypersequent([Sequent(s.left + (psi,), s.right + (right,))])
-            yield {"c": 0, "k1": len(s.left), "k2": len(s.right)}, conclusion
-        yield {"c": 0, "k1": 1, "k2": 1}, Hypersequent(
-            [Sequent((psi,) + s.left, (psi,) + s.right)])
+    (s,) = tree.conclusion.components
+    psi, chi = _atom(1, calc.profile), _atom(2, calc.profile)
+    for right in (psi, chi):
+        conclusion = Hypersequent([Sequent(s.left + (psi,), s.right + (right,))])
+        yield {"c": 0, "k1": len(s.left), "k2": len(s.right)}, conclusion
+    yield {"c": 0, "k1": 1, "k2": 1}, Hypersequent(
+        [Sequent((psi,) + s.left, (psi,) + s.right)])
 
 
 def test_forward_step_without_a_leaf_is_dropped():
-    calc = _calc("init-mix", LUKASIEWICZ, False, (_Init(), _MixSteps()))
+    mix = _MIX._replace(step=_mix_steps)
+    calc = _calc("init-mix", LUKASIEWICZ, False, (_INIT, mix))
     p, psi = _atom(3, calc.profile), _atom(1, calc.profile)
     tree = ProofTree(Hypersequent([Sequent((p,), (p,))]),
                      RuleInstance(Rule.INIT, {"c": 0}))
@@ -305,27 +318,48 @@ def test_rule_local_soundness_fast_sweep(name):
         assert rep["premises_held"] > 0, (name, rule.value)
 
 
-class _LImplDL2Keeping(_LImplDL2):
-    """DL2 limpl with only one of its two premises, the one at index keep."""
+def _dropped(template, keep):
+    """The template with only its premise at index keep."""
+    conclusion, premises = template.text.split("/")
+    return template._replace(text=f"{conclusion}/{premises.split(';')[keep]}")
 
-    def __init__(self, keep):
-        self.keep = keep
 
-    def premises(self, calc, inst, h, c, s, pos, f):
-        return [list(super().premises(calc, inst, h, c, s, pos, f))[self.keep]]
+# Planted unsound rules: (calculus, rule, the one premise a drop-premise
+# mutant keeps) -> ("killed", by criterion 7's trials) or ("equivalent",
+# with the argument).
+MUTANTS = {
+    ("dl2", "limpl", 0): ("equivalent", "G |- D gives G, A -> B |- D, since "
+                          "[A -> B] <= 0 (the comment at _LIMPL_DL2)"),
+    ("dl2", "limpl", 1): ("equivalent", "G, B |- A, D gives G, A -> B |- D "
+                          "where a >= b and where a < b (ibid.)"),
+}
 
 
 @pytest.mark.parametrize("keep", [0, 1])
 def test_dl2_limpl_is_sound_with_either_premise_alone(keep):
-    """Both drop-premise mutants of DL2 limpl are equivalent (the argument is
-    in _LImplDL2's docstring): criterion 7's trials find no violation."""
+    """Both drop-premise mutants of DL2 limpl are equivalent (MUTANTS):
+    criterion 7's trials find no violation."""
+    assert MUTANTS["dl2", "limpl", keep][0] == "equivalent"
     dl2 = CALCULI["dl2"]
-    specs = [s for s in dl2.table.values() if s.rule is not Rule.LIMPL]
-    calc = _calc("dl2", DL2, dl2.single_conclusion, specs + [_LImplDL2Keeping(keep)])
+    templates = [s.template for s in dl2.table.values() if s.rule is not Rule.LIMPL]
+    calc = _calc("dl2", DL2, dl2.single_conclusion,
+                 templates + [_dropped(_LIMPL_DL2, keep)])
     inst, conclusion = _random_instance(calc, Rule.LIMPL, random.Random(0))
     assert len(premises_for(calc, inst, conclusion)) == 1
     rep = rule_local_soundness(calc, Rule.LIMPL, 1000, "acceptance")
     assert rep["violations"] == [] and rep["premises_held"] > 0
+
+
+@pytest.mark.parametrize("text, message", [
+    ("G1^k1, G2 |- D / G1 |- A", "A is not bound by the conclusion"),
+    ("G1^k, G2 |- D1^k, D2 / G1 |- D1 ; G2 |- D2", "param k named twice"),
+    ("G1, G2 |- D / G1 |- D", "split with no param name"),
+    ("G1^, G2 |- D / G1 |- D", "want a name or name\\^param"),
+    ("G1^pos, F, G2 |- D / G1, G2 |- D", "only an axiom tests formulas"),
+])
+def test_a_malformed_template_raises(text, message):
+    with pytest.raises(ValueError, match=message):
+        _calc("bad", LUKASIEWICZ, False, (_INIT, Template(Rule.MIX, text)))
 
 
 def golden_values(name):
@@ -354,34 +388,34 @@ GOLDEN = {
         "2a149c83e2df81abffa7b7156a847aea4c4d66ba5bf6e107e79aba99ce7c7d79",
         {"com": 26, "ec": 45, "eex": 46, "emp": 50, "ew": 32, "init": 50,
          "land": 44, "lex": 44, "limpl": 36, "lodot": 45, "lor": 43,
-         "rand": 38, "rex": 34, "rimpl": 42, "rodot": 28, "ror": 37,
-         "topr": 50, "weakl": 41},
+         "rand": 38, "rex": 36, "rimpl": 42, "rodot": 28, "ror": 37,
+         "topr": 50, "weakl": 39},
     ),
     "goedel": (
         "9f4c9a5ab0763144c8489785be522f8d35c60faebee187592de0499a0d34f338",
         {"botl": 50, "com": 19, "contrl": 38, "ec": 31, "eex": 37, "ew": 28,
-         "init": 50, "land": 35, "lex": 39, "limpl": 34, "lor": 32,
-         "rand": 34, "rex": 46, "rimpl": 43, "ror": 36, "topr": 50,
-         "weakl": 31},
+         "init": 50, "land": 35, "lex": 40, "limpl": 34, "lor": 32,
+         "rand": 34, "rex": 43, "rimpl": 43, "ror": 36, "topr": 50,
+         "weakl": 30},
     ),
     "lukasiewicz": (
         "1bcdaf3d19929956ada01722f573c2af5d4c6f8a8895543e17a20954e825963d",
         {"botl": 50, "ec": 45, "eex": 44, "emp": 50, "ew": 35, "init": 50,
-         "lex": 40, "limpl": 38, "mix": 45, "rex": 31, "rimpl": 34,
-         "split": 26, "weakl": 41},
+         "lex": 44, "limpl": 38, "mix": 45, "rex": 26, "rimpl": 34,
+         "split": 26, "weakl": 38},
     ),
     "product": (
         "951b7359e6e210690da2fae403657a7c59d718a43625cd0555f015cb82ecc727",
         {"botl": 50, "ec": 40, "eex": 45, "emp": 50, "ew": 38, "init": 50,
-         "lex": 44, "limpl": 40, "lneg": 38, "lodot": 44, "mix": 41,
-         "rex": 30, "rimpl": 39, "rodot": 28, "split": 32, "weakl": 31},
+         "lex": 46, "limpl": 40, "lneg": 38, "lodot": 44, "mix": 41,
+         "rex": 34, "rimpl": 39, "rodot": 28, "split": 32, "weakl": 31},
     ),
     "stl-inf": (
         "e4df0e71d2e5aa7c04f77a154adaf8531c59a161e35154db0231ef9252f05486",
         {"botl": 50, "com": 14, "contrl": 37, "ec": 35, "eex": 32, "ew": 25,
-         "init": 50, "land": 35, "lex": 43, "limpl": 30, "lor": 33,
-         "rand": 25, "rex": 39, "rimpl": 41, "ror": 36, "topr": 50,
-         "weakl": 22},
+         "init": 50, "land": 35, "lex": 37, "limpl": 30, "lor": 33,
+         "rand": 25, "rex": 43, "rimpl": 41, "ror": 36, "topr": 50,
+         "weakl": 18},
     ),
 }
 

@@ -17,7 +17,7 @@ from dlc import cli
 from dlc.calculus import CALCULI, fixtures_dir, _atom
 from dlc.cli import _emit, _json_text, run
 from dlc.errors import ValidationError
-from dlc.core import Not, _node_to_json
+from dlc.core import And, Not, _node_to_json
 
 FIX = fixtures_dir()
 SPEC = str(FIX / "robustness.spec")
@@ -259,6 +259,26 @@ class TestProof:
         assert run(["proof", "check", str(path)]) == 1
         rep = json.loads(capsys.readouterr().out)
         assert not rep["passed"] and "zzz" in rep["detail"]
+
+    @pytest.mark.parametrize("pos, code", [(0, 0), (5, 1)])
+    def test_check_sole_principal_position(self, tmp_path, capsys, pos, code):
+        # Gödel's rand takes p & p from the succedent it is alone in, so its
+        # position is 0 and no other
+        pf = CALCULI["goedel"].profile
+        p, conj = (_node_to_json(f) for f in (_atom(1, pf), And((_atom(1, pf),) * 2)))
+        leaf = {"conclusion": [{"left": [p], "right": [p]}],
+                "rule": {"id": "init", "params": {"c": 0}}, "premises": []}
+        doc = {"version": "dlc-proof/1", "calculus": "goedel", "tree": {
+            "conclusion": [{"left": [p], "right": [conj]}],
+            "rule": {"id": "rand", "params": {"c": 0, "pos": pos}},
+            "premises": [leaf, leaf]}}
+        path = tmp_path / "rand.json"
+        path.write_text(json.dumps(doc))
+        assert run(["proof", "check", str(path)]) == code
+        rep = json.loads(capsys.readouterr().out)
+        assert rep["passed"] == (code == 0)
+        if code:
+            assert "rand: formula position out of range" in rep["detail"]
 
     def test_check_wrong_calculus_fails(self, tmp_path):
         code = run(

@@ -1,7 +1,8 @@
 """Every name a module of the package imports is used in that module,
 every module-level private function, class or assigned name is referenced
-somewhere in the package, and every public function or class is referenced
-there or named in the README."""
+somewhere in the package, and every public function or class, and every
+name a plain assignment binds in the body of a module-level class that is
+no Enum, is referenced there or named in the README."""
 
 import ast
 import re
@@ -60,10 +61,32 @@ def _assigned(tree: ast.Module):
             targets = [node.target]
         else:
             continue
-        for target in targets:
-            for n in ast.walk(target):
-                if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Store):
-                    yield n.id, node.lineno
+        for name in _bound(targets):
+            yield name, node.lineno
+
+
+def _bound(targets):
+    """Each name the assignment targets bind."""
+    for target in targets:
+        for n in ast.walk(target):
+            if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Store):
+                yield n.id
+
+
+def _class_assigned(tree: ast.Module):
+    """(Class.name, line) of each name a plain assignment binds in the body
+    of a module-level class that is no Enum (whose members are read by
+    value), dunders aside."""
+    for node in tree.body:
+        if not isinstance(node, ast.ClassDef) or any(
+            getattr(b, "id", getattr(b, "attr", None)) == "Enum" for b in node.bases
+        ):
+            continue
+        for stmt in node.body:
+            if isinstance(stmt, ast.Assign):
+                for name in _bound(stmt.targets):
+                    if not name.endswith("__"):
+                        yield f"{node.name}.{name}", stmt.lineno
 
 
 def _private_defs(tree: ast.Module):
@@ -109,6 +132,34 @@ def test_no_unreferenced_public_definitions():
     assert not dead, (
         f"public definitions nothing in dlc references and the README does "
         f"not name: {dead}")
+
+
+def test_no_unreferenced_class_attributes():
+    trees = {p.name: ast.parse(p.read_text(), filename=str(p)) for p in SOURCES}
+    known = set().union(*map(_referenced, trees.values()))
+    known |= set(re.findall(r"\w+", README.read_text()))
+    dead = [f"{name}: {d} (line {line})" for name, tree in trees.items()
+            for d, line in _class_assigned(tree) if d.split(".")[1] not in known]
+    assert not dead, (
+        f"class attributes nothing in dlc reads and the README does not "
+        f"name: {dead}")
+
+
+def test_the_scan_finds_an_unreferenced_class_attribute():
+    tree = ast.parse(
+        "import enum\n"
+        "class Carrier:\n    name = 'f'\n    has_inf = False\n"
+        "    a, (b, _c) = 1, (2, 3)\n    __slots__ = ()\n    ann: int = 0\n"
+        "    def lift(self): return self.name\n"
+        "class Color(enum.Enum):\n    RED = 1\n"
+        "class Kind(Enum):\n    BLUE = 2\n"
+        "def f(c): return c.a + _c\n"
+    )
+    assert {d for d, _ in _class_assigned(tree)} == {
+        "Carrier.name", "Carrier.has_inf", "Carrier.a", "Carrier.b", "Carrier._c"}
+    assert {d for d, _ in _class_assigned(tree)
+            if d.split(".")[1] not in _referenced(tree)} == {
+        "Carrier.has_inf", "Carrier.b"}
 
 
 def test_the_scan_finds_an_unreferenced_private_definition():
