@@ -13,10 +13,10 @@ conclusion and premises, as in the rule's figure.  Each calculus lists the
 variants it uses (``CALCULI``).  ``RuleSpec`` reads a template once into the
 rule's params and bounds and its shape, and on first use compiles it into
 Python functions: the schema (range and shape checks, then the premises),
-``build`` (the premises alone, which backward search reads into per-call
-tables), an axiom's component test and the instances search tries.  The
-forward steps soundness fuzzing grows derivations by, and the axioms' leaf
-draws, are plain functions the templates name.
+an axiom's component test, the instances backward search tries and
+``tries``, their premises as plain tuples, which search reads into per-call
+tables.  The forward steps soundness fuzzing grows derivations by, and the
+axioms' leaf draws, are plain functions the templates name.
 """
 
 from __future__ import annotations
@@ -28,7 +28,7 @@ from contextlib import contextmanager
 from dataclasses import dataclass, field
 from enum import Enum
 from functools import cached_property, lru_cache, partial
-from itertools import repeat, tee
+from itertools import chain, islice, tee
 from typing import (
     Callable, Dict, List, NamedTuple, Optional, Sequence, Tuple,
 )  # fmt: skip
@@ -396,7 +396,7 @@ class _Compiler:
                 self.where = " + ".join(self.env[n] for n in names)
                 self.lay([_item(x, True) for x in pattern], "r0",
                          _plus({}, *map(self.sizes.__getitem__, names)), "context")
-            self.premises = [self.premise(p) for p in premises]
+            self.premises = [(self.premise(p), self.premise(p, True)) for p in premises]
         except KeyError as e:
             raise ValueError(f"{self.rule}: {e.args[0]} is not bound by the conclusion")
         keys = {_key(s, False) for s in self.seqs}
@@ -487,8 +487,9 @@ class _Compiler:
                 self.env.update(zip(it[2], (f"f.{op}" for op in ops)))
         return least
 
-    def premise(self, items: list) -> str:
-        """Source of a premise hypersequent."""
+    def premise(self, items: list, pair: bool = False) -> str:
+        """Source of a premise's components, a tuple, in which a component the
+        conclusion lacks is a new Sequent, or a (left, right) pair."""
         def part(x):  # a tuple's source, or an element's in a 1-tuple
             if x[0] in ("list", "var"):
                 return self.env[x[1]] if x[0] == "list" else (self.env[x[1]],)
@@ -497,9 +498,10 @@ class _Compiler:
                 return (f"_make({_KINDS[x[1]][0].__name__}, {args})",)
             same = [f"s{n}" for n, s in enumerate(self.keys) if s == _key(x)]
             sides = (_concat(list(map(part, side))) for side in x[1:])
-            return (same[0] if same else "Sequent({}, {})".format(*sides),)
+            new = "({}, {})" if pair else "Sequent({}, {})"
+            return (same[0] if same else new.format(*sides),)
 
-        return f"Hypersequent({_concat(list(map(part, items)))})"
+        return _concat(list(map(part, items)))
 
     @cached_property
     def declared(self) -> Tuple[Param, ...]:
@@ -508,39 +510,37 @@ class _Compiler:
 
     @lru_cache(maxsize=None)
     def code(self, search: bool):
-        """The code of the instances search lists (search), or of schema and
-        build or an axiom's match; compiled on first use, since compiling is
-        most of what a rule costs."""
+        """The code of what search reads (search): the instances it lists and,
+        in the same loops, the premises of each (``tries``); or of the schema
+        or an axiom's match.  Compiled on first use, since compiling is most
+        of what a rule costs."""
         rule, p, premises = self.rule, self.principal, self.premises
         names = [x.name for x in self.params]
         made = [f"f = {p[1]}"] if p else []
         made += [f"r0 = {self.where}"] if self.where else []
-        listed = f"return [{', '.join(premises)}]"
-        build = ["comps = h.components", *(f"{n} = p[{n!r}]" for n in names)]
-        build += ["pos = p['pos']"] * bool(p and p[3]) + self.binds + made + (
-            [f"yield {x}" for x in premises] if len(premises) > 1 else [listed])
         schema = ["q = inst.params", "comps = h.components"]
         known = tuple(sorted({*names, "pos"} if p else names))
         count = "len(q) - ('pos' in q)" if p else "len(q)"
         schema += self.checks
         unknown = f"{rule}: unknown params {{q.keys() - {known!r}}}"
         schema.append(f"if {count} != {len(names)}: _fail(f{unknown!r})")
-        # instances: q and each param over its range (or searched value), in order
-        listing, indent = ["found = []"], ""
-        if p:
-            listing += ["c = q['c']", *self.binds]
+        # q and each param over its range (or searched value), in order
+        head, loops, indent = ["c = q['c']", *self.binds] if p else [], [], ""
         for x in self.params[bool(p) :]:
             lo, hi = self.range[x.name]
             over = f"range({lo}, {_src(_plus(hi, {'': 1}), self.local)})"
             if x.searched is not None:
                 within = f"{lo} <= {x.searched} <= {_src(hi, self.local)}"
                 over = f"({x.searched},) if {within} else ()"
-            listing.append(f"{indent}for {x.name} in {over}:")
+            loops.append(f"{indent}for {x.name} in {over}:")
             indent += "    "
-            listing += [indent + b for b in self.binds if x is self.params[0] and not p]
+            loops += [indent + b for b in self.binds if x is self.params[0] and not p]
         new = "".join(f", {n!r}: {n}" for n in names[bool(p) :])
-        listing.append(f"{indent}found.append(RuleInstance(R, {{**q{new}}}))")
-        listing.append("return found")
+        found = f"{indent}found.append(RuleInstance(R, {{**q{new}}}))"
+        listing = ["found = []", *head, *loops, found, "return found"]
+        tries = [*head, *["pos = q['pos']"] * bool(p and p[3]), *made, *loops,
+                 f"{indent}yield ({''.join(x + ', ' for _, x in premises)})"]
+        searched = {"instances(comps, q)": listing, "tries(comps, q)": tries}
         funcs = {"schema(calc, inst, h)": schema}
         test = " and ".join([t for t, _, _ in self.sized] + self.tests)
         if not premises:  # an axiom: one test, match
@@ -556,8 +556,7 @@ class _Compiler:
                          f"    if {test}:",
                          f"        return {{{a!r}: {a}}}"]  # fmt: skip
             funcs["match(s0, pos=None)"] = [*match, "return None"]
-        else:  # a rule with premises: their builder, and the instances search lists
-            funcs.update({"build(calc, h, p)": build, "instances(comps, q)": listing})
+        else:  # a rule with premises
             for t, side, n in self.sized:
                 what = "a single formula" if n == 1 else f"{n} formulas"
                 msg = f"{rule}: {side} must be {what}"
@@ -567,9 +566,12 @@ class _Compiler:
                 wrong = f"{rule}: principal formula has the wrong connective or arity"
                 schema += [f"pos = {at}" if p[3] else f"if 'pos' in q: {at}",
                            f"if not matches({p[1]}): _fail({wrong!r})"]
-            schema.append("return list(build(calc, h, q))")
+            listed = ", ".join(f"Hypersequent({x})" for x, _ in premises)
+            schema += [*made, f"return [{listed}]"]
+        if search:  # an axiom lists no instance
+            funcs = searched if premises else {}
         src = "".join(f"def {h}:\n" + "".join(f"    {x}\n" for x in body)
-                      for h, body in funcs.items() if h.startswith("inst") == search)
+                      for h, body in funcs.items())
         return compile(src, f"<{rule} template>", "exec")
 
 
@@ -587,8 +589,12 @@ class RuleSpec:
     generated functions are compiled on the first use of one.  ``params``:
     each param but a logical rule's "pos", in draw order.  ``schema(calc,
     inst, h)`` checks an instance (its params' ranges, the conclusion's
-    shape) and lists its premises; ``build(calc, h, p)``, which search
-    calls, builds those of params in range, two one at a time.  An axiom's
+    shape) and lists its premises.  Backward search reads two functions of
+    a conclusion's components and the params q it fixes (a logical rule's
+    "c", and "pos" unless sole), generated in the same loops:
+    ``instances(comps, q)`` lists the instances it tries, and ``tries(comps,
+    q)`` yields the premises of each in turn, as a tuple of component
+    tuples, a new component a (left, right) pair.  An axiom's
     ``match(s, pos=None)``: the params besides "c" under which s is an
     instance, its formula at pos or first found; None if none.  A logical
     rule's ``matches(f)`` tests a principal formula's connective (``kinds``,
@@ -616,16 +622,15 @@ class RuleSpec:
         ns = dict(_GLOBALS, rule=c.rule, R=self.rule)
         if name == "params":
             self.params = c.declared
-        elif name == "instances":
+        elif name in ("instances", "tries"):
             exec(c.code(True), ns)
-            self.instances = ns["instances"]
-        elif name in ("schema", "build", "match", "matches"):
+            self.instances, self.tries = ns.get("instances"), ns.get("tries")
+        elif name in ("schema", "match", "matches"):
             nary = bool(kinds) and issubclass(kinds[0], _Nary)
             self.matches = ns["matches"] = (lambda f: isinstance(f, kinds) and (
                 not nary or len(f.children) == 2)) if kinds else None  # fmt: skip
             exec(c.code(False), ns)
-            self.schema, self.build = ns["schema"], ns.get("build")
-            self.match = ns.get("match")
+            self.schema, self.match = ns["schema"], ns.get("match")
         else:
             raise AttributeError(name)
         return getattr(self, name)
@@ -1326,11 +1331,15 @@ def prove_bounded(
     window has one premise table per rule kind (the logical rules, or one
     structural spec): for each instance search tries on the window alone,
     in search order, its index among them and the id tuples its premises
-    put in place of the window.  The spec's ``build`` fills a table, as
+    put in place of the window.  The specs' ``tries`` fill a table, as
     readers reach its entries (with no range check: search lists only
     instances in range), and a node at budget 2 or more reads its
-    premises from the tables.  Proof objects are built only for the proof
-    returned, from the indices of its instances.
+    premises from the tables.  A window alone is a tuple of sequents, and
+    a premise a tuple of components, a new one a (left, right) pair; a
+    Sequent is made only for a sequent given a new id.  Proof objects are
+    made only for the proof returned: a Hypersequent per node below the
+    goal, and each instance re-read by its index from the spec's
+    ``instances``.
 
     A node with budget 1 (the frontier) needs an instance whose every
     premise has an axiom leaf.  For each window and rule kind the frontier
@@ -1356,10 +1365,11 @@ def prove_bounded(
 
     The ids, tables, flags and memo belong to the call; no state outlives
     it.  If ``work`` is a dict, the call writes its counts into it when it
-    returns: nodes expanded, memo prunes, frontier hits (an entry looked up
-    again) and misses (an entry built), streak cuts (nodes at budget 2 or
-    more whose structural instances the streak cap skipped), and premise
-    table hits (a table looked up again) and misses (a table made).
+    returns: sequents (the distinct sequents given ids), nodes expanded,
+    memo prunes, frontier hits (an entry looked up again) and misses (an
+    entry built), streak cuts (nodes at budget 2 or more whose structural
+    instances the streak cap skipped), and premise table hits (a table
+    looked up again) and misses (a table made).
     """
     _validate(calc, goal)
     windows = calc.windows
@@ -1370,7 +1380,6 @@ def prove_bounded(
     axiom: List[Optional[tuple]] = []  # id -> its first axiom match
     axioms = set()  # ids of the axiom instances
     logical_of: Dict[int, List[tuple]] = {}  # id -> its logical matches
-    alone: Dict[object, Hypersequent] = {}  # window key -> the window alone
     failed: Dict[tuple, int] = {}
     path = set()  # the nodes from the goal to the one being expanded
     # per window kind (an index into windows), keyed by the window's id (one
@@ -1387,11 +1396,14 @@ def prove_bounded(
     expanded = pruned = hits = cuts = table_hits = 0
 
     def ident(s):
-        """The id of the sequent s, given when s is new."""
-        key = s.left, s.right
+        """The id of s, a Sequent or a (left, right) pair, given when s is
+        new; a new pair is made a Sequent then."""
+        key = s if s.__class__ is tuple else (s.left, s.right)
         i = ids.get(key)
         if i is None:
             i = ids[key] = len(seqs)
+            if key is s:
+                s = Sequent(*s)
             seqs.append(s)
             match = _axiom_match(calc, s)
             axiom.append(match)
@@ -1401,33 +1413,26 @@ def prove_bounded(
             by_structural.append(None)
         return i
 
-    def instances(win, key):
-        """The window alone, as a hypersequent, and the (spec, instance) of
-        each instance of the window kind win that search tries on it, in
-        search order."""
-        h = alone.get(key)
-        if h is None:
-            window = (seqs[key],) if win[1] == 1 else map(seqs.__getitem__, key)
-            h = alone[key] = Hypersequent(window)
+    def listed(win, key, what):
+        """What the window kind win lists on the window key alone, in search
+        order: the premises of each instance (what "tries") or the instances
+        (what "instances"), as the specs' functions of that name give them."""
         spec = win[0]
         if spec is not None:
-            return h, list(zip(repeat(spec), spec.search(calc, h)))
+            alone = tuple(map(seqs.__getitem__, key)) if win[1] == 2 else (seqs[key],)
+            return getattr(spec, what)(alone, {})
         matches = logical_of.get(key)
         if matches is None:
             matches = logical_of[key] = _logical_matches(calc, seqs[key])
-        return h, [
-            (spec, inst)
-            for spec, pos in matches
-            for inst in spec.search_at(calc, seqs[key], 0, pos)
-        ]
+        return chain.from_iterable(getattr(spec, what)((seqs[key],), spec.where(0, pos))
+                                   for spec, pos in matches)  # fmt: skip
 
-    def entries(h, found):
-        """(k, premises) of each of the instances found on the window alone
-        h: k indexes found, and each premise is the id tuple it puts in
-        place of the window."""
-        for k, (spec, inst) in enumerate(found):
-            yield k, tuple([tuple(map(ident, p.components))
-                            for p in spec.build(calc, h, inst.params)])  # fmt: skip
+    def entries(tried):
+        """(k, premises) of each instance tried lists the premises of: k its
+        index, and each premise the id tuple it puts in place of the
+        window."""
+        for k, premises in enumerate(tried):
+            yield k, tuple([tuple(map(ident, p)) for p in premises])
 
     def closing(table):
         """(k, leaves) of the first of table's entries whose every premise
@@ -1446,17 +1451,17 @@ def prove_bounded(
                 return k, leaves
         return None
 
-    def closing_alone(h, insts):
-        """closing for a window that has no premise table: the premises of
-        insts on the window alone h are built one at a time, up to the
-        first with no axiom component, and a premise's components get ids
-        only up to its first axiom."""
-        for k, (spec, inst) in enumerate(insts):
+    def closing_alone(tried):
+        """closing for a window that has no premise table, read from the
+        premises of each instance tried lists: a premise's components get
+        ids only up to its first axiom, and an instance's premises only up
+        to the first with none."""
+        for k, premises in enumerate(tried):
             leaves = []
-            for p in spec.build(calc, h, inst.params):
-                for j, s in enumerate(p.components):
+            for p in premises:
+                for j, s in enumerate(p):
                     if ident(s) in axioms:
-                        leaves.append((tuple(map(ident, p.components)), j))
+                        leaves.append((tuple(map(ident, p)), j))
                         break
                 else:
                     break
@@ -1475,10 +1480,10 @@ def prove_bounded(
             return got
         table = tables[j].get(key)
         if table is None:
-            got = closing_alone(*instances(windows[j], key))
+            got = closing_alone(listed(windows[j], key, "tries"))
         else:
             table_hits += 1
-            got = closing(table and table.__copy__())
+            got = closing(table.__copy__())
         found[key] = got
         return got
 
@@ -1591,14 +1596,11 @@ def prove_bounded(
                 for c, key in enumerate(keys[first:], first):
                     table = by_window.get(key)
                     if table is None:
-                        h, insts = instances(win, key)
                         # read through copies, and built as readers reach it
-                        table = tee(entries(h, insts), 1)[0] if insts else ()
-                        by_window[key] = table
+                        tried = listed(win, key, "tries")
+                        table = by_window[key] = tee(entries(tried), 1)[0]
                     else:
                         table_hits += 1
-                    if not table:
-                        continue
                     head, tail = n[:c], n[c + width :]
                     for k, premises in table.__copy__():
                         premises = [head + r + tail for r in premises]
@@ -1629,12 +1631,13 @@ def prove_bounded(
                 path.discard(n)
 
     def built(plan, h):
-        """The proof tree of plan, whose node is h."""
+        """The proof tree of plan, whose node is h; its instance is the k-th
+        the window lists."""
         n, win, c, k, subs = plan
         if k is None:
             return _axiom_leaf(h, c, axiom[n[c]])
         key = n[c] if win[1] == 1 else n[c : c + 2]
-        inst = _shifted(instances(win, key)[1][k][1], c)
+        inst = _shifted(next(islice(listed(win, key, "instances"), k, None)), c)
         return ProofTree(h, inst, tuple([
             built(p, Hypersequent(map(seqs.__getitem__, p[0]))) for p in subs
         ]))  # fmt: skip
@@ -1645,8 +1648,9 @@ def prove_bounded(
     finally:
         if work is not None:
             work.update(
-                nodes_expanded=expanded, memo_prunes=pruned, frontier_hits=hits,
-                frontier_misses=sum(map(len, closes)), streak_cuts=cuts,
+                sequents=len(seqs), nodes_expanded=expanded, memo_prunes=pruned,
+                frontier_hits=hits, frontier_misses=sum(map(len, closes)),
+                streak_cuts=cuts,
                 table_hits=table_hits, table_misses=sum(map(len, tables)),
             )  # fmt: skip
         # search and built reach themselves through the closures' cells, so

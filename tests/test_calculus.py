@@ -1136,21 +1136,76 @@ def test_declared_bounds_are_the_range_the_schema_takes(name):
 
 @pytest.mark.parametrize("name", sorted(CALCULI))
 def test_searched_instances_pass_the_schema_check(name):
-    # prove_bounded builds the premises of the instances search lists
-    # without the range check: each must pass it, with the same premises
+    # prove_bounded reads the premises of the instances search lists from
+    # the rule's tries, which runs no range check: each instance must pass
+    # it, and the premises tries yields for the k-th instance must be the
+    # schema's, a component the schema builds as a (left, right) pair
     calc = CALCULI[name]
     rng = random.Random(f"searched/{name}")
     rules = set()
+
+    def sides(comps):
+        return tuple(x if type(x) is tuple else (x.left, x.right) for x in comps)
+
     for _ in range(300):
         comps = [_rand_sequent(calc, rng) for _ in range(rng.randint(1, 3))]
         h = Hypersequent(comps)
-        logical, structural = _reference_instances(calc, h)
-        for inst in logical + structural:
-            built = list(calc.table[inst.rule].build(calc, h, inst.params))
-            assert premises_for(calc, inst, h) == built, (inst, _hyper_to_json(h))
-            rules.add(inst.rule)
+        listed = []
+        for c, s in enumerate(h.components):
+            for left, specs in calc.logical.items():
+                if not left and calc.single_conclusion and len(s.right) != 1:
+                    break
+                for pos, f in enumerate(s.left if left else s.right):
+                    for spec in specs:
+                        if spec.matches(f):
+                            tried = spec.tries(h.components, spec.where(c, pos))
+                            listed.append((spec.search_at(calc, s, c, pos), tried))
+        for rule in _SEARCH_ORDER:
+            if rule in calc.table:
+                spec = calc.table[rule]
+                listed.append((spec.search(calc, h), spec.tries(h.components, {})))
+        for insts, tried in listed:
+            tried = list(tried)
+            assert len(tried) == len(insts), _hyper_to_json(h)
+            for inst, premises in zip(insts, tried):
+                want = [sides(p.components) for p in premises_for(calc, inst, h)]
+                assert list(map(sides, premises)) == want, (inst, _hyper_to_json(h))
+                rules.add(inst.rule)
     assert {r for r in _SEARCH_ORDER if r in calc.rules} <= rules
     assert rules - set(_SEARCH_ORDER)  # some logical rule too
+
+
+def _counting(monkeypatch, *classes):
+    """Count each class's constructor calls from now on."""
+    counts = dict.fromkeys(classes, 0)
+    for cls in classes:
+        def init(self, *args, _cls=cls, _init=cls.__init__):
+            counts[_cls] += 1
+            _init(self, *args)
+        monkeypatch.setattr(cls, "__init__", init)
+    return counts
+
+
+def _nodes(tree):
+    return 1 + sum(map(_nodes, tree.premises))
+
+
+def test_search_constructs_objects_only_for_new_ids_and_the_proof(monkeypatch):
+    # search reads premises as tuples: a Sequent is made only for a sequent
+    # given a new id, and a Hypersequent only for a node of the proof below
+    # the goal
+    goals = {a + d: g for a, d, g in weak_completeness_goals(GOEDEL)}
+    counts = _counting(monkeypatch, Sequent, Hypersequent)
+    work = {}
+    assert prove_bounded(GOEDEL, goals["R7le"], 6, work=work) is None
+    assert counts[Hypersequent] == 0
+    assert 0 < counts[Sequent] <= work["sequents"], (counts, work)
+    for key, budget in (("R1le", 12), ("R4le", 10), ("R7le", 12)):
+        counts.update(dict.fromkeys(counts, 0))
+        tree = prove_bounded(GOEDEL, goals[key], budget, work=work)
+        assert tree is not None and _nodes(tree) > 2, key
+        assert counts[Hypersequent] == _nodes(tree) - 1, key
+        assert counts[Sequent] <= work["sequents"], (key, counts, work)
 
 
 def test_search_work_counts_repeat():
@@ -1160,8 +1215,8 @@ def test_search_work_counts_repeat():
     prove_bounded(GOEDEL, goal, 6, work=again)
     assert first == again
     assert set(first) == {
-        "nodes_expanded", "memo_prunes", "frontier_hits", "frontier_misses",
-        "streak_cuts", "table_hits", "table_misses",
+        "sequents", "nodes_expanded", "memo_prunes", "frontier_hits",
+        "frontier_misses", "streak_cuts", "table_hits", "table_misses",
     }
     assert all(v > 0 for v in first.values()), first
 

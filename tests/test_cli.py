@@ -487,8 +487,8 @@ def _search_goal(tmp_path):
 
 
 WORK_KEYS = {
-    "nodes_expanded", "memo_prunes", "frontier_hits", "frontier_misses",
-    "streak_cuts", "table_hits", "table_misses",
+    "sequents", "nodes_expanded", "memo_prunes", "frontier_hits",
+    "frontier_misses", "streak_cuts", "table_hits", "table_misses",
 }
 
 
