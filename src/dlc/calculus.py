@@ -959,7 +959,7 @@ _COM = Template(Rule.COM, "G1^k1, G2 |- D1 | T1^k2, T2 |- D2"
                 " / G1, T1 |- D1 ; G2, T2 |- D2", _step_com)  # fmt: skip
 _SPLIT = Template(Rule.SPLIT, "G1 |- D1 | G2 |- D2 / G1, G2 |- D1, D2", _step_split)
 _MIX = Template(Rule.MIX, "G1^k1, G2 |- D1^k2, D2 / G1 |- D1 ; G2 |- D2", _step_mix)
-_WEAK_L = Template(Rule.WEAK_L, "G, S^k |- D / G |- D", _step_weakl, searched={"k": 1})
+_WEAK_L = Template(Rule.WEAK_L, "G, S^k |- D / G |- D", _step_weakl)
 _CONTR_L = Template(Rule.CONTR_L, "G, S^k |- D / G, S, S |- D", _step_contrl)
 _LEX = Template(Rule.LEX, "G1^pos, A, B, G2 |- D / G1, B, A, G2 |- D",
                 partial(_step_pair, left=True))  # fmt: skip
