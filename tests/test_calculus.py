@@ -1275,12 +1275,12 @@ def test_search_round_trip_misses_only_the_pinned_goals(name):
 # nodes expanded and the memo prunes, which follow the search's course
 # alone: a change to how premises are found or built must keep it.
 # Two round-trip goals are searched at their depth only: at depth + 2
-# (budget 7) they took 12.0-13.9 s (stl-inf 384) and 3.0-3.2 s (dl2 349) of
+# (budget 7) they took 12.0-13.9 s (stl-inf 384) and 3.0-3.7 s (dl2 349) of
 # CPU while search offered weakl one formula at a time, most of it in com
-# windows at budgets 1 and 2 (10.7 s and 3.1 s with premises read as side
-# tuples).  Offered every block size, search proves both at their depth,
-# and at depth + 2 in 0.04-0.06 s and under 0.01 s; they stay out so that
-# the digest's set of searches does not move with the proofs.
+# windows at budgets 1 and 2 (9.7-11.2 s and 2.2-3.1 s with premises read
+# as side tuples).  Offered every block size, search proves both at their
+# depth, and at depth + 2 in 0.04-0.06 s and under 0.01 s; they stay out so
+# that the digest's set of searches does not move with the proofs.
 SEARCH_DIGEST = "92896e3285cebeec3db3727bf24eaf6f807a47d3de349aba234d86a703c49ac8"
 PROOF_DIGEST = "d71de2fbed145c4511328201c06f0637ca32fd1e76d00c531c7d6a1420633428"
 DIGEST_WORK_KEYS = ("nodes_expanded", "memo_prunes", "frontier_hits", "frontier_misses")
