@@ -249,25 +249,25 @@ def _rand_sequent(calc: "CalculusDef", rng: random.Random) -> Sequent:
 
 class Param(NamedTuple):
     """A declared rule param: ``bounds(comps, p)``, its inclusive range from
-    the conclusion's components and the params p before it, and the one
-    value search tries where it tries only one (``searched``; None: all)."""
+    the conclusion's components and the params p before it."""
 
     name: str
     what: str  # what the param names, for the range error
     bounds: Callable[[Sequence[Sequent], Dict[str, int]], Tuple[int, int]]
-    searched: Optional[int] = None
 
 
 class Window(NamedTuple):
     """The adjacent components a structural rule's searched instances rewrite,
-    from the one their position param ("c", or eex's "i") names; last: the
-    last window only (ew's, k = 1).  fresh: the premises may create an axiom
-    component, as those that only repeat components or permute sides (eex,
-    ew, lex, rex) cannot; at budget 1 only fresh windows are tried."""
+    from the one their position param ("c", or eex's "i") names: one per
+    sequent pattern of the conclusion, or (last) the last window, of the
+    least length a conclusion of component lists alone matches (ew's).
+    fresh: the premises may create an axiom component, as those that only
+    repeat components or permute sides (eex, ew, lex, rex) cannot; at budget
+    1 only fresh windows are tried."""
 
     width: int
-    last: bool = False
-    fresh: bool = True
+    last: bool
+    fresh: bool
 
 
 class Template(NamedTuple):
@@ -280,8 +280,6 @@ class Template(NamedTuple):
     text: str
     step: Optional[Callable] = None
     leaf: Optional[Callable] = None
-    searched: Optional[Dict[str, int]] = None  # the one value search tries
-    window: Optional[Window] = None  # default: one component per sequent
 
 
 # --- compiling templates ----------------------------------------------------
@@ -362,8 +360,8 @@ class _Compiler:
     list r0), in a param's bounds through (comps, p).  Lengths are linear
     forms, formatted for either reader."""
 
-    def __init__(self, rule: Rule, text: str, searched: tuple):
-        self.rule, self.searched = rule.value, dict(searched)  # param -> value
+    def __init__(self, rule: Rule, text: str):
+        self.rule = rule.value
         self.text, *rest = text.split("/")
         conclusion = _hyper(self.text)
         premises = [_hyper(p) for p in rest[0].split(";")] if rest else []
@@ -411,7 +409,7 @@ class _Compiler:
         self.range[name] = lo, hi
         if what is not None:
             bounds = f"lambda comps, p: ({lo}, {_src(hi, self.ctx)})"  # as source
-            self.params.append(Param(name, what, bounds, self.searched.get(name)))
+            self.params.append(Param(name, what, bounds))
             at = f"{name!r}, {lo}, {_src(hi, self.local)}, {what!r}"
             self.checks.append(f"{name} = _param(q, rule, {at})")
 
@@ -524,20 +522,16 @@ class _Compiler:
         schema += self.checks
         unknown = f"{rule}: unknown params {{q.keys() - {known!r}}}"
         schema.append(f"if {count} != {len(names)}: _fail(f{unknown!r})")
-        # q and each param over its range (or searched value), in order
+        # q and each param over its range, in order
         head, loops, indent = ["c = q['c']", *self.binds] if p else [], [], ""
         for x in self.params[bool(p) :]:
             lo, hi = self.range[x.name]
             over = f"range({lo}, {_src(_plus(hi, {'': 1}), self.local)})"
-            if x.searched is not None:
-                within = f"{lo} <= {x.searched} <= {_src(hi, self.local)}"
-                over = f"({x.searched},) if {within} else ()"
             loops.append(f"{indent}for {x.name} in {over}:")
             indent += "    "
             loops += [indent + b for b in self.binds if x is self.params[0] and not p]
         new = "".join(f", {n!r}: {n}" for n in names[bool(p) :])
-        found = f"{indent}found.append(RuleInstance(R, {{**q{new}}}))"
-        listing = ["found = []", *head, *loops, found, "return found"]
+        listing = [*head, *loops, f"{indent}yield RuleInstance(R, {{**q{new}}})"]
         tries = [*head, *["pos = q['pos']"] * bool(p and p[3]), *made, *loops,
                  f"{indent}yield ({''.join(x + ', ' for _, x in premises)})"]
         searched = {"instances(comps, q)": listing, "tries(comps, q)": tries}
@@ -592,17 +586,17 @@ class RuleSpec:
     shape) and lists its premises.  Backward search reads two functions of
     a conclusion's components and the params q it fixes (a logical rule's
     "c", and "pos" unless sole), generated in the same loops:
-    ``instances(comps, q)`` lists the instances it tries, and ``tries(comps,
-    q)`` yields the premises of each in turn, as a tuple of component
-    tuples, a new component a (left, right) pair.  An axiom's
+    ``instances(comps, q)`` yields the instances it tries, and ``tries(comps,
+    q)`` the premises of each in turn, as a tuple of component tuples, a new
+    component a (left, right) pair.  An axiom's
     ``match(s, pos=None)``: the params besides "c" under which s is an
     instance, its formula at pos or first found; None if none.  A logical
     rule's ``matches(f)`` tests a principal formula's connective (``kinds``,
     main one first) and arity on its side (``left``); a ``sole`` one is
-    alone at 0, its instances naming no "pos"."""
+    alone on its side, its instances naming no "pos"."""
 
     def __init__(self, t: Template, kinds: dict = _KINDS):
-        c = self.compiler = _compiler(t.rule, t.text, tuple((t.searched or {}).items()))
+        c = self.compiler = _compiler(t.rule, t.text)
         p = c.principal
         self.template, self.rule, self.step, self.leaf = t, t.rule, t.step, t.leaf
         self.least, self.axiom = c.least, not c.premises
@@ -614,7 +608,7 @@ class RuleSpec:
         self.fits = None if len(c.seqs) != 1 else [
             None if p and p[2] == side else n for n, side in zip(c.fits[0], _SIDES)
         ]  # fmt: skip
-        self.window = (t.window or Window(len(c.seqs)))._replace(fresh=c.fresh) if (
+        self.window = Window(len(c.seqs) or c.least, not c.seqs, c.fresh) if (
             t.rule in _SEARCH_ORDER) else None
 
     def __getattr__(self, name):
@@ -636,12 +630,16 @@ class RuleSpec:
         return getattr(self, name)
 
     def search(self, calc, h: Hypersequent) -> List[RuleInstance]:
-        """The structural instances backward search tries on h."""
-        return self.instances(h.components, {})
+        """The structural instances backward search tries on h, window by
+        window, each listed on its window alone and moved into place."""
+        comps, (width, last, _) = h.components, self.window
+        at = range(len(comps) - width + 1)
+        return [_shifted(inst, c) for c in (at[-1:] if last else at)
+                for inst in self.instances(comps[c : c + width], {})]
 
     def search_at(self, calc, s: Sequent, c: int, pos: int) -> List[RuleInstance]:
         """Backward instances with the principal formula at (c, pos) in s."""
-        return self.instances({c: s}, self.where(c, pos))
+        return list(self.instances({c: s}, self.where(c, pos)))
 
     def where(self, c: int, pos: int) -> Dict[str, int]:
         """The params naming the principal formula at (c, pos)."""
@@ -678,7 +676,7 @@ class RuleSpec:
             elif len(x) < least:
                 x = _rand_formulas(calc, rng, least, least + 1)
             comps[c] = _with_side(comps[c], j == 0, x)
-        for name, _, bounds, _ in self.params:
+        for name, _, bounds in self.params:
             if name not in p:
                 p[name] = rng.randint(*bounds(comps, p))
         return RuleInstance(self.rule, p), Hypersequent(comps)
@@ -895,19 +893,16 @@ def _step_rimpl_multi(spec, calc, rng, tree, verum=False):
 class CalculusDef:
     name: str
     logic: LogicId
-    # single-conclusion style restricts right-hand logical rules to a
-    # singleton succedent, as in the minimal-fragment figures
-    single_conclusion: bool
     # rule -> the variant of it the calculus uses, in Rule order
     table: Dict[Rule, RuleSpec] = field(compare=False, repr=False)
-    rules: frozenset = field(init=False)
-
-    def __post_init__(self):
-        object.__setattr__(self, "rules", frozenset(self.table))
 
     @property
     def profile(self) -> ConnectiveFlags:
         return self.logic.flag_profile
+
+    @cached_property
+    def rules(self) -> frozenset:
+        return frozenset(self.table)
 
     @cached_property
     def axioms(self) -> Tuple[RuleSpec, ...]:
@@ -950,8 +945,7 @@ _EMP = Template(Rule.EMP, "|-", leaf=lambda calc, rng: (Sequent((), ()), {}))
 _TOP_R = Template(Rule.TOP_R, "G |- T", leaf=lambda calc, rng: (
     Sequent(_rand_formulas(calc, rng), (BoolConst(True, calc.profile),)), {}))
 _BOT_L = Template(Rule.BOT_L, "G1^pos, F, G2 |- D", leaf=_leaf_botl)
-_EW = Template(Rule.EW, "H | K^k / H", _step_ew, searched={"k": 1},
-               window=Window(2, last=True))
+_EW = Template(Rule.EW, "H | K^k / H", _step_ew)
 _EC = Template(Rule.EC, "H | K^b / H | K | K", _step_ec)
 _EEX = Template(Rule.EEX, "H^i | G1 |- D1 | G2 |- D2 | H2"
                 " / H | G2 |- D2 | G1 |- D1 | H2", _step_eex)  # fmt: skip
@@ -986,7 +980,7 @@ _LIMPL_DL2 = Template(Rule.LIMPL, "G1^pos, A -> B, G2 |- D"
 _COMMON = (_INIT, _EW, _EC, _EEX, _WEAK_L, _LEX, _REX)
 
 # Gödel and STL∞ read every connective as min/max and share one rule list,
-# with single-conclusion right rules.
+# whose right rules are single-conclusion (sole).
 _MIN_MAX_RULES = _COMMON + (
     _BOT_L, _TOP_R, _COM, _CONTR_L, _LAND, _LOR,
     Template(Rule.RAND, "G |- A & B / G |- A ; G |- B", _step_unit),
@@ -997,26 +991,28 @@ _MIN_MAX_RULES = _COMMON + (
 )  # fmt: skip
 
 
-def _calc(name, logic, single, templates, kinds=_KINDS):
-    """The calculus whose rules are the templates, compiled with kinds (the
-    node classes each connective of a template matches)."""
+def _calc(name, logic, templates):
+    """The calculus of the logic whose rules are the templates, & and v also
+    matching ⊙ and ⊕ where the logic reads those as ∧ and ∨."""
+    c = LOGICS[logic.kind].clauses
+    kinds = _MIN_MAX_KINDS if c["mand"] is c["and"] and c["mor"] is c["or"] else _KINDS
     by_rule = {t.rule: RuleSpec(t, kinds) for t in templates}
     table = {rule: by_rule[rule] for rule in Rule if rule in by_rule}
-    return CalculusDef(name, logic, single, table)
+    return CalculusDef(name, logic, table)
 
 
 CALCULI: Dict[str, CalculusDef] = {
     c.name: c
     for c in (
-        _calc("goedel", GODEL, True, _MIN_MAX_RULES, _MIN_MAX_KINDS),
-        _calc("lukasiewicz", LUKASIEWICZ, False, _COMMON + (
+        _calc("goedel", GODEL, _MIN_MAX_RULES),
+        _calc("lukasiewicz", LUKASIEWICZ, _COMMON + (
             _EMP, _SPLIT, _MIX, _RIMPL,
             Template(Rule.BOT_L, "G1^pos, F, G2 |- A",
                      leaf=partial(_leaf_botl, single=True)),
             Template(Rule.LIMPL, "G1^pos, A -> B, G2 |- D / G1, B, G2 |- A, D",
                      _step_limpl_luka),
         )),
-        _calc("product", PRODUCT, False, _COMMON + (
+        _calc("product", PRODUCT, _COMMON + (
             _EMP, _BOT_L, _SPLIT, _MIX, _LODOT, _RIMPL,
             Template(Rule.LNEG, "G1^pos, ~A, G2 |- D / G1, G2 |- A", _step_falsum),
             Template(Rule.RODOT, "G |- D1^pos, A * B, D2 / G |- D1, A, B, D2",
@@ -1025,7 +1021,7 @@ CALCULI: Dict[str, CalculusDef] = {
                      " / G1, ~A, G2 |- D ; G1, B, G2 |- A, D",
                      partial(_step_falsum, keep=True)),
         )),
-        _calc("dl2", DL2, False, _COMMON + (
+        _calc("dl2", DL2, _COMMON + (
             _EMP, _TOP_R, _COM, _LAND, _LOR, _LODOT, _LIMPL_DL2,
             Template(Rule.RAND, "G |- D1^pos, A & B, D2"
                      " / G |- D1, A, D2 ; G |- D1, B, D2", _step_unit),
@@ -1037,7 +1033,7 @@ CALCULI: Dict[str, CalculusDef] = {
                      _step_rodot_split),
             _RIMPL._replace(step=partial(_step_rimpl_multi, verum=True)),
         )),
-        _calc("stl-inf", STL_INFTY, True, _MIN_MAX_RULES, _MIN_MAX_KINDS),
+        _calc("stl-inf", STL_INFTY, _MIN_MAX_RULES),
     )
 }  # fmt: skip
 
@@ -1280,18 +1276,20 @@ def rule_local_soundness(
 # ---------------------------------------------------------------------------
 # Bounded backward search
 
+_STREAK_CAP = 2  # the most structural steps backward search takes in a row
+
 
 def _logical_matches(calc: CalculusDef, s: Sequent) -> List[tuple]:
     """(spec, pos) of every logical rule whose principal formula can sit at
     position pos of s, antecedent first, position by position; at most one
-    logical rule of a calculus matches a formula on a given side."""
+    logical rule of a calculus matches a formula on a given side, and a
+    sole one only a formula alone on its side."""
     found = []
     for left, specs in calc.logical.items():
-        if not left and calc.single_conclusion and len(s.right) != 1:
-            break
-        for pos, f in enumerate(_side(s, left)):
+        side = _side(s, left)
+        for pos, f in enumerate(side):
             for spec in specs:
-                if spec.matches(f):
+                if spec.matches(f) and (len(side) == 1 or not spec.sole):
                     found.append((spec, pos))
     return found
 
@@ -1317,7 +1315,7 @@ def prove_bounded(
 
     Depth first: a node closes by an axiom leaf if it can, and otherwise
     tries its logical instances component by component, then (unless the
-    last two steps were structural) the structural ones in
+    last ``_STREAK_CAP`` steps were structural) the structural ones in
     ``_SEARCH_ORDER``.  A failure is memoized with its budget, and an
     instance with a premise on the path from the goal is skipped.
 
@@ -1504,7 +1502,7 @@ def prove_bounded(
                 flag = by_logical[i] = entry(0, i) is not None
             if flag:
                 return True
-        if streak < 2:
+        if streak < _STREAK_CAP:
             for i in n:
                 flag = by_structural[i]
                 if flag is None:
@@ -1583,7 +1581,7 @@ def prove_bounded(
                 spec, width, last, _ = win
                 if spec is None:
                     after = 0
-                elif streak >= 2:
+                elif streak >= _STREAK_CAP:
                     cuts += 1
                     return None
                 else:

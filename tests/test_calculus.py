@@ -4,6 +4,7 @@ import copy
 import dataclasses
 import functools
 import hashlib
+import inspect
 import itertools
 import json
 import pickle
@@ -40,19 +41,26 @@ from dlc.calculus import (
 from dlc.calculus import (
     _EEX,
     _INIT,
+    _LAND,
     _LIMPL_DL2,
-    _MIN_MAX_KINDS,
+    _LOR,
     _MIN_MAX_RULES,
     _MIX,
     _SEARCH_ORDER,
+    _STREAK_CAP,
+    CalculusDef,
+    Param,
     Template,
+    Window,
     _atom,
     _calc,
     _extend_candidates,
     _axiom_match,
     _hyper_to_json,
+    _logical_matches,
     _rand_sequent,
     _random_instance,
+    _shifted,
     _tree_depth,
     _validate,
 )
@@ -67,6 +75,7 @@ from dlc.core import (
     BoolConst,
     Impl,
     MAnd,
+    MOr,
     Or,
 )
 from dlc.errors import (
@@ -194,6 +203,49 @@ def test_every_rule_but_the_derived_one_is_declared():
     assert declared == set(Rule) - {Rule.LIMPL_EXT}
 
 
+# The calculi whose right rules are single-conclusion (sole) and whose &
+# and v match their monoidal twins: Gödel and STL∞, which read the
+# monoidal connectives as min and max, as the calculi declared it before
+# both were derived from the templates and the logic.
+MIN_MAX_CALCULI = {"goedel", "stl-inf"}
+
+
+@pytest.mark.parametrize("name", sorted(CALCULI))
+def test_derived_settings_are_the_ones_declared_before(name):
+    calc = CALCULI[name]
+    min_max = name in MIN_MAX_CALCULI
+    assert calc.logical[False]
+    assert {spec.sole for spec in calc.logical[False]} == {min_max}
+    assert not any(spec.sole for spec in calc.logical[True])
+    p, q = _atom(1, calc.profile), _atom(2, calc.profile)
+    lattice = _calc(name, calc.logic, (_INIT, _LAND, _LOR)).table
+    assert lattice[Rule.LAND].matches(And((p, q)))
+    assert lattice[Rule.LOR].matches(Or((p, q)))
+    assert lattice[Rule.LAND].matches(MAnd((p, q))) == min_max
+    assert lattice[Rule.LOR].matches(MOr((p, q))) == min_max
+    # ew's window is the last two components, on which k = 1 alone fits;
+    # on a whole hypersequent its tries lists every block size
+    ew = calc.table[Rule.EW]
+    assert ew.window == Window(2, last=True, fresh=False)
+    h = Hypersequent([Sequent((p,), (q,))] * 3)
+    assert [inst.params for inst in ew.search(calc, h)] == [{"k": 1}]
+    assert len(list(ew.tries(h.components, {}))) == 2
+    assert not any(spec.window.last for spec in calc.table.values()
+                   if spec.window is not None and spec is not ew)
+
+
+def test_a_calculus_is_its_name_logic_and_templates():
+    assert list(inspect.signature(_calc).parameters) == ["name", "logic", "templates"]
+    assert [f.name for f in dataclasses.fields(CalculusDef)] == ["name", "logic", "table"]
+    assert Template._fields == ("rule", "text", "step", "leaf")
+    assert Param._fields == ("name", "what", "bounds")
+    for calc in CALCULI.values():
+        for spec in calc.table.values():
+            t = spec.template
+            assert t.step is None or t.leaf is None, (calc.name, t.rule)
+            assert spec.axiom == (t.leaf is not None), (calc.name, t.rule)
+
+
 class TestSemanticReading:
     def test_goedel_sequent(self):
         env_p = goedel_atom()  # value 1.0: 1 <= 2
@@ -255,7 +307,7 @@ def _bad_swap(spec, calc, rng, tree):
 
 def test_forward_step_the_schema_rejects_raises():
     bad = _EEX._replace(step=_bad_swap)
-    calc = _calc("goedel-bad-eex", GODEL, True, _MIN_MAX_RULES + (bad,), _MIN_MAX_KINDS)
+    calc = _calc("goedel-bad-eex", GODEL, _MIN_MAX_RULES + (bad,))
     assert calc.table[Rule.EEX].step is _bad_swap
     with pytest.raises(SchemaMismatch, match="eex: adjacent component index"):
         random_derivation(calc, "bad", 2)
@@ -276,7 +328,7 @@ def _mix_steps(spec, calc, rng, tree):
 
 def test_forward_step_without_a_leaf_is_dropped():
     mix = _MIX._replace(step=_mix_steps)
-    calc = _calc("init-mix", LUKASIEWICZ, False, (_INIT, mix))
+    calc = _calc("init-mix", LUKASIEWICZ, (_INIT, mix))
     p, psi = _atom(3, calc.profile), _atom(1, calc.profile)
     tree = ProofTree(Hypersequent([Sequent((p,), (p,))]),
                      RuleInstance(Rule.INIT, {"c": 0}))
@@ -342,8 +394,7 @@ def test_dl2_limpl_is_sound_with_either_premise_alone(keep):
     assert MUTANTS["dl2", "limpl", keep][0] == "equivalent"
     dl2 = CALCULI["dl2"]
     templates = [s.template for s in dl2.table.values() if s.rule is not Rule.LIMPL]
-    calc = _calc("dl2", DL2, dl2.single_conclusion,
-                 templates + [_dropped(_LIMPL_DL2, keep)])
+    calc = _calc("dl2", DL2, templates + [_dropped(_LIMPL_DL2, keep)])
     inst, conclusion = _random_instance(calc, Rule.LIMPL, random.Random(0))
     assert len(premises_for(calc, inst, conclusion)) == 1
     rep = rule_local_soundness(calc, Rule.LIMPL, 1000, "acceptance")
@@ -359,7 +410,7 @@ def test_dl2_limpl_is_sound_with_either_premise_alone(keep):
 ])
 def test_a_malformed_template_raises(text, message):
     with pytest.raises(ValueError, match=message):
-        _calc("bad", LUKASIEWICZ, False, (_INIT, Template(Rule.MIX, text)))
+        _calc("bad", LUKASIEWICZ, (_INIT, Template(Rule.MIX, text)))
 
 
 def golden_values(name):
@@ -827,11 +878,10 @@ def _reference_instances(calc, h):
     logical = []
     for c, s in enumerate(h.components):
         for left, specs in calc.logical.items():
-            if not left and calc.single_conclusion and len(s.right) != 1:
-                break
-            for pos, f in enumerate(s.left if left else s.right):
+            x = s.left if left else s.right
+            for pos, f in enumerate(x):
                 for spec in specs:
-                    if spec.matches(f):
+                    if spec.matches(f) and (len(x) == 1 or not spec.sole):
                         logical += spec.search_at(calc, s, c, pos)
     structural = []
     for rule in _SEARCH_ORDER:
@@ -857,7 +907,7 @@ def _reference_prove_bounded(calc, goal, depth_budget):
             return None
         logical, structural = _reference_instances(calc, h)
         candidates = [(inst, False) for inst in logical]
-        if streak < 2:
+        if streak < _STREAK_CAP:
             candidates += [(inst, True) for inst in structural]
         below = path | {h}
         for inst, is_structural in candidates:
@@ -1109,7 +1159,7 @@ def test_declared_bounds_are_the_range_the_schema_takes(name):
     for spec in calc.table.values():
         for _ in range(30):
             inst, h = spec.instance(calc, rng)
-            for j, (pname, _, bounds, _) in enumerate(spec.params):
+            for j, (pname, _, bounds) in enumerate(spec.params):
                 comps = h.components
                 if pname == "c":
                     comps = (comps[inst.params["c"]],) * len(comps)
@@ -1138,9 +1188,10 @@ def test_declared_bounds_are_the_range_the_schema_takes(name):
 @pytest.mark.parametrize("name", sorted(CALCULI))
 def test_searched_instances_pass_the_schema_check(name):
     # prove_bounded reads the premises of the instances search lists from
-    # the rule's tries, which runs no range check: each instance must pass
-    # it, and the premises tries yields for the k-th instance must be the
-    # schema's, a component the schema builds as a (left, right) pair
+    # the rule's tries on each window alone, which runs no range check:
+    # each instance must pass it, and the premises tries yields for the
+    # k-th instance, put in place of the window, must be the schema's, a
+    # component the schema builds as a (left, right) pair
     calc = CALCULI[name]
     rng = random.Random(f"searched/{name}")
     rules = set()
@@ -1149,28 +1200,32 @@ def test_searched_instances_pass_the_schema_check(name):
         return tuple(x if type(x) is tuple else (x.left, x.right) for x in comps)
 
     for _ in range(300):
-        comps = [_rand_sequent(calc, rng) for _ in range(rng.randint(1, 3))]
+        comps = tuple(_rand_sequent(calc, rng) for _ in range(rng.randint(1, 3)))
         h = Hypersequent(comps)
-        listed = []
-        for c, s in enumerate(h.components):
+        listed = []  # (instances, (c, width, premises) of each)
+        for c, s in enumerate(comps):
             for left, specs in calc.logical.items():
-                if not left and calc.single_conclusion and len(s.right) != 1:
-                    break
-                for pos, f in enumerate(s.left if left else s.right):
+                x = s.left if left else s.right
+                for pos, f in enumerate(x):
                     for spec in specs:
-                        if spec.matches(f):
-                            tried = spec.tries(h.components, spec.where(c, pos))
-                            listed.append((spec.search_at(calc, s, c, pos), tried))
+                        if spec.matches(f) and (len(x) == 1 or not spec.sole):
+                            tried = spec.tries((s,), spec.where(0, pos))
+                            listed.append((spec.search_at(calc, s, c, pos),
+                                           [(c, 1, r) for r in tried]))
         for rule in _SEARCH_ORDER:
             if rule in calc.table:
                 spec = calc.table[rule]
-                listed.append((spec.search(calc, h), spec.tries(h.components, {})))
+                width, last, _ = spec.window
+                at = range(len(comps) - width + 1)
+                tried = [(c, width, r) for c in (at[-1:] if last else at)
+                         for r in spec.tries(comps[c : c + width], {})]
+                listed.append((spec.search(calc, h), tried))
         for insts, tried in listed:
-            tried = list(tried)
             assert len(tried) == len(insts), _hyper_to_json(h)
-            for inst, premises in zip(insts, tried):
+            for inst, (c, width, premises) in zip(insts, tried):
                 want = [sides(p.components) for p in premises_for(calc, inst, h)]
-                assert list(map(sides, premises)) == want, (inst, _hyper_to_json(h))
+                got = [sides(comps[:c] + r + comps[c + width :]) for r in premises]
+                assert got == want, (inst, _hyper_to_json(h))
                 rules.add(inst.rule)
     assert {r for r in _SEARCH_ORDER if r in calc.rules} <= rules
     assert rules - set(_SEARCH_ORDER)  # some logical rule too
@@ -1180,9 +1235,9 @@ def _counting(monkeypatch, *classes):
     """Count each class's constructor calls from now on."""
     counts = dict.fromkeys(classes, 0)
     for cls in classes:
-        def init(self, *args, _cls=cls, _init=cls.__init__):
+        def init(self, *args, _cls=cls, _init=cls.__init__, **kwargs):
             counts[_cls] += 1
-            _init(self, *args)
+            _init(self, *args, **kwargs)
         monkeypatch.setattr(cls, "__init__", init)
     return counts
 
@@ -1191,22 +1246,55 @@ def _nodes(tree):
     return 1 + sum(map(_nodes, tree.premises))
 
 
+def _leaves(tree):
+    return sum(map(_leaves, tree.premises)) if tree.premises else 1
+
+
+def _listed_before(calc, tree):
+    """For each rule node of tree, the instances its window lists alone
+    before the node's (prove_bounded re-reads the node's by that index),
+    summed: the window is its one component or the adjacent ones its "c"
+    or "i" names (ew's: the last)."""
+    total, stack = 0, [tree]
+    while stack:
+        node = stack.pop()
+        stack.extend(node.premises)
+        inst, comps = node.rule, node.conclusion.components
+        spec = calc.table[inst.rule]
+        if spec.left is not None:
+            c = inst.params["c"]
+            listed = [i for sp, pos in _logical_matches(calc, comps[c])
+                      for i in sp.search_at(calc, comps[c], 0, pos)]
+        elif not spec.axiom:
+            width = spec.window.width
+            c = inst.params.get("c", inst.params.get("i", len(comps) - width))
+            listed = spec.search(calc, Hypersequent(comps[c : c + width]))
+        else:
+            continue
+        total += listed.index(_shifted(inst, -c))
+    return total
+
+
 def test_search_constructs_objects_only_for_new_ids_and_the_proof(monkeypatch):
     # search reads premises as tuples: a Sequent is made only for a sequent
-    # given a new id, and a Hypersequent only for a node of the proof below
-    # the goal
+    # given a new id, a Hypersequent only for a node of the proof below the
+    # goal, and a RuleInstance only for a node of the proof: its instance,
+    # a rule node's moved into place, and those its window lists before it
     goals = {a + d: g for a, d, g in weak_completeness_goals(GOEDEL)}
-    counts = _counting(monkeypatch, Sequent, Hypersequent)
+    counts = _counting(monkeypatch, Sequent, Hypersequent, RuleInstance)
     work = {}
     assert prove_bounded(GOEDEL, goals["R7le"], 6, work=work) is None
-    assert counts[Hypersequent] == 0
+    assert counts[Hypersequent] == counts[RuleInstance] == 0
     assert 0 < counts[Sequent] <= work["sequents"], (counts, work)
     for key, budget in (("R1le", 12), ("R4le", 10), ("R7le", 12)):
         counts.update(dict.fromkeys(counts, 0))
         tree = prove_bounded(GOEDEL, goals[key], budget, work=work)
+        made = counts[RuleInstance]
         assert tree is not None and _nodes(tree) > 2, key
         assert counts[Hypersequent] == _nodes(tree) - 1, key
         assert counts[Sequent] <= work["sequents"], (key, counts, work)
+        rule_nodes = _nodes(tree) - _leaves(tree)
+        assert made == _nodes(tree) + rule_nodes + _listed_before(GOEDEL, tree), key
 
 
 def test_search_work_counts_repeat():
