@@ -15,8 +15,9 @@ rule's params and bounds and its shape, and on first use compiles it into
 Python functions: the schema (range and shape checks, then the premises),
 an axiom's component test, the instances backward search tries and
 ``tries``, their premises as plain tuples, which search reads into per-call
-tables.  The forward steps soundness fuzzing grows derivations by, and the
-axioms' leaf draws, are plain functions the templates name.
+tables.  The forward steps soundness fuzzing grows derivations by are
+plain functions the templates name; an axiom's random instances are drawn
+from its template's pattern.
 """
 
 from __future__ import annotations
@@ -271,15 +272,13 @@ class Window(NamedTuple):
 
 
 class Template(NamedTuple):
-    """A rule variant: its template, and the plain functions that read it
-    forward.  ``step(spec, calc, rng, tree)`` yields forward steps (params,
-    conclusion), the schema giving their premises; an axiom's ``leaf(calc,
-    rng)`` draws an instance component and its params besides "c"."""
+    """A rule variant: its template, and for a rule with premises the plain
+    function that reads it forward: ``step(spec, calc, rng, tree)`` yields
+    forward steps (params, conclusion), the schema giving their premises."""
 
     rule: Rule
     text: str
     step: Optional[Callable] = None
-    leaf: Optional[Callable] = None
 
 
 # --- compiling templates ----------------------------------------------------
@@ -598,7 +597,7 @@ class RuleSpec:
     def __init__(self, t: Template, kinds: dict = _KINDS):
         c = self.compiler = _compiler(t.rule, t.text)
         p = c.principal
-        self.template, self.rule, self.step, self.leaf = t, t.rule, t.step, t.leaf
+        self.template, self.rule, self.step = t, t.rule, t.step
         self.least, self.axiom = c.least, not c.premises
         self.left = None if p is None else p[2] == "antecedent"
         self.kinds, self.sole = (kinds[p[0]], not p[3]) if p else ((), False)
@@ -649,13 +648,42 @@ class RuleSpec:
         """The principal node class for a forward step."""
         return rng.choice(self.kinds) if len(self.kinds) > 1 else self.kinds[0]
 
+    def drawn_axiom(self, calc, rng: random.Random):
+        """An axiom's component drawn from its pattern, and its params besides
+        "c".  Per side: the lists are drawn as one; an item after a list with
+        a param goes at a random position among them, the param, and any
+        other at the end; a formula named again is the one first drawn, and
+        T and F are constants."""
+        named, params, sides = {}, {}, []
+        for items in self.compiler.seqs[0][1:]:
+            has_list = any(it[0] == "list" for it in items)
+            xs = list(_rand_formulas(calc, rng)) if has_list else []
+            after = ""  # the param of the list just passed, if it has one
+            for it in items:
+                if it[0] == "list":
+                    after = it[2]
+                    continue
+                at = len(xs)
+                if after:
+                    at = params[after] = rng.randint(0, len(xs))
+                    after = ""
+                if it[0] == "const":
+                    f = BoolConst(it[1], calc.profile)
+                elif it[1] in named:
+                    f = named[it[1]]
+                else:
+                    f = named[it[1]] = _rand_formula(calc, rng)
+                xs.insert(at, f)
+            sides.append(tuple(xs))
+        return Sequent(*sides), params
+
     def instance(self, calc, rng: random.Random):
-        """A random (instance, conclusion) the rule applies to: a leaf among
-        random components, or as many of them as the conclusion needs, the
-        drawn one (c) fitted to a one-sequent conclusion; params left open
-        are drawn in their bounds."""
-        if self.leaf is not None:
-            comp, extra = self.leaf(calc, rng)
+        """A random (instance, conclusion) the rule applies to: an axiom's
+        component among random components, or as many of them as the
+        conclusion needs, the drawn one (c) fitted to a one-sequent
+        conclusion; params left open are drawn in their bounds."""
+        if self.axiom:
+            comp, extra = self.drawn_axiom(calc, rng)
             side = [_rand_sequent(calc, rng) for _ in range(rng.randint(0, 2))]
             c = rng.randint(0, len(side))
             side.insert(c, comp)
@@ -704,20 +732,7 @@ _GLOBALS = {k.__name__: k for k in (Sequent, Hypersequent, RuleInstance, _make, 
                                     _param, _is_top, _is_bot, *_NODES)}
 
 
-# --- leaf draws and forward steps ---------------------------------------------
-
-
-def _leaf_init(calc, rng):
-    f = _rand_formula(calc, rng)
-    return Sequent((f,), (f,)), {}
-
-
-def _leaf_botl(calc, rng, single=False):  # single: one succedent formula
-    left = list(_rand_formulas(calc, rng))
-    pos = rng.randint(0, len(left))
-    left.insert(pos, BoolConst(False, calc.profile))
-    right = (_rand_formula(calc, rng),) if single else _rand_formulas(calc, rng)
-    return Sequent(tuple(left), right), {"pos": pos}
+# --- forward steps ------------------------------------------------------------
 
 
 def _step_ew(spec, calc, rng, tree):
@@ -940,11 +955,10 @@ class CalculusDef:
 # ---------------------------------------------------------------------------
 # The templates of every rule variant, and the calculi
 
-_INIT = Template(Rule.INIT, "A |- A", leaf=_leaf_init)
-_EMP = Template(Rule.EMP, "|-", leaf=lambda calc, rng: (Sequent((), ()), {}))
-_TOP_R = Template(Rule.TOP_R, "G |- T", leaf=lambda calc, rng: (
-    Sequent(_rand_formulas(calc, rng), (BoolConst(True, calc.profile),)), {}))
-_BOT_L = Template(Rule.BOT_L, "G1^pos, F, G2 |- D", leaf=_leaf_botl)
+_INIT = Template(Rule.INIT, "A |- A")
+_EMP = Template(Rule.EMP, "|-")
+_TOP_R = Template(Rule.TOP_R, "G |- T")
+_BOT_L = Template(Rule.BOT_L, "G1^pos, F, G2 |- D")
 _EW = Template(Rule.EW, "H | K^k / H", _step_ew)
 _EC = Template(Rule.EC, "H | K^b / H | K | K", _step_ec)
 _EEX = Template(Rule.EEX, "H^i | G1 |- D1 | G2 |- D2 | H2"
@@ -1007,8 +1021,7 @@ CALCULI: Dict[str, CalculusDef] = {
         _calc("goedel", GODEL, _MIN_MAX_RULES),
         _calc("lukasiewicz", LUKASIEWICZ, _COMMON + (
             _EMP, _SPLIT, _MIX, _RIMPL,
-            Template(Rule.BOT_L, "G1^pos, F, G2 |- A",
-                     leaf=partial(_leaf_botl, single=True)),
+            Template(Rule.BOT_L, "G1^pos, F, G2 |- A"),
             Template(Rule.LIMPL, "G1^pos, A -> B, G2 |- D / G1, B, G2 |- A, D",
                      _step_limpl_luka),
         )),
@@ -1341,12 +1354,12 @@ def prove_bounded(
 
     A node with budget 1 (the frontier) needs an instance whose every
     premise has an axiom leaf.  For each window and rule kind the frontier
-    keeps its entry, the first such instance on the window alone: it reads
-    the window's premise table if there is one, and otherwise builds
-    premises one instance at a time, each only up to its first premise
-    with no axiom component.  This is exact: the frontier node failed its
-    own leaf test, so only the components a rule creates can be axioms,
-    and those depend on the window alone.  So the first hit, logical rules
+    keeps its entry, the first such instance on the window alone, read
+    from the rule's ``tries`` one instance at a time, each only up to its
+    first premise with no axiom component; it reads no premise table.
+    This is exact: the frontier node failed its own leaf test, so only
+    the components a rule creates can be axioms, and those depend on the
+    window alone.  So the first hit, logical rules
     component by component and then each structural spec window by window,
     is the instance a full enumeration would find.  Windows that are not
     fresh (``Window``) are skipped there: their premises hold no axiom
@@ -1367,7 +1380,7 @@ def prove_bounded(
     memo prunes, frontier hits (an entry looked up again) and misses (an
     entry built), streak cuts (nodes at budget 2 or more whose structural
     instances the streak cap skipped), and premise table hits (a table
-    looked up again) and misses (a table made).
+    looked up again at budget 2 or more) and misses (a table made).
     """
     _validate(calc, goal)
     windows = calc.windows
@@ -1432,28 +1445,12 @@ def prove_bounded(
         for k, premises in enumerate(tried):
             yield k, tuple([tuple(map(ident, p)) for p in premises])
 
-    def closing(table):
-        """(k, leaves) of the first of table's entries whose every premise
-        has an axiom component, leaves holding each premise and the index
-        of its first one; or None."""
-        for k, premises in table:
-            leaves = []
-            for r in premises:
-                for j, i in enumerate(r):
-                    if i in axioms:
-                        leaves.append((r, j))
-                        break
-                else:
-                    break
-            else:
-                return k, leaves
-        return None
-
     def closing_alone(tried):
-        """closing for a window that has no premise table, read from the
-        premises of each instance tried lists: a premise's components get
-        ids only up to its first axiom, and an instance's premises only up
-        to the first with none."""
+        """(k, leaves) of the first instance tried lists the premises of whose
+        every premise has an axiom component, leaves holding each premise as
+        an id tuple and the index of its first axiom; or None.  A premise's
+        components get ids only up to its first axiom, and an instance's
+        premises only up to the first with none."""
         for k, premises in enumerate(tried):
             leaves = []
             for p in premises:
@@ -1469,20 +1466,14 @@ def prove_bounded(
 
     def entry(j, key):
         """The frontier entry of window kind j at the window key: (k,
-        leaves) as closing gives it, or None."""
-        nonlocal hits, table_hits
+        leaves) as closing_alone gives it, or None."""
+        nonlocal hits
         found = closes[j]
         got = found.get(key, found)
         if got is not found:
             hits += 1
             return got
-        table = tables[j].get(key)
-        if table is None:
-            got = closing_alone(listed(windows[j], key, "tries"))
-        else:
-            table_hits += 1
-            got = closing(table.__copy__())
-        found[key] = got
+        got = found[key] = closing_alone(listed(windows[j], key, "tries"))
         return got
 
     def closed(n, streak):

@@ -65,30 +65,40 @@ def _logic_from_args(args) -> LogicId:
     return LogicId(kind, **{param: value})
 
 
-def _int_at_least(lo: int):
-    """An argparse type: an integer no smaller than lo."""
+def _number(cast, lo=None):
+    """An argparse type: a finite number cast reads (int or float), no
+    smaller than lo if given."""
 
-    def parse(text: str) -> int:
-        n = int(text)
-        if n < lo:
-            raise argparse.ArgumentTypeError(f"expected an integer >= {lo}, got {n}")
-        return n
+    def parse(text: str):
+        x = cast(text)
+        if not -math.inf < x < math.inf or lo is not None and x < lo:
+            what = "an integer" if cast is int else "a finite number"
+            at_least = "" if lo is None else f" >= {lo}"
+            raise argparse.ArgumentTypeError(f"expected {what}{at_least}, got {x}")
+        return x
 
-    parse.__name__ = "int"  # argparse names the type in its messages
+    parse.__name__ = cast.__name__  # argparse names the type in its messages
     return parse
 
 
-def _add_logic_flags(p, required=True):
-    p.add_argument("--logic", choices=LOGIC_NAMES, required=required)
-    p.add_argument("--r", type=float, default=None)
-    p.add_argument("--nu", type=float, default=None)
+def _add_logic_flags(p):
+    p.add_argument("--logic", choices=LOGIC_NAMES, required=True)
+    p.add_argument("--r", type=_number(float), default=None)
+    p.add_argument("--nu", type=_number(float), default=None)
 
 
-def _add_common_flags(p):
-    p.add_argument("--carrier", choices=sorted(CARRIERS), default="f64")
-    p.add_argument("--samples", type=_int_at_least(1), default=1000)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--tol", type=float, default=1e-9)
+_COMMON_FLAGS = {
+    "carrier": dict(choices=sorted(CARRIERS), default="f64"),
+    "samples": dict(type=_number(int, 1), default=1000),
+    "seed": dict(type=int, default=0),
+    "tol": dict(type=_number(float, 0), default=1e-9),
+}
+
+
+def _add_common_flags(p, *names):
+    """The common flags names, those the subcommand reads, and --out."""
+    for name in names:
+        p.add_argument(f"--{name}", **_COMMON_FLAGS[name])
     p.add_argument("--out", default=None)
 
 
@@ -411,24 +421,24 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--net", action="append", metavar="NAME=PATH")
     p.add_argument("--grad", default=None, metavar="VECTOR")
     _add_logic_flags(p)
-    _add_common_flags(p)
+    _add_common_flags(p, "carrier")
     p.set_defaults(fn=_cmd_eval)
 
     p = sub.add_parser("laws", help="algebraic law matrix for all logics")
-    _add_common_flags(p)
+    _add_common_flags(p, "samples", "seed", "tol")
     p.set_defaults(fn=_cmd_laws)
 
     p = sub.add_parser("shadow", help="shadow-lifting check for one logic")
-    p.add_argument("--n", type=_int_at_least(1), default=3)
+    p.add_argument("--n", type=_number(int, 1), default=3)
     _add_logic_flags(p)
-    _add_common_flags(p)
+    _add_common_flags(p, "tol")
     p.set_defaults(fn=_cmd_shadow)
 
     p = sub.add_parser("converge", help="limit checks (stl or yager)")
     p.add_argument("--negative", action="store_true",
                    help="use negative sample values (stl only)")
     _add_logic_flags(p)
-    _add_common_flags(p)
+    _add_common_flags(p, "seed", "tol")
     p.set_defaults(fn=_cmd_converge)
 
     proof = sub.add_parser("proof", help="proof checking and search")
@@ -443,20 +453,20 @@ def build_parser() -> argparse.ArgumentParser:
     p = psub.add_parser("search", help="bounded backward proof search")
     p.add_argument("--calculus", choices=sorted(CALCULI), required=True)
     p.add_argument("--goal", required=True)
-    p.add_argument("--depth", type=_int_at_least(0), default=12)
+    p.add_argument("--depth", type=_number(int, 0), default=12)
     _add_common_flags(p)
     p.set_defaults(fn=_cmd_proof_search)
 
     p = sub.add_parser("weakcomp", help="discharge the lattice/monoid goals")
     p.add_argument("--calculus", choices=sorted(CALCULI), required=True)
-    p.add_argument("--depth", type=_int_at_least(0), default=12)
+    p.add_argument("--depth", type=_number(int, 0), default=12)
     _add_common_flags(p)
     p.set_defaults(fn=_cmd_weakcomp)
 
     p = sub.add_parser("fuzz-soundness", help="random-derivation soundness fuzz")
     p.add_argument("--calculus", choices=sorted(CALCULI), required=True)
-    p.add_argument("--depth", type=_int_at_least(1), default=6)
-    _add_common_flags(p)
+    p.add_argument("--depth", type=_number(int, 1), default=6)
+    _add_common_flags(p, "samples", "seed", "tol")
     p.set_defaults(fn=_cmd_fuzz)
 
     p = sub.add_parser("train-demo", help="projected gradient ascent demo")
@@ -466,8 +476,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--x", default="x")
     p.add_argument("--center", default="v")
     p.add_argument("--radius", default="eps")
-    p.add_argument("--steps", type=_int_at_least(0), default=10)
-    p.add_argument("--lr", type=float, default=0.1)
+    p.add_argument("--steps", type=_number(int, 0), default=10)
+    p.add_argument("--lr", type=_number(float), default=0.1)
     _add_logic_flags(p)
     _add_common_flags(p)
     p.set_defaults(fn=_cmd_train)

@@ -10,6 +10,7 @@ the profile of its children.
 from __future__ import annotations
 
 import json
+import math
 import random
 from dataclasses import dataclass, fields
 from enum import Enum
@@ -490,13 +491,13 @@ class LogicId:
 
     def __post_init__(self):
         if self.kind is LogicKind.YAGER:
-            if self.r is None or self.r <= 0:
-                raise ValidationError("Yager requires parameter r > 0")
+            if self.r is None or not 0 < self.r < math.inf:
+                raise ValidationError("Yager requires a finite parameter r > 0")
         elif self.r is not None:
             raise ValidationError("parameter r only applies to Yager")
         if self.kind is LogicKind.STL:
-            if self.nu is None or self.nu <= 0:
-                raise ValidationError("STL requires parameter nu > 0")
+            if self.nu is None or not 0 < self.nu < math.inf:
+                raise ValidationError("STL requires a finite parameter nu > 0")
         elif self.nu is not None:
             raise ValidationError("parameter nu only applies to STL")
 

@@ -48,7 +48,8 @@ from .errors import (
 
 @dataclass(frozen=True)
 class Env:
-    """Named vector functions referenced by formulas."""
+    """Named vector functions referenced by formulas.  Each takes its
+    arguments, then the carrier evaluation runs over, as its last argument."""
 
     functions: Dict[str, Callable] = field(default_factory=dict)
     binary_functions: Dict[str, Callable] = field(default_factory=dict)
@@ -447,7 +448,7 @@ def _eval_fun2(e, run):
 def _eval_app(e, run):
     f = _EVAL[type(e.fun)](e.fun, run)
     arg = _EVAL[type(e.arg)](e.arg, run)
-    out = tuple(f(arg, run.c) if _wants_carrier(f) else f(arg))
+    out = tuple(f(arg, run.c))
     if len(out) != e.fun.tag.n:
         raise ValidationError(
             f"function returned arity {len(out)}, declared {e.fun.tag.n}"
@@ -459,7 +460,7 @@ def _eval_app2(e, run):
     f = _EVAL[type(e.fun)](e.fun, run)
     a1 = _EVAL[type(e.arg1)](e.arg1, run)
     a2 = _EVAL[type(e.arg2)](e.arg2, run)
-    out = tuple(f(a1, a2, run.c) if _wants_carrier(f) else f(a1, a2))
+    out = tuple(f(a1, a2, run.c))
     if len(out) != e.fun.tag.n:
         raise ValidationError(
             f"function returned arity {len(out)}, declared {e.fun.tag.n}"
@@ -517,13 +518,3 @@ _EVAL = _Dispatch({
     Impl: _eval_impl,
     **dict.fromkeys((And, Or, MAnd, MOr), _eval_nary),
 })
-
-
-def _wants_carrier(f) -> bool:
-    return getattr(f, "carrier_aware", False)
-
-
-def carrier_aware(f):
-    """Mark an Env function as taking the active carrier as last argument."""
-    f.carrier_aware = True
-    return f

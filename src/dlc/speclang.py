@@ -64,7 +64,7 @@ from .errors import (
     UndeclaredIdentifier,
     ValidationError,
 )
-from .semantics import LOGICS, Env, carrier_aware, interpret
+from .semantics import LOGICS, Env, interpret
 
 # ---------------------------------------------------------------------------
 # Surface AST
@@ -541,12 +541,10 @@ def _goal(doc: SpecDoc, logic: LogicId, env: Env) -> Expr:
 # Built-in environment
 
 
-@carrier_aware
 def _builtin_sub(a, b, c):
     return tuple(c.sub(x, y) for x, y in zip(a, b))
 
 
-@carrier_aware
 def _builtin_norm_inf(a, c):
     out = c.abs(a[0])
     for x in a[1:]:
@@ -606,7 +604,6 @@ class NetworkDef:
         return tuple(vals)
 
     def as_env_function(self):
-        @carrier_aware
         def run(xs, c):
             if len(xs) != self.in_arity:
                 raise ArityMismatch(
@@ -742,7 +739,6 @@ def _bound_env(env: Env, inputs: Dict[str, Sequence[float]],
                 Dual(v, Tangents.unit(j, len(vals))) for j, v in enumerate(vals)
             )
 
-        @carrier_aware
         def run(_arg, c, _vals=vals, _seeded=seeded):
             if _seeded is not None and c is DualCarrier:
                 return _seeded

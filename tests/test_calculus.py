@@ -237,13 +237,12 @@ def test_derived_settings_are_the_ones_declared_before(name):
 def test_a_calculus_is_its_name_logic_and_templates():
     assert list(inspect.signature(_calc).parameters) == ["name", "logic", "templates"]
     assert [f.name for f in dataclasses.fields(CalculusDef)] == ["name", "logic", "table"]
-    assert Template._fields == ("rule", "text", "step", "leaf")
+    assert Template._fields == ("rule", "text", "step")
     assert Param._fields == ("name", "what", "bounds")
     for calc in CALCULI.values():
         for spec in calc.table.values():
             t = spec.template
-            assert t.step is None or t.leaf is None, (calc.name, t.rule)
-            assert spec.axiom == (t.leaf is not None), (calc.name, t.rule)
+            assert spec.axiom == (t.step is None), (calc.name, t.rule)
 
 
 class TestSemanticReading:

@@ -1,5 +1,6 @@
 """Command-line interface: subcommands, reports, exit codes."""
 
+import argparse
 import json
 import os
 import subprocess
@@ -16,7 +17,7 @@ import dlc
 from dlc import cli
 from dlc.calculus import CALCULI, fixtures_dir, _atom
 from dlc.cli import _emit, _json_text, run
-from dlc.errors import ValidationError
+from dlc.errors import DlcError, ValidationError
 from dlc.core import And, Not, _node_to_json
 
 FIX = fixtures_dir()
@@ -44,6 +45,13 @@ class TestEval:
         assert rep["version"] == "dlc-report/1"
         assert rep["loss"] == pytest.approx(-0.05)
         assert rep["gradient"][0] == pytest.approx(-1.0)
+
+    @pytest.mark.parametrize("carrier, loss", [("f64", -0.05), ("xreal", "XReal(-0.05)")])
+    def test_carrier(self, capsys, carrier, loss):
+        assert run(["eval", SPEC, "--inputs", INPUTS, "--net", f"N={NET}",
+                    "--logic", "dl2", "--carrier", carrier]) == 0
+        rep = json.loads(capsys.readouterr().out)
+        assert rep["loss"] == loss and rep["gradient"] is None
 
     def test_stl_flag_violation_is_usage_error(self):
         code = run(
@@ -516,6 +524,8 @@ def test_weakcomp_reports_work_per_goal(tmp_path):
 # The exit-code contract of every subcommand
 
 # Numeric flags out of range, rejected at parse time.
+FUZZ = ["fuzz-soundness", "--calculus", "goedel", "--samples", "20", "--depth", "2"]
+TRAIN = ["train-demo", SPEC, "--inputs", INPUTS, "--net", f"N={NET}", "--logic", "dl2"]
 OUT_OF_RANGE = {
     "fuzz-depth-0": ["fuzz-soundness", "--calculus", "goedel", "--depth", "0"],
     "fuzz-depth-negative": ["fuzz-soundness", "--calculus", "goedel",
@@ -524,9 +534,15 @@ OUT_OF_RANGE = {
                               "--goal", "{goal}", "--depth", "-5"],
     "weakcomp-depth-negative": ["weakcomp", "--calculus", "goedel",
                                 "--depth", "-1"],
-    "train-steps-negative": ["train-demo", SPEC, "--inputs", INPUTS,
-                             "--net", f"N={NET}", "--logic", "dl2",
-                             "--steps", "-2"],
+    "train-steps-negative": TRAIN + ["--steps", "-2"],
+    "fuzz-tol-nan": FUZZ + ["--tol", "nan"],
+    "fuzz-tol-negative": FUZZ + ["--tol", "-1"],
+    "fuzz-tol-infinite": FUZZ + ["--tol", "inf"],
+    "laws-tol-nan": ["laws", "--samples", "1", "--tol", "NaN"],
+    "shadow-r-nan": ["shadow", "--logic", "yager", "--r", "nan"],
+    "converge-nu-infinite": ["converge", "--logic", "stl", "--nu", "inf"],
+    "train-lr-nan": TRAIN + ["--lr", "nan"],
+    "train-lr-infinite": TRAIN + ["--lr", "inf"],
 }
 
 
@@ -588,7 +604,7 @@ def _sweep_cases(goal):
         net = ["--inputs", INPUTS, "--net", f"N={NET}"]
         yield "compile", lg, ["compile", SPEC] + logic
         yield "eval", lg, ["eval", SPEC, *net, "--grad", "x"] + logic
-        yield "shadow", lg, ["shadow", "--samples", "20"] + logic
+        yield "shadow", lg, ["shadow"] + logic
         yield "converge", lg, ["converge"] + logic
         yield "train-demo", lg, ["train-demo", SPEC, *net, "--steps", "2"] + logic
     yield "laws", None, ["laws", "--samples", "20"]
@@ -621,3 +637,67 @@ def test_every_subcommand_keeps_the_exit_code_contract(tmp_path, capsys):
         if breach is not None:
             breaches.append((cmd, target, breach))
     assert breaches == []
+
+
+# The common flags each subcommand's handler reads; it accepts no other.
+COMMON_FLAGS = {"--carrier": "f64", "--samples": "5", "--seed": "1", "--tol": "0.1"}
+READ_FLAGS = {
+    "compile": (), "eval": ("--carrier",), "laws": ("--samples", "--seed", "--tol"),
+    "shadow": ("--tol",), "converge": ("--seed", "--tol"), "proof-check-init": (),
+    "proof-search": (), "weakcomp": (), "fuzz-soundness": ("--samples", "--seed", "--tol"),
+    "train-demo": (),
+}
+UNREAD_FLAGS = [(cmd, flag) for cmd, reads in READ_FLAGS.items()
+                for flag in COMMON_FLAGS if flag not in reads]
+
+
+@pytest.mark.parametrize("cmd, flag", UNREAD_FLAGS,
+                         ids=[cmd + flag for cmd, flag in UNREAD_FLAGS])
+def test_a_flag_the_subcommand_does_not_read_is_usage_error(tmp_path, capsys,
+                                                             cmd, flag):
+    argv = next(argv for c, _, argv in _sweep_cases(_search_goal(tmp_path))
+                if c == cmd)
+    assert run(argv + [flag, COMMON_FLAGS[flag]]) == 2
+    captured = capsys.readouterr()
+    assert _contract_breach(2, captured) is None
+    assert f"unrecognized arguments: {flag}" in captured.err
+
+
+def _handler_parsers(parser):
+    """Each subparser of parser that names a handler, nested ones included."""
+    for action in parser._actions:
+        if isinstance(action, argparse._SubParsersAction):
+            for sub in action.choices.values():
+                yield from _handler_parsers(sub)
+    if parser.get_default("fn") is not None:
+        yield parser
+
+
+def test_every_option_is_read_by_some_run(tmp_path, capsys):
+    """Over the sweep's runs, each handler reads every option its
+    subcommand accepts, so no subcommand takes a flag it ignores."""
+    read = {}
+
+    class Recording(argparse.Namespace):
+        def __getattribute__(self, name):
+            fn = object.__getattribute__(self, "fn")
+            read.setdefault(fn, set()).add(name)
+            return object.__getattribute__(self, name)
+
+    parser = cli.build_parser()
+    for cmd, _, argv in _sweep_cases(_search_goal(tmp_path)):
+        if cmd in OUT_OF_RANGE:
+            continue
+        args = parser.parse_args(argv)
+        try:
+            args.fn(Recording(**vars(args)))
+        except DlcError:
+            pass
+    capsys.readouterr()
+    unread = [(p.prog, a.option_strings[0]) for p in _handler_parsers(parser)
+              for a in p._actions if a.option_strings and a.dest != "help"
+              and a.dest not in read.get(p.get_default("fn"), ())]
+    assert unread == []
+    # --out, and the 10 common flags of READ_FLAGS
+    assert sum(flag in a.option_strings for p in _handler_parsers(parser)
+               for a in p._actions for flag in [*COMMON_FLAGS, "--out"]) == 20

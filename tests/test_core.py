@@ -3,6 +3,7 @@
 import copy
 import dataclasses
 import json
+import math
 import pickle
 import random
 
@@ -173,6 +174,13 @@ class TestValidation:
     def test_stl_requires_positive_nu(self):
         with pytest.raises(ValidationError):
             stl(0.0)
+
+    @pytest.mark.parametrize("x", [math.nan, math.inf, -math.inf])
+    def test_a_non_finite_parameter_is_refused(self, x):
+        with pytest.raises(ValidationError, match="^Yager requires a finite"):
+            yager(x)
+        with pytest.raises(ValidationError, match="^STL requires a finite"):
+            stl(x)
 
 
 PROFILES = [FUZZY_FLAGS, DL2_FLAGS, STL_FLAGS]

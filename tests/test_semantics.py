@@ -56,8 +56,6 @@ from dlc.semantics import (
     Env,
     _eval,
     _Run,
-    _wants_carrier,
-    carrier_aware,
     fold_nary,
     interpret,
     soft_conj_branch,
@@ -271,7 +269,7 @@ def _reference_eval(logic, e, env, c):
     if isinstance(e, App):
         f = _reference_eval(logic, e.fun, env, c)
         arg = _reference_eval(logic, e.arg, env, c)
-        out = tuple(f(arg, c) if _wants_carrier(f) else f(arg))
+        out = tuple(f(arg, c))
         if len(out) != e.fun.tag.n:
             raise ValidationError(
                 f"function returned arity {len(out)}, declared {e.fun.tag.n}"
@@ -281,7 +279,7 @@ def _reference_eval(logic, e, env, c):
         f = _reference_eval(logic, e.fun, env, c)
         a1 = _reference_eval(logic, e.arg1, env, c)
         a2 = _reference_eval(logic, e.arg2, env, c)
-        out = tuple(f(a1, a2, c) if _wants_carrier(f) else f(a1, a2))
+        out = tuple(f(a1, a2, c))
         if len(out) != e.fun.tag.n:
             raise ValidationError(
                 f"function returned arity {len(out)}, declared {e.fun.tag.n}"
@@ -357,7 +355,6 @@ def _input_env(literals, carrier):
     """``in`` yields the literals; over duals coordinate j carries the j-th
     unit tangent."""
 
-    @carrier_aware
     def read(_arg, c):
         if carrier is DualCarrier:
             n = len(literals)

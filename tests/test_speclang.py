@@ -55,7 +55,7 @@ from dlc.speclang import (
     pretty_spec,
     train_demo,
 )
-from dlc.semantics import carrier_aware, interpret
+from dlc.semantics import interpret
 
 ROBUSTNESS = """\
 vector v 2
@@ -251,7 +251,6 @@ def _pinned_slots(env, carrier):
     """env whose input slots run over carrier, whatever carrier they are
     passed, so that a recording carrier still reads seeded duals."""
     def pin(f):
-        @carrier_aware
         def run(arg, _c):
             return f(arg, carrier)
         return run
@@ -542,7 +541,6 @@ def _slots(inputs, seed=None):
     """Input slots as elaboration names them; over duals, coordinate
     seed[1] of vector seed[0] gets tangent 1.0 and every other 0.0."""
     def slot(vals, at):
-        @carrier_aware
         def run(_arg, c):
             if at is not None and c is DualCarrier:
                 return tuple(Dual(v, 1.0 if j == at else 0.0)
