@@ -11,13 +11,14 @@ bounded backward search discharges the residuated-lattice goals.
 Each rule variant is declared once, as a ``Template``: the patterns of its
 conclusion and premises, as in the rule's figure.  Each calculus lists the
 variants it uses (``CALCULI``).  ``RuleSpec`` reads a template once into the
-rule's params and bounds and its shape, and on first use compiles it into
-Python functions: the schema (range and shape checks, then the premises),
-an axiom's component test, the instances backward search tries and
+rule's params and its shape, and on first use compiles it into Python
+functions: the schema (range and shape checks, then the premises), an
+axiom's component test, the instances backward search tries and
 ``tries``, their premises as plain tuples, which search reads into per-call
-tables.  The forward steps soundness fuzzing grows derivations by are
-plain functions the templates name; an axiom's random instances are drawn
-from its template's pattern.
+tables.  One drawer reads the template's conclusion for the random
+instances of rule-local trials and the axiom leaves derivations grow from;
+the forward steps soundness fuzzing grows derivations by are plain
+functions the templates name.
 """
 
 from __future__ import annotations
@@ -248,15 +249,6 @@ def _rand_sequent(calc: "CalculusDef", rng: random.Random) -> Sequent:
 # that principal formula gives its position "pos", which is not declared.
 
 
-class Param(NamedTuple):
-    """A declared rule param: ``bounds(comps, p)``, its inclusive range from
-    the conclusion's components and the params p before it."""
-
-    name: str
-    what: str  # what the param names, for the range error
-    bounds: Callable[[Sequence[Sequent], Dict[str, int]], Tuple[int, int]]
-
-
 class Window(NamedTuple):
     """The adjacent components a structural rule's searched instances rewrite,
     from the one their position param ("c", or eex's "i") names: one per
@@ -335,11 +327,11 @@ def _plus(first: dict, *forms, sign=1) -> dict:
     return {t: k for t, k in out.items() if k}
 
 
-def _src(form: dict, ctx: dict) -> str:
-    """Python source of a linear form, each term formatted with ctx."""
+def _src(form: dict) -> str:
+    """Python source of a linear form."""
     out = ""
     for t, k in sorted(form.items(), key=lambda tk: tk[0] == ""):
-        term = t.format(**ctx) or str(abs(k))
+        term = t or str(abs(k))
         term = f"{abs(k)} * {term}" if t and abs(k) != 1 else term
         out += (" - " if k < 0 else " + ") + term if out else "-" * (k < 0) + term
     return out or "0"
@@ -352,12 +344,13 @@ def _concat(parts: list) -> str:
 
 
 class _Compiler:
-    """A template read: its declared params and shape, and the code of the
-    functions it generates (``code``).  Each list, formula and sequent of the
-    conclusion is bound to the source that reads it: in the functions through
-    locals (comps, s0, s1, the params, the principal formula f, the where
-    list r0), in a param's bounds through (comps, p).  Lengths are linear
-    forms, formatted for either reader."""
+    """A template read: its conclusion's items and where clause (``split``:
+    the names it joins, the items it splits them into), its declared
+    params and shape, and the code of the functions it generates
+    (``code``).  Each list, formula and sequent of the conclusion is bound
+    to the source that reads it through locals (comps, s0, s1, the params,
+    the principal formula f, the where list r0).  Lengths are linear
+    forms."""
 
     def __init__(self, rule: Rule, text: str):
         self.rule = rule.value
@@ -370,20 +363,20 @@ class _Compiler:
             premises = [[h, *p, h2] for p in premises]
         # a premise has a component: a list that is a whole premise has one
         lone = {p[0][1] for p in premises if len(p) == 1 and p[0][0] == "list"}
-        conclusion = [(*it[:3], 1) if it[0] == "list" and it[1] in lone else it
-                      for it in conclusion]  # fmt: skip
-        self.seqs = [it for it in conclusion if it[0] == "seq"]
+        self.conclusion = [(*it[:3], 1) if it[0] == "list" and it[1] in lone
+                           else it for it in conclusion]  # fmt: skip
+        self.seqs = [it for it in self.conclusion if it[0] == "seq"]
         self.keys = [_key(it) for it in self.seqs]
         self.env, self.sizes = {}, {}  # pattern name -> its source; list -> length
-        self.local, self.ctx, self.range = {}, {}, {}  # term -> source; param
+        self.range = {}  # param -> (lo, hi), linear forms
         self.params, self.checks, self.binds = [], [], []
         self.sized, self.tests = [], []  # side-length and formula tests
         self.principal = None  # (op, source, side, "pos" or "" if fixed, lo, hi)
-        self.least = self.lay(conclusion, "comps", {"len(comps)": 1}, "")
-        self.fits = [[self.lay(x, f"s{n}.{a}", {f"len({{s{n}}}.{a})": 1}, side)
-                      for x, a, side in zip(s[1:], ("left", "right"), _SIDES)]
-                     for n, s in enumerate(self.seqs)][:1]  # fmt: skip
-        self.where = None
+        self.least = self.lay(self.conclusion, "comps", {"len(comps)": 1}, "")
+        for n, s in enumerate(self.seqs):
+            for x, a, side in zip(s[1:], ("left", "right"), _SIDES):
+                self.lay(x, f"s{n}.{a}", {f"len(s{n}.{a})": 1}, side)
+        self.where = self.split = None
         if premises and self.tests:
             raise ValueError(f"{self.rule}: only an axiom tests formulas")
         try:
@@ -391,7 +384,8 @@ class _Compiler:
                 names, pattern = ([n.strip() for n in x.split(",")]
                                   for x in rest[1].split("="))
                 self.where = " + ".join(self.env[n] for n in names)
-                self.lay([_item(x, True) for x in pattern], "r0",
+                self.split = names, [_item(x, True) for x in pattern]
+                self.lay(self.split[1], "r0",
                          _plus({}, *map(self.sizes.__getitem__, names)), "context")
             self.premises = [(self.premise(p), self.premise(p, True)) for p in premises]
         except KeyError as e:
@@ -402,14 +396,12 @@ class _Compiler:
 
     def declare(self, name: str, what: Optional[str], lo: int, hi: dict):
         """Declare the param name, or (what None) the principal's position."""
-        if name in self.local:
+        if name in self.range:
             raise ValueError(f"{self.rule}: param {name} named twice")
-        self.local[name], self.ctx[name] = name, f'p["{name}"]'
         self.range[name] = lo, hi
         if what is not None:
-            bounds = f"lambda comps, p: ({lo}, {_src(hi, self.ctx)})"  # as source
-            self.params.append(Param(name, what, bounds))
-            at = f"{name!r}, {lo}, {_src(hi, self.local)}, {what!r}"
+            self.params.append(name)
+            at = f"{name!r}, {lo}, {_src(hi)}, {what!r}"
             self.checks.append(f"{name} = _param(q, rule, {at})")
 
     def lay(self, items: list, base: str, total: dict, side: str) -> int:
@@ -418,7 +410,7 @@ class _Compiler:
         start, those after it (each taking an element) from the end."""
         free = [j for j, it in enumerate(items) if it[0] == "list" and not it[2]]
         f = free[0] if free else len(items)
-        sizes = [{"{%s}" % it[2]: 1} if it[0] == "list" else {"": 1} for it in items]
+        sizes = [{it[2]: 1} if it[0] == "list" else {"": 1} for it in items]
         least = sum(it[3] if it[0] == "list" else 1 for it in items)
         if len(free) > 1:
             a, b = (items[j][1] for j in free[:2])
@@ -436,11 +428,11 @@ class _Compiler:
         for j in reversed(range(f + 1, len(items))):
             tails.insert(0, _plus(tails[0], sizes[j]))
 
-        def span(j, ctx):  # the sources of item j's start and stop ("": the end)
+        def span(j):  # the sources of item j's start and stop ("": the end)
             if j < f:
-                return _src(heads[j], ctx), _src(heads[j + 1], ctx)
-            return [_src(heads[f], ctx) if b is None else
-                    _src(_plus({}, b, sign=-1), ctx) if b else ""
+                return _src(heads[j]), _src(heads[j + 1])
+            return [_src(heads[f]) if b is None else
+                    _src(_plus({}, b, sign=-1)) if b else ""
                     for b in (tails[j - f - 1] if j > f else None, tails[j - f])]
 
         for j, it in enumerate(items):
@@ -453,7 +445,7 @@ class _Compiler:
                 hi = _plus(total, {"": it[3] - least})
                 self.declare(it[2], None if nxt == "conn" else what, it[3], hi)
         for j, it in enumerate(items):
-            at, to = span(j, self.local)
+            at, to = span(j)
             if it[0] == "list":
                 at = "" if at == "0" else at
                 self.env[it[1]] = f"{base}[{at}:{to}]" if at or to else base
@@ -461,8 +453,6 @@ class _Compiler:
                 self.sizes[it[1]] = sizes[j] if it[2] else rest
             elif it[0] == "seq":
                 n = len(self.binds)
-                self.local[f"s{n}"] = f"s{n}"
-                self.ctx[f"s{n}"] = f"comps[{span(j, self.ctx)[0]}]"
                 self.binds.append(f"s{n} = comps[{at}]")
                 self.checks.append(self.binds[-1])
             elif it[0] == "var" and it[1] in self.env:
@@ -479,7 +469,7 @@ class _Compiler:
                     raise ValueError(f"{self.rule}: the principal's position is pos")
                 lo, hi = self.range[pos] if pos else (at, {"": int(at)})
                 self.principal = (it[1], f"{base}[{at}]", side, pos, str(lo),
-                                  _src(hi, self.local))  # fmt: skip
+                                  _src(hi))  # fmt: skip
                 ops = _OPERANDS.get(it[1], ("children[0]", "children[1]"))
                 self.env.update(zip(it[2], (f"f.{op}" for op in ops)))
         return least
@@ -500,11 +490,6 @@ class _Compiler:
 
         return _concat(list(map(part, items)))
 
-    @cached_property
-    def declared(self) -> Tuple[Param, ...]:
-        """The declared params, their bounds made functions."""
-        return tuple(x._replace(bounds=eval(x.bounds, {})) for x in self.params)
-
     @lru_cache(maxsize=None)
     def code(self, search: bool):
         """The code of what search reads (search): the instances it lists and,
@@ -512,7 +497,7 @@ class _Compiler:
         or an axiom's match.  Compiled on first use, since compiling is most
         of what a rule costs."""
         rule, p, premises = self.rule, self.principal, self.premises
-        names = [x.name for x in self.params]
+        names = self.params
         made = [f"f = {p[1]}"] if p else []
         made += [f"r0 = {self.where}"] if self.where else []
         schema = ["q = inst.params", "comps = h.components"]
@@ -524,9 +509,9 @@ class _Compiler:
         # q and each param over its range, in order
         head, loops, indent = ["c = q['c']", *self.binds] if p else [], [], ""
         for x in self.params[bool(p) :]:
-            lo, hi = self.range[x.name]
-            over = f"range({lo}, {_src(_plus(hi, {'': 1}), self.local)})"
-            loops.append(f"{indent}for {x.name} in {over}:")
+            lo, hi = self.range[x]
+            over = f"range({lo}, {_src(_plus(hi, {'': 1}))})"
+            loops.append(f"{indent}for {x} in {over}:")
             indent += "    "
             loops += [indent + b for b in self.binds if x is self.params[0] and not p]
         new = "".join(f", {n!r}: {n}" for n in names[bool(p) :])
@@ -537,14 +522,14 @@ class _Compiler:
         funcs = {"schema(calc, inst, h)": schema}
         test = " and ".join([t for t, _, _ in self.sized] + self.tests)
         if not premises:  # an axiom: one test, match
-            args = "".join(", " + x.name for x in self.params[1:])
+            args = "".join(", " + x for x in self.params[1:])
             shape = f"{rule}: component must be " + re.sub(r"\^\w+", "", self.text)
             schema += [f"if match(s0{args}) is None: _fail({shape.strip()!r})"]
             schema.append("return []")
             match = [f"if {test}:", "    return {}"]
-            for x in self.params[1:]:  # one at most: its first fit if not given
-                a, (lo, hi) = x.name, self.range[x.name]
-                stop = _src(_plus(hi, {"": 1}), self.local)
+            for a in self.params[1:]:  # one at most: its first fit if not given
+                lo, hi = self.range[a]
+                stop = _src(_plus(hi, {"": 1}))
                 match = [f"for {a} in range({lo}, {stop}) if {a} is None else ({a},):",
                          f"    if {test}:",
                          f"        return {{{a!r}: {a}}}"]  # fmt: skip
@@ -579,8 +564,7 @@ _SEARCH_ORDER = (Rule.COM, Rule.SPLIT, Rule.MIX, Rule.LEX, Rule.REX, Rule.EEX,
 
 class RuleSpec:
     """One rule variant of a calculus, read from its ``Template``, whose
-    generated functions are compiled on the first use of one.  ``params``:
-    each param but a logical rule's "pos", in draw order.  ``schema(calc,
+    generated functions are compiled on the first use of one.  ``schema(calc,
     inst, h)`` checks an instance (its params' ranges, the conclusion's
     shape) and lists its premises.  Backward search reads two functions of
     a conclusion's components and the params q it fixes (a logical rule's
@@ -592,30 +576,23 @@ class RuleSpec:
     instance, its formula at pos or first found; None if none.  A logical
     rule's ``matches(f)`` tests a principal formula's connective (``kinds``,
     main one first) and arity on its side (``left``); a ``sole`` one is
-    alone on its side, its instances naming no "pos"."""
+    alone on its side, its instances naming no "pos".  ``drawn`` draws a
+    random instance from the template's conclusion."""
 
     def __init__(self, t: Template, kinds: dict = _KINDS):
         c = self.compiler = _compiler(t.rule, t.text)
         p = c.principal
         self.template, self.rule, self.step = t, t.rule, t.step
-        self.least, self.axiom = c.least, not c.premises
+        self.axiom = not c.premises
         self.left = None if p is None else p[2] == "antecedent"
         self.kinds, self.sole = (kinds[p[0]], not p[3]) if p else ((), False)
-        self.aliases = tuple(k for k in kinds.values() if len(k) > 1)
-        # a trial fits a one-sequent conclusion's sides to their least
-        # lengths, and places the principal formula on its side (None)
-        self.fits = None if len(c.seqs) != 1 else [
-            None if p and p[2] == side else n for n, side in zip(c.fits[0], _SIDES)
-        ]  # fmt: skip
         self.window = Window(len(c.seqs) or c.least, not c.seqs, c.fresh) if (
             t.rule in _SEARCH_ORDER) else None
 
     def __getattr__(self, name):
         c, kinds = self.compiler, self.kinds
         ns = dict(_GLOBALS, rule=c.rule, R=self.rule)
-        if name == "params":
-            self.params = c.declared
-        elif name in ("instances", "tries"):
+        if name in ("instances", "tries"):
             exec(c.code(True), ns)
             self.instances, self.tries = ns.get("instances"), ns.get("tries")
         elif name in ("schema", "match", "matches"):
@@ -645,69 +622,48 @@ class RuleSpec:
         return {"c": c} if self.sole else {"c": c, "pos": pos}
 
     def drawn_kind(self, rng):
-        """The principal node class for a forward step."""
+        """The principal node class of a drawn instance or a forward step."""
         return rng.choice(self.kinds) if len(self.kinds) > 1 else self.kinds[0]
 
-    def drawn_axiom(self, calc, rng: random.Random):
-        """An axiom's component drawn from its pattern, and its params besides
-        "c".  Per side: the lists are drawn as one; an item after a list with
-        a param goes at a random position among them, the param, and any
-        other at the end; a formula named again is the one first drawn, and
-        T and F are constants."""
-        named, params, sides = {}, {}, []
-        for items in self.compiler.seqs[0][1:]:
-            has_list = any(it[0] == "list" for it in items)
-            xs = list(_rand_formulas(calc, rng)) if has_list else []
-            after = ""  # the param of the list just passed, if it has one
-            for it in items:
-                if it[0] == "list":
-                    after = it[2]
-                    continue
-                at = len(xs)
-                if after:
-                    at = params[after] = rng.randint(0, len(xs))
-                    after = ""
-                if it[0] == "const":
-                    f = BoolConst(it[1], calc.profile)
-                elif it[1] in named:
-                    f = named[it[1]]
-                else:
-                    f = named[it[1]] = _rand_formula(calc, rng)
-                xs.insert(at, f)
-            sides.append(tuple(xs))
-        return Sequent(*sides), params
+    def drawn(self, calc, rng: random.Random):
+        """A random (instance, conclusion) of the rule, read off its
+        template's conclusion: each list holds random components or formulas,
+        its least length or one more; a formula named again is the one first
+        drawn, T and F are constants, and the principal connective is one of
+        ``kinds``.  Each param is the length of the list it names, and a
+        where clause's split is drawn."""
+        named, params, lengths = {}, {}, {}
 
-    def instance(self, calc, rng: random.Random):
-        """A random (instance, conclusion) the rule applies to: an axiom's
-        component among random components, or as many of them as the
-        conclusion needs, the drawn one (c) fitted to a one-sequent
-        conclusion; params left open are drawn in their bounds."""
-        if self.axiom:
-            comp, extra = self.drawn_axiom(calc, rng)
-            side = [_rand_sequent(calc, rng) for _ in range(rng.randint(0, 2))]
-            c = rng.randint(0, len(side))
-            side.insert(c, comp)
-            return RuleInstance(self.rule, {"c": c, **extra}), Hypersequent(side)
-        comps = [_rand_sequent(calc, rng) for _ in range(rng.randint(1, 3))]
-        c = rng.randrange(len(comps))
-        comps += [_rand_sequent(calc, rng) for _ in range(self.least - len(comps))]
-        p = {} if self.fits is None else {"c": c}
-        for j, least in enumerate(self.fits or ()):
-            x = (comps[c].left, comps[c].right)[j]
-            if least is None:  # the principal formula, at a random position
-                phi0, phi1 = _rand_formula(calc, rng), _rand_formula(calc, rng)
-                drawn = {k[0]: rng.choice(k) for k in self.aliases}
-                f = _make(drawn.get(self.kinds[0], self.kinds[0]), phi0, phi1)
-                if not self.sole:
-                    p["pos"] = rng.randint(0, len(x))
-                x = (f,) if self.sole else _insert(x, p["pos"], f)
-            elif len(x) < least:
-                x = _rand_formulas(calc, rng, least, least + 1)
-            comps[c] = _with_side(comps[c], j == 0, x)
-        for name, _, bounds in self.params:
-            if name not in p:
-                p[name] = rng.randint(*bounds(comps, p))
-        return RuleInstance(self.rule, p), Hypersequent(comps)
+        def formula(it):
+            if it[0] == "const":
+                return BoolConst(it[1], calc.profile)
+            if it[0] == "conn":
+                return _make(self.drawn_kind(rng), *map(var, it[2]))
+            return var(it[1])
+
+        def var(name):
+            if name not in named:
+                named[name] = _rand_formula(calc, rng)
+            return named[name]
+
+        def laid(items, element, single):  # a list's items are element()s
+            out = []
+            for it in items:
+                if it[0] != "list":
+                    out.append(single(it))
+                    continue
+                n = lengths[it[1]] = params[it[2]] = rng.randint(it[3], it[3] + 1)
+                out += [element(calc, rng) for _ in range(n)]
+            return tuple(out)
+
+        comps = laid(self.compiler.conclusion, _rand_sequent, lambda s: Sequent(
+            *[laid(x, _rand_formula, formula) for x in s[1:]]))  # fmt: skip
+        if self.compiler.split:  # its one list with a param takes a random share
+            names, items = self.compiler.split
+            total = sum(map(lengths.get, names))
+            params.update((it[2], rng.randint(it[3], total)) for it in items if it[2])
+        params.pop("", None)  # where the lengths of lists with no param went
+        return RuleInstance(self.rule, params), Hypersequent(comps)
 
 
 def _pick(rng, tree: ProofTree, wanted=None):
@@ -1150,7 +1106,7 @@ def hypersequent_holds(logic: LogicId, h: Hypersequent, tol: float = 1e-9) -> bo
 
 def _random_axiom_tree(calc: CalculusDef, rng: random.Random) -> ProofTree:
     spec = rng.choice(sorted(calc.axioms, key=lambda s: s.rule.value))
-    inst, h = spec.instance(calc, rng)
+    inst, h = spec.drawn(calc, rng)
     return ProofTree(h, inst, ())
 
 
@@ -1253,20 +1209,16 @@ def soundness_fuzz(
 # Rule-local soundness (premises hold semantically => conclusion holds)
 
 
-def _random_instance(calc: CalculusDef, rule: Rule, rng: random.Random):
-    """A random (instance, conclusion) in whose shape the rule applies."""
-    return _spec(calc, rule).instance(calc, rng)
-
-
 def rule_local_soundness(
     calc: CalculusDef, rule: Rule, trials: int, seed, tol: float = 1e-9
 ) -> dict:
     """If all premises hold semantically, the conclusion must hold too."""
+    spec = _spec(calc, rule)
     rng = random.Random(f"local/{calc.name}/{rule.value}/{seed}")
     checked = 0
     violations = []
     for i in range(trials):
-        inst, conclusion = _random_instance(calc, rule, rng)
+        inst, conclusion = spec.drawn(calc, rng)
         premises = premises_for(calc, inst, conclusion)
         if all(hypersequent_holds(calc.logic, p, tol=tol) for p in premises):
             checked += 1

@@ -13,6 +13,7 @@ import argparse
 import json
 import math
 import sys
+from functools import partial
 from json.encoder import encode_basestring_ascii as _encode_str
 
 from . import analysis, laws
@@ -256,9 +257,7 @@ def _cmd_eval(args) -> int:
             "version": "dlc-report/1",
             "kind": "eval",
             "logic": args.logic,
-            "loss": float(F64Carrier.primal(value))
-            if args.carrier == "f64"
-            else str(value),
+            "loss": float(CARRIERS[args.carrier].primal(value)),
             "gradient": list(gradient) if gradient is not None else None,
         },
         args.out,
@@ -402,11 +401,14 @@ def _cmd_train(args) -> int:
     return 0
 
 
+# No parser takes a flag's prefix for the flag: a misspelt or truncated
+# flag exits 2 instead of running as the flag it starts.
+_Parser = partial(argparse.ArgumentParser, allow_abbrev=False)
+
+
 def build_parser() -> argparse.ArgumentParser:
-    ap = argparse.ArgumentParser(
-        prog="dlc", description="Differentiable-logic toolkit"
-    )
-    sub = ap.add_subparsers(dest="command", required=True)
+    ap = _Parser(prog="dlc", description="Differentiable-logic toolkit")
+    sub = ap.add_subparsers(dest="command", required=True, parser_class=_Parser)
 
     p = sub.add_parser("compile", help="lower a spec file to a core expression")
     p.add_argument("spec")
@@ -442,7 +444,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(fn=_cmd_converge)
 
     proof = sub.add_parser("proof", help="proof checking and search")
-    psub = proof.add_subparsers(dest="proof_command", required=True)
+    psub = proof.add_subparsers(dest="proof_command", required=True,
+                                parser_class=_Parser)
 
     p = psub.add_parser("check", help="re-check a serialized proof")
     p.add_argument("proof")

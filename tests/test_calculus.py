@@ -9,11 +9,13 @@ import itertools
 import json
 import pickle
 import math
+import pathlib
 import random
 import sys
 
 import pytest
 
+from dlc import calculus
 from dlc.calculus import (
     CALCULI,
     Hypersequent,
@@ -49,7 +51,6 @@ from dlc.calculus import (
     _SEARCH_ORDER,
     _STREAK_CAP,
     CalculusDef,
-    Param,
     Template,
     Window,
     _atom,
@@ -59,7 +60,6 @@ from dlc.calculus import (
     _hyper_to_json,
     _logical_matches,
     _rand_sequent,
-    _random_instance,
     _shifted,
     _tree_depth,
     _validate,
@@ -191,7 +191,7 @@ def test_premises_for_dispatches_on_the_calculus_rules(name):
     h = Hypersequent([Sequent((p,), (p,))])
     for rule in Rule:
         if rule in calc.rules:
-            inst, conclusion = _random_instance(calc, rule, rng)
+            inst, conclusion = calc.table[rule].drawn(calc, rng)
             assert isinstance(premises_for(calc, inst, conclusion), list)
         else:
             with pytest.raises(RuleNotInCalculus):
@@ -238,7 +238,6 @@ def test_a_calculus_is_its_name_logic_and_templates():
     assert list(inspect.signature(_calc).parameters) == ["name", "logic", "templates"]
     assert [f.name for f in dataclasses.fields(CalculusDef)] == ["name", "logic", "table"]
     assert Template._fields == ("rule", "text", "step")
-    assert Param._fields == ("name", "what", "bounds")
     for calc in CALCULI.values():
         for spec in calc.table.values():
             t = spec.template
@@ -394,7 +393,7 @@ def test_dl2_limpl_is_sound_with_either_premise_alone(keep):
     dl2 = CALCULI["dl2"]
     templates = [s.template for s in dl2.table.values() if s.rule is not Rule.LIMPL]
     calc = _calc("dl2", DL2, templates + [_dropped(_LIMPL_DL2, keep)])
-    inst, conclusion = _random_instance(calc, Rule.LIMPL, random.Random(0))
+    inst, conclusion = calc.table[Rule.LIMPL].drawn(calc, random.Random(0))
     assert len(premises_for(calc, inst, conclusion)) == 1
     rep = rule_local_soundness(calc, Rule.LIMPL, 1000, "acceptance")
     assert rep["violations"] == [] and rep["premises_held"] > 0
@@ -435,37 +434,37 @@ def golden_values(name):
 # SEARCH_DIGEST, whose goals are random derivations too.
 GOLDEN = {
     "dl2": (
-        "2a149c83e2df81abffa7b7156a847aea4c4d66ba5bf6e107e79aba99ce7c7d79",
-        {"com": 26, "ec": 45, "eex": 46, "emp": 50, "ew": 32, "init": 50,
-         "land": 44, "lex": 44, "limpl": 36, "lodot": 45, "lor": 43,
-         "rand": 38, "rex": 36, "rimpl": 42, "rodot": 28, "ror": 37,
-         "topr": 50, "weakl": 39},
+        "09cc53114f64fec700467502b75f285c048b44709cee9884af9e8d7f9f7c8f01",
+        {"com": 42, "ec": 45, "eex": 50, "emp": 50, "ew": 43, "init": 50,
+         "land": 47, "lex": 47, "limpl": 36, "lodot": 49, "lor": 45,
+         "rand": 37, "rex": 31, "rimpl": 32, "rodot": 36, "ror": 41,
+         "topr": 50, "weakl": 41},
     ),
     "goedel": (
-        "9f4c9a5ab0763144c8489785be522f8d35c60faebee187592de0499a0d34f338",
-        {"botl": 50, "com": 19, "contrl": 38, "ec": 31, "eex": 37, "ew": 28,
-         "init": 50, "land": 35, "lex": 40, "limpl": 34, "lor": 32,
-         "rand": 34, "rex": 43, "rimpl": 43, "ror": 36, "topr": 50,
+        "6fabe2148ab577521a05bdd7f1ef10630fee6a1ebc63a9514dedc2b43913263f",
+        {"botl": 50, "com": 29, "contrl": 41, "ec": 35, "eex": 35, "ew": 29,
+         "init": 50, "land": 41, "lex": 42, "limpl": 35, "lor": 37,
+         "rand": 30, "rex": 45, "rimpl": 39, "ror": 39, "topr": 50,
          "weakl": 30},
     ),
     "lukasiewicz": (
-        "1bcdaf3d19929956ada01722f573c2af5d4c6f8a8895543e17a20954e825963d",
-        {"botl": 50, "ec": 45, "eex": 44, "emp": 50, "ew": 35, "init": 50,
-         "lex": 44, "limpl": 38, "mix": 45, "rex": 26, "rimpl": 34,
-         "split": 26, "weakl": 38},
+        "308a838bdcd4969abf9868d8b296376d92a34a09d59619e79b5621e60dcd2786",
+        {"botl": 50, "ec": 44, "eex": 49, "emp": 50, "ew": 41, "init": 50,
+         "lex": 50, "limpl": 41, "mix": 37, "rex": 29, "rimpl": 32,
+         "split": 39, "weakl": 43},
     ),
     "product": (
-        "951b7359e6e210690da2fae403657a7c59d718a43625cd0555f015cb82ecc727",
-        {"botl": 50, "ec": 40, "eex": 45, "emp": 50, "ew": 38, "init": 50,
-         "lex": 46, "limpl": 40, "lneg": 38, "lodot": 44, "mix": 41,
-         "rex": 34, "rimpl": 39, "rodot": 28, "split": 32, "weakl": 31},
+        "3aca9f80a6cfe7edddf6def0a6fb07acbdbc787ab5f691f9344aacf6e3c75881",
+        {"botl": 50, "ec": 40, "eex": 48, "emp": 50, "ew": 37, "init": 50,
+         "lex": 47, "limpl": 43, "lneg": 42, "lodot": 47, "mix": 38,
+         "rex": 35, "rimpl": 35, "rodot": 32, "split": 39, "weakl": 43},
     ),
     "stl-inf": (
-        "e4df0e71d2e5aa7c04f77a154adaf8531c59a161e35154db0231ef9252f05486",
-        {"botl": 50, "com": 14, "contrl": 37, "ec": 35, "eex": 32, "ew": 25,
-         "init": 50, "land": 35, "lex": 37, "limpl": 30, "lor": 33,
-         "rand": 25, "rex": 43, "rimpl": 41, "ror": 36, "topr": 50,
-         "weakl": 18},
+        "a2e6f3e8d023024a4158d7b0b240bc85e4f31e5ea79fd288e320133327bccec0",
+        {"botl": 50, "com": 27, "contrl": 41, "ec": 28, "eex": 31, "ew": 24,
+         "init": 50, "land": 38, "lex": 33, "limpl": 26, "lor": 34,
+         "rand": 23, "rex": 45, "rimpl": 36, "ror": 35, "topr": 50,
+         "weakl": 25},
     ),
 }
 
@@ -1130,58 +1129,68 @@ def test_search_lists_the_pinned_instances_in_order(key):
         dict(zip(names.split(), v)) for v in values]
 
 
-def _with_param(spec, inst, comps, j, v):
-    """inst with its declared param j set to v and each later one kept, or
-    moved to its lower bound if out of range; None if a later range is
-    empty."""
-    p = dict(inst.params)
-    p[spec.params[j].name] = v
-    for later in spec.params[j + 1 :]:
-        lo, hi = later.bounds(comps, p)
-        if lo > hi:
-            return None
-        if not lo <= p[later.name] <= hi:
-            p[later.name] = lo
-    return RuleInstance(inst.rule, p)
+@pytest.mark.parametrize("name", sorted(CALCULI))
+def test_declared_bounds_are_the_range_the_schema_takes(name):
+    # on drawn conclusions, every instance search lists passes the schema,
+    # and each param one below the least value listed, or one above the
+    # greatest, is out of range.  A logical rule's or an axiom's conclusion
+    # is copies of its drawn component c, whose side with the formula at
+    # "pos" (botl's falsum: the antecedent) is copies of that formula, so
+    # that every "c" and "pos" is listed; an axiom lists what it matches.
+    calc = CALCULI[name]
+    rng = random.Random(f"bounds/{name}")
+    reached, named = set(), set()
+    for spec in calc.table.values():
+        for _ in range(30):
+            inst, h = spec.drawn(calc, rng)
+            named.update((spec.rule, k) for k in inst.params)
+            comps = h.components
+            if spec.left is None and not spec.axiom:
+                listed = list(spec.instances(comps, {}))
+            else:
+                s, pos = comps[inst.params["c"]], inst.params.get("pos")
+                left = spec.left is not False
+                x = s.left if left else s.right
+                if pos is not None:
+                    x = (x[pos],) * len(x)
+                    s = Sequent(x, s.right) if left else Sequent(s.left, x)
+                comps = (s,) * len(comps)
+                at = [(c, p) for c in range(len(comps))
+                      for p in (range(len(x)) if pos is not None else [0])]
+                listed = [RuleInstance(spec.rule, {"c": c, **spec.match(s, p)})
+                          for c, p in at] if spec.axiom else [
+                          i for c, p in at for i in spec.search_at(calc, s, c, p)]
+            h = Hypersequent(comps)
+            for i in listed:
+                premises_for(calc, i, h)
+            for pname in {k for i in listed for k in i.params}:
+                values = [i.params[pname] for i in listed]
+                for v in (min(values) - 1, max(values) + 1):
+                    i = next(i for i in listed if abs(i.params[pname] - v) == 1)
+                    p = {**i.params, pname: v}
+                    with pytest.raises(SchemaMismatch, match="out of range"):
+                        premises_for(calc, RuleInstance(i.rule, p), h)
+                reached.add((spec.rule, pname))
+    assert reached == named
 
 
 @pytest.mark.parametrize("name", sorted(CALCULI))
-def test_declared_bounds_are_the_range_the_schema_takes(name):
-    # on random trial instances, each declared param is accepted at both of
-    # its bounds and rejected one past either; where the param is "c", every
-    # component is a copy of the one it names, and where it is botl's "pos",
-    # every antecedent formula of that one is falsum, so that the rule
-    # applies wherever the param points
+def test_drawn_instances_pass_the_schema(name):
+    # 200 seeded draws of each rule: each passes the schema, each param
+    # takes two values at least, and an axiom matches its drawn component c
     calc = CALCULI[name]
-    rng = random.Random(f"bounds/{name}")
-    reached = set()
+    rng = random.Random(f"drawn/{name}")
     for spec in calc.table.values():
-        for _ in range(30):
-            inst, h = spec.instance(calc, rng)
-            for j, (pname, _, bounds) in enumerate(spec.params):
-                comps = h.components
-                if pname == "c":
-                    comps = (comps[inst.params["c"]],) * len(comps)
-                elif (spec.rule, pname) == (Rule.BOT_L, "pos"):
-                    c, s = inst.params["c"], comps[inst.params["c"]]
-                    s = Sequent(s.left[inst.params["pos"]:][:1] * len(s.left), s.right)
-                    comps = comps[:c] + (s,) + comps[c + 1 :]
-                lo, hi = bounds(comps, inst.params)
-                accepted = 0
-                for v in (lo, hi):
-                    moved = _with_param(spec, inst, comps, j, v)
-                    if moved is not None:
-                        premises_for(calc, moved, Hypersequent(comps))
-                        accepted += 1
-                if accepted == 2:
-                    reached.add((spec.rule, pname))
-                for v in (lo - 1, hi + 1):
-                    p = {**inst.params, pname: v}
-                    with pytest.raises(SchemaMismatch, match="out of range"):
-                        premises_for(calc, RuleInstance(inst.rule, p),
-                                     Hypersequent(comps))
-    assert reached == {(spec.rule, param.name) for spec in calc.table.values()
-                       for param in spec.params}
+        values = {}
+        for _ in range(200):
+            inst, h = spec.drawn(calc, rng)
+            premises_for(calc, inst, h)
+            for k, v in inst.params.items():
+                values.setdefault(k, set()).add(v)
+            if spec.axiom:
+                assert spec.match(h.components[inst.params["c"]]) is not None
+        assert values and all(len(v) >= 2 for v in values.values()), (
+            spec.rule, values)
 
 
 @pytest.mark.parametrize("name", sorted(CALCULI))
@@ -1316,12 +1325,34 @@ def test_search_work_counts_repeat():
 # proves one of them must remove it here.
 ROUND_TRIP_GOALS = 600
 ROUND_TRIP_MISSES = {
-    "goedel": {49, 63},
-    "lukasiewicz": {84},
+    "goedel": set(),
+    "lukasiewicz": {358},
     "product": set(),
     "dl2": set(),
-    "stl-inf": {14},
+    "stl-inf": set(),
 }
+
+
+# Four derivations whose conclusions search misses at the derivation's
+# depth, kept as dlc-proof/1 documents: the round-trip goals rt/49 and rt/63
+# of Gödel, rt/84 of Łukasiewicz and rt/14 of STL∞ as they were drawn
+# before axiom leaves were read from the templates.  Each needs more than
+# _STREAK_CAP structural steps in a row (ROADMAP item 4); a search that
+# proves one of them must say so here.
+STREAK_CAP_MISSES = json.loads(
+    (pathlib.Path(__file__).parent / "streak_cap_misses.json").read_text())
+
+
+@pytest.mark.parametrize("entry", STREAK_CAP_MISSES,
+                         ids=[f"{e['calculus']}-{e['index']}" for e in STREAK_CAP_MISSES])
+def test_search_misses_the_pinned_derivable_goals(entry, monkeypatch):
+    name, tree = proof_from_json(entry["proof"])
+    calc, depth = CALCULI[name], entry["depth"]
+    check_proof(calc, tree)
+    assert _tree_depth(tree) == depth
+    assert prove_bounded(calc, tree.conclusion, depth) is None
+    monkeypatch.setattr(calculus, "_STREAK_CAP", _STREAK_CAP + 1)
+    assert prove_bounded(calc, tree.conclusion, depth) is not None
 
 
 @functools.lru_cache(maxsize=None)
@@ -1361,18 +1392,12 @@ def test_search_round_trip_misses_only_the_pinned_goals(name):
 # means to move them.  PROOF_DIGEST hashes the same proofs with only the
 # nodes expanded and the memo prunes, which follow the search's course
 # alone: a change to how premises are found or built must keep it.
-# Two round-trip goals are searched at their depth only: at depth + 2
-# (budget 7) they took 12.0-13.9 s (stl-inf 384) and 3.0-3.7 s (dl2 349) of
-# CPU while search offered weakl one formula at a time, most of it in com
-# windows at budgets 1 and 2 (9.7-11.2 s and 2.2-3.1 s with premises read
-# as side tuples).  Offered every block size, search proves both at their
-# depth, and at depth + 2 in 0.04-0.06 s and under 0.01 s; they stay out so
-# that the digest's set of searches does not move with the proofs.
-SEARCH_DIGEST = "92896e3285cebeec3db3727bf24eaf6f807a47d3de349aba234d86a703c49ac8"
-PROOF_DIGEST = "d71de2fbed145c4511328201c06f0637ca32fd1e76d00c531c7d6a1420633428"
+# Each round-trip goal is searched at depth + 2 too; none takes more than
+# 0.15 s of CPU there.
+SEARCH_DIGEST = "3a7095041a442306fd7c5c99e82816bfe1f0bb51ad4641a20e916bad72a4d1d0"
+PROOF_DIGEST = "433df6feb242d7b56444f8690b14e4e30475fcabe3f90429841ceef67ad51a7c"
 DIGEST_WORK_KEYS = ("nodes_expanded", "memo_prunes", "frontier_hits", "frontier_misses")
 PROOF_WORK_KEYS = DIGEST_WORK_KEYS[:2]
-_SLOW_AT_DEPTH_PLUS_2 = {("stl-inf", 384), ("dl2", 349)}
 
 
 def search_digest():
@@ -1395,10 +1420,9 @@ def search_digest():
         for _, _, goal in weak_completeness_goals(calc):
             for budget in range(13):
                 search(calc, goal, budget)
-        for i, (goal, depth, proof, work) in enumerate(_round_trip(name)):
+        for goal, depth, proof, work in _round_trip(name):
             add(calc, proof, work)
-            if (name, i) not in _SLOW_AT_DEPTH_PLUS_2:
-                search(calc, goal, depth + 2)
+            search(calc, goal, depth + 2)
     return tuple(digest.hexdigest() for _, digest in digests)
 
 

@@ -46,12 +46,15 @@ class TestEval:
         assert rep["loss"] == pytest.approx(-0.05)
         assert rep["gradient"][0] == pytest.approx(-1.0)
 
-    @pytest.mark.parametrize("carrier, loss", [("f64", -0.05), ("xreal", "XReal(-0.05)")])
-    def test_carrier(self, capsys, carrier, loss):
-        assert run(["eval", SPEC, "--inputs", INPUTS, "--net", f"N={NET}",
-                    "--logic", "dl2", "--carrier", carrier]) == 0
-        rep = json.loads(capsys.readouterr().out)
-        assert rep["loss"] == loss and rep["gradient"] is None
+    @pytest.mark.parametrize("carrier", ["f64", "xreal"])
+    def test_carrier(self, capsys, carrier):
+        # either carrier writes the loss as a number, with a gradient or not
+        for grad in ([], ["--grad", "x"]):
+            assert run(["eval", SPEC, "--inputs", INPUTS, "--net", f"N={NET}",
+                        "--logic", "dl2", "--carrier", carrier, *grad]) == 0
+            rep = json.loads(capsys.readouterr().out)
+            assert type(rep["loss"]) is float and rep["loss"] == -0.05
+            assert (rep["gradient"] is None) == (not grad)
 
     def test_stl_flag_violation_is_usage_error(self):
         code = run(
@@ -546,6 +549,16 @@ OUT_OF_RANGE = {
 }
 
 
+# Abbreviated flags, which no parser takes for the flag they start.
+ABBREVIATED = {
+    "laws-abbreviated-samples": ["laws", "--sa", "3"],
+    "fuzz-abbreviated-samples": ["fuzz-soundness", "--calculus", "goedel",
+                                 "--sam", "5"],
+    "search-abbreviated-depth": ["proof", "search", "--calculus", "goedel",
+                                 "--goal", "{goal}", "--dep", "2"],
+}
+
+
 def _reject_constant(name):
     raise ValueError(f"non-strict JSON constant {name}")
 
@@ -580,6 +593,16 @@ def test_out_of_range_numeric_flag_is_usage_error(case, tmp_path, capsys):
     captured = capsys.readouterr()
     assert _contract_breach(2, captured) is None
     assert "expected a" in captured.err and not out.exists()
+
+
+@pytest.mark.parametrize("case", sorted(ABBREVIATED))
+def test_abbreviated_flag_is_usage_error(case, tmp_path, capsys):
+    argv = [a.replace("{goal}", _search_goal(tmp_path)) for a in ABBREVIATED[case]]
+    out = tmp_path / "r.json"
+    assert run(argv + ["--out", str(out)]) == 2
+    captured = capsys.readouterr()
+    assert _contract_breach(2, captured) is None
+    assert "unrecognized arguments: --" in captured.err and not out.exists()
 
 
 LOGIC_FLAGS = {"goedel": [], "lukasiewicz": [], "yager": ["--r", "2"],
@@ -619,7 +642,7 @@ def _sweep_cases(goal):
         yield "weakcomp", calc, ["weakcomp", *on, "--depth", "4"]
         yield "fuzz-soundness", calc, ["fuzz-soundness", *on, "--samples", "20",
                                        "--depth", "3"]
-    for case, argv in OUT_OF_RANGE.items():
+    for case, argv in {**OUT_OF_RANGE, **ABBREVIATED}.items():
         yield case, None, [a.replace("{goal}", goal) for a in argv]
 
 
@@ -631,7 +654,8 @@ def test_every_subcommand_keeps_the_exit_code_contract(tmp_path, capsys):
     for cmd, target, argv in _sweep_cases(_search_goal(tmp_path)):
         code = run(argv)
         breach = _contract_breach(code, capsys.readouterr())
-        want_usage = (cmd, target) in EXPECTED_USAGE_ERRORS or cmd in OUT_OF_RANGE
+        want_usage = ((cmd, target) in EXPECTED_USAGE_ERRORS or cmd in OUT_OF_RANGE
+                      or cmd in ABBREVIATED)
         if breach is None and (code == 2) != want_usage:
             breach = f"exit {code}, expected {'2' if want_usage else '0 or 1'}"
         if breach is not None:
@@ -686,7 +710,7 @@ def test_every_option_is_read_by_some_run(tmp_path, capsys):
 
     parser = cli.build_parser()
     for cmd, _, argv in _sweep_cases(_search_goal(tmp_path)):
-        if cmd in OUT_OF_RANGE:
+        if cmd in OUT_OF_RANGE or cmd in ABBREVIATED:
             continue
         args = parser.parse_args(argv)
         try:
