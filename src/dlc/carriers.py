@@ -20,13 +20,20 @@ pass also yields the float value bit for bit.
 ``affine(bias, row, xs)`` is one neuron's pre-activation: the left fold
 ``acc = add(acc, mul(lift(w), x))`` from ``acc = lift(bias)``.  The dual
 carrier fuses that fold into one list per multiply-add, with the same
-float operations per coordinate, and skips the entry updates that add an
-exact zero: those of a unit seed's zero entries and of a scalar tangent
-whose term is ±0.0.  That is exact because no accumulator entry is ever
--0.0, and adding ±0.0 to any other float returns it bit for bit; where a
-weight or primal is not finite, a zero entry's term may be NaN, so the
-dense update runs.  The extended-real carrier runs the fold as one float
-loop with the checks of ``lift``, ``mul`` and ``add`` in their order.
+float operations per coordinate, and skips the additions of an exact
+zero: the entry updates of a unit seed's zero entries and of a scalar
+tangent whose term is ±0.0, and a dense entry's ``+ 0.0 * primal``.  That
+is exact because no accumulator entry is ever -0.0, and adding ±0.0 to
+any other float returns it bit for bit; where a weight or primal is not
+finite, a zero entry's term may be NaN, so the dense update runs.  The
+extended-real carrier runs the fold as one float loop with the checks of
+``lift``, ``mul`` and ``add`` in their order.
+
+``Dual`` and ``XReal`` are slotted frozen dataclasses, compared and hashed
+by the generated methods.  Their constructors write the slots through the
+slot descriptors' setters (bound below each class), which skips the frozen
+check as ``object.__setattr__`` would, for less; a pickle or copy rebuilds
+through the constructor.
 """
 
 from __future__ import annotations
@@ -52,17 +59,25 @@ def _float_rpow(x: float, a: float) -> float:
 class XReal:
     """Extended real; value may be ±inf but never NaN."""
 
+    __slots__ = ("value",)
     value: float
 
-    def __post_init__(self):
-        if math.isnan(self.value):
+    def __init__(self, value: float):
+        if math.isnan(value):
             raise CarrierError("NaN has no extended-real reading")
+        _set_value(self, value)
+
+    def __reduce__(self):
+        return XReal, (self.value,)
 
     def is_finite(self) -> bool:
         return math.isfinite(self.value)
 
     def __repr__(self):
         return f"XReal({self.value})"
+
+
+_set_value = XReal.__dict__["value"].__set__
 
 
 XR_PLUS_INF = XReal(INF)
@@ -158,8 +173,16 @@ class Dual:
     """First-order dual number ⟨primal, tangent⟩; the tangent is a float
     or a ``Tangents`` vector."""
 
+    __slots__ = ("primal", "tangent")
     primal: float
     tangent: float
+
+    def __init__(self, primal: float, tangent):
+        _set_primal(self, primal)
+        _set_tangent(self, tangent)
+
+    def __reduce__(self):
+        return Dual, (self.primal, self.tangent)
 
     def __repr__(self):
         return f"⟨{self.primal}, {self.tangent}⟩"
@@ -195,6 +218,10 @@ class Dual:
 
     def __abs__(self):
         return DualCarrier.abs(self)
+
+
+_set_primal = Dual.__dict__["primal"].__set__
+_set_tangent = Dual.__dict__["tangent"].__set__
 
 
 def _elementwise(f, a, b):
@@ -476,6 +503,10 @@ class DualCarrier:
         (a dead ReLU unit, a lifted constant) updates none.  The seed's
         other terms are ``w * 0.0 + 0.0 * x.primal``, zero only when the
         weight and the primal are finite; otherwise the dense update runs.
+        The dense update drops ``z = 0.0 * x.primal`` from each entry's
+        term ``w * b + z`` when z is ±0.0, as it is at a finite primal:
+        that changes the term only from -0.0 to 0.0, and the entry it is
+        added to is not -0.0, so the sum is the same.
         """
         p = float(bias)
         t = 0.0  # the accumulator's tangent: a float or a list
@@ -486,15 +517,15 @@ class DualCarrier:
             z = 0.0 * xp
             p = p + w * xp
             if isinstance(xt, Tangents):
+                if type(t) is not list:
+                    t = [t] * len(xt.v)
                 if type(xt) is _Unit and z == 0.0 and -INF < w < INF:
-                    if type(t) is not list:
-                        t = [t] * len(xt.v)
                     j = xt.j
                     t[j] = t[j] + (w * 1.0 + z)
-                elif type(t) is list:
-                    t = [a + (w * b + z) for a, b in zip(t, xt.v)]
+                elif z == 0.0:
+                    t = [a + w * b for a, b in zip(t, xt.v)]
                 else:
-                    t = [t + (w * b + z) for b in xt.v]
+                    t = [a + (w * b + z) for a, b in zip(t, xt.v)]
             elif type(t) is list:
                 d = w * xt + z
                 if d != 0.0:

@@ -728,21 +728,25 @@ def _check_bindings(doc: SpecDoc, inputs: Dict[str, Sequence[float]]) -> None:
 
 def _bound_env(env: Env, inputs: Dict[str, Sequence[float]],
                grad_wrt: Optional[str] = None) -> Env:
-    """Bind each input slot; over duals, ``grad_wrt``'s coordinate j is
-    seeded with the j-th unit tangent vector."""
+    """Bind each input slot for one evaluation; over duals, ``grad_wrt``'s
+    coordinate j is seeded with the j-th unit tangent vector.
+
+    A slot lifts its values once per carrier and returns that tuple at
+    every reference."""
     slots = {}
     for name, values in inputs.items():
         vals = tuple(float(v) for v in values)
-        seeded = None
+        lifted = {}
         if name == grad_wrt:
-            seeded = tuple(
+            lifted[DualCarrier] = tuple(
                 Dual(v, Tangents.unit(j, len(vals))) for j, v in enumerate(vals)
             )
 
-        def run(_arg, c, _vals=vals, _seeded=seeded):
-            if _seeded is not None and c is DualCarrier:
-                return _seeded
-            return tuple(c.lift(v) for v in _vals)
+        def run(_arg, c, _vals=vals, _lifted=lifted):
+            out = _lifted.get(c)
+            if out is None:
+                out = _lifted[c] = tuple(c.lift(v) for v in _vals)
+            return out
 
         slots[f"in:{name}"] = run
     return extend_env(env, functions=slots)
@@ -816,6 +820,8 @@ def train_demo(
 
     Each step moves ``x_name`` along the loss gradient and projects it
     back into the box of radius ``radius_name`` around ``center_name``.
+    Before the first step, the bindings are checked against ``doc``, the
+    radius must be one value >= 0, and the center as long as ``x_name``.
     """
     if not LOGICS[logic.kind].trainable:
         raise RejectedLogic(
@@ -827,9 +833,18 @@ def train_demo(
     for need in (x_name, center_name, radius_name):
         if need not in bound:
             raise ValidationError(f"training demo needs a binding for {need!r}")
-    center = bound[center_name]
-    radius = bound[radius_name][0]
     _check_bindings(doc, bound)
+    center, radius, n = bound[center_name], bound[radius_name], len(bound[x_name])
+    if len(radius) != 1 or not radius[0] >= 0.0:
+        raise ValidationError(
+            f"radius {radius_name!r} must be one value >= 0, got {list(radius)}"
+        )
+    if len(center) != n:
+        raise ArityMismatch(
+            f"center {center_name!r} needs {n} components like {x_name!r}, "
+            f"got {len(center)}"
+        )
+    radius = radius[0]
     expr = _goal(doc, logic, env)
     trace = []
     for step in range(steps + 1):
@@ -845,7 +860,6 @@ def train_demo(
             for xi, ci in zip(moved, center)
         )
         bound[x_name] = projected
-        _check_bindings(doc, bound)  # a shorter center shortens x
     return trace
 
 

@@ -1,6 +1,9 @@
 """Carrier arithmetic: floats, extended reals, and dual numbers."""
 
+import copy
+import dataclasses
 import math
+import pickle
 
 import pytest
 from hypothesis import given, strategies as st
@@ -159,6 +162,56 @@ UNARY = {
 }
 
 
+class TestValueContract:
+    """Duals and extended reals are plain frozen values: slotted, compared
+    and hashed by their fields, and rebuilt by a pickle or copy."""
+
+    @staticmethod
+    def build():
+        return [Dual(1.5, Tangents((1.0, -0.0))), Dual(-2.0, 0.5), XReal(-math.inf)]
+
+    FIELDS = {Dual: ("primal", "tangent"), XReal: ("value",)}
+
+    def test_immutable(self):
+        for x in self.build():
+            for attr in self.FIELDS[type(x)]:
+                with pytest.raises(dataclasses.FrozenInstanceError):
+                    setattr(x, attr, 0.0)
+                with pytest.raises(dataclasses.FrozenInstanceError):
+                    delattr(x, attr)
+            with pytest.raises(AttributeError):
+                x.other = 1
+            assert not hasattr(x, "__dict__")
+
+    def test_equal_and_hash_by_fields(self):
+        for x, y in zip(self.build(), self.build()):
+            assert x is not y and x == y and hash(x) == hash(y)
+        d, e, xr = self.build()
+        assert d != Dual(1.5, Tangents((1.0, 0.5))) and d != e
+        assert xr != XReal(math.inf) and xr != Dual(-math.inf, 0.0)
+        assert Dual(1.0, 0.0) == Dual(1.0, -0.0)  # fields compare as floats
+
+    def test_reprs(self):
+        d, e, xr = self.build()
+        assert repr(d) == "⟨1.5, Tangents((1.0, -0.0))⟩"
+        assert repr(e) == "⟨-2.0, 0.5⟩"
+        assert repr(xr) == "XReal(-inf)"
+
+    @pytest.mark.parametrize("trip", [
+        lambda x: pickle.loads(pickle.dumps(x)), copy.copy, copy.deepcopy,
+    ], ids=["pickle", "copy", "deepcopy"])
+    def test_round_trip(self, trip):
+        for x in self.build():
+            back = trip(x)
+            assert type(back) is type(x) and back == x and hash(back) == hash(x)
+            assert repr(back) == repr(x)
+
+    def test_nan_has_no_extended_real_reading(self):
+        with pytest.raises(CarrierError,
+                           match=r"^NaN has no extended-real reading$"):
+            XReal(math.nan)
+
+
 class TestTangents:
     @pytest.mark.parametrize("name", sorted(BINARY))
     @given(a=divisors, b=divisors, ta=vectors, tb=vectors)
@@ -305,6 +358,10 @@ class TestAffine:
             # a scalar term of ±0.0 leaves NaN and infinite entries as they are
             (0.0, [1.0, 0.0, -0.0], [Dual(math.inf, u), Dual(1.0, 5.0),
                                      Dual(2.0, 0.0)]),
+            # a dense accumulator whose first entry is 0.0, and a dense input
+            # whose w * b is -0.0 there; 0.0 * primal is 0.0, then -0.0
+            (0.0, [1.0, 2.0], [Dual(1.0, u), Dual(3.0, u)]),
+            (0.0, [1.0, 2.0], [Dual(1.0, u), Dual(-3.0, u)]),
         ]
         for bias, row, xs in cases:
             self._assert_dual_fold(bias, row, xs)

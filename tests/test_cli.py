@@ -559,6 +559,36 @@ ABBREVIATED = {
 }
 
 
+# Bindings train-demo cannot train on, refused before the first step:
+# case -> (argv, the error).  "{eps=V}" is the bundled inputs file with eps
+# bound to the JSON value V.
+BAD_BINDINGS = {
+    "train-radius-empty": (TRAIN + ["--inputs", "{eps=[]}"],
+                           "scalar 'eps' needs exactly one value"),
+    "train-radius-negative": (TRAIN + ["--inputs", "{eps=-0.1}"],
+                              "radius 'eps' must be one value >= 0, got [-0.1]"),
+    "train-radius-vector": (TRAIN + ["--radius", "x"],
+                            "radius 'x' must be one value >= 0, got [0.1, 0.0]"),
+    "train-center-scalar": (TRAIN + ["--center", "eps"],
+                            "center 'eps' needs 2 components like 'x', got 1"),
+}
+
+
+def _filled(argv, tmp_path):
+    """argv with "{goal}" and "{eps=V}" replaced by the files they name."""
+    out = []
+    for a in argv:
+        if a == "{goal}":
+            a = _search_goal(tmp_path)
+        elif a.startswith("{eps="):
+            path = tmp_path / f"inputs-{a[1:-1]}.json"
+            path.write_text(json.dumps({**read_json(INPUTS),
+                                        "eps": json.loads(a[5:-1])}))
+            a = str(path)
+        out.append(a)
+    return out
+
+
 def _reject_constant(name):
     raise ValueError(f"non-strict JSON constant {name}")
 
@@ -587,7 +617,7 @@ def _contract_breach(code, captured):
 
 @pytest.mark.parametrize("case", sorted(OUT_OF_RANGE))
 def test_out_of_range_numeric_flag_is_usage_error(case, tmp_path, capsys):
-    argv = [a.replace("{goal}", _search_goal(tmp_path)) for a in OUT_OF_RANGE[case]]
+    argv = _filled(OUT_OF_RANGE[case], tmp_path)
     out = tmp_path / "r.json"
     assert run(argv + ["--out", str(out)]) == 2
     captured = capsys.readouterr()
@@ -597,12 +627,22 @@ def test_out_of_range_numeric_flag_is_usage_error(case, tmp_path, capsys):
 
 @pytest.mark.parametrize("case", sorted(ABBREVIATED))
 def test_abbreviated_flag_is_usage_error(case, tmp_path, capsys):
-    argv = [a.replace("{goal}", _search_goal(tmp_path)) for a in ABBREVIATED[case]]
+    argv = _filled(ABBREVIATED[case], tmp_path)
     out = tmp_path / "r.json"
     assert run(argv + ["--out", str(out)]) == 2
     captured = capsys.readouterr()
     assert _contract_breach(2, captured) is None
     assert "unrecognized arguments: --" in captured.err and not out.exists()
+
+
+@pytest.mark.parametrize("case", sorted(BAD_BINDINGS))
+def test_bad_training_bindings_are_usage_errors(case, tmp_path, capsys):
+    argv, error = BAD_BINDINGS[case]
+    out = tmp_path / "r.json"
+    assert run(_filled(argv, tmp_path) + ["--out", str(out)]) == 2
+    captured = capsys.readouterr()
+    assert _contract_breach(2, captured) is None
+    assert captured.err == f"error: {error}\n" and not out.exists()
 
 
 LOGIC_FLAGS = {"goedel": [], "lukasiewicz": [], "yager": ["--r", "2"],
@@ -621,7 +661,8 @@ EXPECTED_USAGE_ERRORS = {
 }
 
 
-def _sweep_cases(goal):
+def _sweep_cases(tmp_path):
+    goal = _search_goal(tmp_path)
     for lg, flags in LOGIC_FLAGS.items():
         logic = ["--logic", lg] + flags
         net = ["--inputs", INPUTS, "--net", f"N={NET}"]
@@ -643,7 +684,9 @@ def _sweep_cases(goal):
         yield "fuzz-soundness", calc, ["fuzz-soundness", *on, "--samples", "20",
                                        "--depth", "3"]
     for case, argv in {**OUT_OF_RANGE, **ABBREVIATED}.items():
-        yield case, None, [a.replace("{goal}", goal) for a in argv]
+        yield case, None, _filled(argv, tmp_path)
+    for case, (argv, _) in BAD_BINDINGS.items():
+        yield case, None, _filled(argv, tmp_path)
 
 
 def test_every_subcommand_keeps_the_exit_code_contract(tmp_path, capsys):
@@ -651,11 +694,11 @@ def test_every_subcommand_keeps_the_exit_code_contract(tmp_path, capsys):
     fixtures at small budgets, exits 0/1 with a strict report or 2 with one
     error line; exactly the listed combinations exit 2."""
     breaches = []
-    for cmd, target, argv in _sweep_cases(_search_goal(tmp_path)):
+    for cmd, target, argv in _sweep_cases(tmp_path):
         code = run(argv)
         breach = _contract_breach(code, capsys.readouterr())
         want_usage = ((cmd, target) in EXPECTED_USAGE_ERRORS or cmd in OUT_OF_RANGE
-                      or cmd in ABBREVIATED)
+                      or cmd in ABBREVIATED or cmd in BAD_BINDINGS)
         if breach is None and (code == 2) != want_usage:
             breach = f"exit {code}, expected {'2' if want_usage else '0 or 1'}"
         if breach is not None:
@@ -679,7 +722,7 @@ UNREAD_FLAGS = [(cmd, flag) for cmd, reads in READ_FLAGS.items()
                          ids=[cmd + flag for cmd, flag in UNREAD_FLAGS])
 def test_a_flag_the_subcommand_does_not_read_is_usage_error(tmp_path, capsys,
                                                              cmd, flag):
-    argv = next(argv for c, _, argv in _sweep_cases(_search_goal(tmp_path))
+    argv = next(argv for c, _, argv in _sweep_cases(tmp_path)
                 if c == cmd)
     assert run(argv + [flag, COMMON_FLAGS[flag]]) == 2
     captured = capsys.readouterr()
@@ -709,7 +752,7 @@ def test_every_option_is_read_by_some_run(tmp_path, capsys):
             return object.__getattribute__(self, name)
 
     parser = cli.build_parser()
-    for cmd, _, argv in _sweep_cases(_search_goal(tmp_path)):
+    for cmd, _, argv in _sweep_cases(tmp_path):
         if cmd in OUT_OF_RANGE or cmd in ABBREVIATED:
             continue
         args = parser.parse_args(argv)

@@ -393,6 +393,56 @@ class TestEval:
         assert a == b
 
 
+THREE_READS = """\
+vector v 3
+vector x 3
+scalar eps
+goal |sub(x,v)|_inf <= eps => v[0] <= x[1] /\\ x[2] <= v[2]
+"""
+THREE_READS_INPUTS = {"v": (0.3, -1.7, 2.1), "x": (0.45, -1.35, 2.4),
+                      "eps": (0.4,)}
+
+
+class _CountingLift:
+    """A carrier's lift that counts its calls."""
+
+    def __init__(self, carrier):
+        self.carrier, self.lifts = carrier, 0
+
+    def lift(self, r):
+        self.lifts += 1
+        return self.carrier.lift(r)
+
+
+class TestInputSlots:
+    """An evaluation's input slot lifts its values once per carrier."""
+
+    @pytest.mark.parametrize("carrier", [F64Carrier, XRealCarrier])
+    def test_each_slot_lifts_once(self, carrier):
+        goal = elaborate(parse_spec(THREE_READS), STL_INFTY)
+        reads = [n for n in walk(goal)
+                 if isinstance(n, App) and n.fun.name == "in:v"]
+        assert len(reads) == 3
+        slot = speclang._bound_env(base_env(), THREE_READS_INPUTS).functions["in:v"]
+        counting = _CountingLift(carrier)
+        outs = [slot(speclang._UNIT, counting) for _ in reads]
+        assert counting.lifts == 3
+        assert outs[0] is outs[1] is outs[2]
+        assert outs[0] == tuple(carrier.lift(v) for v in THREE_READS_INPUTS["v"])
+
+    def test_loss_bits(self):
+        doc = parse_spec(THREE_READS)
+        got = [eval_loss(logic, doc, THREE_READS_INPUTS, carrier=c, grad_wrt=g)
+               for logic, c, g in [(DL2, F64Carrier, "x"), (PRODUCT, F64Carrier, "x"),
+                                   (STL_INFTY, XRealCarrier, None)]]
+        assert [(getattr(v, "value", v).hex(), g and [d.hex() for d in g])
+                for v, g in got] == [
+            ("-0x1.a666666666667p+0", ["-0x0.0p+0", "0x1.0000000000000p+0", "-0x0.0p+0"]),
+            ("0x1.ddddddddddddep-1", ["0x0.0p+0", "0x0.0p+0", "-0x1.a8c536fe1a8c6p-3"]),
+            ("-0x1.a666666666667p+0", None),
+        ]
+
+
 class TestTrainDemo:
     def test_loss_trace_monotone_then_saturates(self, doc, env):
         trace = train_demo(DL2, doc, INPUTS, env, steps=10, learning_rate=0.1)
