@@ -30,7 +30,7 @@ from contextlib import contextmanager
 from dataclasses import dataclass, field
 from enum import Enum
 from functools import cached_property, lru_cache, partial
-from itertools import chain, islice, tee
+from itertools import chain, islice
 from typing import (
     Callable, Dict, List, NamedTuple, Optional, Sequence, Tuple,
 )  # fmt: skip
@@ -178,6 +178,12 @@ class ProofTree:
 
 def _fail(msg):
     raise SchemaMismatch(msg)
+
+
+def _refuse(rule: str, q: Optional[dict] = None, known: tuple = ()):
+    """Fail a generated schema: params outside known, or (no q) the principal."""
+    _fail(f"{rule}: unknown params {q.keys() - known}" if q is not None else
+          f"{rule}: principal formula has the wrong connective or arity")
 
 
 def _param(q: dict, rule: str, name: str, lo: int, hi: int, what: str) -> int:
@@ -496,16 +502,13 @@ class _Compiler:
         in the same loops, the premises of each (``tries``); or of the schema
         or an axiom's match.  Compiled on first use, since compiling is most
         of what a rule costs."""
-        rule, p, premises = self.rule, self.principal, self.premises
-        names = self.params
+        rule, p, premises, names = self.rule, self.principal, self.premises, self.params
         made = [f"f = {p[1]}"] if p else []
         made += [f"r0 = {self.where}"] if self.where else []
-        schema = ["q = inst.params", "comps = h.components"]
+        schema = ["q = inst.params", "comps = h.components", *self.checks]
         known = tuple(sorted({*names, "pos"} if p else names))
         count = "len(q) - ('pos' in q)" if p else "len(q)"
-        schema += self.checks
-        unknown = f"{rule}: unknown params {{q.keys() - {known!r}}}"
-        schema.append(f"if {count} != {len(names)}: _fail(f{unknown!r})")
+        schema.append(f"if {count} != {len(names)}: _refuse(rule, q, {known!r})")
         # q and each param over its range, in order
         head, loops, indent = ["c = q['c']", *self.binds] if p else [], [], ""
         for x in self.params[bool(p) :]:
@@ -541,9 +544,8 @@ class _Compiler:
                 schema.append(f"if not {t}: _fail({msg!r})")
             if p:  # the position of a sole principal formula may go unnamed
                 at = f"_param(q, rule, 'pos', {p[4]}, {p[5]}, 'formula position')"
-                wrong = f"{rule}: principal formula has the wrong connective or arity"
                 schema += [f"pos = {at}" if p[3] else f"if 'pos' in q: {at}",
-                           f"if not matches({p[1]}): _fail({wrong!r})"]
+                           f"if not matches({p[1]}): _refuse(rule)"]
             listed = ", ".join(f"Hypersequent({x})" for x, _ in premises)
             schema += [*made, f"return [{listed}]"]
         if search:  # an axiom lists no instance
@@ -685,7 +687,7 @@ def _make(kind, phi0: Expr, phi1: Optional[Expr] = None) -> Expr:
 
 # what the compiled code of a template reads
 _GLOBALS = {k.__name__: k for k in (Sequent, Hypersequent, RuleInstance, _make, _fail,
-                                    _param, _is_top, _is_bot, *_NODES)}
+                                    _refuse, _param, _is_top, _is_bot, *_NODES)}
 
 
 # --- forward steps ------------------------------------------------------------
@@ -1294,15 +1296,14 @@ def prove_bounded(
     window has one premise table per rule kind (the logical rules, or one
     structural spec): for each instance search tries on the window alone,
     in search order, its index among them and the id tuples its premises
-    put in place of the window.  The specs' ``tries`` fill a table, as
-    readers reach its entries (with no range check: search lists only
-    instances in range), and a node at budget 2 or more reads its
-    premises from the tables.  A window alone is a tuple of sequents, and
-    a premise a tuple of components, a new one a (left, right) pair; a
-    Sequent is made only for a sequent given a new id.  Proof objects are
-    made only for the proof returned: a Hypersequent per node below the
-    goal, and each instance re-read by its index from the spec's
-    ``instances``.
+    put in place of the window, built whole from the specs' ``tries`` (no
+    range check: search lists only instances in range) when a node at
+    budget 2 or more first reads the window, which it skips if the table
+    is empty.  A window alone is a tuple of sequents, and a premise a
+    tuple of components, a new one a (left, right) pair; a Sequent is made
+    only for a sequent given a new id.  Proof objects are made only for
+    the proof returned: a Hypersequent per node below the goal, and each
+    instance re-read by its index from the spec's ``instances``.
 
     A node with budget 1 (the frontier) needs an instance whose every
     premise has an axiom leaf.  For each window and rule kind the frontier
@@ -1391,11 +1392,10 @@ def prove_bounded(
                                    for spec, pos in matches)  # fmt: skip
 
     def entries(tried):
-        """(k, premises) of each instance tried lists the premises of: k its
-        index, and each premise the id tuple it puts in place of the
-        window."""
-        for k, premises in enumerate(tried):
-            yield k, tuple([tuple(map(ident, p)) for p in premises])
+        """The premise table of tried: (k, premises) per instance, k its index
+        and each premise the id tuple it puts in place of the window."""
+        return tuple([(k, tuple([tuple(map(ident, p)) for p in premises]))
+                      for k, premises in enumerate(tried)])
 
     def closing_alone(tried):
         """(k, leaves) of the first instance tried lists the premises of whose
@@ -1537,13 +1537,13 @@ def prove_bounded(
                 for c, key in enumerate(keys[first:], first):
                     table = by_window.get(key)
                     if table is None:
-                        # read through copies, and built as readers reach it
-                        tried = listed(win, key, "tries")
-                        table = by_window[key] = tee(entries(tried), 1)[0]
+                        table = by_window[key] = entries(listed(win, key, "tries"))
                     else:
                         table_hits += 1
+                    if not table:
+                        continue
                     head, tail = n[:c], n[c + width :]
-                    for k, premises in table.__copy__():
+                    for k, premises in table:
                         premises = [head + r + tail for r in premises]
                         # n is on the path only if it was there before this node
                         if not path.isdisjoint(premises) and (

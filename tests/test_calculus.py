@@ -1318,6 +1318,45 @@ def test_search_work_counts_repeat():
     assert all(v > 0 for v in first.values()), first
 
 
+def test_search_builds_each_premise_table_once():
+    # the work counts besides "sequents" (which counts the premises of a
+    # whole table, also those after the instance that wins), pinned; and
+    # every table a node at budget 2 or more makes is listed from the
+    # specs' tries once, by one listed(..., "tries") call of deeper
+    (goal,) = [g for a, d, g in weak_completeness_goals(GOEDEL) if a + d == "R7le"]
+    runs, work = [0], {}
+
+    def profile(frame, event, arg):
+        if (event == "call" and frame.f_code.co_name == "listed"
+                and frame.f_back.f_code.co_name == "deeper"):  # fmt: skip
+            assert frame.f_locals["what"] == "tries"
+            runs[0] += 1
+
+    sys.setprofile(profile)
+    try:
+        assert prove_bounded(GOEDEL, goal, 6, work=work) is None
+    finally:
+        sys.setprofile(None)
+    del work["sequents"]
+    assert work == {
+        "nodes_expanded": 3230, "memo_prunes": 5319, "frontier_hits": 161,
+        "frontier_misses": 1248, "streak_cuts": 168, "table_hits": 6887,
+        "table_misses": 1285,
+    }
+    assert runs[0] == work["table_misses"]
+
+
+def test_schema_failures_keep_their_text():
+    p, q = goedel_atom(1), goedel_atom(2)
+    h = Hypersequent([Sequent((), (Or((p, q)),))])
+    with pytest.raises(SchemaMismatch) as e:
+        premises_for(GOEDEL, RuleInstance(Rule.RAND, {"c": 0}), h)
+    assert str(e.value) == "rand: principal formula has the wrong connective or arity"
+    with pytest.raises(SchemaMismatch) as e:
+        premises_for(GOEDEL, RuleInstance(Rule.ROR, {"c": 0, "zzz": 1}), h)
+    assert str(e.value) == "ror: unknown params {'zzz'}"
+
+
 # The round trip: the conclusion of random_derivation(calc, f"rt/{i}",
 # 1 + i % 5), for i < ROUND_TRIP_GOALS, searched at a budget equal to the
 # derivation's depth.  The search misses exactly these goals (by i); for
