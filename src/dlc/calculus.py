@@ -15,10 +15,11 @@ rule's params and its shape, and on first use compiles it into Python
 functions: the schema (range and shape checks, then the premises), an
 axiom's component test, the instances backward search tries and
 ``tries``, their premises as plain tuples, which search reads into per-call
-tables.  One drawer reads the template's conclusion for the random
-instances of rule-local trials and the axiom leaves derivations grow from;
-the forward steps soundness fuzzing grows derivations by are plain
-functions the templates name.
+tables; and the forward reader (``forward``) soundness fuzzing grows
+derivations by, which matches the first premise to a conclusion and builds
+the rule's conclusion from it.  One drawer reads the template's conclusion
+for the random instances of rule-local trials and the axiom leaves
+derivations grow from.
 """
 
 from __future__ import annotations
@@ -32,7 +33,7 @@ from enum import Enum
 from functools import cached_property, lru_cache, partial
 from itertools import chain, islice
 from typing import (
-    Callable, Dict, List, NamedTuple, Optional, Sequence, Tuple,
+    Dict, List, NamedTuple, Optional, Sequence, Tuple,
 )  # fmt: skip
 
 from .core import (
@@ -118,10 +119,6 @@ class Hypersequent:
     def __reduce__(self):
         return Hypersequent, (self.components,)
 
-    def replace(self, c: int, new: Sequence[Sequent]) -> "Hypersequent":
-        comps = self.components
-        return Hypersequent(comps[:c] + tuple(new) + comps[c + 1 :])
-
 
 _set_components = Hypersequent.__dict__["components"].__set__
 
@@ -204,34 +201,16 @@ def _is_top(f: Expr) -> bool:
     return isinstance(f, BoolConst) and f.value is True
 
 
-def _swap(seq: Tuple, i: int) -> Tuple:
-    return seq[:i] + (seq[i + 1], seq[i]) + seq[i + 2 :]
-
-
-def _put(seq: Tuple, pos: int, *new) -> Tuple:
-    """seq with the formula at pos replaced by the formulas new."""
-    return seq[:pos] + new + seq[pos + 1 :]
-
-
-def _insert(seq: Tuple, pos: int, f: Expr) -> Tuple:
-    return seq[:pos] + (f,) + seq[pos:]
-
-
 def _side(s: Sequent, left: bool) -> Tuple[Expr, ...]:
     return s.left if left else s.right
-
-
-def _with_side(s: Sequent, left: bool, seq) -> Sequent:
-    """s with its antecedent (left) or its succedent replaced by seq."""
-    return Sequent(seq, s.right) if left else Sequent(s.left, seq)
 
 
 def _rand_formula(calc: "CalculusDef", rng: random.Random) -> Expr:
     return random_formula(calc.profile, rng.randint(0, 1), rng)
 
 
-def _rand_formulas(calc, rng, lo=0, hi=2):
-    return tuple(_rand_formula(calc, rng) for _ in range(rng.randint(lo, hi)))
+def _rand_formulas(calc, rng):
+    return tuple(_rand_formula(calc, rng) for _ in range(rng.randint(0, 2)))
 
 
 def _rand_sequent(calc: "CalculusDef", rng: random.Random) -> Sequent:
@@ -270,13 +249,11 @@ class Window(NamedTuple):
 
 
 class Template(NamedTuple):
-    """A rule variant: its template, and for a rule with premises the plain
-    function that reads it forward: ``step(spec, calc, rng, tree)`` yields
-    forward steps (params, conclusion), the schema giving their premises."""
+    """A rule variant: its rule and its template, the one place its shape
+    is written; ``RuleSpec`` reads everything else off it."""
 
     rule: Rule
     text: str
-    step: Optional[Callable] = None
 
 
 # --- compiling templates ----------------------------------------------------
@@ -394,6 +371,7 @@ class _Compiler:
                 self.lay(self.split[1], "r0",
                          _plus({}, *map(self.sizes.__getitem__, names)), "context")
             self.premises = [(self.premise(p), self.premise(p, True)) for p in premises]
+            self.first = premises[0] if premises else None
         except KeyError as e:
             raise ValueError(f"{self.rule}: {e.args[0]} is not bound by the conclusion")
         keys = {_key(s, False) for s in self.seqs}
@@ -483,18 +461,24 @@ class _Compiler:
     def premise(self, items: list, pair: bool = False) -> str:
         """Source of a premise's components, a tuple, in which a component the
         conclusion lacks is a new Sequent, or a (left, right) pair."""
-        def part(x):  # a tuple's source, or an element's in a 1-tuple
-            if x[0] in ("list", "var"):
-                return self.env[x[1]] if x[0] == "list" else (self.env[x[1]],)
-            if x[0] == "conn":
-                args = ", ".join(self.env[a] for a in x[2])
-                return (f"_make({_KINDS[x[1]][0].__name__}, {args})",)
-            same = [f"s{n}" for n, s in enumerate(self.keys) if s == _key(x)]
-            sides = (_concat(list(map(part, side))) for side in x[1:])
-            new = "({}, {})" if pair else "Sequent({}, {})"
-            return (same[0] if same else new.format(*sides),)
+        seqs = {}
+        for n, key in enumerate(self.keys):
+            seqs.setdefault(key, f"s{n}")
+        new = "({}, {})" if pair else "Sequent({}, {})"
+        return _concat([self.part(x, self.env, seqs, new) for x in items])
 
-        return _concat(list(map(part, items)))
+    def part(self, x, env: dict, seqs: dict, new="Sequent({}, {})", kind=None):
+        """Source of item x built from env: a tuple, or an element in a
+        1-tuple.  A sequent is the one seqs names by its key, or new; a
+        connective is made of kind, or of its first node class."""
+        if x[0] in ("list", "var"):
+            return env[x[1]] if x[0] == "list" else (env[x[1]],)
+        if x[0] == "conn":
+            kind = kind or _KINDS[x[1]][0].__name__
+            return (f"_make({kind}, {', '.join(env[a] for a in x[2])})",)
+        sides = (_concat([self.part(y, env, seqs, new, kind) for y in side])
+                 for side in x[1:])  # fmt: skip
+        return (seqs.get(_key(x)) or new.format(*sides),)
 
     @lru_cache(maxsize=None)
     def code(self, search: bool):
@@ -554,6 +538,151 @@ class _Compiler:
                       for h, body in funcs.items())
         return compile(src, f"<{rule} template>", "exec")
 
+    @lru_cache(maxsize=None)
+    def reader(self):
+        """The code of ``forward(calc, rng, h)``, the template read forward:
+        its first premise matched to h, or None if it matches nowhere.  The
+        component, positions and splits are drawn among those whose tests
+        pass (a repeated name binds an equal value, a connective its node
+        class, a side its length).  The names the match leaves free are
+        drawn from a pool: the matched formulas, the calculus's units and
+        one fresh formula (for components: h's and one fresh sequent), a
+        list its least length or one more.  A where clause's split is
+        drawn, and each param is the length of the list it names."""
+        env, size, steps, seqs = {}, {}, [], []  # steps: (kind, var, source...)
+
+        def let(prefix, src):
+            steps.append(("let", f"{prefix}{len(steps)}", src))
+            return steps[-1][1]
+
+        def test(src):
+            if ("if", src) not in steps:
+                steps.append(("if", src))
+
+        def plan(items, base):
+            # (length, list names, the list whose length is drawn, the one
+            # that takes the rest, the length of what is already bound)
+            n, names = f"len({base})", [it[1] for it in items if it[0] == "list"]
+            unknown = [x for x in dict.fromkeys(names) if x not in env]
+            once = [x for x in unknown if names.count(x) == 1]
+            rest = once[-1] if once else None
+            chosen = [x for x in unknown if x != rest]
+            if len(chosen) > 1 or unknown and rest is None:
+                raise ValueError(f"{self.rule}: a premise splits a list two ways")
+            fixed = _plus({}, *(size[it[1]] if it[0] == "list" else {"": 1}
+                                for it in items if it[0] != "list" or it[1] in env))
+            need = _plus(fixed, *({"": it[3]} for it in items
+                                  if it[0] == "list" and it[1] in unknown))  # fmt: skip
+            if not unknown or need:
+                test(f"{n} {'>=' if unknown else '=='} {_src(need)}")
+            return n, names, chosen, rest, fixed
+
+        def bind(items, base):
+            n, names, chosen, rest, fixed = plan(items, base)
+            least = {it[1]: it[3] for it in items if it[0] == "list"}
+            used = {}
+            for x in chosen:  # its length drawn, the rest's what is left
+                m = names.count(x)
+                room = _plus({n: 1}, fixed, {"": least.get(rest, 0)}, sign=-1)
+                hi = f"({_src(room)}) // {m}" if m > 1 else _src(room)
+                stop = f"{hi} + 1" if m > 1 else _src(_plus(room, {"": 1}))
+                var = f"x{len(steps)}"
+                steps.append(("for", var, least[x], hi, stop))
+                size[x], used = {var: 1}, {var: m}
+            if rest:
+                size[rest] = _plus({n: 1}, fixed, used, sign=-1)
+            at = {}
+            for it in items:
+                stop = _plus(at, size[it[1]] if it[0] == "list" else {"": 1})
+                a, b = _src(at), "" if stop == {n: 1} else _src(stop)
+                x = f"{base}[{a}]" if it[0] != "list" else (
+                    f"{base}[{'' if a == '0' else a}:{b}]" if a != "0" or b else base)
+                at = stop
+                if it[0] == "seq":
+                    s = let("m", x)
+                    seqs.append((_key(it), s))
+                    for side, attr in zip(it[1:], ("left", "right")):
+                        plan(side, f"{s}.{attr}")
+                    for side, attr in zip(it[1:], ("left", "right")):
+                        bind(side, f"{s}.{attr}")
+                    continue
+                if it[0] == "conn":
+                    f, kind = let("f", x), _KINDS[it[1]][0]
+                    arity = f" and len({f}.children) == 2" * issubclass(kind, _Nary)
+                    test(f"isinstance({f}, {kind.__name__}){arity}")
+                    ops = _OPERANDS.get(it[1], ("children[0]", "children[1]"))
+                    pairs = [(a, f"{f}.{op}") for a, op in zip(it[2], ops)]
+                else:
+                    pairs = [(it[1], x)]
+                for name, src in pairs:
+                    if name in env:
+                        test(f"{src} == {env[name]}")
+                    else:
+                        env[name] = src
+
+        bind(self.first, "comps")
+        # the names of the conclusion and the where clause the match leaves
+        # free, in order, from the pool of components (a list the conclusion
+        # holds) or of formulas
+        joined, pattern = self.split or ((), ())
+        free = [x for x in self.env if x not in env and x not in joined]
+        tops = {it[1] for it in self.conclusion if it[0] == "list"}
+        pools = {}
+        if any(x not in tops for x in free):
+            sides = [f"{s}.{a}" for _, s in seqs for a in ("left", "right")]
+            fresh = "(_rand_formula(calc, rng),)"
+            pools[False] = let("pool", " + ".join([*sides, "calc.units", fresh]))
+        if any(x in tops for x in free):
+            pools[True] = let("pool", "comps + (_rand_sequent(calc, rng),)")
+        for x in free:
+            pool = pools[x in tops]
+            if x not in self.sizes:
+                env[x] = let("v", f"rng.choice({pool})")
+            else:
+                lo = _item(x, False)[3]
+                n = f"rng.randint({lo}, {lo + 1})"
+                env[x] = let("v", f"tuple(rng.choices({pool}, k={n}))")
+                size[x] = {f"len({env[x]})": 1}
+        if joined:
+            r = let("r", _concat([self.part(it, env, {}) for it in pattern]))
+            bind([("list", x, "", 0) for x in joined], r)
+
+        # the select block: the draws some test reads, each kept if the
+        # tests pass, then one of them picked; the rest drawn straight
+        last = max((i for i, st in enumerate(steps) if st[0] == "if"), default=-1)
+        head, tail = steps[: last + 1], steps[last + 1 :]
+        first = next((i for i, st in enumerate(head) if st[0] == "for"), len(head))
+        body = ["comps = h.components"]
+        for st in head[:first]:
+            body.append(f"{st[1]} = {st[2]}" if st[0] == "let" else
+                        f"if not ({st[1]}): return None")
+        if head[first:]:
+            chosen, indent = [st[1] for st in head[first:] if st[0] == "for"], ""
+            body.append("opts = []")
+            for st in head[first:]:
+                body.append(indent + (f"for {st[1]} in range({st[2]}, {st[4]}):"
+                                      if st[0] == "for" else f"{st[1]} = {st[2]}"
+                                      if st[0] == "let" else f"if {st[1]}:"))
+                indent += "    " * (st[0] != "let")
+            picked = ", ".join(chosen)
+            one = picked if len(chosen) == 1 else f"({picked})"
+            body += [f"{indent}opts.append({one})", "if not opts:", "    return None",
+                     f"{picked} = rng.choice(opts)"]
+            body += [f"{st[1]} = {st[2]}" for st in head[first:] if st[0] == "let"]
+        body += [f"{st[1]} = rng.randint({st[2]}, {st[3]})" if st[0] == "for" else
+                 f"{st[1]} = {st[2]}" for st in tail]  # fmt: skip
+        params = {}
+        for it in [*self.conclusion, *pattern]:
+            for x in it[1] + it[2] if it[0] == "seq" else [it]:
+                if x[0] == "list" and x[2]:
+                    params[x[2]] = _src(size[x[1]])
+        built = _concat([self.part(it, env, dict(seqs), kind="kind(rng)")
+                         for it in self.conclusion])  # fmt: skip
+        body.append(f"return {{{', '.join(f'{k!r}: {v}' for k, v in params.items())}}}"
+                    f", Hypersequent({built})")
+        src = "def forward(calc, rng, h):\n" + "".join(f"    {x}\n" for x in body)
+        return compile(src, f"<{self.rule} forward>", "exec")
+
 
 # A template is read once, whichever calculi use it.
 _compiler = lru_cache(maxsize=None)(_Compiler)
@@ -579,12 +708,15 @@ class RuleSpec:
     rule's ``matches(f)`` tests a principal formula's connective (``kinds``,
     main one first) and arity on its side (``left``); a ``sole`` one is
     alone on its side, its instances naming no "pos".  ``drawn`` draws a
-    random instance from the template's conclusion."""
+    random instance from the template's conclusion.  ``forward(calc, rng,
+    h)`` (None for an axiom) reads the template forward from h: (params,
+    conclusion) of one instance whose first premise is h, or None if the
+    first premise matches nowhere in h."""
 
     def __init__(self, t: Template, kinds: dict = _KINDS):
         c = self.compiler = _compiler(t.rule, t.text)
         p = c.principal
-        self.template, self.rule, self.step = t, t.rule, t.step
+        self.template, self.rule = t, t.rule
         self.axiom = not c.premises
         self.left = None if p is None else p[2] == "antecedent"
         self.kinds, self.sole = (kinds[p[0]], not p[3]) if p else ((), False)
@@ -597,6 +729,11 @@ class RuleSpec:
         if name in ("instances", "tries"):
             exec(c.code(True), ns)
             self.instances, self.tries = ns.get("instances"), ns.get("tries")
+        elif name == "forward":  # an axiom is not read forward
+            ns["kind"] = self.drawn_kind
+            if not self.axiom:
+                exec(c.reader(), ns)
+            self.forward = ns.get("forward")
         elif name in ("schema", "match", "matches"):
             nary = bool(kinds) and issubclass(kinds[0], _Nary)
             self.matches = ns["matches"] = (lambda f: isinstance(f, kinds) and (
@@ -607,7 +744,7 @@ class RuleSpec:
             raise AttributeError(name)
         return getattr(self, name)
 
-    def search(self, calc, h: Hypersequent) -> List[RuleInstance]:
+    def search(self, h: Hypersequent) -> List[RuleInstance]:
         """The structural instances backward search tries on h, window by
         window, each listed on its window alone and moved into place."""
         comps, (width, last, _) = h.components, self.window
@@ -615,7 +752,7 @@ class RuleSpec:
         return [_shifted(inst, c) for c in (at[-1:] if last else at)
                 for inst in self.instances(comps[c : c + width], {})]
 
-    def search_at(self, calc, s: Sequent, c: int, pos: int) -> List[RuleInstance]:
+    def search_at(self, s: Sequent, c: int, pos: int) -> List[RuleInstance]:
         """Backward instances with the principal formula at (c, pos) in s."""
         return list(self.instances({c: s}, self.where(c, pos)))
 
@@ -668,15 +805,6 @@ class RuleSpec:
         return RuleInstance(self.rule, params), Hypersequent(comps)
 
 
-def _pick(rng, tree: ProofTree, wanted=None):
-    """Tree's conclusion h, and (c, h's component c) for a random c whose
-    component satisfies wanted (if given), or (None, None)."""
-    h = tree.conclusion
-    cands = [c for c, s in enumerate(h.components) if wanted is None or wanted(s)]
-    c = rng.choice(cands) if cands else None
-    return h, c, None if c is None else h.components[c]
-
-
 def _make(kind, phi0: Expr, phi1: Optional[Expr] = None) -> Expr:
     if kind is Not:
         return Not(phi0)
@@ -687,179 +815,8 @@ def _make(kind, phi0: Expr, phi1: Optional[Expr] = None) -> Expr:
 
 # what the compiled code of a template reads
 _GLOBALS = {k.__name__: k for k in (Sequent, Hypersequent, RuleInstance, _make, _fail,
-                                    _refuse, _param, _is_top, _is_bot, *_NODES)}
-
-
-# --- forward steps ------------------------------------------------------------
-
-
-def _step_ew(spec, calc, rng, tree):
-    comps = tree.conclusion.components
-    extra = []
-    for _ in range(rng.randint(1, 2)):
-        if rng.random() < 0.5:
-            src = rng.choice(comps)
-            if rng.random() < 0.5 and src.left:
-                left = list(src.left)
-                left[rng.randrange(len(left))] = _rand_formula(calc, rng)
-                extra.append(Sequent(tuple(left), src.right))
-            else:
-                extra.append(Sequent(src.left, (_rand_formula(calc, rng),)))
-        else:
-            extra.append(_rand_sequent(calc, rng))
-    yield {"k": len(extra)}, Hypersequent(comps + tuple(extra))
-
-
-def _step_ec(spec, calc, rng, tree):
-    # forward reading: the conclusion must end in a duplicate block
-    comps = tree.conclusion.components
-    for b in range(1, len(comps) // 2 + 1):
-        if comps[-b:] == comps[-2 * b : -b]:
-            yield {"b": b}, Hypersequent(comps[:-b])
-            return
-
-
-def _step_eex(spec, calc, rng, tree):
-    comps = tree.conclusion.components
-    if len(comps) >= 2:
-        i = rng.randrange(len(comps) - 1)
-        yield {"i": i}, Hypersequent(_swap(comps, i))
-
-
-def _step_com(spec, calc, rng, tree):
-    h, c, s = _pick(rng, tree)
-    j = rng.randint(0, len(s.left))
-    psi = _rand_formula(calc, rng)
-    split = [Sequent(s.left[:j] + (psi,), s.right), Sequent(s.left[j:], (psi,))]
-    yield {"c": c, "k1": j, "k2": len(s.left) - j}, h.replace(c, split)
-
-
-def _step_split(spec, calc, rng, tree):
-    h, c, s = _pick(rng, tree, lambda s: s.left or s.right)
-    if c is not None:
-        j, k = rng.randint(0, len(s.left)), rng.randint(0, len(s.right))
-        split = [Sequent(s.left[:j], s.right[:k]), Sequent(s.left[j:], s.right[k:])]
-        yield {"c": c}, h.replace(c, split)
-
-
-def _step_mix(spec, calc, rng, tree):
-    h, c, s = _pick(rng, tree)
-    psi = _rand_formula(calc, rng)
-    mixed = Sequent(s.left + (psi,), s.right + (psi,))
-    yield {"c": c, "k1": len(s.left), "k2": len(s.right)}, h.replace(c, [mixed])
-
-
-def _step_weakl(spec, calc, rng, tree):
-    h, c, s = _pick(rng, tree)
-    added = _rand_formulas(calc, rng, 1, 2)
-    yield {"c": c, "k": len(added)}, h.replace(c, [Sequent(s.left + added, s.right)])
-
-
-def _step_contrl(spec, calc, rng, tree):
-    h = tree.conclusion
-    for c, s in enumerate(h.components):
-        for k in range(1, len(s.left) // 2 + 1):
-            if s.left[-k:] == s.left[-2 * k : -k]:
-                yield {"c": c, "k": k}, h.replace(c, [Sequent(s.left[:-k], s.right)])
-                break
-
-
-def _step_pair(spec, calc, rng, tree, left=None):
-    # lex and rex swap two adjacent formulas of a side; lodot and rodot
-    # (product) join them by ⊙
-    left = spec.left if left is None else left
-    h, c, s = _pick(rng, tree, lambda s: len(_side(s, left)) >= 2)
-    if c is not None:
-        x = _side(s, left)
-        pos = rng.randrange(len(x) - 1)
-        pair = (x[pos + 1], x[pos]) if spec.left is None else (MAnd(x[pos : pos + 2]),)
-        x = x[:pos] + pair + x[pos + 2 :]
-        yield {"c": c, "pos": pos}, h.replace(c, [_with_side(s, left, x)])
-
-
-def _step_unit(spec, calc, rng, tree):
-    # lor and rand: A v F on the left, A & T on the right, so that an axiom
-    # closes the premise with the unit
-    if spec.left and not calc.profile.neg:  # falsum needs negation
-        return
-    sole, left = spec.sole, spec.left
-    h, c, s = _pick(rng, tree, lambda s: len(s.right) == 1 if sole else _side(s, left))
-    if c is not None:
-        x = _side(s, left)
-        pos = 0 if sole else rng.randrange(len(x))
-        f = spec.drawn_kind(rng)((x[pos], BoolConst(not left, calc.profile)))
-        yield spec.where(c, pos), h.replace(c, [_with_side(s, left, _put(x, pos, f))])
-
-
-def _step_merge(spec, calc, rng, tree):
-    # land and ror: two adjacent components that differ in at most one
-    # principal-side formula merge into one
-    comps = tree.conclusion.components
-    for c in range(len(comps) - 1):
-        s0, s1 = comps[c], comps[c + 1]
-        x0, x1 = _side(s0, spec.left), _side(s1, spec.left)
-        if _side(s0, not spec.left) != _side(s1, not spec.left) or len(x0) != len(x1):
-            continue
-        diffs = [i for i in range(len(x0)) if x0[i] != x1[i]]
-        if not x0 or len(diffs) > 1 or spec.sole and len(x0) != 1:
-            continue
-        pos = diffs[0] if diffs else 0
-        f = spec.drawn_kind(rng)((x0[pos], x1[pos]))
-        merged = _with_side(s0, spec.left, _put(x0, pos, f))
-        yield spec.where(c, pos), Hypersequent(comps[:c] + (merged,) + comps[c + 2 :])
-        return
-
-
-def _step_falsum(spec, calc, rng, tree, keep=False):
-    # lneg, and limpl of Gödel and product: a sole succedent A goes left as ~A
-    # or A -> F, over random succedents (keep: the same; product's first premise
-    # then closes by luck of the other components, its second by falsum)
-    h, c, s = _pick(rng, tree, lambda s: len(s.right) == 1)
-    if c is not None:
-        f = _make(spec.kinds[0], s.right[0], BoolConst(False, calc.profile))
-        moved = Sequent(s.left + (f,), s.right if keep else _rand_formulas(calc, rng))
-        yield {"c": c, "pos": len(s.left)}, h.replace(c, [moved])
-
-
-def _step_rodot_split(spec, calc, rng, tree):
-    # the second premise is closed by verum
-    h, c, s = _pick(rng, tree, lambda s: len(s.right) >= 1)
-    if c is not None:
-        f = MAnd((s.right[0], BoolConst(True, calc.profile)))
-        params = {"c": c, "pos": 0, "k1": len(s.left), "k2": len(s.right) - 1}
-        yield params, h.replace(c, [Sequent(s.left, (f,) + s.right[1:])])
-
-
-def _step_limpl_luka(spec, calc, rng, tree):
-    h, c, s = _pick(rng, tree, lambda s: s.left and s.right)
-    if c is not None:
-        pos = rng.randrange(len(s.left))
-        moved = Sequent(_put(s.left, pos, Impl(s.right[0], s.left[pos])), s.right[1:])
-        yield {"c": c, "pos": pos}, h.replace(c, [moved])
-
-
-def _step_limpl_dl2(spec, calc, rng, tree):
-    h, c, s = _pick(rng, tree)
-    f = Impl(_rand_formula(calc, rng), _rand_formula(calc, rng))
-    yield {"c": c, "pos": len(s.left)}, h.replace(c, [Sequent(s.left + (f,), s.right)])
-
-
-def _step_rimpl(spec, calc, rng, tree):
-    h, c, s = _pick(rng, tree, lambda s: len(s.right) == 1 and s.left)
-    if c is not None:
-        f = Impl(s.left[-1], s.right[0])
-        yield {"c": c}, h.replace(c, [Sequent(s.left[:-1], (f,))])
-
-
-def _step_rimpl_multi(spec, calc, rng, tree, verum=False):
-    # the second premise is closed by an axiom leaf; the DL2 form draws
-    # verum as the consequent, which its verum axiom can close
-    h, c, s = _pick(rng, tree)
-    phi0 = _rand_formula(calc, rng)
-    f = Impl(phi0, BoolConst(True, calc.profile) if verum else _rand_formula(calc, rng))
-    pos = rng.randint(0, len(s.right))
-    added = Sequent(s.left, _insert(s.right, pos, f))
-    yield {"c": c, "pos": pos}, h.replace(c, [added])
+                                    _refuse, _param, _is_top, _is_bot, _rand_formula,
+                                    _rand_sequent, *_NODES)}
 
 
 @dataclass(frozen=True)
@@ -872,6 +829,12 @@ class CalculusDef:
     @property
     def profile(self) -> ConnectiveFlags:
         return self.logic.flag_profile
+
+    @cached_property
+    def units(self) -> Tuple[Expr, ...]:
+        """Verum, and falsum where the profile has negation."""
+        p = self.profile
+        return (BoolConst(True, p),) + (BoolConst(False, p),) * p.neg
 
     @cached_property
     def rules(self) -> frozenset:
@@ -917,28 +880,26 @@ _INIT = Template(Rule.INIT, "A |- A")
 _EMP = Template(Rule.EMP, "|-")
 _TOP_R = Template(Rule.TOP_R, "G |- T")
 _BOT_L = Template(Rule.BOT_L, "G1^pos, F, G2 |- D")
-_EW = Template(Rule.EW, "H | K^k / H", _step_ew)
-_EC = Template(Rule.EC, "H | K^b / H | K | K", _step_ec)
+_EW = Template(Rule.EW, "H | K^k / H")
+_EC = Template(Rule.EC, "H | K^b / H | K | K")
 _EEX = Template(Rule.EEX, "H^i | G1 |- D1 | G2 |- D2 | H2"
-                " / H | G2 |- D2 | G1 |- D1 | H2", _step_eex)  # fmt: skip
+                " / H | G2 |- D2 | G1 |- D1 | H2")
 _COM = Template(Rule.COM, "G1^k1, G2 |- D1 | T1^k2, T2 |- D2"
-                " / G1, T1 |- D1 ; G2, T2 |- D2", _step_com)  # fmt: skip
-_SPLIT = Template(Rule.SPLIT, "G1 |- D1 | G2 |- D2 / G1, G2 |- D1, D2", _step_split)
-_MIX = Template(Rule.MIX, "G1^k1, G2 |- D1^k2, D2 / G1 |- D1 ; G2 |- D2", _step_mix)
-_WEAK_L = Template(Rule.WEAK_L, "G, S^k |- D / G |- D", _step_weakl)
-_CONTR_L = Template(Rule.CONTR_L, "G, S^k |- D / G, S, S |- D", _step_contrl)
-_LEX = Template(Rule.LEX, "G1^pos, A, B, G2 |- D / G1, B, A, G2 |- D",
-                partial(_step_pair, left=True))  # fmt: skip
-_REX = Template(Rule.REX, "G |- D1^pos, A, B, D2 / G |- D1, B, A, D2",
-                partial(_step_pair, left=False))  # fmt: skip
+                " / G1, T1 |- D1 ; G2, T2 |- D2")
+_SPLIT = Template(Rule.SPLIT, "G1 |- D1 | G2 |- D2 / G1, G2 |- D1, D2")
+_MIX = Template(Rule.MIX, "G1^k1, G2 |- D1^k2, D2 / G1 |- D1 ; G2 |- D2")
+_WEAK_L = Template(Rule.WEAK_L, "G, S^k |- D / G |- D")
+_CONTR_L = Template(Rule.CONTR_L, "G, S^k |- D / G, S, S |- D")
+_LEX = Template(Rule.LEX, "G1^pos, A, B, G2 |- D / G1, B, A, G2 |- D")
+_REX = Template(Rule.REX, "G |- D1^pos, A, B, D2 / G |- D1, B, A, D2")
 _LAND = Template(Rule.LAND, "G1^pos, A & B, G2 |- D"
-                 " / G1, A, G2 |- D | G1, B, G2 |- D", _step_merge)  # fmt: skip
+                 " / G1, A, G2 |- D | G1, B, G2 |- D")
 _LOR = Template(Rule.LOR, "G1^pos, A v B, G2 |- D"
-                " / G1, A, G2 |- D ; G1, B, G2 |- D", _step_unit)  # fmt: skip
-_LODOT = Template(Rule.LODOT, "G1^pos, A * B, G2 |- D / G1, A, B, G2 |- D", _step_pair)
+                " / G1, A, G2 |- D ; G1, B, G2 |- D")
+_LODOT = Template(Rule.LODOT, "G1^pos, A * B, G2 |- D / G1, A, B, G2 |- D")
 # the multi-conclusion right implication of Łukasiewicz, product and DL2
 _RIMPL = Template(Rule.RIMPL, "G |- D1^pos, A -> B, D2"
-                  " / G |- D1, D2 ; G, A |- D1, B, D2", _step_rimpl_multi)  # fmt: skip
+                  " / G |- D1, D2 ; G, A |- D1, B, D2")
 
 # Either premise of DL2's limpl alone gives the conclusion g + [A -> B] <= d
 # (g, d, a, b: the values of G, D, A, B; [A -> B] = -max(a - b, 0) <= 0), so
@@ -946,7 +907,7 @@ _RIMPL = Template(Rule.RIMPL, "G |- D1^pos, A -> B, D2"
 # <= g <= d.  G, B |- A, D (g + b <= a + d): the conclusion if a >= b, and
 # g <= d + a - b < d if a < b.  A premise true in a component of H is too.
 _LIMPL_DL2 = Template(Rule.LIMPL, "G1^pos, A -> B, G2 |- D"
-                      " / G1, G2 |- D ; G1, B, G2 |- A, D", _step_limpl_dl2)
+                      " / G1, G2 |- D ; G1, B, G2 |- A, D")
 
 # Every calculus has these.
 _COMMON = (_INIT, _EW, _EC, _EEX, _WEAK_L, _LEX, _REX)
@@ -955,12 +916,11 @@ _COMMON = (_INIT, _EW, _EC, _EEX, _WEAK_L, _LEX, _REX)
 # whose right rules are single-conclusion (sole).
 _MIN_MAX_RULES = _COMMON + (
     _BOT_L, _TOP_R, _COM, _CONTR_L, _LAND, _LOR,
-    Template(Rule.RAND, "G |- A & B / G |- A ; G |- B", _step_unit),
-    Template(Rule.ROR, "G |- A v B / G |- A | G |- B", _step_merge),
-    Template(Rule.LIMPL, "G1^pos, A -> B, G2 |- D / G1, G2 |- A ; G1, B, G2 |- D",
-             _step_falsum),
-    Template(Rule.RIMPL, "G |- A -> B / G, A |- B", _step_rimpl),
-)  # fmt: skip
+    Template(Rule.RAND, "G |- A & B / G |- A ; G |- B"),
+    Template(Rule.ROR, "G |- A v B / G |- A | G |- B"),
+    Template(Rule.LIMPL, "G1^pos, A -> B, G2 |- D / G1, G2 |- A ; G1, B, G2 |- D"),
+    Template(Rule.RIMPL, "G |- A -> B / G, A |- B"),
+)
 
 
 def _calc(name, logic, templates):
@@ -980,29 +940,24 @@ CALCULI: Dict[str, CalculusDef] = {
         _calc("lukasiewicz", LUKASIEWICZ, _COMMON + (
             _EMP, _SPLIT, _MIX, _RIMPL,
             Template(Rule.BOT_L, "G1^pos, F, G2 |- A"),
-            Template(Rule.LIMPL, "G1^pos, A -> B, G2 |- D / G1, B, G2 |- A, D",
-                     _step_limpl_luka),
+            Template(Rule.LIMPL, "G1^pos, A -> B, G2 |- D / G1, B, G2 |- A, D"),
         )),
         _calc("product", PRODUCT, _COMMON + (
             _EMP, _BOT_L, _SPLIT, _MIX, _LODOT, _RIMPL,
-            Template(Rule.LNEG, "G1^pos, ~A, G2 |- D / G1, G2 |- A", _step_falsum),
-            Template(Rule.RODOT, "G |- D1^pos, A * B, D2 / G |- D1, A, B, D2",
-                     _step_pair),
+            Template(Rule.LNEG, "G1^pos, ~A, G2 |- D / G1, G2 |- A"),
+            Template(Rule.RODOT, "G |- D1^pos, A * B, D2 / G |- D1, A, B, D2"),
             Template(Rule.LIMPL, "G1^pos, A -> B, G2 |- D"
-                     " / G1, ~A, G2 |- D ; G1, B, G2 |- A, D",
-                     partial(_step_falsum, keep=True)),
+                     " / G1, ~A, G2 |- D ; G1, B, G2 |- A, D"),
         )),
         _calc("dl2", DL2, _COMMON + (
-            _EMP, _TOP_R, _COM, _LAND, _LOR, _LODOT, _LIMPL_DL2,
+            _EMP, _TOP_R, _COM, _LAND, _LOR, _LODOT, _LIMPL_DL2, _RIMPL,
             Template(Rule.RAND, "G |- D1^pos, A & B, D2"
-                     " / G |- D1, A, D2 ; G |- D1, B, D2", _step_unit),
+                     " / G |- D1, A, D2 ; G |- D1, B, D2"),
             Template(Rule.ROR, "G |- D1^pos, A v B, D2"
-                     " / G |- D1, A, D2 | G |- D1, B, D2", _step_merge),
+                     " / G |- D1, A, D2 | G |- D1, B, D2"),
             # the antecedent and the rest of the succedent are both split
             Template(Rule.RODOT, "G1^k1, G2 |- D1^pos, A * B, D2"
-                     " / G1 |- A, E1 ; G2 |- B, E2 / D1, D2 = E1^k2, E2",
-                     _step_rodot_split),
-            _RIMPL._replace(step=partial(_step_rimpl_multi, verum=True)),
+                     " / G1 |- A, E1 ; G2 |- B, E2 / D1, D2 = E1^k2, E2"),
         )),
         _calc("stl-inf", STL_INFTY, _MIN_MAX_RULES),
     )
@@ -1138,21 +1093,26 @@ def _leaf_for(calc: CalculusDef, h: Hypersequent) -> Optional[ProofTree]:
 
 
 def _extend_candidates(calc: CalculusDef, rng: random.Random, tree: ProofTree):
-    """Forward steps from tree, with the schema's premises proved by tree
-    (the first, if it is tree's conclusion) or else by axiom leaves."""
+    """Forward steps from tree, one per rule with premises that reads its
+    template forward from tree's conclusion (``RuleSpec.forward``), with the
+    schema's premises proved by tree (the first, if it is tree's
+    conclusion) or else by axiom leaves."""
     results = []
     for spec in calc.table.values():
-        for params, conclusion in spec.step(spec, calc, rng, tree) if spec.step else ():
-            inst = RuleInstance(spec.rule, params)
-            premises = premises_for(calc, inst, conclusion)
-            proofs = []
-            for i, p in enumerate(premises):
-                sub = tree if i == 0 and p == tree.conclusion else _leaf_for(calc, p)
-                if sub is None:
-                    break
-                proofs.append(sub)
-            else:
-                results.append(ProofTree(conclusion, inst, tuple(proofs)))
+        step = None if spec.axiom else spec.forward(calc, rng, tree.conclusion)
+        if step is None:
+            continue
+        params, conclusion = step
+        inst = RuleInstance(spec.rule, params)
+        premises = premises_for(calc, inst, conclusion)
+        proofs = []
+        for i, p in enumerate(premises):
+            sub = tree if i == 0 and p == tree.conclusion else _leaf_for(calc, p)
+            if sub is None:
+                break
+            proofs.append(sub)
+        else:
+            results.append(ProofTree(conclusion, inst, tuple(proofs)))
     return results
 
 

@@ -186,14 +186,16 @@ def test_criterion_05_convergence():
 
 
 # The rules criterion 6's derivations never apply, each with its reason.  A
-# rule that drops out of forward generation (its steps never come, or the
-# schema rejects them all) joins this set and fails the criterion.
+# rule that drops out of forward generation (its template never reads
+# forward from a conclusion, or no leaf closes its other premises) joins
+# this set and fails the criterion.  DL2 has no falsum, so its lor's second
+# premise G1, B, G2 |- D closes by init alone: B drawn as the lone formula
+# of D, G1 and G2 empty.
 NEVER_APPLIED = {
     "goedel": set(),
     "lukasiewicz": set(),
     "product": set(),
-    # the forward lor step puts A v falsum on the left, and DL2 has no falsum
-    "dl2": {"lor"},
+    "dl2": set(),
     "stl-inf": set(),
 }
 
@@ -219,8 +221,10 @@ def test_criterion_07_rule_local_soundness():
     for name, calc in CALCULI.items():
         for rule in sorted(calc.rules, key=lambda r: r.value):
             rep = rule_local_soundness(calc, rule, trials=1000, seed="acceptance")
-            ok &= rep["passed"]
-    verdict(7, "1000 semantic instantiations per rule, premises imply conclusion", ok)
+            # no pass is vacuous: some trial's premises all hold
+            ok &= rep["passed"] and rep["premises_held"] > 0
+    verdict(7, "1000 semantic instantiations per rule, premises imply conclusion, "
+               "none vacuous", ok)
 
 
 def test_criterion_08_weak_completeness():
