@@ -8,8 +8,6 @@ replaced by numeric schedules with explicit pass criteria.
 
 from __future__ import annotations
 
-import csv
-import io
 from dataclasses import dataclass, field
 from typing import Callable, List, Optional, Sequence, Tuple
 
@@ -171,14 +169,6 @@ class ConvergenceReport:
             "passed": self.passed,
             "saturated": self.saturated,
         }
-
-    def to_csv(self) -> str:
-        buf = io.StringIO()
-        writer = csv.writer(buf)
-        writer.writerow(["parameter", "gap"])
-        for e in self.entries:
-            writer.writerow([e["parameter"], e["gap"]])
-        return buf.getvalue()
 
 
 MAX_EXPONENT = 700.0  # math.exp overflows just above this

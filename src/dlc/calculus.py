@@ -10,16 +10,19 @@ bounded backward search discharges the residuated-lattice goals.
 
 Each rule variant is declared once, as a ``Template``: the patterns of its
 conclusion and premises, as in the rule's figure.  Each calculus lists the
-variants it uses (``CALCULI``).  ``RuleSpec`` reads a template once into the
-rule's params and its shape, and on first use compiles it into Python
-functions: the schema (range and shape checks, then the premises), an
-axiom's component test, the instances backward search tries and
-``tries``, their premises as plain tuples, which search reads into per-call
-tables; and the forward reader (``forward``) soundness fuzzing grows
-derivations by, which matches the first premise to a conclusion and builds
-the rule's conclusion from it.  One drawer reads the template's conclusion
-for the random instances of rule-local trials and the axiom leaves
-derivations grow from.
+variants it uses (``CALCULI``).  One matcher reads every pattern of a
+template, once, into code (``_Reading``): it binds a list pattern over the
+components or a side, with its length tests and the names it binds, and a
+choice mode fixes each length it leaves free.  ``RuleSpec`` compiles that
+code on first use into Python functions: the schema (each param read from
+the instance and range-checked, then the premises), an axiom's component
+test, the instances backward search tries and ``tries``, their premises as
+plain tuples, which search reads into per-call tables (each param looped
+over its range); the forward reader (``forward``) soundness fuzzing grows
+derivations by, which matches the first premise to a conclusion, drawing
+each free length among those whose tests pass, and builds the rule's
+conclusion from it; and the drawer (``drawn``) of the random instances of
+rule-local trials and of the axiom leaves derivations grow from.
 """
 
 from __future__ import annotations
@@ -150,7 +153,6 @@ class Rule(Enum):
     LNEG = "lneg"
     LODOT = "lodot"
     RODOT = "rodot"
-    LIMPL_EXT = "limplext"
 
 
 @dataclass
@@ -217,6 +219,11 @@ def _rand_sequent(calc: "CalculusDef", rng: random.Random) -> Sequent:
     return Sequent(_rand_formulas(calc, rng), _rand_formulas(calc, rng))
 
 
+def _fresh(calc: "CalculusDef", rng: random.Random, lo: int, draw) -> tuple:
+    """lo or lo + 1 elements, each drawn by draw."""
+    return tuple(draw(calc, rng) for _ in range(rng.randint(lo, lo + 1)))
+
+
 # ---------------------------------------------------------------------------
 # The rule table
 #
@@ -227,11 +234,11 @@ def _rand_sequent(calc: "CalculusDef", rng: random.Random) -> Sequent:
 # lists (G, D, T1, E1, ...; a block S has at least one formula) and
 # formulas: A, B, T (verum), F (falsum), ~A and A op B, op one of & v * ->.
 # X^p says the param p is X's length; the one list of a sequence with no
-# param holds what the others leave.  A conclusion of sequent patterns
-# alone sits between H^c and H2, and each premise between H and H2.  The
-# where clause "D1, D2 = E1^k2, E2" splits D1 and D2, joined, again.  A
-# connective in the conclusion makes the rule logical: the list before
-# that principal formula gives its position "pos", which is not declared.
+# param holds what the others leave, and lists after it are blocks.  A
+# conclusion of sequent patterns alone sits between H^c and H2, and each
+# premise between H and H2.  The where clause "D1, D2 = E1^k2, E2" splits
+# D1 and D2, joined, again.  A connective in the conclusion makes the rule
+# logical: the list before that principal formula has the param "pos".
 
 
 class Window(NamedTuple):
@@ -301,6 +308,13 @@ def _key(item, ordered=True) -> tuple:
     return tuple(x if ordered else tuple(sorted(x, key=repr)) for x in sides)
 
 
+def _walk(items):
+    """A pattern's items in reading order, a connective's operands after it."""
+    for it in items:
+        yield from _walk(it[1] + it[2]) if it[0] == "seq" else [it] + (
+            [("var", a) for a in it[2]] if it[0] == "conn" else [])
+
+
 def _plus(first: dict, *forms, sign=1) -> dict:
     """first plus sign times forms: linear forms, term -> coefficient."""
     out = dict(first)
@@ -326,17 +340,157 @@ def _concat(parts: list) -> str:
     return " + ".join(p if isinstance(p, str) else f"({p[0]},)" for p in parts) or "()"
 
 
-class _Compiler:
-    """A template read: its conclusion's items and where clause (``split``:
-    the names it joins, the items it splits them into), its declared
-    params and shape, and the code of the functions it generates
-    (``code``).  Each list, formula and sequent of the conclusion is bound
-    to the source that reads it through locals (comps, s0, s1, the params,
-    the principal formula f, the where list r0).  Lengths are linear
-    forms."""
+def _part(x, env: dict, seqs: dict, new="Sequent({}, {})", kind=None):
+    """Source of item x built from env, a tuple or an element in a 1-tuple: a
+    sequent seqs keys or new, a connective of kind or its first node class."""
+    if x[0] == "seq":
+        sides = (_concat([_part(y, env, seqs, new, kind) for y in s]) for s in x[1:])
+        return (seqs.get(_key(x)) or new.format(*sides),)
+    if x[0] != "conn":
+        src = "TOP" if x[1] is True else "BOT" if x[1] is False else env[x[1]]
+        return src if x[0] == "list" else (src,)
+    kind = kind or _KINDS[x[1]][0].__name__
+    return (f"_make({kind}, {', '.join(env[a] for a in x[2])})",)
+
+
+def _nest(steps: list, fixed=(), given=False) -> Tuple[list, str]:
+    """Steps as nested lines and the indent inside: a "for" loops (read from q
+    if fixed; given: unless passed), an "if" tests, an early "let" goes first."""
+    head, body, late, indent = [], [], set(), ""
+    for st in steps:
+        if st[0] == "let" or st[1] in fixed:
+            src = st[2] if st[0] == "let" else f"q[{st[1]!r}]"
+            if late.isdisjoint(re.findall(r"\w+", src) + ["if"]):
+                head.append(f"{st[1]} = {src}")
+                continue
+            body.append(f"{indent}{st[1]} = {src}")
+        else:
+            x = st[0] == "for" and f"range({st[2]}, {st[4]})" + (
+                f" if {st[1]} is None else ({st[1]},)" * given)
+            body.append(f"{indent}for {st[1]} in {x}:" if x else f"{indent}if {st[1]}:")
+            indent += "    "
+        late.add(st[1] if st[0] != "if" else "if")
+    return head + body, indent
+
+
+class _Reading:
+    """Patterns read as code: the source each name binds (``env``), each
+    list's length (``size``, a linear form), each matched sequent's variable
+    by its key (``seqs``), and ``steps``: ("let", var, source), ("if", test,
+    what a schema does if it fails; None for a formula test) and ("for",
+    var, lo, hi, stop, what), a free length.  A conclusion is read
+    ``named``: that is the param naming it (``params``) and a connective the
+    principal formula f (``principal``: connective, side, sole); else a
+    connective's node class is tested."""
+
+    def __init__(self, rule: str, named: bool = False):
+        self.rule, self.named, self.params, self.principal = rule, named, [], None
+        self.env, self.size, self.seqs, self.steps, self.count = {}, {}, {}, [], {}
+
+    def let(self, prefix: str, src: Optional[str] = None) -> str:
+        """A new variable, prefix numbered, set to src unless src is None."""
+        n = self.count[prefix] = self.count.get(prefix, -1) + 1
+        self.steps += [("let", f"{prefix}{n}", src)] * (src is not None)
+        return f"{prefix}{n}"
+
+    def bind(self, name: str, src: str):
+        """Bind name to src, or test that src equals what it bound."""
+        if name in self.env:
+            self.steps.append(("if", f"{src} == {self.env[name]}", None))
+        self.env.setdefault(name, src)
+
+    def match(self, items: list, base: str, side: str = ""):
+        """Bind the items of a list pattern over base, then each sequent's
+        sides; a name bound before is tested equal.  Of the lists not bound
+        before, the last named once with no param takes the rest, and one
+        other at most, named m times, has a free length.  Items after the
+        rest (blocks) count from the end."""
+        env, size, named, total = self.env, self.size, self.named, {f"len({base})": 1}
+        names = [it[1] for it in items if it[0] == "list"]
+        unknown = [it for it in items if it[0] == "list" and it[1] not in env]
+        rest = next((it for it in reversed(unknown)
+                     if not it[2] and names.count(it[1]) == 1), None)  # fmt: skip
+        free = [it for it in unknown if it != rest]
+        k = items.index(rest) if rest else len(items)
+        if len({it[1] for it in free}) > 1 or free and not rest or any(
+                it[0] == "list" and not it[3] for it in items[k + 1 :]):  # fmt: skip
+            raise ValueError(f"{self.rule}: want one list with no param for the "
+                             "rest, one other at most, and blocks after the rest")
+        fixed = _plus({}, *(size[it[1]] if it[0] == "list" else {"": 1}
+                            for it in items if it not in unknown))  # fmt: skip
+        need = _plus(fixed, *({"": it[3]} for it in unknown))
+        if not unknown or need and not (free and named):
+            n = "a single formula" if need == {"": 1} else f"{_src(need)} formulas"
+            what = f"{self.rule}: {side} must be {'at least ' * bool(unknown)}{n}"
+            test = f"{_src(total)} {'>=' if unknown else '=='} {_src(need)}"
+            self.steps.append(("if", test, f"_fail({what!r})"))
+        used, later = {}, []
+        if free:
+            it, m = free[0], len(free)
+            var = it[2] if named else self.let("x")
+            if named and (not var or var in self.params):
+                e = f"param {var} named twice" if var else "a split with no param name"
+                raise ValueError(f"{self.rule}: {e}: {it[1]}")
+            self.params.append(var)
+            room = _plus(total, fixed, {"": rest[3]}, sign=-1)
+            hi = f"({_src(room)}) // {m}" if m > 1 else _src(room)
+            stop = f"{hi} + 1" if m > 1 else _src(_plus(room, {"": 1}))
+            what = (("block size" if it[1][0] == "S" else "formula position"
+                     if var == "pos" else f"{side} partition") if side else
+                    "component block size" if it[1][0] == "K" else "adjacent " * (
+                        sum(x[0] == "seq" for x in items) > 1) + "component index")
+            self.steps.append(("for", var, it[3], hi, stop, what))
+            size[it[1]], used = {var: 1}, {var: m}
+        if rest:
+            size[rest[1]] = _plus(total, fixed, used, sign=-1)
+        lens = [size[it[1]] if it[0] == "list" else {"": 1} for it in items]
+        cut = [_src(_plus({}, *lens[:j])) if j <= k else  # from the start, or the end
+               _src(_plus({}, *lens[j:], sign=-1)) if j < len(items) else ""
+               for j in range(len(items) + 1)]  # fmt: skip
+        for j, it in enumerate(items):
+            a, b, x = cut[j], cut[j + 1], f"{base}[{cut[j]}]"
+            if it[0] == "list":
+                a = "" if a == "0" else a
+                self.bind(it[1], f"{base}[{a}:{b}]" if a or b else base)
+            elif it[0] == "seq":
+                later.append((it, self.let("s", x)))
+                self.seqs.setdefault(_key(it), later[-1][1])
+            elif it[0] == "const":
+                self.steps.append(("if", f"_is_{'top' if it[1] else 'bot'}({x})", None))
+            elif it[0] == "var":
+                self.bind(it[1], x)
+            else:
+                self.conn(it, x, cut[j], items[j - 1] if j else None, j > k, side)
+        for it, s in later:
+            for x, a, d in zip(it[1:], ("left", "right"), _SIDES):
+                self.match(x, f"{s}.{a}", d)
+
+    def conn(self, it, x: str, at: str, before, late: bool, side: str):
+        """Read the connective it at x, then bind its operands (see the class)."""
+        if not self.named:
+            f, kind = self.let("f", x), _KINDS[it[1]][0]
+            arity = f" and len({f}.children) == 2" * issubclass(kind, _Nary)
+            self.steps.append(("if", f"isinstance({f}, {kind.__name__}){arity}", None))
+        else:
+            pos = before[2] if before and before[0] == "list" else ""
+            if self.principal or late or pos not in ("", "pos"):
+                raise ValueError(f"{self.rule}: one principal, at pos, before the rest")
+            if not pos:  # a sole one's position may still be named
+                check = f"_param(q, rule, 'pos', {at}, {at}, 'formula position')"
+                self.steps.append(("if", "'pos' not in q", check))
+                self.params.append("pos")
+            self.principal, f = (it[1], side, not pos), "f"
+            self.steps += [("let", f, x), ("if", "matches(f)", "_refuse(rule)")]
+        for a, op in zip(it[2], _OPERANDS.get(it[1], ("children[0]", "children[1]"))):
+            self.bind(a, f"{f}.{op}")
+
+
+class _Compiler(_Reading):
+    """A template read: its conclusion read over the components, its items,
+    and the where clause's (``split``: joined names, split items)."""
 
     def __init__(self, rule: Rule, text: str):
-        self.rule = rule.value
+        super().__init__(rule.value, True)
         self.text, *rest = text.split("/")
         conclusion = _hyper(self.text)
         premises = [_hyper(p) for p in rest[0].split(";")] if rest else []
@@ -344,404 +498,188 @@ class _Compiler:
             h, h2 = ("list", "H", "", 0), ("list", "H2", "", 0)
             conclusion = [("list", "H", "c", 0), *conclusion, h2]
             premises = [[h, *p, h2] for p in premises]
-        # a premise has a component: a list that is a whole premise has one
-        lone = {p[0][1] for p in premises if len(p) == 1 and p[0][0] == "list"}
-        self.conclusion = [(*it[:3], 1) if it[0] == "list" and it[1] in lone
-                           else it for it in conclusion]  # fmt: skip
-        self.seqs = [it for it in self.conclusion if it[0] == "seq"]
-        self.keys = [_key(it) for it in self.seqs]
-        self.env, self.sizes = {}, {}  # pattern name -> its source; list -> length
-        self.range = {}  # param -> (lo, hi), linear forms
-        self.params, self.checks, self.binds = [], [], []
-        self.sized, self.tests = [], []  # side-length and formula tests
-        self.principal = None  # (op, source, side, "pos" or "" if fixed, lo, hi)
-        self.least = self.lay(self.conclusion, "comps", {"len(comps)": 1}, "")
-        for n, s in enumerate(self.seqs):
-            for x, a, side in zip(s[1:], ("left", "right"), _SIDES):
-                self.lay(x, f"s{n}.{a}", {f"len(s{n}.{a})": 1}, side)
-        self.where = self.split = None
-        if premises and self.tests:
-            raise ValueError(f"{self.rule}: only an axiom tests formulas")
+        self.conclusion, self.premises, self.split = conclusion, premises, None
+        self.match(conclusion, "comps")
+        self.first = _Reading(self.rule)
+        if premises:  # read now, so a pattern it cannot read fails now; reader goes on
+            self.first.match(premises[0], "comps")
         try:
             if len(rest) > 1:
                 names, pattern = ([n.strip() for n in x.split(",")]
                                   for x in rest[1].split("="))
-                self.where = " + ".join(self.env[n] for n in names)
                 self.split = names, [_item(x, True) for x in pattern]
-                self.lay(self.split[1], "r0",
-                         _plus({}, *map(self.sizes.__getitem__, names)), "context")
-            self.premises = [(self.premise(p), self.premise(p, True)) for p in premises]
-            self.first = premises[0] if premises else None
+                r = self.let("r", " + ".join(self.env[n] for n in names))
+                self.match(self.split[1], r, "context")
+            self.built = [tuple(_concat([_part(x, self.env, self.seqs, new) for x in p])
+                                for new in ("Sequent({}, {})", "({}, {})"))
+                          for p in premises]  # fmt: skip
         except KeyError as e:
             raise ValueError(f"{self.rule}: {e.args[0]} is not bound by the conclusion")
-        keys = {_key(s, False) for s in self.seqs}
+        if premises and any(st[0] == "if" and st[2] is None for st in self.steps):
+            raise ValueError(f"{self.rule}: only an axiom tests formulas")
+        keys = {_key(it, False) for it in conclusion if it[0] == "seq"}
         self.fresh = any(_key(it, False) not in keys
                          for p in premises for it in p if it[0] == "seq")  # fmt: skip
 
-    def declare(self, name: str, what: Optional[str], lo: int, hi: dict):
-        """Declare the param name, or (what None) the principal's position."""
-        if name in self.range:
-            raise ValueError(f"{self.rule}: param {name} named twice")
-        self.range[name] = lo, hi
-        if what is not None:
-            self.params.append(name)
-            at = f"{name!r}, {lo}, {_src(hi)}, {what!r}"
-            self.checks.append(f"{name} = _param(q, rule, {at})")
-
-    def lay(self, items: list, base: str, total: dict, side: str) -> int:
-        """Bind the items of a list pattern over base, of length total; the
-        least length it matches.  Items before the free list count from the
-        start, those after it (each taking an element) from the end."""
-        free = [j for j, it in enumerate(items) if it[0] == "list" and not it[2]]
-        f = free[0] if free else len(items)
-        sizes = [{it[2]: 1} if it[0] == "list" else {"": 1} for it in items]
-        least = sum(it[3] if it[0] == "list" else 1 for it in items)
-        if len(free) > 1:
-            a, b = (items[j][1] for j in free[:2])
-            raise ValueError(f"{self.rule}: a split with no param name: {a}, {b}")
-        if sum(it[0] == "list" for it in items) > 1 + bool(free) or any(
-            it[0] == "list" and not it[3] for it in items[f + 1 :]
-        ):
-            raise ValueError(f"{self.rule}: want a free list, one measured before it")
-        if side and not free:
-            test = f"len({base}) == {least}" if least else f"not {base}"
-            self.sized.append((test, side, least))
-        heads, tails = [{}], [{}]  # lengths before item j < f; after item j >= f
-        for j in range(f):
-            heads.append(_plus(heads[-1], sizes[j]))
-        for j in reversed(range(f + 1, len(items))):
-            tails.insert(0, _plus(tails[0], sizes[j]))
-
-        def span(j):  # the sources of item j's start and stop ("": the end)
-            if j < f:
-                return _src(heads[j]), _src(heads[j + 1])
-            return [_src(heads[f]) if b is None else
-                    _src(_plus({}, b, sign=-1)) if b else ""
-                    for b in (tails[j - f - 1] if j > f else None, tails[j - f])]
-
-        for j, it in enumerate(items):
-            nxt = items[j + 1][0] if j + 1 < len(items) else None
-            if it[0] == "list" and it[2]:
-                what = (("block size" if it[1][0] == "S" else f"{side} partition"
-                         if nxt == "list" else "formula position") if side else
-                        "component block size" if it[1][0] == "K" else
-                        "adjacent " * (len(self.seqs) > 1) + "component index")
-                hi = _plus(total, {"": it[3] - least})
-                self.declare(it[2], None if nxt == "conn" else what, it[3], hi)
-        for j, it in enumerate(items):
-            at, to = span(j)
-            if it[0] == "list":
-                at = "" if at == "0" else at
-                self.env[it[1]] = f"{base}[{at}:{to}]" if at or to else base
-                rest = _plus(total, *sizes[:j], *sizes[j + 1 :], sign=-1)
-                self.sizes[it[1]] = sizes[j] if it[2] else rest
-            elif it[0] == "seq":
-                n = len(self.binds)
-                self.binds.append(f"s{n} = comps[{at}]")
-                self.checks.append(self.binds[-1])
-            elif it[0] == "var" and it[1] in self.env:
-                self.tests.append(f"{base}[{at}] == {self.env[it[1]]}")
-            elif it[0] == "var":
-                self.env[it[1]] = f"{base}[{at}]"
-            elif it[0] == "const":
-                self.tests.append(f"_is_{'top' if it[1] else 'bot'}({base}[{at}])")
-            elif self.principal or j > f:
-                raise ValueError(f"{self.rule}: one principal formula, before the rest")
-            else:
-                pos = items[j - 1][2] if j and items[j - 1][0] == "list" else ""
-                if pos not in ("", "pos"):
-                    raise ValueError(f"{self.rule}: the principal's position is pos")
-                lo, hi = self.range[pos] if pos else (at, {"": int(at)})
-                self.principal = (it[1], f"{base}[{at}]", side, pos, str(lo),
-                                  _src(hi))  # fmt: skip
-                ops = _OPERANDS.get(it[1], ("children[0]", "children[1]"))
-                self.env.update(zip(it[2], (f"f.{op}" for op in ops)))
-        return least
-
-    def premise(self, items: list, pair: bool = False) -> str:
-        """Source of a premise's components, a tuple, in which a component the
-        conclusion lacks is a new Sequent, or a (left, right) pair."""
-        seqs = {}
-        for n, key in enumerate(self.keys):
-            seqs.setdefault(key, f"s{n}")
-        new = "({}, {})" if pair else "Sequent({}, {})"
-        return _concat([self.part(x, self.env, seqs, new) for x in items])
-
-    def part(self, x, env: dict, seqs: dict, new="Sequent({}, {})", kind=None):
-        """Source of item x built from env: a tuple, or an element in a
-        1-tuple.  A sequent is the one seqs names by its key, or new; a
-        connective is made of kind, or of its first node class."""
-        if x[0] in ("list", "var"):
-            return env[x[1]] if x[0] == "list" else (env[x[1]],)
-        if x[0] == "conn":
-            kind = kind or _KINDS[x[1]][0].__name__
-            return (f"_make({kind}, {', '.join(env[a] for a in x[2])})",)
-        sides = (_concat([self.part(y, env, seqs, new, kind) for y in side])
-                 for side in x[1:])  # fmt: skip
-        return (seqs.get(_key(x)) or new.format(*sides),)
-
     @lru_cache(maxsize=None)
-    def code(self, search: bool):
-        """The code of what search reads (search): the instances it lists and,
-        in the same loops, the premises of each (``tries``); or of the schema
-        or an axiom's match.  Compiled on first use, since compiling is most
-        of what a rule costs."""
-        rule, p, premises, names = self.rule, self.principal, self.premises, self.params
-        made = [f"f = {p[1]}"] if p else []
-        made += [f"r0 = {self.where}"] if self.where else []
-        schema = ["q = inst.params", "comps = h.components", *self.checks]
-        known = tuple(sorted({*names, "pos"} if p else names))
-        count = "len(q) - ('pos' in q)" if p else "len(q)"
-        schema.append(f"if {count} != {len(names)}: _refuse(rule, q, {known!r})")
-        # q and each param over its range, in order
-        head, loops, indent = ["c = q['c']", *self.binds] if p else [], [], ""
-        for x in self.params[bool(p) :]:
-            lo, hi = self.range[x]
-            over = f"range({lo}, {_src(_plus(hi, {'': 1}))})"
-            loops.append(f"{indent}for {x} in {over}:")
-            indent += "    "
-            loops += [indent + b for b in self.binds if x is self.params[0] and not p]
-        new = "".join(f", {n!r}: {n}" for n in names[bool(p) :])
-        listing = [*head, *loops, f"{indent}yield RuleInstance(R, {{**q{new}}})"]
-        tries = [*head, *["pos = q['pos']"] * bool(p and p[3]), *made, *loops,
-                 f"{indent}yield ({''.join(x + ', ' for _, x in premises)})"]
-        searched = {"instances(comps, q)": listing, "tries(comps, q)": tries}
-        funcs = {"schema(calc, inst, h)": schema}
-        test = " and ".join([t for t, _, _ in self.sized] + self.tests)
-        if not premises:  # an axiom: one test, match
-            args = "".join(", " + x for x in self.params[1:])
-            shape = f"{rule}: component must be " + re.sub(r"\^\w+", "", self.text)
-            schema += [f"if match(s0{args}) is None: _fail({shape.strip()!r})"]
-            schema.append("return []")
-            match = [f"if {test}:", "    return {}"]
-            for a in self.params[1:]:  # one at most: its first fit if not given
-                lo, hi = self.range[a]
-                stop = _src(_plus(hi, {"": 1}))
-                match = [f"for {a} in range({lo}, {stop}) if {a} is None else ({a},):",
-                         f"    if {test}:",
-                         f"        return {{{a!r}: {a}}}"]  # fmt: skip
-            funcs["match(s0, pos=None)"] = [*match, "return None"]
-        else:  # a rule with premises
-            for t, side, n in self.sized:
-                what = "a single formula" if n == 1 else f"{n} formulas"
-                msg = f"{rule}: {side} must be {what}"
-                schema.append(f"if not {t}: _fail({msg!r})")
-            if p:  # the position of a sole principal formula may go unnamed
-                at = f"_param(q, rule, 'pos', {p[4]}, {p[5]}, 'formula position')"
-                schema += [f"pos = {at}" if p[3] else f"if 'pos' in q: {at}",
-                           f"if not matches({p[1]}): _refuse(rule)"]
-            listed = ", ".join(f"Hypersequent({x})" for x, _ in premises)
-            schema += [*made, f"return [{listed}]"]
-        if search:  # an axiom lists no instance
-            funcs = searched if premises else {}
+    def code(self, what: str):
+        """The compiled code of what: "schema", "search", "forward" or "drawn"."""
+        funcs = self.reader(what == "drawn") if what in ("forward", "drawn") else (
+            getattr(self, what)())  # fmt: skip
         src = "".join(f"def {h}:\n" + "".join(f"    {x}\n" for x in body)
                       for h, body in funcs.items())
-        return compile(src, f"<{rule} template>", "exec")
+        return _compile(src, f"<{what}>", "exec")
 
-    @lru_cache(maxsize=None)
-    def reader(self):
-        """The code of ``forward(calc, rng, h)``, the template read forward:
-        its first premise matched to h, or None if it matches nowhere.  The
-        component, positions and splits are drawn among those whose tests
-        pass (a repeated name binds an equal value, a connective its node
-        class, a side its length).  The names the match leaves free are
-        drawn from a pool: the matched formulas, the calculus's units and
-        one fresh formula (for components: h's and one fresh sequent), a
-        list its least length or one more.  A where clause's split is
-        drawn, and each param is the length of the list it names."""
-        env, size, steps, seqs = {}, {}, [], []  # steps: (kind, var, source...)
+    def schema(self) -> dict:
+        """schema(calc, inst, h): the conclusion read, each param range-checked,
+        then the premises; an axiom's match(s0, pos=None): the params s0 fits."""
+        axiom, p, params = not self.premises, self.principal, self.params
+        shape = f"{self.rule}: component must be " + re.sub(r"\^\w+", "", self.text)
+        body = ["q = inst.params", "comps = h.components"]
+        for st in self.steps:
+            at = st[0] == "for" and f"{st[1]!r}, {st[2]}, {st[3]}, {st[5]!r}"
+            fail = f"_fail({shape.strip()!r})" if axiom else st[-1]
+            body.append(f"{st[1]} = " + (f"_param(q, rule, {at})" if at else st[2])
+                        if st[0] != "if" else f"if not ({st[1]}): {fail}")
+        count = "len(q) - ('pos' in q)" if p else "len(q)"
+        body += [f"if {count} != {len(params) - bool(p)}: "
+                 f"_refuse(rule, q, {tuple(sorted(params))!r})",
+                 f"return [{', '.join(f'Hypersequent({x})' for x, _ in self.built)}]"]
+        funcs = {"schema(calc, inst, h)": body}
+        if axiom:
+            lines, indent = _nest(self.steps[2:], given=True)
+            fits = ", ".join(f"{x!r}: {x}" for x in params[1:])
+            funcs["match(s0, pos=None)"] = [*lines, f"{indent}return {{{fits}}}",
+                                            "return None"]
+        return funcs
 
-        def let(prefix, src):
-            steps.append(("let", f"{prefix}{len(steps)}", src))
-            return steps[-1][1]
+    def search(self) -> dict:
+        """instances(comps, q) and tries(comps, q), looping over what q leaves."""
+        fixed = ("c", "pos") if self.principal else ()
+        lines, indent = _nest([st for st in self.steps if st[0] != "if"], fixed)
+        new = "".join(f", {x!r}: {x}" for x in self.params if x not in fixed)
+        tried = "".join(x + ", " for _, x in self.built)
+        listed = f"{indent}yield RuleInstance(R, {{**q{new}}})"
+        return {"instances(comps, q)": [*lines, listed],
+                "tries(comps, q)": [*lines, f"{indent}yield ({tried})"]}
 
-        def test(src):
-            if ("if", src) not in steps:
-                steps.append(("if", src))
-
-        def plan(items, base):
-            # (length, list names, the list whose length is drawn, the one
-            # that takes the rest, the length of what is already bound)
-            n, names = f"len({base})", [it[1] for it in items if it[0] == "list"]
-            unknown = [x for x in dict.fromkeys(names) if x not in env]
-            once = [x for x in unknown if names.count(x) == 1]
-            rest = once[-1] if once else None
-            chosen = [x for x in unknown if x != rest]
-            if len(chosen) > 1 or unknown and rest is None:
-                raise ValueError(f"{self.rule}: a premise splits a list two ways")
-            fixed = _plus({}, *(size[it[1]] if it[0] == "list" else {"": 1}
-                                for it in items if it[0] != "list" or it[1] in env))
-            need = _plus(fixed, *({"": it[3]} for it in items
-                                  if it[0] == "list" and it[1] in unknown))  # fmt: skip
-            if not unknown or need:
-                test(f"{n} {'>=' if unknown else '=='} {_src(need)}")
-            return n, names, chosen, rest, fixed
-
-        def bind(items, base):
-            n, names, chosen, rest, fixed = plan(items, base)
-            least = {it[1]: it[3] for it in items if it[0] == "list"}
-            used = {}
-            for x in chosen:  # its length drawn, the rest's what is left
-                m = names.count(x)
-                room = _plus({n: 1}, fixed, {"": least.get(rest, 0)}, sign=-1)
-                hi = f"({_src(room)}) // {m}" if m > 1 else _src(room)
-                stop = f"{hi} + 1" if m > 1 else _src(_plus(room, {"": 1}))
-                var = f"x{len(steps)}"
-                steps.append(("for", var, least[x], hi, stop))
-                size[x], used = {var: 1}, {var: m}
-            if rest:
-                size[rest] = _plus({n: 1}, fixed, used, sign=-1)
-            at = {}
-            for it in items:
-                stop = _plus(at, size[it[1]] if it[0] == "list" else {"": 1})
-                a, b = _src(at), "" if stop == {n: 1} else _src(stop)
-                x = f"{base}[{a}]" if it[0] != "list" else (
-                    f"{base}[{'' if a == '0' else a}:{b}]" if a != "0" or b else base)
-                at = stop
-                if it[0] == "seq":
-                    s = let("m", x)
-                    seqs.append((_key(it), s))
-                    for side, attr in zip(it[1:], ("left", "right")):
-                        plan(side, f"{s}.{attr}")
-                    for side, attr in zip(it[1:], ("left", "right")):
-                        bind(side, f"{s}.{attr}")
-                    continue
-                if it[0] == "conn":
-                    f, kind = let("f", x), _KINDS[it[1]][0]
-                    arity = f" and len({f}.children) == 2" * issubclass(kind, _Nary)
-                    test(f"isinstance({f}, {kind.__name__}){arity}")
-                    ops = _OPERANDS.get(it[1], ("children[0]", "children[1]"))
-                    pairs = [(a, f"{f}.{op}") for a, op in zip(it[2], ops)]
-                else:
-                    pairs = [(it[1], x)]
-                for name, src in pairs:
-                    if name in env:
-                        test(f"{src} == {env[name]}")
-                    else:
-                        env[name] = src
-
-        bind(self.first, "comps")
-        # the names of the conclusion and the where clause the match leaves
-        # free, in order, from the pool of components (a list the conclusion
-        # holds) or of formulas
+    def reader(self, drawn: bool) -> dict:
+        """forward(calc, rng, h): the first premise matched to h, the lengths
+        its tests read picked among those that pass (None if none do), then
+        (params, conclusion); or drawn(calc, rng): (instance, conclusion).
+        Names left free (all, for drawn) are drawn in reading order, forward's
+        from a pool (matched formulas, units, one fresh), a list's length its
+        least or one more."""
+        r = _Reading(self.rule) if drawn else self.first
         joined, pattern = self.split or ((), ())
-        free = [x for x in self.env if x not in env and x not in joined]
-        tops = {it[1] for it in self.conclusion if it[0] == "list"}
-        pools = {}
-        if any(x not in tops for x in free):
-            sides = [f"{s}.{a}" for _, s in seqs for a in ("left", "right")]
-            fresh = "(_rand_formula(calc, rng),)"
-            pools[False] = let("pool", " + ".join([*sides, "calc.units", fresh]))
-        if any(x in tops for x in free):
-            pools[True] = let("pool", "comps + (_rand_sequent(calc, rng),)")
-        for x in free:
-            pool = pools[x in tops]
-            if x not in self.sizes:
-                env[x] = let("v", f"rng.choice({pool})")
+        pools, kind = {}, "kind(rng)"
+        for it in _walk(self.conclusion if drawn else [*self.conclusion, *pattern]):
+            if it[0] == "conn" and drawn:
+                kind = r.let("k", "kind(rng)")
+            if it[0] not in ("list", "var") or it[1] in r.env or (
+                    it[1] in joined and not drawn):
+                continue
+            top = it in self.conclusion
+            one = f"_rand_{'sequent' if top else 'formula'}"
+            if not drawn and top not in pools:
+                sides = [f"{s}.{a}" for s in r.seqs.values() for a in ("left", "right")]
+                have = ["comps"] if top else [*sides, "UNITS"]
+                pools[top] = r.let("pool", " + ".join([*have, f"({one}(calc, rng),)"]))
+            pool = pools.get(top)
+            if it[0] == "var":
+                src = f"rng.choice({pool})" if pool else f"{one}(calc, rng)"
             else:
-                lo = _item(x, False)[3]
-                n = f"rng.randint({lo}, {lo + 1})"
-                env[x] = let("v", f"tuple(rng.choices({pool}, k={n}))")
-                size[x] = {f"len({env[x]})": 1}
+                n = f"rng.randint({it[3]}, {it[3] + 1})"
+                src = f"tuple(rng.choices({pool}, k={n}))" if pool else (
+                    f"_fresh(calc, rng, {it[3]}, {one})")
+            r.env[it[1]] = v = r.let("v", src)
+            r.size[it[1]] = {f"len({v})": 1}
         if joined:
-            r = let("r", _concat([self.part(it, env, {}) for it in pattern]))
-            bind([("list", x, "", 0) for x in joined], r)
-
-        # the select block: the draws some test reads, each kept if the
-        # tests pass, then one of them picked; the rest drawn straight
-        last = max((i for i, st in enumerate(steps) if st[0] == "if"), default=-1)
-        head, tail = steps[: last + 1], steps[last + 1 :]
-        first = next((i for i, st in enumerate(head) if st[0] == "for"), len(head))
-        body = ["comps = h.components"]
-        for st in head[:first]:
-            body.append(f"{st[1]} = {st[2]}" if st[0] == "let" else
-                        f"if not ({st[1]}): return None")
-        if head[first:]:
-            chosen, indent = [st[1] for st in head[first:] if st[0] == "for"], ""
-            body.append("opts = []")
-            for st in head[first:]:
-                body.append(indent + (f"for {st[1]} in range({st[2]}, {st[4]}):"
-                                      if st[0] == "for" else f"{st[1]} = {st[2]}"
-                                      if st[0] == "let" else f"if {st[1]}:"))
-                indent += "    " * (st[0] != "let")
-            picked = ", ".join(chosen)
-            one = picked if len(chosen) == 1 else f"({picked})"
-            body += [f"{indent}opts.append({one})", "if not opts:", "    return None",
-                     f"{picked} = rng.choice(opts)"]
-            body += [f"{st[1]} = {st[2]}" for st in head[first:] if st[0] == "let"]
+            lists = [("list", x, "", 0) for x in joined]
+            into, over = (pattern, lists) if drawn else (lists, pattern)
+            r.match(into, r.let("r", _concat([_part(it, r.env, {}) for it in over])))
+        params = ", ".join(f"{it[2]!r}: {_src(r.size[it[1]])}" for it in _walk(
+            [*self.conclusion, *pattern]) if it[0] == "list" and it[2])  # fmt: skip
+        built = _concat([_part(it, r.env, r.seqs, kind=kind) for it in self.conclusion])
+        # the tests and what they read, each passing pick kept and one drawn
+        read = set()
+        for st in reversed(r.steps):
+            if st[0] == "if" or st[1] in read:
+                read.update(re.findall(r"\w+", " ".join(map(str, st[1:5]))))
+        head = [st for st in r.steps if st[0] == "if" or st[1] in read]
+        tail = [st for st in r.steps if st not in head]
+        body = [] if drawn else ["comps = h.components"]
+        if head:
+            lines, indent = _nest(head)
+            kept = "".join(st[1] + ", " for st in head if st[0] != "if")
+            body += ["opts = []", *lines, f"{indent}opts.append(({kept}))",
+                     "if not opts:", "    return None"]  # fmt: skip
+            body += [f"{kept}= rng.choice(opts)"] * any(st[0] == "for" for st in head)
         body += [f"{st[1]} = rng.randint({st[2]}, {st[3]})" if st[0] == "for" else
                  f"{st[1]} = {st[2]}" for st in tail]  # fmt: skip
-        params = {}
-        for it in [*self.conclusion, *pattern]:
-            for x in it[1] + it[2] if it[0] == "seq" else [it]:
-                if x[0] == "list" and x[2]:
-                    params[x[2]] = _src(size[x[1]])
-        built = _concat([self.part(it, env, dict(seqs), kind="kind(rng)")
-                         for it in self.conclusion])  # fmt: skip
-        body.append(f"return {{{', '.join(f'{k!r}: {v}' for k, v in params.items())}}}"
-                    f", Hypersequent({built})")
-        src = "def forward(calc, rng, h):\n" + "".join(f"    {x}\n" for x in body)
-        return compile(src, f"<{self.rule} forward>", "exec")
+        inst = "RuleInstance(R, {%s})" if drawn else "{%s}"
+        body.append(f"return {inst % params}, Hypersequent({built})")
+        return {"drawn(calc, rng)" if drawn else "forward(calc, rng, h)": body}
 
 
-# A template is read once, whichever calculi use it.
+# A template is read once, whichever calculi use it, and code that several
+# templates generate alike (as drawers of one conclusion) is compiled once.
 _compiler = lru_cache(maxsize=None)(_Compiler)
+_compile = lru_cache(maxsize=None)(compile)
 
 
 # The order backward search tries structural rules in, after the logical ones.
 _SEARCH_ORDER = (Rule.COM, Rule.SPLIT, Rule.MIX, Rule.LEX, Rule.REX, Rule.EEX,
                  Rule.WEAK_L, Rule.EW)
 
+# Each generated function by name, and the code that defines it.
+_CODE = {"schema": "schema", "match": "schema", "matches": "schema", "drawn": "drawn",
+         "instances": "search", "tries": "search", "forward": "forward"}
+
 
 class RuleSpec:
-    """One rule variant of a calculus, read from its ``Template``, whose
-    generated functions are compiled on the first use of one.  ``schema(calc,
-    inst, h)`` checks an instance (its params' ranges, the conclusion's
-    shape) and lists its premises.  Backward search reads two functions of
-    a conclusion's components and the params q it fixes (a logical rule's
-    "c", and "pos" unless sole), generated in the same loops:
-    ``instances(comps, q)`` yields the instances it tries, and ``tries(comps,
-    q)`` the premises of each in turn, as a tuple of component tuples, a new
-    component a (left, right) pair.  An axiom's
+    """One rule variant of a calculus, read from its ``Template``; each
+    generated function is compiled on first use.  ``schema(calc, inst, h)``
+    checks an instance (its params' ranges, the conclusion's shape) and
+    lists its premises.  Backward search reads ``instances(comps, q)``, the
+    instances it tries given the params q fixes (a logical rule's "c", and
+    "pos" unless sole), and ``tries(comps, q)``, their premises in turn as
+    component tuples, a new component a (left, right) pair.  An axiom's
     ``match(s, pos=None)``: the params besides "c" under which s is an
-    instance, its formula at pos or first found; None if none.  A logical
+    instance (its formula at pos, or the first found), or None.  A logical
     rule's ``matches(f)`` tests a principal formula's connective (``kinds``,
     main one first) and arity on its side (``left``); a ``sole`` one is
-    alone on its side, its instances naming no "pos".  ``drawn`` draws a
-    random instance from the template's conclusion.  ``forward(calc, rng,
-    h)`` (None for an axiom) reads the template forward from h: (params,
-    conclusion) of one instance whose first premise is h, or None if the
-    first premise matches nowhere in h."""
+    alone there, its instances naming no "pos".  ``drawn(calc, rng)``: a
+    random (instance, conclusion); ``forward(calc, rng, h)`` (None for an
+    axiom): (params, conclusion) of an instance whose first premise is h,
+    or None.  ⊤ and ⊥ (``TOP``, ``BOT``) are those of ``profile``."""
 
-    def __init__(self, t: Template, kinds: dict = _KINDS):
+    def __init__(self, t: Template, kinds: dict, profile: ConnectiveFlags):
         c = self.compiler = _compiler(t.rule, t.text)
         p = c.principal
-        self.template, self.rule = t, t.rule
+        self.template, self.rule, self.profile = t, t.rule, profile
         self.axiom = not c.premises
-        self.left = None if p is None else p[2] == "antecedent"
-        self.kinds, self.sole = (kinds[p[0]], not p[3]) if p else ((), False)
-        self.window = Window(len(c.seqs) or c.least, not c.seqs, c.fresh) if (
+        self.left = None if p is None else p[1] == "antecedent"
+        self.kinds, self.sole = (kinds[p[0]], p[2]) if p else ((), False)
+        least = sum(it[3] if it[0] == "list" else 1 for it in c.conclusion)
+        self.window = Window(len(c.seqs) or least, not c.seqs, c.fresh) if (
             t.rule in _SEARCH_ORDER) else None
 
     def __getattr__(self, name):
-        c, kinds = self.compiler, self.kinds
-        ns = dict(_GLOBALS, rule=c.rule, R=self.rule)
-        if name in ("instances", "tries"):
-            exec(c.code(True), ns)
-            self.instances, self.tries = ns.get("instances"), ns.get("tries")
-        elif name == "forward":  # an axiom is not read forward
-            ns["kind"] = self.drawn_kind
-            if not self.axiom:
-                exec(c.reader(), ns)
-            self.forward = ns.get("forward")
-        elif name in ("schema", "match", "matches"):
-            nary = bool(kinds) and issubclass(kinds[0], _Nary)
-            self.matches = ns["matches"] = (lambda f: isinstance(f, kinds) and (
-                not nary or len(f.children) == 2)) if kinds else None  # fmt: skip
-            exec(c.code(False), ns)
-            self.schema, self.match = ns["schema"], ns.get("match")
-        else:
+        what = _CODE.get(name)
+        if what is None:
             raise AttributeError(name)
+        kinds, p = self.kinds, self.profile
+        nary = bool(kinds) and issubclass(kinds[0], _Nary)
+        matches = (lambda f: isinstance(f, kinds) and (
+            not nary or len(f.children) == 2)) if kinds else None  # fmt: skip
+        top, bot = BoolConst(True, p), BoolConst(False, p)  # UNITS: ⊥ only with ~
+        ns = dict(_GLOBALS, rule=self.compiler.rule, R=self.rule, kind=self.drawn_kind,
+                  TOP=top, BOT=bot, UNITS=(top,) + (bot,) * p.neg, matches=matches)
+        if what in ("schema", "drawn") or not self.axiom:  # an axiom is not searched
+            exec(self.compiler.code(what), ns)                # nor read forward
+        for x in (x for x, w in _CODE.items() if w == what):
+            setattr(self, x, ns.get(x))
         return getattr(self, name)
 
     def search(self, h: Hypersequent) -> List[RuleInstance]:
@@ -764,46 +702,6 @@ class RuleSpec:
         """The principal node class of a drawn instance or a forward step."""
         return rng.choice(self.kinds) if len(self.kinds) > 1 else self.kinds[0]
 
-    def drawn(self, calc, rng: random.Random):
-        """A random (instance, conclusion) of the rule, read off its
-        template's conclusion: each list holds random components or formulas,
-        its least length or one more; a formula named again is the one first
-        drawn, T and F are constants, and the principal connective is one of
-        ``kinds``.  Each param is the length of the list it names, and a
-        where clause's split is drawn."""
-        named, params, lengths = {}, {}, {}
-
-        def formula(it):
-            if it[0] == "const":
-                return BoolConst(it[1], calc.profile)
-            if it[0] == "conn":
-                return _make(self.drawn_kind(rng), *map(var, it[2]))
-            return var(it[1])
-
-        def var(name):
-            if name not in named:
-                named[name] = _rand_formula(calc, rng)
-            return named[name]
-
-        def laid(items, element, single):  # a list's items are element()s
-            out = []
-            for it in items:
-                if it[0] != "list":
-                    out.append(single(it))
-                    continue
-                n = lengths[it[1]] = params[it[2]] = rng.randint(it[3], it[3] + 1)
-                out += [element(calc, rng) for _ in range(n)]
-            return tuple(out)
-
-        comps = laid(self.compiler.conclusion, _rand_sequent, lambda s: Sequent(
-            *[laid(x, _rand_formula, formula) for x in s[1:]]))  # fmt: skip
-        if self.compiler.split:  # its one list with a param takes a random share
-            names, items = self.compiler.split
-            total = sum(map(lengths.get, names))
-            params.update((it[2], rng.randint(it[3], total)) for it in items if it[2])
-        params.pop("", None)  # where the lengths of lists with no param went
-        return RuleInstance(self.rule, params), Hypersequent(comps)
-
 
 def _make(kind, phi0: Expr, phi1: Optional[Expr] = None) -> Expr:
     if kind is Not:
@@ -816,7 +714,7 @@ def _make(kind, phi0: Expr, phi1: Optional[Expr] = None) -> Expr:
 # what the compiled code of a template reads
 _GLOBALS = {k.__name__: k for k in (Sequent, Hypersequent, RuleInstance, _make, _fail,
                                     _refuse, _param, _is_top, _is_bot, _rand_formula,
-                                    _rand_sequent, *_NODES)}
+                                    _rand_sequent, _fresh, *_NODES)}
 
 
 @dataclass(frozen=True)
@@ -831,12 +729,6 @@ class CalculusDef:
         return self.logic.flag_profile
 
     @cached_property
-    def units(self) -> Tuple[Expr, ...]:
-        """Verum, and falsum where the profile has negation."""
-        p = self.profile
-        return (BoolConst(True, p),) + (BoolConst(False, p),) * p.neg
-
-    @cached_property
     def rules(self) -> frozenset:
         return frozenset(self.table)
 
@@ -847,9 +739,8 @@ class CalculusDef:
     @cached_property
     def logical(self) -> Dict[bool, Tuple[RuleSpec, ...]]:
         """The logical rules by side (True: antecedent)."""
-        specs = [s for s in self.table.values() if s.left is not None]
-        left = tuple(s for s in specs if s.left)
-        return {True: left, False: tuple(s for s in specs if not s.left)}
+        return {left: tuple(s for s in self.table.values() if s.left is left)
+                for left in (True, False)}
 
     @cached_property
     def windows(self) -> Tuple[tuple, ...]:
@@ -880,7 +771,7 @@ _INIT = Template(Rule.INIT, "A |- A")
 _EMP = Template(Rule.EMP, "|-")
 _TOP_R = Template(Rule.TOP_R, "G |- T")
 _BOT_L = Template(Rule.BOT_L, "G1^pos, F, G2 |- D")
-_EW = Template(Rule.EW, "H | K^k / H")
+_EW = Template(Rule.EW, "K | K2^k / K")
 _EC = Template(Rule.EC, "H | K^b / H | K | K")
 _EEX = Template(Rule.EEX, "H^i | G1 |- D1 | G2 |- D2 | H2"
                 " / H | G2 |- D2 | G1 |- D1 | H2")
@@ -928,7 +819,7 @@ def _calc(name, logic, templates):
     matching ⊙ and ⊕ where the logic reads those as ∧ and ∨."""
     c = LOGICS[logic.kind].clauses
     kinds = _MIN_MAX_KINDS if c["mand"] is c["and"] and c["mor"] is c["or"] else _KINDS
-    by_rule = {t.rule: RuleSpec(t, kinds) for t in templates}
+    by_rule = {t.rule: RuleSpec(t, kinds, logic.flag_profile) for t in templates}
     table = {rule: by_rule[rule] for rule in Rule if rule in by_rule}
     return CalculusDef(name, logic, table)
 

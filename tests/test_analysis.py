@@ -111,9 +111,3 @@ class TestConvergence:
                  for _ in range(20)]
         rep = convergence_yager_godel(pairs, [1, 2, 4, 8, 16, 32], 1e-2)
         assert rep.passed
-
-    def test_csv_rendering(self):
-        rep = convergence_stl_min([0.5, 1.0], [1, 10], 1.0)
-        text = rep.to_csv()
-        assert text.splitlines()[0] == "parameter,gap"
-        assert len(text.splitlines()) == 1 + len(rep.entries)

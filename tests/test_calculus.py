@@ -197,9 +197,9 @@ def test_premises_for_dispatches_on_the_calculus_rules(name):
                 premises_for(calc, RuleInstance(rule, {"c": 0, "pos": 0}), h)
 
 
-def test_every_rule_but_the_derived_one_is_declared():
+def test_every_rule_is_declared():
     declared = set().union(*(calc.rules for calc in CALCULI.values()))
-    assert declared == set(Rule) - {Rule.LIMPL_EXT}
+    assert declared == set(Rule)
 
 
 # The calculi whose right rules are single-conclusion (sole) and whose &
@@ -420,10 +420,44 @@ def test_dl2_limpl_is_sound_with_either_premise_alone(keep):
     ("G1, G2 |- D / G1 |- D", "split with no param name"),
     ("G1^, G2 |- D / G1 |- D", "want a name or name\\^param"),
     ("G1^pos, F, G2 |- D / G1, G2 |- D", "only an axiom tests formulas"),
+    # read forward, the premise's antecedent splits into two lists of free length
+    ("G1^k1, G2 |- D1^k2, D2 / G1, G2, D1 |- D2", "mix: want one list with no param"),
 ])
 def test_a_malformed_template_raises(text, message):
     with pytest.raises(ValueError, match=message):
         _calc("bad", LUKASIEWICZ, (_INIT, Template(Rule.MIX, text)))
+
+
+# Scratch templates whose premises hold T or F, as the Łukasiewicz ⊙ rules of
+# Metcalfe, Olivetti & Gabbay (ACM TOCL 6(3), 2005) do.
+CONSTANT_PREMISES = [
+    "G |- D / G, F |- D",
+    "G |- D / G |- T, D",
+    "G1^pos, A * B, G2 |- D / G1, A, B, G2 |- D ; G1, F, G2 |- D",
+]
+
+
+@pytest.mark.parametrize("text", CONSTANT_PREMISES)
+def test_a_premise_holding_a_constant_reads_alike_every_way(text):
+    """On a drawn instance the schema's premises hold the constant, tries
+    lists them for that instance, and forward reads the first back into an
+    instance whose first premise it is."""
+    calc = _calc("scratch", LUKASIEWICZ, (_INIT, Template(Rule.LIMPL, text)))
+    spec = calc.table[Rule.LIMPL]
+    const = BoolConst("T" in text.split("/", 1)[1], calc.profile)
+    rng = random.Random(text)
+    for _ in range(50):
+        inst, h = spec.drawn(calc, rng)
+        premises = premises_for(calc, inst, h)
+        assert any(const in s.left + s.right for p in premises for s in p.components)
+        q = {} if spec.left is None else spec.where(inst.params["c"], inst.params["pos"])
+        listed = [i.params for i in spec.instances(h.components, q)]
+        tried = list(spec.tries(h.components, q))[listed.index(inst.params)]
+        assert [Hypersequent([Sequent(*s) if type(s) is tuple else s for s in p])
+                for p in tried] == premises
+        params, conclusion = spec.forward(calc, rng, premises[0])
+        again = premises_for(calc, RuleInstance(Rule.LIMPL, params), conclusion)
+        assert again[0] == premises[0]
 
 
 def golden_values(name):
@@ -622,8 +656,8 @@ class TestExtendedRuleFixture:
         assert Rule.EC in rules and Rule.LIMPL in rules
 
     def test_extended_rule_is_not_a_calculus_member(self):
-        for calc in CALCULI.values():
-            assert Rule.LIMPL_EXT not in calc.rules
+        # the fixture is built from ordinary rules; "limplext" names no rule
+        assert "limplext" not in {rule.value for rule in Rule}
 
 
 def _lex_tower(tree: ProofTree, steps: int) -> ProofTree:

@@ -248,7 +248,7 @@ class TestProof:
         assert read_json(out)["passed"]
 
     @pytest.mark.parametrize("mangle", ["top_level_list", "unknown_rule",
-                                        "params_as_pairs"])
+                                        "params_as_pairs", "limplext"])
     def test_check_malformed_document_is_input_error(self, tmp_path, mangle):
         doc = read_json(FIX / "init_goedel.json")
         if mangle == "top_level_list":
@@ -257,7 +257,8 @@ class TestProof:
             # a list that dict() would read as {1: 0, "c": 0}
             doc["tree"]["rule"]["params"] = [[1, 0], ["c", 0]]
         else:
-            doc["tree"]["rule"]["id"] = "nope"
+            # "limplext" was a rule id no calculus had; now it is none
+            doc["tree"]["rule"]["id"] = "nope" if mangle == "unknown_rule" else mangle
         path = tmp_path / "bad.json"
         path.write_text(json.dumps(doc))
         assert run(["proof", "check", str(path)]) == 2
